@@ -39,7 +39,7 @@ from .lattice import (
     interaction_shape,
     merge_bond_families,
 )
-from .operators import AXES, gauge_unitary, global_flip, pauli_product, pauli_site
+from .operators import AXES, PauliString, gauge_unitary, global_flip, pauli_product, pauli_site
 from .phase_region import (
     Membership,
     RatioGrid,
@@ -63,6 +63,8 @@ from .quantum_gibbs import (
     gibbs_expectation_expm,
     order_expectation,
     spectral_decompose,
+    string_expectations,
+    string_in_eigenbasis,
     thermal_state,
     truncated_duhamel,
     z2_commutator_norm,

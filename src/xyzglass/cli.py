@@ -48,6 +48,7 @@ from .identities import (
 from .lattice import build_lattice, generate_bonds, interaction_shape, merge_bond_families
 from .operators import AXES, gauge_unitary, pauli_site
 from .quantum_gibbs import (
+    HamiltonianBuilder,
     build_hamiltonian,
     duhamel,
     duhamel_time_integral,
@@ -454,7 +455,7 @@ def run_verify_bounds(cfg: dict, threads: int, artifacts_dir: str | None) -> tup
     if "a2" in which:
         step = cfg["bounds"].get("a2_step", 0.05)
         third, second = identities._a2_differences(model, v, w, step, method)
-        sym_ok = abs(second) <= 1e-8
+        sym_ok = abs(second) <= identities.FLIP_SYMMETRY_TOL
         checks.append({
             "name": "nonlinear susceptibility probe",
             "inputs": {"v": v, "w": w, "step": step},
@@ -462,7 +463,7 @@ def run_verify_bounds(cfg: dict, threads: int, artifacts_dir: str | None) -> tup
             "seed": seed,
             "third_difference": _jsonify(third),
             "second_difference": _jsonify(second),
-            "tolerance": {"kind": "flip_symmetry_abs", "value": 1e-8},
+            "tolerance": {"kind": "flip_symmetry_abs", "value": identities.FLIP_SYMMETRY_TOL},
             "passed": bool(sym_ok),
         })
     artifacts = {}
@@ -514,12 +515,10 @@ def run_order_params(cfg: dict, threads: int) -> tuple[list[dict], dict]:
 
 def _mean_free_energy(model: ModelConfig, method) -> dict:
     volume = model.lattice.n_sites
+    builder = HamiltonianBuilder(model.lattice, model.families)
 
     def evaluator(sample):
-        state = thermal_state(
-            spectral_decompose(build_hamiltonian(model.lattice, model.families, sample)),
-            model.beta,
-        )
+        state = thermal_state(spectral_decompose(builder.build(sample)), model.beta)
         return np.array([free_energy_density(state, volume)])
 
     values, probs = identities._disorder_table(model, evaluator, 1, method)
@@ -694,7 +693,7 @@ def run_selftest(seed: int) -> tuple[list[dict], dict]:
     params3 = CouplingParams({1: {"x": (0.6, 0.0), "y": (0.5, 0.8), "z": (0.7, 0.9)}})
     model = ModelConfig(lattice=lat1, families=fams1, params=params3, beta=0.5)
     res = identities.one_point_identity(model, [0], "z", "x", Quadrature(24))
-    record("one-point identity (single-site quadrature)", res.mean, 1e-8)
+    record("one-point identity (single-site quadrature)", abs(res.mean), 1e-8)
 
     return checks, {}
 

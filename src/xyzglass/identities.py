@@ -5,6 +5,7 @@ bound chains and the finite-size diagnostics."""
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from concurrent.futures import ThreadPoolExecutor
@@ -24,12 +25,14 @@ from .disorder import (
 )
 from .errors import CapacityError, UndersampledError
 from .lattice import BondFamily, Lattice
-from .operators import AXES, pauli_product, pauli_site
+from .operators import AXES, PauliString, pauli_site
 from .quantum_gibbs import (
     HamiltonianBuilder,
     ThermalState,
     _duhamel_kernel,
     spectral_decompose,
+    string_expectations,
+    string_in_eigenbasis,
     thermal_state,
 )
 
@@ -42,6 +45,10 @@ _EXACT_TOL = 1e-12
 
 #: Guard on the total tensor-grid size.
 _MAX_QUAD_NODES = 10**8
+
+#: Largest |second field difference| of the a2 probe that still counts as
+#: flip-symmetric at zero field.
+FLIP_SYMMETRY_TOL = 1e-8
 
 
 @dataclass(frozen=True)
@@ -240,7 +247,7 @@ def _residual_results(values: np.ndarray, probs: np.ndarray | None) -> list[Esti
         for mean in means:
             out.append(
                 EstimatorResult(
-                    mean=abs(float(mean)), std_error=0.0, n_samples=n,
+                    mean=float(mean), std_error=0.0, n_samples=n,
                     method="quadrature", z_score=math.nan,
                 )
             )
@@ -264,16 +271,23 @@ def _check_identity_axes(w: str, u: str) -> None:
 
 class _IdentityEngine:
     """Shared per-sample machinery: one spectral decomposition on the quantum
-    side, one Nishimori-line enumeration on the classical side."""
+    side, one Nishimori-line enumeration on the classical side. The quantum
+    builder is made on first use, so classical-only checks never make it."""
 
     def __init__(self, config: ModelConfig, u: str):
         validate_gauge_axis(config.params, config.families, u)
         self.config = config
         self.u = u
         self.n_sites = config.lattice.n_sites
-        self.builder = HamiltonianBuilder(config.lattice, config.families)
         self.table = BondProductTable(self.n_sites, config.families)
         self.betas = {p: nishimori_beta(config.params, p, u) for p in config.families}
+
+    @functools.cached_property
+    def builder(self) -> HamiltonianBuilder:
+        return HamiltonianBuilder(self.config.lattice, self.config.families)
+
+    def strings(self, site_sets: Sequence[Sequence[int]], axis: str) -> list[PauliString]:
+        return [PauliString(self.n_sites, s, axis) for s in site_sets]
 
     def state(self, sample: DisorderSample) -> ThermalState:
         return thermal_state(spectral_decompose(self.builder.build(sample)), self.config.beta)
@@ -289,16 +303,6 @@ class _IdentityEngine:
         return self.table.pair_matrix(nd.k, self.betas)
 
 
-def _expectations_in_state(state: ThermalState, ops: Sequence[np.ndarray]) -> list[float]:
-    v = state.spectrum.eigenvectors
-    z = float(np.sum(state.weights))
-    out = []
-    for op in ops:
-        diag = np.einsum("ji,jk,ki->i", v.conj(), op, v)
-        out.append(float(np.real(np.dot(diag, state.weights))) / z)
-    return out
-
-
 def _duhamel_in_state(state: ThermalState, a_t: np.ndarray, b_t: np.ndarray) -> float:
     phi = _duhamel_kernel(state)
     return float(np.real(np.sum(a_t * b_t.T * phi))) / float(np.sum(state.weights))
@@ -311,11 +315,11 @@ def one_point_identity(
     _check_identity_axes(w, u)
     engine = _IdentityEngine(config, u)
     xs = tuple(sorted(set(int(i) for i in x_sites)))
-    op = pauli_product(engine.n_sites, xs, w)
+    ops = engine.strings([xs], w)
 
     def evaluator(sample: DisorderSample) -> np.ndarray:
         state = engine.state(sample)
-        (q,) = _expectations_in_state(state, [op])
+        (q,) = string_expectations(state, ops)
         (c,) = engine.classical_products(sample, [xs])
         return np.array([q * (1.0 - c)])
 
@@ -337,14 +341,13 @@ def two_point_identities(
     engine = _IdentityEngine(config, u)
     xs = tuple(sorted(set(int(i) for i in x_sites)))
     ys = tuple(sorted(set(int(i) for i in y_sites)))
-    op_x = pauli_product(engine.n_sites, xs, w)
-    op_y = pauli_product(engine.n_sites, ys, w)
-    op_xy = op_x @ op_y
     diff = tuple(sorted(set(xs) ^ set(ys)))
+    # sigma_X^w sigma_Y^w is exactly the string on the symmetric difference
+    ops = engine.strings([xs, ys, diff], w)
 
     def evaluator(sample: DisorderSample) -> np.ndarray:
         state = engine.state(sample)
-        qx, qy, qxy = _expectations_in_state(state, [op_x, op_y, op_xy])
+        qx, qy, qxy = string_expectations(state, ops)
         (c,) = engine.classical_products(sample, [diff])
         return np.array([qx * qy * (1.0 - c), qxy * (1.0 - c)])
 
@@ -366,17 +369,15 @@ def duhamel_identity(
     engine = _IdentityEngine(config, u)
     xs = tuple(sorted(set(int(i) for i in x_sites)))
     ys = tuple(sorted(set(int(i) for i in y_sites)))
-    op_x = pauli_product(engine.n_sites, xs, w)
-    op_y = pauli_product(engine.n_sites, ys, w)
+    op_x, op_y = engine.strings([xs, ys], w)
     diff = tuple(sorted(set(xs) ^ set(ys)))
 
     def evaluator(sample: DisorderSample) -> np.ndarray:
         state = engine.state(sample)
-        v = state.spectrum.eigenvectors
-        a_t = v.conj().T @ op_x @ v
-        b_t = v.conj().T @ op_y @ v
+        a_t = string_in_eigenbasis(state, op_x)
+        b_t = string_in_eigenbasis(state, op_y)
         dval = _duhamel_in_state(state, a_t, b_t)
-        qx, qy = _expectations_in_state(state, [op_x, op_y])
+        qx, qy = string_expectations(state, [op_x, op_y])
         tval = dval - qx * qy
         (c,) = engine.classical_products(sample, [diff])
         return np.array([dval * (1.0 - c), tval * (1.0 - c)])
@@ -402,12 +403,12 @@ def three_point_identity(
     _check_identity_axes(w, u)
     engine = _IdentityEngine(config, u)
     sets = [tuple(sorted(set(int(i) for i in s))) for s in (x_sites, y_sites, z_sites)]
-    ops = [pauli_product(engine.n_sites, s, w) for s in sets]
+    ops = engine.strings(sets, w)
     diff = tuple(sorted(set(sets[0]) ^ set(sets[1]) ^ set(sets[2])))
 
     def evaluator(sample: DisorderSample) -> np.ndarray:
         state = engine.state(sample)
-        q1, q2, q3 = _expectations_in_state(state, ops)
+        q1, q2, q3 = string_expectations(state, ops)
         (c,) = engine.classical_products(sample, [diff])
         return np.array([q1 * q2 * q3 * (1.0 - c)])
 
@@ -508,12 +509,12 @@ def magnetization_bound_check(
     _check_identity_axes(w, u)
     engine = _IdentityEngine(config, u)
     n = engine.n_sites
-    ops = [pauli_site(n, i, w) for i in range(n)]
     singles = [(i,) for i in range(n)]
+    ops = engine.strings(singles, w)
 
     def evaluator(sample: DisorderSample) -> np.ndarray:
         state = engine.state(sample)
-        q = _expectations_in_state(state, ops)
+        q = string_expectations(state, ops)
         c = engine.classical_products(sample, singles)
         return np.concatenate([q, c])
 
@@ -619,19 +620,20 @@ def susceptibility_bound_check(
     engine = _IdentityEngine(config, u)
     n = engine.n_sites
     beta = config.beta
-    ops_w = np.stack([pauli_site(n, i, w) for i in range(n)])
-    ops_v = np.stack([pauli_site(n, i, v) for i in range(n)])
+    singles = [(i,) for i in range(n)]
+    ops_w = engine.strings(singles, w)
+    ops_v = engine.strings(singles, v)
 
     def evaluator(sample: DisorderSample) -> np.ndarray:
         state = engine.state(sample)
-        vec = state.spectrum.eigenvectors
-        at = np.einsum("ba,ibc,cd->iad", vec.conj(), ops_w, vec)
-        bt = np.einsum("ba,ibc,cd->iad", vec.conj(), ops_v, vec)
+        at = np.stack([string_in_eigenbasis(state, op) for op in ops_w])
+        bt = at if v == w else np.stack([string_in_eigenbasis(state, op) for op in ops_v])
         phi = _duhamel_kernel(state)
         z = float(np.sum(state.weights))
-        duh = np.real(np.einsum("imn,jnm,mn->ij", at, bt, phi)) / z
-        qa = np.real(np.einsum("inn,n->i", at, state.weights)) / z
-        qb = np.real(np.einsum("inn,n->i", bt, state.weights)) / z
+        # duh[i, j] = sum_mn at[i, m, n] bt[j, n, m] phi[m, n], as one matmul
+        duh = np.real((at * phi).reshape(n, -1) @ bt.transpose(0, 2, 1).reshape(n, -1).T) / z
+        qa = np.real(np.diagonal(at, axis1=1, axis2=2) @ state.weights) / z
+        qb = np.real(np.diagonal(bt, axis1=1, axis2=2) @ state.weights) / z
         trunc = duh - np.outer(qa, qb)
         c = engine.classical_pair_matrix(sample)
         return np.concatenate([trunc.ravel(), c.ravel()])
@@ -783,18 +785,16 @@ def _a2_differences(
     builder = HamiltonianBuilder(config.lattice, config.families)
     n = config.lattice.n_sites
     field = np.zeros((2**n, 2**n), dtype=complex)
-    order = np.zeros((2**n, 2**n), dtype=complex)
     for i in range(n):
         field += pauli_site(n, i, v)
-        order += pauli_site(n, i, w)
-    order /= n
+    order = [PauliString(n, (i,), w) for i in range(n)]
 
     def evaluator(sample: DisorderSample) -> np.ndarray:
         base = builder.build(sample)
         m = []
         for mu in (-2 * h, -h, 0.0, h, 2 * h):
             state = thermal_state(spectral_decompose(base - mu * field), config.beta)
-            m.append(_expectations_in_state(state, [order])[0])
+            m.append(sum(string_expectations(state, order)) / n)
         third = (m[4] - 2 * m[3] + 2 * m[1] - m[0]) / (2 * h**3)
         second = (m[3] - 2 * m[2] + m[1]) / h**2
         return np.array([third, second])
@@ -810,7 +810,7 @@ def a2_nonlinear_susceptibility(
     w: str,
     h: float,
     method: Method,
-    symmetry_tol: float = 1e-8,
+    symmetry_tol: float = FLIP_SYMMETRY_TOL,
 ) -> float:
     """Third central difference of the magnetization in the field mean at the
     symmetric point (the finite-size nonlinear susceptibility probe).
@@ -838,11 +838,11 @@ def finite_size_order_parameters(
     """
     builder = HamiltonianBuilder(config.lattice, config.families)
     n = config.lattice.n_sites
-    ops = [pauli_site(n, i, a) for a in AXES for i in range(n)]
+    ops = [PauliString(n, (i,), a) for a in AXES for i in range(n)]
 
     def evaluator(sample: DisorderSample) -> np.ndarray:
         state = thermal_state(spectral_decompose(builder.build(sample)), config.beta)
-        return np.array(_expectations_in_state(state, ops))
+        return np.array(string_expectations(state, ops))
 
     values, probs = _disorder_table(config, evaluator, 3 * n, method)
     n_samples = values.shape[0]

@@ -5,7 +5,7 @@ identity, all evaluated exactly in the eigenbasis."""
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Mapping
+from typing import Mapping, Sequence
 
 import numpy as np
 from scipy.integrate import simpson
@@ -15,13 +15,10 @@ from scipy.special import logsumexp
 from .disorder import DisorderSample
 from .errors import CapacityError
 from .lattice import BondFamily, Lattice
-from .operators import AXES, QUANTUM_SITE_CAP, pauli_product, pauli_site, global_flip
+from .operators import AXES, QUANTUM_SITE_CAP, PauliString, global_flip, pauli_site
 
 #: Relative tolerance budget for eigendecomposition self-checks.
 SPECTRUM_TOL = 1e-10
-
-#: Precompute the per-term operator stack only below this memory footprint.
-_STACK_BYTE_LIMIT = 1 << 27
 
 
 @dataclass(frozen=True)
@@ -50,8 +47,11 @@ class ThermalState:
 class HamiltonianBuilder:
     """Assembles H = -sum_{p,X,w} J_{X,p}^w sigma_X^w for many samples.
 
-    Term operators are precomputed and stacked when they fit in memory;
-    otherwise each build constructs them on the fly (identical H either way).
+    Every term is a Pauli string, and terms with the same flip mask fill the
+    same entries H[j ^ flip, j]. A build sums the coupling-weighted phases
+    per flip mask in one matmul and scatters them into H in one assignment.
+    Construction is O(terms); the dim-length tables are built on the first
+    build, so a builder that never builds allocates nothing of size dim.
     """
 
     def __init__(self, lattice: Lattice, families: Mapping[int, BondFamily]):
@@ -67,11 +67,23 @@ class HamiltonianBuilder:
             for axis in AXES:
                 for b, bond in enumerate(families[p].bonds):
                     self.terms.append((p, axis, b, bond))
-        self._stack: np.ndarray | None = None
-        if len(self.terms) * self.dim**2 * 16 <= _STACK_BYTE_LIMIT:
-            self._stack = np.stack(
-                [pauli_product(n, bond, axis) for (_, axis, _, bond) in self.terms]
-            )
+        self._tables: tuple[np.ndarray, ...] | None = None
+
+    def _scatter_tables(self) -> tuple[np.ndarray, ...]:
+        """(flip-group indicator M x T, term phases T x dim, target rows M x dim,
+        target columns dim)."""
+        if self._tables is None:
+            strings = [PauliString(self.n_sites, bond, axis) for (_, axis, _, bond) in self.terms]
+            flips = sorted({s.flip for s in strings})
+            group = {f: m for m, f in enumerate(flips)}
+            indicator = np.zeros((len(flips), len(strings)))
+            for t, s in enumerate(strings):
+                indicator[group[s.flip], t] = 1.0
+            phases = np.array([s.phase for s in strings]).reshape(len(strings), self.dim)
+            cols = np.arange(self.dim)
+            rows = cols[None, :] ^ np.array(flips, dtype=cols.dtype)[:, None]
+            self._tables = (indicator, phases, rows, cols)
+        return self._tables
 
     def coupling_vector(self, sample: DisorderSample) -> np.ndarray:
         return np.array(
@@ -79,13 +91,9 @@ class HamiltonianBuilder:
         )
 
     def build(self, sample: DisorderSample) -> np.ndarray:
-        j = self.coupling_vector(sample)
-        if self._stack is not None:
-            return -np.tensordot(j, self._stack, axes=1)
+        indicator, phases, rows, cols = self._scatter_tables()
         h = np.zeros((self.dim, self.dim), dtype=complex)
-        for val, (_, axis, _, bond) in zip(j, self.terms):
-            if val != 0.0:
-                h -= val * pauli_product(self.n_sites, bond, axis)
+        h[rows, cols] = (indicator * -self.coupling_vector(sample)) @ phases
         return h
 
 
@@ -142,10 +150,27 @@ def _real_part(value: complex, what: str) -> float:
 
 def gibbs_expectation(state: ThermalState, a: np.ndarray) -> float:
     """Thermal expectation (1/Z) Tr[A exp(-beta H)] in the eigenbasis."""
-    diag = np.einsum("ji,jk,ki->i", state.spectrum.eigenvectors.conj(), a,
-                     state.spectrum.eigenvectors)
+    v = state.spectrum.eigenvectors
+    diag = np.einsum("ji,ji->i", v.conj(), a @ v)
     val = np.dot(diag, state.weights) / np.sum(state.weights)
     return _real_part(complex(val), "Gibbs expectation")
+
+
+def string_expectations(state: ThermalState, strings: Sequence[PauliString]) -> list[float]:
+    """Thermal expectations of Pauli strings, one O(dim^2) gather each."""
+    v = state.spectrum.eigenvectors
+    z = float(np.sum(state.weights))
+    out = []
+    for op in strings:
+        diag = np.einsum("ri,ri->i", v.conj(), op.apply(v))
+        out.append(float(np.real(np.dot(diag, state.weights))) / z)
+    return out
+
+
+def string_in_eigenbasis(state: ThermalState, op: PauliString) -> np.ndarray:
+    """V^dagger op V: one row gather and one matmul."""
+    v = state.spectrum.eigenvectors
+    return v.conj().T @ op.apply(v)
 
 
 def _duhamel_kernel(state: ThermalState) -> np.ndarray:
@@ -191,10 +216,8 @@ def free_energy_density(state: ThermalState, volume: int) -> float:
 def order_expectation(state: ThermalState, axis: str) -> float:
     """Expectation of the order operator: the site-averaged axis Pauli."""
     n = state.spectrum.dim.bit_length() - 1
-    total = np.zeros((state.spectrum.dim, state.spectrum.dim), dtype=complex)
-    for i in range(n):
-        total += pauli_site(n, i, axis)
-    return gibbs_expectation(state, total) / n
+    sites = [PauliString(n, (i,), axis) for i in range(n)]
+    return float(np.mean(string_expectations(state, sites)))
 
 
 def z2_commutator_norm(h: np.ndarray, axis: str) -> float:

@@ -69,7 +69,7 @@ def test_verify_identities_quadrature(tmp_path):
     for check in report["checks"]:
         assert check["method"] == "quadrature"
         assert check["result"]["std_error"] == 0.0
-        assert check["result"]["mean"] < 1e-8
+        assert abs(check["result"]["mean"]) < 1e-8
         assert check["tolerance"] == {"kind": "absolute", "value": 1e-8}
     # resolved config is embedded, with defaults filled in
     assert report["config"]["tolerances"]["z_max"] == 4.0

@@ -1,10 +1,13 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from xyzglass.errors import CapacityError
 from xyzglass.operators import (
     AXES,
     PAULI,
+    PauliString,
     gauge_unitary,
     global_flip,
     pauli_product,
@@ -125,3 +128,51 @@ def test_validation_errors():
         pauli_site(15, 0, "x")
     with pytest.raises(ValueError):
         gauge_unitary(2, "x", [1, 0])
+
+
+@st.composite
+def site_lists(draw, max_sites=6):
+    """(n, sites, other_sites): random site lists on n <= max_sites sites,
+    repeats allowed (a repeated site counts once)."""
+    n = draw(st.integers(1, max_sites))
+    sites = st.lists(st.integers(0, n - 1), max_size=n + 1)
+    return n, draw(sites), draw(sites)
+
+
+@settings(max_examples=60, deadline=None)
+@given(site_lists())
+def test_string_dense_equals_kron_product(case):
+    n, sites, _ = case
+    for axis in AXES:
+        assert np.array_equal(PauliString(n, sites, axis).dense(), pauli_product(n, sites, axis))
+
+
+@settings(max_examples=60, deadline=None)
+@given(site_lists(), st.integers(0, 2**32 - 1))
+def test_string_apply_equals_dense_matvec(case, seed):
+    n, sites, _ = case
+    rng = np.random.default_rng(seed)
+    v = rng.normal(size=(2**n, 3)) + 1j * rng.normal(size=(2**n, 3))
+    for axis in AXES:
+        op = PauliString(n, sites, axis)
+        dense = pauli_product(n, sites, axis)
+        assert np.max(np.abs(op.apply(v) - dense @ v)) < TOL
+        assert np.max(np.abs(op.apply(v[:, 0]) - dense @ v[:, 0])) < TOL
+
+
+@settings(max_examples=60, deadline=None)
+@given(site_lists())
+def test_string_product_is_symmetric_difference(case):
+    n, s, t = case
+    for axis in AXES:
+        product = PauliString(n, s, axis).dense() @ PauliString(n, t, axis).dense()
+        assert np.array_equal(product, PauliString(n, set(s) ^ set(t), axis).dense())
+
+
+def test_string_validation_errors():
+    with pytest.raises(IndexError):
+        PauliString(2, [2], "x")
+    with pytest.raises(ValueError):
+        PauliString(2, [0], "q")
+    with pytest.raises(CapacityError):
+        PauliString(15, [0], "x")

@@ -1,12 +1,22 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from xyzglass.disorder import CouplingParams, gauge_transform_couplings, sample_disorder
 from xyzglass.errors import CapacityError
-from xyzglass.lattice import build_lattice, chain_pair_shape, generate_bonds, single_site_shape
-from xyzglass.operators import gauge_unitary, pauli_product, pauli_site
+from xyzglass.lattice import (
+    build_lattice,
+    chain_pair_shape,
+    generate_bonds,
+    interaction_shape,
+    merge_bond_families,
+    single_site_shape,
+)
+from xyzglass.operators import PauliString, gauge_unitary, pauli_product, pauli_site
 from xyzglass.quantum_gibbs import (
     HamiltonianBuilder,
     build_hamiltonian,
@@ -18,6 +28,8 @@ from xyzglass.quantum_gibbs import (
     gibbs_expectation_expm,
     order_expectation,
     spectral_decompose,
+    string_expectations,
+    string_in_eigenbasis,
     thermal_state,
     truncated_duhamel,
     z2_commutator_norm,
@@ -346,3 +358,82 @@ def test_builder_matches_one_shot():
     lat, fams, sample = random_instance(rng, 3)
     builder = HamiltonianBuilder(lat, fams)
     assert np.max(np.abs(builder.build(sample) - build_hamiltonian(lat, fams, sample))) < 1e-12
+
+
+def _p4_chain_families(L):
+    lat = build_lattice(1, L)
+    return lat, {
+        2: generate_bonds(lat, chain_pair_shape(), "periodic"),
+        4: generate_bonds(lat, interaction_shape([(0,), (1,), (2,), (3,)]), "periodic"),
+    }
+
+
+def _square_families(L):
+    lat = build_lattice(2, L)
+    pairs = merge_bond_families(
+        generate_bonds(lat, interaction_shape(shape), "periodic")
+        for shape in ([(0, 0), (1, 0)], [(0, 0), (0, 1)])
+    )
+    plaquette = interaction_shape([(0, 0), (1, 0), (0, 1), (1, 1)])
+    return lat, {
+        1: generate_bonds(lat, single_site_shape(2), "periodic"),
+        2: pairs,
+        4: generate_bonds(lat, plaquette, "periodic"),
+    }
+
+
+@st.composite
+def builder_models(draw):
+    """A lattice with its bond families: p=1,2 chains (open or periodic),
+    p=2,4 periodic chains, or a d=2 periodic square lattice with p=1,2,4."""
+    kind = draw(st.sampled_from(["p12-chain", "p4-chain", "d2-periodic"]))
+    if kind == "p12-chain":
+        lat, fams = chain_setup(draw(st.integers(2, 6)), draw(st.sampled_from(["open", "periodic"])))
+    elif kind == "p4-chain":
+        lat, fams = _p4_chain_families(draw(st.integers(4, 6)))
+    else:
+        lat, fams = _square_families(draw(st.integers(2, 3)))
+    law = st.tuples(st.floats(-1.0, 1.0), st.floats(0.0, 1.0))
+    params = CouplingParams({p: {a: draw(law) for a in "xyz"} for p in fams})
+    return lat, fams, sample_disorder(params, fams, seed=draw(st.integers(0, 2**31 - 1)))
+
+
+@settings(max_examples=30, deadline=None)
+@given(builder_models())
+def test_builder_matches_kron_oracle(model):
+    lat, fams, sample = model
+    n = lat.n_sites
+    oracle = np.zeros((2**n, 2**n), dtype=complex)
+    for p, fam in fams.items():
+        for axis in "xyz":
+            for b, bond in enumerate(fam.bonds):
+                oracle -= sample.value(p, axis, b) * pauli_product(n, bond, axis)
+    assert np.max(np.abs(HamiltonianBuilder(lat, fams).build(sample) - oracle)) < 1e-12
+
+
+def test_builder_init_allocates_nothing_of_size_dim():
+    lat, fams = _p4_chain_families(14)
+    tracemalloc.start()
+    try:
+        HamiltonianBuilder(lat, fams)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
+
+
+def test_string_contractions_match_dense():
+    rng = np.random.default_rng(59)
+    for _ in range(5):
+        lat, fams, sample = random_instance(rng, 3)
+        state = thermal_state(
+            spectral_decompose(build_hamiltonian(lat, fams, sample)), rng.uniform(0.1, 2.0)
+        )
+        v = state.spectrum.eigenvectors
+        for axis in "xyz":
+            sites = tuple(rng.choice(3, size=rng.integers(1, 4), replace=False))
+            op = PauliString(3, sites, axis)
+            dense = pauli_product(3, sites, axis)
+            (q,) = string_expectations(state, [op])
+            assert q == pytest.approx(gibbs_expectation(state, dense), abs=1e-12)
+            assert np.max(np.abs(string_in_eigenbasis(state, op) - v.conj().T @ dense @ v)) < 1e-12
