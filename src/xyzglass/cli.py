@@ -20,7 +20,7 @@ import math
 import os
 import sys
 from datetime import datetime, timezone
-from typing import Any, Callable
+from typing import Any
 
 import jsonschema
 import numpy as np
@@ -48,11 +48,9 @@ from .identities import (
 from .lattice import build_lattice, generate_bonds, interaction_shape, merge_bond_families
 from .operators import AXES, gauge_unitary, pauli_site
 from .quantum_gibbs import (
-    HamiltonianBuilder,
     build_hamiltonian,
     duhamel,
     duhamel_time_integral,
-    free_energy_density,
     gibbs_expectation,
     gibbs_expectation_expm,
     spectral_decompose,
@@ -335,31 +333,34 @@ def _residual_check(
 
 
 def _with_retry(
-    names: list[str],
-    run: Callable[[identities.Method], tuple[identities.EstimatorResult, ...]],
-    method: identities.Method,
+    groups: list[tuple[list[str], Any, dict]],
+    table: identities.ValueTable,
     tolerances: dict,
-    inputs: dict,
 ) -> list[dict]:
     """Statistical acceptance with one doubled-n retry for Monte Carlo runs.
 
-    `run` returns one result per name from a single sampling pass; a retry
-    re-runs that pass once with doubled n when any of them fails.
+    Each group is (check names, identity block, inputs). A group with a
+    failing check is reported again from the table extended to 2n rows,
+    marked retried. The extension is made at most once and shared by every
+    failing group; it reuses rows 0..n-1 and evaluates only the new samples.
     """
-    seed = method.seed if isinstance(method, MonteCarlo) else None
-    checks = [
-        _residual_check(name, result, tolerances, inputs, seed)
-        for name, result in zip(names, run(method))
-    ]
-    if all(c["passed"] for c in checks) or not isinstance(method, MonteCarlo):
-        return checks
-    bigger = MonteCarlo(
-        n_samples=2 * method.n_samples, seed=method.seed, threads=method.threads
-    )
-    return [
-        _residual_check(name, result, tolerances, inputs, seed, retried=True)
-        for name, result in zip(names, run(bigger))
-    ]
+    seed = table.method.seed if table.is_mc else None
+    bigger = None
+    checks = []
+    for names, block, inputs in groups:
+        group = [
+            _residual_check(name, result, tolerances, inputs, seed)
+            for name, result in zip(names, block.result(table))
+        ]
+        if table.is_mc and not all(c["passed"] for c in group):
+            if bigger is None:
+                bigger = table.extend(2 * table.n_samples)
+            group = [
+                _residual_check(name, result, tolerances, inputs, seed, retried=True)
+                for name, result in zip(names, block.result(bigger))
+            ]
+        checks += group
+    return checks
 
 
 # ---------------------------------------------------------------------------
@@ -383,30 +384,27 @@ def run_verify_identities(
     ys = obs.get("y_sites", xs)
     one_in = {"x_sites": xs, "axis": w, "gauge_axis": u}
     two_in = {"x_sites": xs, "y_sites": ys, "axis": w, "gauge_axis": u}
-    checks = _with_retry(
-        ["one-point identity"],
-        lambda m: (identities.one_point_identity(model, xs, w, u, m),),
-        method, tol, one_in,
-    )
-    checks += _with_retry(
-        ["two-point identity (product form)", "two-point identity (joint form)"],
-        lambda m: identities.two_point_identities(model, xs, ys, w, u, m),
-        method, tol, two_in,
-    )
-    checks += _with_retry(
-        ["Duhamel identity", "truncated Duhamel identity"],
-        lambda m: identities.duhamel_identity(model, xs, ys, w, u, m),
-        method, tol, two_in,
-    )
+    groups = [
+        (["one-point identity"], identities.OnePointBlock(xs, w), one_in),
+        (
+            ["two-point identity (product form)", "two-point identity (joint form)"],
+            identities.TwoPointBlock(xs, ys, w), two_in,
+        ),
+        (
+            ["Duhamel identity", "truncated Duhamel identity"],
+            identities.DuhamelBlock(xs, ys, w), two_in,
+        ),
+    ]
     if extended:
         zs = obs.get("z_sites")
         if zs is None:
             raise ConfigError("extended multipoint check needs observables.z_sites")
-        checks += _with_retry(
+        groups.append((
             ["three-point identity (extension)"],
-            lambda m: (identities.three_point_identity(model, xs, ys, zs, w, u, m),),
-            method, tol, {**two_in, "z_sites": zs},
-        )
+            identities.ThreePointBlock(xs, ys, zs, w), {**two_in, "z_sites": zs},
+        ))
+    plan = identities.Plan(model, [block for _, block, _ in groups], u)
+    checks = _with_retry(groups, plan.evaluate(method), tol)
     artifacts = {}
     if cfg.get("dump_disorder_sample") and artifacts_dir:
         path = _fresh_path(artifacts_dir, "disorder_sample", "csv")
@@ -424,37 +422,47 @@ def run_verify_bounds(cfg: dict, threads: int, artifacts_dir: str | None) -> tup
     w = cfg["bounds"].get("w", "z")
     v = cfg["bounds"].get("v", w)
     which = cfg["bounds"].get("checks", ["magnetization", "susceptibility", "a1", "a2"])
+    export = bool(cfg.get("export_correlations") and artifacts_dir)
     seed = cfg["seed"] if isinstance(method, MonteCarlo) else None
+    chain_tol = {
+        "z_max": tol["z_max"], "quad_tol": tol["quadrature_abs"],
+        "clip_limit": tol["clip_fraction_max"],
+    }
+    magnetization = identities.MagnetizationBlock(w)
+    susceptibility = identities.SusceptibilityBlock(v, w)
+    pairs = identities.PairMatrixBlock()
+    step = cfg["bounds"].get("a2_step", 0.05)
+    stencil = identities.FieldStencilBlock(v, w, step)
+    # one pass for every requested check, validated in the order reported
+    blocks = {
+        "magnetization": [magnetization], "susceptibility": [susceptibility, pairs],
+        "a1": [pairs], "a2": [stencil],
+    }
+    wanted = [b for name in blocks if name in which for b in blocks[name]]
+    if export:
+        wanted.append(pairs)
+    table = identities.Plan(model, wanted, u).evaluate(method) if wanted else None
     checks: list[dict] = []
     if "magnetization" in which:
-        rep = identities.magnetization_bound_check(
-            model, w, u, method,
-            z_max=tol["z_max"], quad_tol=tol["quadrature_abs"],
-            clip_limit=tol["clip_fraction_max"],
-        )
+        rep = magnetization.result(table, **chain_tol)
         checks.append({"name": rep.name, "inputs": {"w": w, "gauge_axis": u},
                        "method": rep.method, "seed": seed, "report": _jsonify(rep),
                        "tolerance": {"kind": "chain", "z_max": tol["z_max"]},
                        "passed": rep.passed})
     if "susceptibility" in which:
-        rep = identities.susceptibility_bound_check(
-            model, v, w, u, method,
-            z_max=tol["z_max"], quad_tol=tol["quadrature_abs"],
-            clip_limit=tol["clip_fraction_max"],
-        )
+        rep = susceptibility.result(table, **chain_tol)
         checks.append({"name": rep.name, "inputs": {"v": v, "w": w, "gauge_axis": u},
                        "method": rep.method, "seed": seed, "report": _jsonify(rep),
                        "tolerance": {"kind": "chain", "z_max": tol["z_max"]},
                        "passed": rep.passed})
     if "a1" in which:
-        res = identities.a1_sum(model, u, method, clip_limit=tol["clip_fraction_max"])
+        res = pairs.correlation_sum(table, clip_limit=tol["clip_fraction_max"])
         checks.append({"name": "correlation sum (reported, not asserted)",
                        "inputs": {"gauge_axis": u},
                        "method": res.method, "seed": seed, "result": _jsonify(res),
                        "tolerance": {"kind": "none"}, "passed": True})
     if "a2" in which:
-        step = cfg["bounds"].get("a2_step", 0.05)
-        third, second = identities._a2_differences(model, v, w, step, method)
+        third, second = stencil.result(table)
         sym_ok = abs(second) <= identities.FLIP_SYMMETRY_TOL
         checks.append({
             "name": "nonlinear susceptibility probe",
@@ -467,10 +475,9 @@ def run_verify_bounds(cfg: dict, threads: int, artifacts_dir: str | None) -> tup
             "passed": bool(sym_ok),
         })
     artifacts = {}
-    if cfg.get("export_correlations") and artifacts_dir:
-        matrix = identities.mean_pair_correlation(model, u, method)
+    if export:
         path = _fresh_path(artifacts_dir, "nishimori_correlations", "csv")
-        classical_gibbs.correlation_matrix_to_csv(matrix, path)
+        classical_gibbs.correlation_matrix_to_csv(pairs.result(table), path)
         artifacts["nishimori_correlations_csv"] = os.path.basename(path)
     return checks, artifacts
 
@@ -481,6 +488,8 @@ def run_order_params(cfg: dict, threads: int) -> tuple[list[dict], dict]:
     sweep = cfg.get("sweep", {"kind": "beta", "values": [cfg["beta"]]})
     if sweep["kind"] == "mu1" and "axis" not in sweep:
         raise ConfigError("a mu1 sweep needs sweep.axis")
+    sites = identities.SiteExpectationsBlock()
+    free_energy = identities.FreeEnergyBlock()
     checks = []
     for value in sweep["values"]:
         if sweep["kind"] == "beta":
@@ -496,8 +505,9 @@ def run_order_params(cfg: dict, threads: int) -> tuple[list[dict], dict]:
             entries.setdefault(1, {a: (0.0, 0.0) for a in AXES})[axis] = (float(value), delta1)
             point = dataclasses.replace(model, params=CouplingParams(entries))
             label = {"mu1": value, "axis": axis}
-        order = identities.finite_size_order_parameters(point, method)
-        psi = _mean_free_energy(point, method)
+        table = identities.Plan(point, [sites, free_energy]).evaluate(method)
+        order = sites.result(table)
+        psi = free_energy.result(table)
         jensen_ok = all(
             order[a]["q"].mean >= order[a]["m"].mean ** 2 - 1e-12 for a in AXES
         )
@@ -506,28 +516,13 @@ def run_order_params(cfg: dict, threads: int) -> tuple[list[dict], dict]:
             "method": order["x"]["m"].method,
             "point": label,
             "order_parameters": _jsonify(order),
-            "free_energy_density": _jsonify(psi),
+            "free_energy_density": {
+                "mean": psi.mean, "std_error": psi.std_error, "n_samples": psi.n_samples,
+            },
             "tolerance": {"kind": "jensen_q_ge_m_squared"},
             "passed": bool(jensen_ok),
         })
     return checks, {}
-
-
-def _mean_free_energy(model: ModelConfig, method) -> dict:
-    volume = model.lattice.n_sites
-    builder = HamiltonianBuilder(model.lattice, model.families)
-
-    def evaluator(sample):
-        state = thermal_state(spectral_decompose(builder.build(sample)), model.beta)
-        return np.array([free_energy_density(state, volume)])
-
-    values, probs = identities._disorder_table(model, evaluator, 1, method)
-    mean = float(identities._disorder_mean(values, probs)[0])
-    if probs is None:
-        se = float(values.std(ddof=1) / math.sqrt(values.shape[0]))
-    else:
-        se = 0.0
-    return {"mean": mean, "std_error": se, "n_samples": values.shape[0]}
 
 
 def run_phase_region(cfg: dict, artifacts_dir: str | None) -> tuple[list[dict], dict]:

@@ -1,16 +1,23 @@
 """Disorder-averaged certification: correlation identities that pair each
 quantum expectation with its Nishimori-line classical counterpart computed
 from the same coupling sample, plus the magnetization and susceptibility
-bound chains and the finite-size diagnostics."""
+bound chains and the finite-size diagnostics.
+
+Every check is a block of per-sample columns. A `Plan` evaluates any set of
+blocks in one disorder pass (one Hamiltonian, one spectral decomposition,
+one thermal state and one Nishimori transform per sample) into a
+`ValueTable`, and each block reduces its columns to its result. The public
+check functions are single-block plans."""
 
 from __future__ import annotations
 
+import dataclasses
 import functools
 import itertools
 import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import Callable, Mapping, Sequence
+from typing import Callable, Iterable, Iterator, Mapping, Protocol, Sequence
 
 import numpy as np
 from numpy.polynomial.hermite import hermgauss
@@ -19,6 +26,7 @@ from .classical_gibbs import BondProductTable
 from .disorder import (
     CouplingParams,
     DisorderSample,
+    NishimoriData,
     nishimori_beta,
     nishimori_transform,
     sample_disorder,
@@ -30,6 +38,7 @@ from .quantum_gibbs import (
     HamiltonianBuilder,
     ThermalState,
     _duhamel_kernel,
+    free_energy_density,
     spectral_decompose,
     string_expectations,
     string_in_eigenbasis,
@@ -161,6 +170,20 @@ def _hermite_rule(nodes_per_dim: int) -> tuple[np.ndarray, np.ndarray]:
     return math.sqrt(2.0) * nodes, weights / math.sqrt(math.pi)
 
 
+def _quadrature_grid(spec: QuadratureSpec) -> tuple[Iterator[DisorderSample], np.ndarray]:
+    """The grid's disorder samples, made lazily, and their probabilities."""
+    total = spec.node_count
+    if total > _MAX_QUAD_NODES:
+        raise CapacityError(f"{total} quadrature nodes exceeds the guard {_MAX_QUAD_NODES}")
+    std_nodes, node_probs = _hermite_rule(spec.nodes_per_dim)
+
+    def indices() -> Iterator[tuple[int, ...]]:
+        return itertools.product(range(spec.nodes_per_dim), repeat=len(spec.random_dims))
+
+    probs = np.array([math.prod(node_probs[i] for i in idx) for idx in indices()])
+    return (spec.sample_at(idx, std_nodes) for idx in indices()), probs
+
+
 def quadrature_average(
     spec: QuadratureSpec, integrand: Callable[[DisorderSample], float]
 ) -> float:
@@ -169,59 +192,9 @@ def quadrature_average(
     Exact for polynomial integrands of degree < 2 * nodes_per_dim in each
     random coupling.
     """
-    values, probs = _quadrature_table(spec, lambda s: np.array([integrand(s)]), 1)
-    return float(probs @ values[:, 0])
-
-
-def _quadrature_table(
-    spec: QuadratureSpec,
-    evaluator: Callable[[DisorderSample], np.ndarray],
-    n_out: int,
-) -> tuple[np.ndarray, np.ndarray]:
-    std_nodes, node_probs = _hermite_rule(spec.nodes_per_dim)
-    total = spec.node_count
-    if total > _MAX_QUAD_NODES:
-        raise CapacityError(f"{total} quadrature nodes exceeds the guard {_MAX_QUAD_NODES}")
-    values = np.empty((total, n_out))
-    probs = np.empty(total)
-    ndim = len(spec.random_dims)
-    for m, idx in enumerate(itertools.product(range(spec.nodes_per_dim), repeat=ndim)):
-        values[m] = evaluator(spec.sample_at(idx, std_nodes))
-        probs[m] = math.prod(node_probs[i] for i in idx)
-    return values, probs
-
-
-def _monte_carlo_table(
-    config: ModelConfig,
-    evaluator: Callable[[DisorderSample], np.ndarray],
-    n_out: int,
-    method: MonteCarlo,
-) -> np.ndarray:
-    def work(k: int) -> np.ndarray:
-        return evaluator(sample_disorder(config.params, config.families, method.seed, k))
-
-    values = np.empty((method.n_samples, n_out))
-    if method.threads > 1:
-        with ThreadPoolExecutor(max_workers=method.threads) as pool:
-            for k, row in enumerate(pool.map(work, range(method.n_samples))):
-                values[k] = row
-    else:
-        for k in range(method.n_samples):
-            values[k] = work(k)
-    return values
-
-
-def _disorder_table(
-    config: ModelConfig,
-    evaluator: Callable[[DisorderSample], np.ndarray],
-    n_out: int,
-    method: Method,
-) -> tuple[np.ndarray, np.ndarray | None]:
-    """Rows of per-sample outputs plus quadrature probabilities (None for MC)."""
-    if isinstance(method, MonteCarlo):
-        return _monte_carlo_table(config, evaluator, n_out, method), None
-    spec = QuadratureSpec.from_model(config.families, config.params, method.nodes_per_dim)
-    return _quadrature_table(spec, evaluator, n_out)
+    samples, probs = _quadrature_grid(spec)
+    values = np.array([integrand(s) for s in samples], dtype=float)
+    return float(probs @ values)
 
 
 def _disorder_mean(values: np.ndarray, probs: np.ndarray | None) -> np.ndarray:
@@ -262,45 +235,221 @@ def validate_gauge_axis(
         nishimori_beta(params, p, u)
 
 
-def _check_identity_axes(w: str, u: str) -> None:
+def _check_identity_axes(w: str, u: str | None) -> None:
     if w not in AXES or u not in AXES:
         raise ValueError(f"axes must be among {AXES}, got w={w!r}, u={u!r}")
     if w == u:
         raise ValueError("the observable axis must differ from the gauge axis")
 
 
-class _IdentityEngine:
-    """Shared per-sample machinery: one spectral decomposition on the quantum
-    side, one Nishimori-line enumeration on the classical side. The quantum
-    builder is made on first use, so classical-only checks never make it."""
+def _site_tuple(sites: Iterable[int]) -> tuple[int, ...]:
+    return tuple(sorted(set(int(i) for i in sites)))
 
-    def __init__(self, config: ModelConfig, u: str):
-        validate_gauge_axis(config.params, config.families, u)
+
+# ---------------------------------------------------------------------------
+# Plans and value tables
+# ---------------------------------------------------------------------------
+
+
+class _Sample:
+    """One disorder sample's shared quantities, each made on first use: the
+    Hamiltonian, its thermal state and string expectations on the quantum
+    side; the Nishimori transform, the plan's spin products and the pair
+    matrix on the classical side. A block that never asks for the state
+    costs no diagonalization."""
+
+    def __init__(self, plan: "Plan", sample: DisorderSample):
+        self.plan = plan
+        self.sample = sample
+        self._expectations: dict[PauliString, float] = {}
+
+    @functools.cached_property
+    def hamiltonian(self) -> np.ndarray:
+        return self.plan.builder.build(self.sample)
+
+    @functools.cached_property
+    def state(self) -> ThermalState:
+        return thermal_state(spectral_decompose(self.hamiltonian), self.plan.config.beta)
+
+    def expectation(self, op: PauliString) -> float:
+        if op not in self._expectations:
+            (self._expectations[op],) = string_expectations(self.state, [op])
+        return self._expectations[op]
+
+    @functools.cached_property
+    def nishimori(self) -> NishimoriData:
+        return nishimori_transform(self.sample, self.plan.config.params, self.plan.u)
+
+    @functools.cached_property
+    def products(self) -> np.ndarray:
+        """<tau_S>_N for every site set the plan registered, in order."""
+        plan = self.plan
+        return plan.classical_table.expectations(self.nishimori.k, plan.betas, plan.site_sets)
+
+    @functools.cached_property
+    def pair_matrix(self) -> np.ndarray:
+        return self.plan.classical_table.pair_matrix(self.nishimori.k, self.plan.betas)
+
+
+Evaluator = Callable[[_Sample], np.ndarray]
+
+
+class Block(Protocol):
+    """A named group of per-sample columns.
+
+    `bind` validates the block against a plan, registers the Pauli strings
+    and spin products it reads, and returns its column count and its
+    per-sample evaluator. Blocks are frozen dataclasses, so equal blocks
+    share one set of columns.
+    """
+
+    def bind(self, plan: "Plan") -> tuple[int, Evaluator]: ...
+
+
+class Plan:
+    """A run's blocks over one model, evaluated in one disorder pass.
+
+    Construction binds every block in order, before any sample is drawn,
+    so a run's input errors surface in the order its checks are listed.
+    `u` is the gauge axis; blocks with a classical side need it. The
+    quantum builder is made on first use, so classical-only plans never
+    make it.
+    """
+
+    def __init__(self, config: ModelConfig, blocks: Sequence[Block], u: str | None = None):
         self.config = config
         self.u = u
         self.n_sites = config.lattice.n_sites
-        self.table = BondProductTable(self.n_sites, config.families)
-        self.betas = {p: nishimori_beta(config.params, p, u) for p in config.families}
+        self.classical_table: BondProductTable | None = None
+        self.betas: dict[int, float] = {}
+        self.site_sets: list[tuple[int, ...]] = []
+        self._set_index: dict[tuple[int, ...], int] = {}
+        self._strings: dict[tuple[tuple[int, ...], str], PauliString] = {}
+        self.blocks: tuple[Block, ...] = tuple(dict.fromkeys(blocks))
+        bound = [block.bind(self) for block in self.blocks]
+        self.widths = tuple(width for width, _ in bound)
+        self._evaluators = tuple(evaluate for _, evaluate in bound)
 
     @functools.cached_property
     def builder(self) -> HamiltonianBuilder:
         return HamiltonianBuilder(self.config.lattice, self.config.families)
 
-    def strings(self, site_sets: Sequence[Sequence[int]], axis: str) -> list[PauliString]:
-        return [PauliString(self.n_sites, s, axis) for s in site_sets]
+    def string(self, sites: tuple[int, ...], axis: str) -> PauliString:
+        """The plan's one PauliString for (sites, axis)."""
+        key = (sites, axis)
+        if key not in self._strings:
+            self._strings[key] = PauliString(self.n_sites, sites, axis)
+        return self._strings[key]
 
-    def state(self, sample: DisorderSample) -> ThermalState:
-        return thermal_state(spectral_decompose(self.builder.build(sample)), self.config.beta)
+    def require_classical(self) -> None:
+        """Validate the gauge axis and make the Nishimori-line enumerator."""
+        if self.classical_table is None:
+            if self.u is None:
+                raise ValueError("a block with a classical side needs a gauge axis")
+            validate_gauge_axis(self.config.params, self.config.families, self.u)
+            self.classical_table = BondProductTable(self.n_sites, self.config.families)
+            self.betas = {p: nishimori_beta(self.config.params, p, self.u) for p in self.config.families}
 
-    def classical_products(
-        self, sample: DisorderSample, site_sets: Sequence[Sequence[int]]
-    ) -> np.ndarray:
-        nd = nishimori_transform(sample, self.config.params, self.u)
-        return self.table.expectations(nd.k, self.betas, site_sets)
+    def products(self, site_sets: Sequence[tuple[int, ...]]) -> list[int]:
+        """Register spin products <tau_S>_N; their positions in `_Sample.products`."""
+        self.require_classical()
+        for s in site_sets:
+            if s not in self._set_index:
+                self._set_index[s] = len(self.site_sets)
+                self.site_sets.append(s)
+        return [self._set_index[s] for s in site_sets]
 
-    def classical_pair_matrix(self, sample: DisorderSample) -> np.ndarray:
-        nd = nishimori_transform(sample, self.config.params, self.u)
-        return self.table.pair_matrix(nd.k, self.betas)
+    def _row(self, sample: DisorderSample) -> list[np.ndarray]:
+        shared = _Sample(self, sample)
+        return [evaluate(shared) for evaluate in self._evaluators]
+
+    def _fill(
+        self, work: Callable[..., list[np.ndarray]], items: Iterable, count: int, threads: int = 1
+    ) -> list[np.ndarray]:
+        columns = [np.empty((count, width)) for width in self.widths]
+
+        def store(rows: Iterable[list[np.ndarray]]) -> None:
+            for k, row in enumerate(rows):
+                for column, value in zip(columns, row):
+                    column[k] = value
+
+        if threads > 1:
+            with ThreadPoolExecutor(max_workers=threads) as pool:
+                store(pool.map(work, items))
+        else:
+            store(map(work, items))
+        return columns
+
+    def _mc_columns(self, method: MonteCarlo, start: int, stop: int) -> list[np.ndarray]:
+        params, families = self.config.params, self.config.families
+
+        def work(k: int) -> list[np.ndarray]:
+            return self._row(sample_disorder(params, families, method.seed, k))
+
+        return self._fill(work, range(start, stop), stop - start, method.threads)
+
+    def evaluate(self, method: Method) -> "ValueTable":
+        if isinstance(method, MonteCarlo):
+            return ValueTable(self, method, self._mc_columns(method, 0, method.n_samples), None)
+        spec = QuadratureSpec.from_model(self.config.families, self.config.params, method.nodes_per_dim)
+        samples, probs = _quadrature_grid(spec)
+        return ValueTable(self, method, self._fill(self._row, samples, len(probs)), probs)
+
+
+class ValueTable:
+    """Per-sample values of a plan's blocks, one C-contiguous array per block.
+
+    Monte Carlo row k holds sample (seed, k); a quadrature table holds the
+    whole grid, with the node probabilities in `probs` (None for Monte
+    Carlo).
+    """
+
+    def __init__(
+        self, plan: Plan, method: Method, columns: list[np.ndarray], probs: np.ndarray | None
+    ):
+        self.plan = plan
+        self.method = method
+        self.probs = probs
+        self.n_samples = method.n_samples if probs is None else len(probs)
+        self._columns = dict(zip(plan.blocks, columns))
+
+    @property
+    def is_mc(self) -> bool:
+        return self.probs is None
+
+    @property
+    def method_name(self) -> str:
+        return "mc" if self.is_mc else "quadrature"
+
+    def values(self, block: Block) -> np.ndarray:
+        try:
+            return self._columns[block]
+        except KeyError:
+            raise ValueError(f"{block} is not in this table's plan") from None
+
+    def mean(self, values: np.ndarray) -> np.ndarray:
+        """The disorder average of per-sample rows."""
+        return _disorder_mean(values, self.probs)
+
+    def extend(self, n_samples: int) -> "ValueTable":
+        """The same plan at n_samples Monte Carlo rows. Rows 0..n-1 are this
+        table's; only the new sample indices are drawn and evaluated."""
+        if not self.is_mc:
+            raise ValueError("only Monte Carlo tables can be extended")
+        if n_samples < self.n_samples:
+            raise ValueError(f"cannot shrink {self.n_samples} rows to {n_samples}")
+        new = self.plan._mc_columns(self.method, self.n_samples, n_samples)
+        columns = [
+            np.concatenate([self._columns[block], rows])
+            for block, rows in zip(self.plan.blocks, new)
+        ]
+        method = dataclasses.replace(self.method, n_samples=n_samples)
+        return ValueTable(self.plan, method, columns, None)
+
+
+# ---------------------------------------------------------------------------
+# Correlation identities
+# ---------------------------------------------------------------------------
 
 
 def _duhamel_in_state(state: ThermalState, a_t: np.ndarray, b_t: np.ndarray) -> float:
@@ -308,23 +457,130 @@ def _duhamel_in_state(state: ThermalState, a_t: np.ndarray, b_t: np.ndarray) -> 
     return float(np.real(np.sum(a_t * b_t.T * phi))) / float(np.sum(state.weights))
 
 
+class _IdentityBlock:
+    """Identity residual columns; `result` gives one EstimatorResult each."""
+
+    def result(self, table: ValueTable) -> tuple[EstimatorResult, ...]:
+        return tuple(_residual_results(table.values(self), table.probs))
+
+
+def _normalize_sites(block: object, *fields: str) -> None:
+    for name in fields:
+        object.__setattr__(block, name, _site_tuple(getattr(block, name)))
+
+
+@dataclass(frozen=True)
+class OnePointBlock(_IdentityBlock):
+    """Residual of E<sigma_X^w> = E[<sigma_X^w> <tau_X>_N], paired per sample."""
+
+    x_sites: tuple[int, ...]
+    w: str
+
+    def __post_init__(self) -> None:
+        _normalize_sites(self, "x_sites")
+
+    def bind(self, plan: Plan) -> tuple[int, Evaluator]:
+        _check_identity_axes(self.w, plan.u)
+        (c,) = plan.products([self.x_sites])
+        op = plan.string(self.x_sites, self.w)
+
+        def evaluate(s: _Sample) -> np.ndarray:
+            q = s.expectation(op)
+            return np.array([q * (1.0 - s.products[c])])
+
+        return 1, evaluate
+
+
+@dataclass(frozen=True)
+class TwoPointBlock(_IdentityBlock):
+    """Residuals of the product-of-expectations and joint-expectation
+    two-point identities, in that order."""
+
+    x_sites: tuple[int, ...]
+    y_sites: tuple[int, ...]
+    w: str
+
+    def __post_init__(self) -> None:
+        _normalize_sites(self, "x_sites", "y_sites")
+
+    def bind(self, plan: Plan) -> tuple[int, Evaluator]:
+        _check_identity_axes(self.w, plan.u)
+        diff = tuple(sorted(set(self.x_sites) ^ set(self.y_sites)))
+        (c,) = plan.products([diff])
+        # sigma_X^w sigma_Y^w is exactly the string on the symmetric difference
+        ops = [plan.string(s, self.w) for s in (self.x_sites, self.y_sites, diff)]
+
+        def evaluate(s: _Sample) -> np.ndarray:
+            qx, qy, qxy = (s.expectation(op) for op in ops)
+            cv = s.products[c]
+            return np.array([qx * qy * (1.0 - cv), qxy * (1.0 - cv)])
+
+        return 2, evaluate
+
+
+@dataclass(frozen=True)
+class DuhamelBlock(_IdentityBlock):
+    """Residuals of the Duhamel and truncated-Duhamel identities, in order."""
+
+    x_sites: tuple[int, ...]
+    y_sites: tuple[int, ...]
+    w: str
+
+    def __post_init__(self) -> None:
+        _normalize_sites(self, "x_sites", "y_sites")
+
+    def bind(self, plan: Plan) -> tuple[int, Evaluator]:
+        _check_identity_axes(self.w, plan.u)
+        diff = tuple(sorted(set(self.x_sites) ^ set(self.y_sites)))
+        (c,) = plan.products([diff])
+        op_x, op_y = plan.string(self.x_sites, self.w), plan.string(self.y_sites, self.w)
+
+        def evaluate(s: _Sample) -> np.ndarray:
+            state = s.state
+            a_t = string_in_eigenbasis(state, op_x)
+            b_t = string_in_eigenbasis(state, op_y)
+            dval = _duhamel_in_state(state, a_t, b_t)
+            tval = dval - s.expectation(op_x) * s.expectation(op_y)
+            cv = s.products[c]
+            return np.array([dval * (1.0 - cv), tval * (1.0 - cv)])
+
+        return 2, evaluate
+
+
+@dataclass(frozen=True)
+class ThreePointBlock(_IdentityBlock):
+    """One representative extension to three factors:
+    E prod <sigma>  =  E prod <sigma> <tau_X tau_Y tau_Z>_N."""
+
+    x_sites: tuple[int, ...]
+    y_sites: tuple[int, ...]
+    z_sites: tuple[int, ...]
+    w: str
+
+    def __post_init__(self) -> None:
+        _normalize_sites(self, "x_sites", "y_sites", "z_sites")
+
+    def bind(self, plan: Plan) -> tuple[int, Evaluator]:
+        _check_identity_axes(self.w, plan.u)
+        sets = (self.x_sites, self.y_sites, self.z_sites)
+        diff = tuple(sorted(set(sets[0]) ^ set(sets[1]) ^ set(sets[2])))
+        (c,) = plan.products([diff])
+        ops = [plan.string(s, self.w) for s in sets]
+
+        def evaluate(s: _Sample) -> np.ndarray:
+            q1, q2, q3 = (s.expectation(op) for op in ops)
+            return np.array([q1 * q2 * q3 * (1.0 - s.products[c])])
+
+        return 1, evaluate
+
+
 def one_point_identity(
     config: ModelConfig, x_sites: Sequence[int], w: str, u: str, method: Method
 ) -> EstimatorResult:
     """Residual of E<sigma_X^w> = E[<sigma_X^w> <tau_X>_N], paired per sample."""
-    _check_identity_axes(w, u)
-    engine = _IdentityEngine(config, u)
-    xs = tuple(sorted(set(int(i) for i in x_sites)))
-    ops = engine.strings([xs], w)
-
-    def evaluator(sample: DisorderSample) -> np.ndarray:
-        state = engine.state(sample)
-        (q,) = string_expectations(state, ops)
-        (c,) = engine.classical_products(sample, [xs])
-        return np.array([q * (1.0 - c)])
-
-    values, probs = _disorder_table(config, evaluator, 1, method)
-    return _residual_results(values, probs)[0]
+    block = OnePointBlock(x_sites, w)
+    (res,) = block.result(Plan(config, [block], u).evaluate(method))
+    return res
 
 
 def two_point_identities(
@@ -337,23 +593,9 @@ def two_point_identities(
 ) -> tuple[EstimatorResult, EstimatorResult]:
     """Residuals of the product-of-expectations and joint-expectation
     two-point identities, in that order."""
-    _check_identity_axes(w, u)
-    engine = _IdentityEngine(config, u)
-    xs = tuple(sorted(set(int(i) for i in x_sites)))
-    ys = tuple(sorted(set(int(i) for i in y_sites)))
-    diff = tuple(sorted(set(xs) ^ set(ys)))
-    # sigma_X^w sigma_Y^w is exactly the string on the symmetric difference
-    ops = engine.strings([xs, ys, diff], w)
-
-    def evaluator(sample: DisorderSample) -> np.ndarray:
-        state = engine.state(sample)
-        qx, qy, qxy = string_expectations(state, ops)
-        (c,) = engine.classical_products(sample, [diff])
-        return np.array([qx * qy * (1.0 - c), qxy * (1.0 - c)])
-
-    values, probs = _disorder_table(config, evaluator, 2, method)
-    res = _residual_results(values, probs)
-    return res[0], res[1]
+    block = TwoPointBlock(x_sites, y_sites, w)
+    prod, joint = block.result(Plan(config, [block], u).evaluate(method))
+    return prod, joint
 
 
 def duhamel_identity(
@@ -365,26 +607,9 @@ def duhamel_identity(
     method: Method,
 ) -> tuple[EstimatorResult, EstimatorResult]:
     """Residuals of the Duhamel and truncated-Duhamel identities, in order."""
-    _check_identity_axes(w, u)
-    engine = _IdentityEngine(config, u)
-    xs = tuple(sorted(set(int(i) for i in x_sites)))
-    ys = tuple(sorted(set(int(i) for i in y_sites)))
-    op_x, op_y = engine.strings([xs, ys], w)
-    diff = tuple(sorted(set(xs) ^ set(ys)))
-
-    def evaluator(sample: DisorderSample) -> np.ndarray:
-        state = engine.state(sample)
-        a_t = string_in_eigenbasis(state, op_x)
-        b_t = string_in_eigenbasis(state, op_y)
-        dval = _duhamel_in_state(state, a_t, b_t)
-        qx, qy = string_expectations(state, [op_x, op_y])
-        tval = dval - qx * qy
-        (c,) = engine.classical_products(sample, [diff])
-        return np.array([dval * (1.0 - c), tval * (1.0 - c)])
-
-    values, probs = _disorder_table(config, evaluator, 2, method)
-    res = _residual_results(values, probs)
-    return res[0], res[1]
+    block = DuhamelBlock(x_sites, y_sites, w)
+    duh, trunc = block.result(Plan(config, [block], u).evaluate(method))
+    return duh, trunc
 
 
 def three_point_identity(
@@ -400,20 +625,9 @@ def three_point_identity(
     E prod <sigma>  =  E prod <sigma> <tau_X tau_Y tau_Z>_N.
 
     Opt-in; the default verification suites do not run it."""
-    _check_identity_axes(w, u)
-    engine = _IdentityEngine(config, u)
-    sets = [tuple(sorted(set(int(i) for i in s))) for s in (x_sites, y_sites, z_sites)]
-    ops = engine.strings(sets, w)
-    diff = tuple(sorted(set(sets[0]) ^ set(sets[1]) ^ set(sets[2])))
-
-    def evaluator(sample: DisorderSample) -> np.ndarray:
-        state = engine.state(sample)
-        q1, q2, q3 = string_expectations(state, ops)
-        (c,) = engine.classical_products(sample, [diff])
-        return np.array([q1 * q2 * q3 * (1.0 - c)])
-
-    values, probs = _disorder_table(config, evaluator, 1, method)
-    return _residual_results(values, probs)[0]
+    block = ThreePointBlock(x_sites, y_sites, z_sites, w)
+    (res,) = block.result(Plan(config, [block], u).evaluate(method))
+    return res
 
 
 # ---------------------------------------------------------------------------
@@ -489,6 +703,112 @@ def _check_clip_fraction(clipped: int, total: int, clip_limit: float, what: str)
     return fraction
 
 
+def _single_sites(n: int) -> list[tuple[int, ...]]:
+    return [(i,) for i in range(n)]
+
+
+@dataclass(frozen=True)
+class MagnetizationBlock:
+    """Per sample, <sigma_i^w> for every site (N columns) and then
+    <tau_i>_N (N columns): the magnetization bound chain."""
+
+    w: str
+
+    def bind(self, plan: Plan) -> tuple[int, Evaluator]:
+        _check_identity_axes(self.w, plan.u)
+        singles = _single_sites(plan.n_sites)
+        cols = plan.products(singles)
+        ops = [plan.string(s, self.w) for s in singles]
+
+        def evaluate(s: _Sample) -> np.ndarray:
+            q = [s.expectation(op) for op in ops]
+            return np.concatenate([q, s.products[cols]])
+
+        return 2 * plan.n_sites, evaluate
+
+    def result(
+        self,
+        table: ValueTable,
+        z_max: float = DEFAULT_Z_MAX,
+        quad_tol: float = DEFAULT_QUAD_TOL,
+        clip_limit: float = DEFAULT_CLIP_LIMIT,
+    ) -> BoundCheckReport:
+        """The chain's report; see `magnetization_bound_check`."""
+        n = table.plan.n_sites
+        values = table.values(self)
+        qs, cs = values[:, :n], values[:, n:]
+        is_mc = table.is_mc
+        mean = table.mean
+
+        eq = mean(qs)
+        eqc = mean(qs * cs)
+        eabs_qc = mean(np.abs(qs * cs))
+        eabs_c = mean(np.abs(cs))
+        ec2 = mean(cs * cs)
+        ec = mean(cs)
+
+        steps = []
+        id_tol = (np.maximum(z_max * _se(qs - qs * cs), _EXACT_TOL)) if is_mc else np.full(n, quad_tol)
+        worst = int(np.argmax(np.abs(eq - eqc) / id_tol))
+        steps.append(
+            _identity_step("one-point identity (worst site)", eq[worst], eqc[worst], id_tol[worst])
+        )
+        steps.append(
+            _inequality(
+                "triangle inequality", float(np.mean(np.abs(eqc))),
+                float(np.mean(eabs_qc)), _EXACT_TOL,
+            )
+        )
+        steps.append(
+            _inequality(
+                "thermal average bounded by one", float(np.mean(eabs_qc)),
+                float(np.mean(eabs_c)), _EXACT_TOL,
+            )
+        )
+        ec2_pos, _ = _clip_nonneg(ec2)
+        steps.append(
+            _inequality(
+                "Cauchy-Schwarz over samples", float(np.mean(eabs_c)),
+                float(np.mean(np.sqrt(ec2_pos))), _EXACT_TOL,
+            )
+        )
+        nid_tol = (np.maximum(z_max * _se(cs * cs - cs), _EXACT_TOL)) if is_mc else np.full(n, quad_tol)
+        worst = int(np.argmax(np.abs(ec2 - ec) / nid_tol))
+        steps.append(
+            _identity_step(
+                "classical Nishimori identity (worst site)", ec2[worst], ec[worst], nid_tol[worst]
+            )
+        )
+        ec_pos, clipped = _clip_nonneg(ec)
+        clip_fraction = _check_clip_fraction(clipped, n, clip_limit, "magnetization bound")
+        steps.append(
+            _inequality(
+                "site-average concavity", float(np.mean(np.sqrt(ec_pos))),
+                float(math.sqrt(np.mean(ec_pos))), _EXACT_TOL,
+            )
+        )
+
+        lhs = float(np.mean(eq))
+        rhs_arg = float(np.mean(ec_pos))
+        rhs = math.sqrt(rhs_arg)
+        if is_mc:
+            se_lhs = float(_se(qs.mean(axis=1, keepdims=True))[0])
+            se_arg = float(_se(cs.mean(axis=1, keepdims=True))[0])
+            se_rhs = se_arg / (2.0 * rhs) if rhs > 0 else 0.0
+            tol = max(z_max * math.hypot(se_lhs, se_rhs), _EXACT_TOL)
+        else:
+            tol = quad_tol
+        steps.append(_inequality("magnetization bound", lhs, rhs, tol))
+
+        return BoundCheckReport(
+            name=f"magnetization bound (w={self.w}, u={table.plan.u})",
+            lhs=lhs, rhs=rhs, steps=tuple(steps),
+            n_samples=table.n_samples, method=table.method_name,
+            clip_count=clipped, clip_fraction=clip_fraction,
+            passed=all(s.passed for s in steps),
+        )
+
+
 def magnetization_bound_check(
     config: ModelConfig,
     w: str,
@@ -506,91 +826,165 @@ def magnetization_bound_check(
     inequality, |<sigma>| <= 1, the empirical Cauchy-Schwarz step, and the
     classical Nishimori identity) with matched disorder samples throughout.
     """
-    _check_identity_axes(w, u)
-    engine = _IdentityEngine(config, u)
-    n = engine.n_sites
-    singles = [(i,) for i in range(n)]
-    ops = engine.strings(singles, w)
+    block = MagnetizationBlock(w)
+    return block.result(Plan(config, [block], u).evaluate(method), z_max, quad_tol, clip_limit)
 
-    def evaluator(sample: DisorderSample) -> np.ndarray:
-        state = engine.state(sample)
-        q = string_expectations(state, ops)
-        c = engine.classical_products(sample, singles)
-        return np.concatenate([q, c])
 
-    values, probs = _disorder_table(config, evaluator, 2 * n, method)
-    qs, cs = values[:, :n], values[:, n:]
-    n_samples = values.shape[0]
-    is_mc = probs is None
-    mean = lambda arr: _disorder_mean(arr, probs)
+@dataclass(frozen=True)
+class PairMatrixBlock:
+    """The Nishimori-line pair matrix <tau_i tau_j>_N per sample (N^2
+    columns), shared by the susceptibility chain, the correlation sum and
+    the correlation export."""
 
-    eq = mean(qs)
-    eqc = mean(qs * cs)
-    eabs_qc = mean(np.abs(qs * cs))
-    eabs_c = mean(np.abs(cs))
-    ec2 = mean(cs * cs)
-    ec = mean(cs)
+    def bind(self, plan: Plan) -> tuple[int, Evaluator]:
+        plan.require_classical()
+        return plan.n_sites**2, lambda s: s.pair_matrix.ravel()
 
-    steps = []
-    id_tol = (np.maximum(z_max * _se(qs - qs * cs), _EXACT_TOL)) if is_mc else np.full(n, quad_tol)
-    worst = int(np.argmax(np.abs(eq - eqc) / id_tol))
-    steps.append(
-        _identity_step("one-point identity (worst site)", eq[worst], eqc[worst], id_tol[worst])
-    )
-    steps.append(
-        _inequality(
-            "triangle inequality", float(np.mean(np.abs(eqc))),
-            float(np.mean(eabs_qc)), _EXACT_TOL,
+    def result(self, table: ValueTable) -> np.ndarray:
+        """Disorder-averaged pair correlation matrix E<tau_i tau_j>."""
+        n = table.plan.n_sites
+        return table.mean(table.values(self)).reshape(n, n)
+
+    def correlation_sum(
+        self, table: ValueTable, clip_limit: float = DEFAULT_CLIP_LIMIT
+    ) -> EstimatorResult:
+        """The diagnostic a1; see `a1_sum`."""
+        n = table.plan.n_sites
+        values = table.values(self)
+        ec = table.mean(values)
+        ec_pos, clipped = _clip_nonneg(ec)
+        fraction = _check_clip_fraction(clipped, n * n, clip_limit, "correlation sum")
+        total = float(np.sqrt(ec_pos).sum()) / n
+        if table.is_mc:
+            stat = lambda m: float(np.sqrt(np.maximum(m, 0.0)).sum()) / n
+            se = _jackknife_se(values, stat)
+        else:
+            se = 0.0
+        z = total / se if se > 0 else math.nan
+        return EstimatorResult(
+            mean=total, std_error=se, n_samples=table.n_samples,
+            method=table.method_name, z_score=z,
+            clip_count=clipped, clip_fraction=fraction,
         )
-    )
-    steps.append(
-        _inequality(
-            "thermal average bounded by one", float(np.mean(eabs_qc)),
-            float(np.mean(eabs_c)), _EXACT_TOL,
-        )
-    )
-    ec2_pos, _ = _clip_nonneg(ec2)
-    steps.append(
-        _inequality(
-            "Cauchy-Schwarz over samples", float(np.mean(eabs_c)),
-            float(np.mean(np.sqrt(ec2_pos))), _EXACT_TOL,
-        )
-    )
-    nid_tol = (np.maximum(z_max * _se(cs * cs - cs), _EXACT_TOL)) if is_mc else np.full(n, quad_tol)
-    worst = int(np.argmax(np.abs(ec2 - ec) / nid_tol))
-    steps.append(
-        _identity_step(
-            "classical Nishimori identity (worst site)", ec2[worst], ec[worst], nid_tol[worst]
-        )
-    )
-    ec_pos, clipped = _clip_nonneg(ec)
-    clip_fraction = _check_clip_fraction(clipped, n, clip_limit, "magnetization bound")
-    steps.append(
-        _inequality(
-            "site-average concavity", float(np.mean(np.sqrt(ec_pos))),
-            float(math.sqrt(np.mean(ec_pos))), _EXACT_TOL,
-        )
-    )
 
-    lhs = float(np.mean(eq))
-    rhs_arg = float(np.mean(ec_pos))
-    rhs = math.sqrt(rhs_arg)
-    if is_mc:
-        se_lhs = float(_se(qs.mean(axis=1, keepdims=True))[0])
-        se_arg = float(_se(cs.mean(axis=1, keepdims=True))[0])
-        se_rhs = se_arg / (2.0 * rhs) if rhs > 0 else 0.0
-        tol = max(z_max * math.hypot(se_lhs, se_rhs), _EXACT_TOL)
-    else:
-        tol = quad_tol
-    steps.append(_inequality("magnetization bound", lhs, rhs, tol))
 
-    return BoundCheckReport(
-        name=f"magnetization bound (w={w}, u={u})",
-        lhs=lhs, rhs=rhs, steps=tuple(steps),
-        n_samples=n_samples, method="mc" if is_mc else "quadrature",
-        clip_count=clipped, clip_fraction=clip_fraction,
-        passed=all(s.passed for s in steps),
-    )
+@dataclass(frozen=True)
+class SusceptibilityBlock:
+    """The truncated Duhamel matrix (sigma_i^w ; sigma_j^v) per sample (N^2
+    columns). Its chain also reads the plan's `PairMatrixBlock`."""
+
+    v: str
+    w: str
+
+    def bind(self, plan: Plan) -> tuple[int, Evaluator]:
+        v, w = self.v, self.w
+        for axis in (v, w):
+            _check_identity_axes(axis, plan.u)
+        params = plan.config.params
+        params.require_even_mixed()
+        if any(params.is_active(1, a) for a in AXES):
+            raise ValueError("susceptibility bound requires zero single-site couplings")
+        plan.require_classical()
+        n = plan.n_sites
+        ops_w = [plan.string(s, w) for s in _single_sites(n)]
+        ops_v = [plan.string(s, v) for s in _single_sites(n)]
+
+        def evaluate(s: _Sample) -> np.ndarray:
+            state = s.state
+            at = np.stack([string_in_eigenbasis(state, op) for op in ops_w])
+            bt = at if v == w else np.stack([string_in_eigenbasis(state, op) for op in ops_v])
+            phi = _duhamel_kernel(state)
+            z = float(np.sum(state.weights))
+            # duh[i, j] = sum_mn at[i, m, n] bt[j, n, m] phi[m, n], as one matmul
+            duh = np.real((at * phi).reshape(n, -1) @ bt.transpose(0, 2, 1).reshape(n, -1).T) / z
+            qa = np.real(np.diagonal(at, axis1=1, axis2=2) @ state.weights) / z
+            qb = np.real(np.diagonal(bt, axis1=1, axis2=2) @ state.weights) / z
+            return (duh - np.outer(qa, qb)).ravel()
+
+        return n * n, evaluate
+
+    def result(
+        self,
+        table: ValueTable,
+        z_max: float = DEFAULT_Z_MAX,
+        quad_tol: float = DEFAULT_QUAD_TOL,
+        clip_limit: float = DEFAULT_CLIP_LIMIT,
+    ) -> BoundCheckReport:
+        """The chain's report; see `susceptibility_bound_check`."""
+        n = table.plan.n_sites
+        beta = table.plan.config.beta
+        is_mc = table.is_mc
+        ts = table.values(self)
+        cs = table.values(PairMatrixBlock())
+        mean = table.mean
+
+        steps = []
+        max_t = float(np.max(np.abs(ts)))
+        steps.append(_inequality("per-pair Duhamel magnitude", max_t, 2.0, _EXACT_TOL))
+
+        et = mean(ts)
+        etc = mean(ts * cs)
+        scale = beta / n
+        id_tol = (
+            max(z_max * float(_se((ts - ts * cs).sum(axis=1, keepdims=True))[0]), _EXACT_TOL)
+            if is_mc
+            else quad_tol * n * n
+        )
+        steps.append(
+            _identity_step(
+                "truncated-Duhamel identity (summed)",
+                scale * float(et.sum()), scale * float(etc.sum()), scale * id_tol,
+            )
+        )
+        steps.append(
+            _inequality(
+                "triangle inequality", scale * abs(float(etc.sum())),
+                scale * float(mean(np.abs(ts * cs)).sum()), _EXACT_TOL,
+            )
+        )
+        steps.append(
+            _inequality(
+                "Duhamel magnitude bound", scale * float(mean(np.abs(ts * cs)).sum()),
+                2.0 * scale * float(mean(np.abs(cs)).sum()), _EXACT_TOL,
+            )
+        )
+        ec2_pos, _ = _clip_nonneg(mean(cs * cs))
+        steps.append(
+            _inequality(
+                "Cauchy-Schwarz over samples", 2.0 * scale * float(mean(np.abs(cs)).sum()),
+                2.0 * scale * float(np.sqrt(ec2_pos).sum()), _EXACT_TOL,
+            )
+        )
+        ec = mean(cs)
+        nid_tol = (np.maximum(z_max * _se(cs * cs - cs), _EXACT_TOL)) if is_mc else np.full(n * n, quad_tol)
+        worst = int(np.argmax(np.abs(mean(cs * cs) - ec) / nid_tol))
+        steps.append(
+            _identity_step(
+                "classical Nishimori identity (worst pair)",
+                float(mean(cs * cs)[worst]), float(ec[worst]), float(nid_tol[worst]),
+            )
+        )
+
+        ec_pos, clipped = _clip_nonneg(ec)
+        clip_fraction = _check_clip_fraction(clipped, n * n, clip_limit, "susceptibility bound")
+        chi = scale * abs(float(et.sum()))
+        bound = 2.0 * scale * float(np.sqrt(ec_pos).sum())
+        if is_mc:
+            se_chi = scale * float(_se(ts.sum(axis=1, keepdims=True))[0])
+            bound_stat = lambda m: 2.0 * scale * float(np.sqrt(np.maximum(m, 0.0)).sum())
+            se_bound = _jackknife_se(cs, bound_stat)
+            tol = max(z_max * math.hypot(se_chi, se_bound), _EXACT_TOL)
+        else:
+            tol = quad_tol
+        steps.append(_inequality("susceptibility bound", chi, bound, tol))
+
+        return BoundCheckReport(
+            name=f"susceptibility bound (v={self.v}, w={self.w}, u={table.plan.u})",
+            lhs=chi, rhs=bound, steps=tuple(steps),
+            n_samples=table.n_samples, method=table.method_name,
+            clip_count=clipped, clip_fraction=clip_fraction,
+            passed=all(s.passed for s in steps),
+        )
 
 
 def susceptibility_bound_check(
@@ -612,106 +1006,9 @@ def susceptibility_bound_check(
     a mixed even p-spin configuration (no single-site couplings) and a gauge
     axis distinct from both observable axes.
     """
-    for axis in (v, w):
-        _check_identity_axes(axis, u)
-    config.params.require_even_mixed()
-    if any(config.params.is_active(1, a) for a in AXES):
-        raise ValueError("susceptibility bound requires zero single-site couplings")
-    engine = _IdentityEngine(config, u)
-    n = engine.n_sites
-    beta = config.beta
-    singles = [(i,) for i in range(n)]
-    ops_w = engine.strings(singles, w)
-    ops_v = engine.strings(singles, v)
-
-    def evaluator(sample: DisorderSample) -> np.ndarray:
-        state = engine.state(sample)
-        at = np.stack([string_in_eigenbasis(state, op) for op in ops_w])
-        bt = at if v == w else np.stack([string_in_eigenbasis(state, op) for op in ops_v])
-        phi = _duhamel_kernel(state)
-        z = float(np.sum(state.weights))
-        # duh[i, j] = sum_mn at[i, m, n] bt[j, n, m] phi[m, n], as one matmul
-        duh = np.real((at * phi).reshape(n, -1) @ bt.transpose(0, 2, 1).reshape(n, -1).T) / z
-        qa = np.real(np.diagonal(at, axis1=1, axis2=2) @ state.weights) / z
-        qb = np.real(np.diagonal(bt, axis1=1, axis2=2) @ state.weights) / z
-        trunc = duh - np.outer(qa, qb)
-        c = engine.classical_pair_matrix(sample)
-        return np.concatenate([trunc.ravel(), c.ravel()])
-
-    values, probs = _disorder_table(config, evaluator, 2 * n * n, method)
-    n_samples = values.shape[0]
-    is_mc = probs is None
-    ts = values[:, : n * n]
-    cs = values[:, n * n :]
-    mean = lambda arr: _disorder_mean(arr, probs)
-
-    steps = []
-    max_t = float(np.max(np.abs(ts)))
-    steps.append(_inequality("per-pair Duhamel magnitude", max_t, 2.0, _EXACT_TOL))
-
-    et = mean(ts)
-    etc = mean(ts * cs)
-    scale = beta / n
-    id_tol = (
-        max(z_max * float(_se((ts - ts * cs).sum(axis=1, keepdims=True))[0]), _EXACT_TOL)
-        if is_mc
-        else quad_tol * n * n
-    )
-    steps.append(
-        _identity_step(
-            "truncated-Duhamel identity (summed)",
-            scale * float(et.sum()), scale * float(etc.sum()), scale * id_tol,
-        )
-    )
-    steps.append(
-        _inequality(
-            "triangle inequality", scale * abs(float(etc.sum())),
-            scale * float(mean(np.abs(ts * cs)).sum()), _EXACT_TOL,
-        )
-    )
-    steps.append(
-        _inequality(
-            "Duhamel magnitude bound", scale * float(mean(np.abs(ts * cs)).sum()),
-            2.0 * scale * float(mean(np.abs(cs)).sum()), _EXACT_TOL,
-        )
-    )
-    ec2_pos, _ = _clip_nonneg(mean(cs * cs))
-    steps.append(
-        _inequality(
-            "Cauchy-Schwarz over samples", 2.0 * scale * float(mean(np.abs(cs)).sum()),
-            2.0 * scale * float(np.sqrt(ec2_pos).sum()), _EXACT_TOL,
-        )
-    )
-    ec = mean(cs)
-    nid_tol = (np.maximum(z_max * _se(cs * cs - cs), _EXACT_TOL)) if is_mc else np.full(n * n, quad_tol)
-    worst = int(np.argmax(np.abs(mean(cs * cs) - ec) / nid_tol))
-    steps.append(
-        _identity_step(
-            "classical Nishimori identity (worst pair)",
-            float(mean(cs * cs)[worst]), float(ec[worst]), float(nid_tol[worst]),
-        )
-    )
-
-    ec_pos, clipped = _clip_nonneg(ec)
-    clip_fraction = _check_clip_fraction(clipped, n * n, clip_limit, "susceptibility bound")
-    chi = scale * abs(float(et.sum()))
-    bound = 2.0 * scale * float(np.sqrt(ec_pos).sum())
-    if is_mc:
-        se_chi = scale * float(_se(ts.sum(axis=1, keepdims=True))[0])
-        bound_stat = lambda m: 2.0 * scale * float(np.sqrt(np.maximum(m, 0.0)).sum())
-        se_bound = _jackknife_se(cs, bound_stat)
-        tol = max(z_max * math.hypot(se_chi, se_bound), _EXACT_TOL)
-    else:
-        tol = quad_tol
-    steps.append(_inequality("susceptibility bound", chi, bound, tol))
-
-    return BoundCheckReport(
-        name=f"susceptibility bound (v={v}, w={w}, u={u})",
-        lhs=chi, rhs=bound, steps=tuple(steps),
-        n_samples=n_samples, method="mc" if is_mc else "quadrature",
-        clip_count=clipped, clip_fraction=clip_fraction,
-        passed=all(s.passed for s in steps),
-    )
+    block = SusceptibilityBlock(v, w)
+    table = Plan(config, [block, PairMatrixBlock()], u).evaluate(method)
+    return block.result(table, z_max, quad_tol, clip_limit)
 
 
 def _jackknife_se(samples: np.ndarray, statistic: Callable[[np.ndarray], float]) -> float:
@@ -736,72 +1033,67 @@ def a1_sum(
     Negative Monte Carlo estimates under the square root are clipped at zero
     and counted; exceeding the clip budget raises UndersampledError.
     """
-    engine = _IdentityEngine(config, u)
-    n = engine.n_sites
-
-    def evaluator(sample: DisorderSample) -> np.ndarray:
-        return engine.classical_pair_matrix(sample).ravel()
-
-    values, probs = _disorder_table(config, evaluator, n * n, method)
-    ec = _disorder_mean(values, probs)
-    ec_pos, clipped = _clip_nonneg(ec)
-    fraction = _check_clip_fraction(clipped, n * n, clip_limit, "correlation sum")
-    total = float(np.sqrt(ec_pos).sum()) / n
-    if probs is None:
-        stat = lambda m: float(np.sqrt(np.maximum(m, 0.0)).sum()) / n
-        se = _jackknife_se(values, stat)
-    else:
-        se = 0.0
-    z = total / se if se > 0 else math.nan
-    return EstimatorResult(
-        mean=total, std_error=se, n_samples=values.shape[0],
-        method="mc" if probs is None else "quadrature", z_score=z,
-        clip_count=clipped, clip_fraction=fraction,
-    )
+    block = PairMatrixBlock()
+    return block.correlation_sum(Plan(config, [block], u).evaluate(method), clip_limit)
 
 
 def mean_pair_correlation(config: ModelConfig, u: str, method: Method) -> np.ndarray:
     """Disorder-averaged Nishimori-line pair correlation matrix E<tau_i tau_j>."""
-    engine = _IdentityEngine(config, u)
-    n = engine.n_sites
+    block = PairMatrixBlock()
+    return block.result(Plan(config, [block], u).evaluate(method))
 
-    def evaluator(sample: DisorderSample) -> np.ndarray:
-        return engine.classical_pair_matrix(sample).ravel()
 
-    values, probs = _disorder_table(config, evaluator, n * n, method)
-    return _disorder_mean(values, probs).reshape(n, n)
+@dataclass(frozen=True)
+class FieldStencilBlock:
+    """Third and second central differences of the magnetization in the
+    symmetry-breaking field mean, at zero field, with common disorder (2
+    columns). The zero-field point is the sample's own state."""
+
+    v: str
+    w: str
+    h: float
+
+    def bind(self, plan: Plan) -> tuple[int, Evaluator]:
+        h = self.h
+        if h <= 0:
+            raise ValueError(f"step h must be > 0, got {h}")
+        params = plan.config.params
+        params.require_even_mixed()
+        if any(params.is_active(1, a) for a in AXES):
+            raise ValueError("nonlinear susceptibility probe requires zero base field")
+        plan.builder  # made now, so a lattice too large for it fails before sampling
+        n = plan.n_sites
+        field = np.zeros((2**n, 2**n), dtype=complex)
+        for i in range(n):
+            field += pauli_site(n, i, self.v)
+        order = [plan.string(s, self.w) for s in _single_sites(n)]
+        beta = plan.config.beta
+
+        def evaluate(s: _Sample) -> np.ndarray:
+            m = []
+            for mu in (-2 * h, -h, 0.0, h, 2 * h):
+                if mu == 0.0:
+                    state = s.state
+                else:
+                    state = thermal_state(spectral_decompose(s.hamiltonian - mu * field), beta)
+                m.append(sum(string_expectations(state, order)) / n)
+            third = (m[4] - 2 * m[3] + 2 * m[1] - m[0]) / (2 * h**3)
+            second = (m[3] - 2 * m[2] + m[1]) / h**2
+            return np.array([third, second])
+
+        return 2, evaluate
+
+    def result(self, table: ValueTable) -> tuple[float, float]:
+        """Disorder means of (third difference, second difference)."""
+        means = table.mean(table.values(self))
+        return float(means[0]), float(means[1])
 
 
 def _a2_differences(
     config: ModelConfig, v: str, w: str, h: float, method: Method
 ) -> tuple[float, float]:
-    """Third and second central differences of the magnetization in the
-    symmetry-breaking field mean, at zero field, with common disorder."""
-    if h <= 0:
-        raise ValueError(f"step h must be > 0, got {h}")
-    config.params.require_even_mixed()
-    if any(config.params.is_active(1, a) for a in AXES):
-        raise ValueError("nonlinear susceptibility probe requires zero base field")
-    builder = HamiltonianBuilder(config.lattice, config.families)
-    n = config.lattice.n_sites
-    field = np.zeros((2**n, 2**n), dtype=complex)
-    for i in range(n):
-        field += pauli_site(n, i, v)
-    order = [PauliString(n, (i,), w) for i in range(n)]
-
-    def evaluator(sample: DisorderSample) -> np.ndarray:
-        base = builder.build(sample)
-        m = []
-        for mu in (-2 * h, -h, 0.0, h, 2 * h):
-            state = thermal_state(spectral_decompose(base - mu * field), config.beta)
-            m.append(sum(string_expectations(state, order)) / n)
-        third = (m[4] - 2 * m[3] + 2 * m[1] - m[0]) / (2 * h**3)
-        second = (m[3] - 2 * m[2] + m[1]) / h**2
-        return np.array([third, second])
-
-    values, probs = _disorder_table(config, evaluator, 2, method)
-    means = _disorder_mean(values, probs)
-    return float(means[0]), float(means[1])
+    block = FieldStencilBlock(v, w, h)
+    return block.result(Plan(config, [block]).evaluate(method))
 
 
 def a2_nonlinear_susceptibility(
@@ -827,6 +1119,58 @@ def a2_nonlinear_susceptibility(
     return third
 
 
+@dataclass(frozen=True)
+class SiteExpectationsBlock:
+    """<sigma_i^a> for every axis a and site i, axis-major (3N columns):
+    the finite-size order parameters."""
+
+    def bind(self, plan: Plan) -> tuple[int, Evaluator]:
+        plan.builder  # made now, so a lattice too large for it fails before sampling
+        ops = [plan.string(s, a) for a in AXES for s in _single_sites(plan.n_sites)]
+        return len(ops), lambda s: np.array([s.expectation(op) for op in ops])
+
+    def result(self, table: ValueTable) -> dict[str, dict[str, EstimatorResult]]:
+        """Per axis, the ferromagnetic m and spin-glass q order parameters."""
+        n = table.plan.n_sites
+        values = table.values(self)
+        out: dict[str, dict[str, EstimatorResult]] = {}
+        for a_idx, axis in enumerate(AXES):
+            sites = values[:, a_idx * n : (a_idx + 1) * n]
+            m_rows = sites.mean(axis=1, keepdims=True)
+            q_rows = (sites * sites).mean(axis=1, keepdims=True)
+            res = {}
+            for name, rows in (("m", m_rows), ("q", q_rows)):
+                mv = float(table.mean(rows)[0])
+                se = float(_se(rows)[0]) if table.is_mc else 0.0
+                z = mv / se if se > 0 else math.nan
+                res[name] = EstimatorResult(
+                    mean=mv, std_error=se, n_samples=table.n_samples,
+                    method=table.method_name, z_score=z,
+                )
+            out[axis] = res
+        return out
+
+
+@dataclass(frozen=True)
+class FreeEnergyBlock:
+    """log Z / N per sample (1 column), read from the sample's thermal state."""
+
+    def bind(self, plan: Plan) -> tuple[int, Evaluator]:
+        n = plan.n_sites
+        return 1, lambda s: np.array([free_energy_density(s.state, n)])
+
+    def result(self, table: ValueTable) -> EstimatorResult:
+        """Disorder mean of log Z / N with its standard error."""
+        values = table.values(self)
+        mean = float(table.mean(values)[0])
+        se = float(values.std(ddof=1) / math.sqrt(values.shape[0])) if table.is_mc else 0.0
+        z = mean / se if se > 0 else math.nan
+        return EstimatorResult(
+            mean=mean, std_error=se, n_samples=table.n_samples,
+            method=table.method_name, z_score=z,
+        )
+
+
 def finite_size_order_parameters(
     config: ModelConfig, method: Method
 ) -> dict[str, dict[str, EstimatorResult]]:
@@ -836,30 +1180,5 @@ def finite_size_order_parameters(
     magnetization, so each sample contributes exactly one Gibbs evaluation
     and no replica bias enters.
     """
-    builder = HamiltonianBuilder(config.lattice, config.families)
-    n = config.lattice.n_sites
-    ops = [PauliString(n, (i,), a) for a in AXES for i in range(n)]
-
-    def evaluator(sample: DisorderSample) -> np.ndarray:
-        state = thermal_state(spectral_decompose(builder.build(sample)), config.beta)
-        return np.array(string_expectations(state, ops))
-
-    values, probs = _disorder_table(config, evaluator, 3 * n, method)
-    n_samples = values.shape[0]
-    is_mc = probs is None
-    out: dict[str, dict[str, EstimatorResult]] = {}
-    for a_idx, axis in enumerate(AXES):
-        block = values[:, a_idx * n : (a_idx + 1) * n]
-        m_rows = block.mean(axis=1, keepdims=True)
-        q_rows = (block * block).mean(axis=1, keepdims=True)
-        res = {}
-        for name, rows in (("m", m_rows), ("q", q_rows)):
-            mv = float(_disorder_mean(rows, probs)[0])
-            se = float(_se(rows)[0]) if is_mc else 0.0
-            z = mv / se if se > 0 else math.nan
-            res[name] = EstimatorResult(
-                mean=mv, std_error=se, n_samples=n_samples,
-                method="mc" if is_mc else "quadrature", z_score=z,
-            )
-        out[axis] = res
-    return out
+    block = SiteExpectationsBlock()
+    return block.result(Plan(config, [block]).evaluate(method))

@@ -10,7 +10,6 @@ from typing import Mapping, Sequence
 import numpy as np
 from scipy.integrate import simpson
 from scipy.linalg import expm
-from scipy.special import logsumexp
 
 from .disorder import DisorderSample
 from .errors import CapacityError
@@ -34,8 +33,8 @@ class Spectrum:
 class ThermalState:
     """A spectrum together with inverse temperature and shifted Boltzmann weights.
 
-    Weights are exp(-beta (E_n - E_min)), so log_Z is recovered through
-    log-sum-exp without overflow at large beta.
+    Weights are exp(-beta (E_n - E_min)), so the largest is 1 and
+    log_Z = log(sum of weights) - beta E_min cannot overflow at large beta.
     """
 
     spectrum: Spectrum
@@ -131,7 +130,7 @@ def thermal_state(spectrum: Spectrum, beta: float) -> ThermalState:
         raise ValueError(f"beta must be >= 0, got {beta}")
     e = spectrum.eigenvalues
     weights = np.exp(-beta * (e - e[0]))
-    log_z = float(logsumexp(-beta * (e - e[0])) - beta * e[0])
+    log_z = float(np.log(np.sum(weights)) - beta * e[0])
     return ThermalState(spectrum=spectrum, beta=beta, log_z=log_z, weights=weights)
 
 

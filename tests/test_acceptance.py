@@ -24,14 +24,15 @@ from xyzglass.disorder import (
     sample_disorder,
 )
 from xyzglass.identities import (
+    DuhamelBlock,
     ModelConfig,
     MonteCarlo,
+    OnePointBlock,
+    Plan,
     Quadrature,
-    duhamel_identity,
+    TwoPointBlock,
     magnetization_bound_check,
-    one_point_identity,
     susceptibility_bound_check,
-    two_point_identities,
 )
 from xyzglass.lattice import (
     build_lattice,
@@ -89,17 +90,35 @@ def gaussian_chain_config(L, beta=0.6, mu=0.3, delta=0.8, orders=(1, 2)):
     return ModelConfig(lattice=lat, families=fams, params=params, beta=beta)
 
 
-def run_with_retry(run, method):
-    """One doubled-n retry for a statistical residual set, per the flaky budget.
+def results_with_retry(table, blocks):
+    """Each identity group's results, with one doubled-n retry per group per
+    the flaky budget.
 
-    `run` returns a tuple of results from one sampling pass; the whole pass
-    is re-run once with doubled n when any member fails.
+    Every group is a block of one shared table. A group with a failing member
+    is reported from the table extended once to 2n rows, which every failing
+    group shares. Returns (results, retried) per group.
     """
-    results = run(method)
-    if all(abs(r.z_score) < Z_MAX for r in results):
-        return results, False
-    bigger = MonteCarlo(2 * method.n_samples, method.seed, method.threads)
-    return run(bigger), True
+    bigger = None
+    out = []
+    for block in blocks:
+        results = block.result(table)
+        retried = not all(abs(r.z_score) < Z_MAX for r in results)
+        if retried:
+            if bigger is None:
+                bigger = table.extend(2 * table.n_samples)
+            results = block.result(bigger)
+        out.append((results, retried))
+    return out
+
+
+def identity_suite(L):
+    """The default identity groups on sites 0 and L-1: one-point, two-point,
+    Duhamel."""
+    return [
+        OnePointBlock([0], "z"),
+        TwoPointBlock([0], [L - 1], "z"),
+        DuhamelBlock([0], [L - 1], "z"),
+    ]
 
 
 def test_criterion_01_operator_algebra():
@@ -214,18 +233,13 @@ def test_criterion_04_identities_deterministic():
     with criterion(4, "correlation identities by deterministic quadrature"):
         start = time.perf_counter()
         residuals = []
-        cfg1 = _quad_single_site_config()
-        method1 = Quadrature(24)
-        residuals.append(one_point_identity(cfg1, [0], "z", "x", method1).mean)
-        residuals.extend(r.mean for r in two_point_identities(cfg1, [0], [0], "z", "x", method1))
-        residuals.extend(r.mean for r in duhamel_identity(cfg1, [0], [0], "z", "x", method1))
-
-        cfg2 = _quad_two_site_config()
-        method2 = Quadrature(16)
-        residuals.append(one_point_identity(cfg2, [0], "z", "x", method2).mean)
-        residuals.extend(r.mean for r in two_point_identities(cfg2, [0], [1], "z", "x", method2))
-        residuals.extend(r.mean for r in duhamel_identity(cfg2, [0], [1], "z", "x", method2))
+        for cfg, L, nodes in ((_quad_single_site_config(), 1, 24), (_quad_two_site_config(), 2, 16)):
+            blocks = identity_suite(L)
+            table = Plan(cfg, blocks, "x").evaluate(Quadrature(nodes))
+            for block in blocks:
+                residuals.extend(r.mean for r in block.result(table))
         elapsed = time.perf_counter() - start
+        assert len(residuals) == 10
         assert max(abs(r) for r in residuals) < QUAD_TOL, f"residuals {residuals}"
         assert elapsed < 600.0, f"took {elapsed:.1f}s"
 
@@ -236,14 +250,9 @@ def test_criterion_05_identities_statistical():
         retried_any = False
         for L, seed in ((2, 505), (4, 506)):
             cfg = gaussian_chain_config(L)
-            method = MonteCarlo(n_samples=10**5, seed=seed)
-            runs = [
-                lambda m: (one_point_identity(cfg, [0], "z", "x", m),),
-                lambda m: two_point_identities(cfg, [0], [L - 1], "z", "x", m),
-                lambda m: duhamel_identity(cfg, [0], [L - 1], "z", "x", m),
-            ]
-            for run in runs:
-                results, retried = run_with_retry(run, method)
+            blocks = identity_suite(L)
+            table = Plan(cfg, blocks, "x").evaluate(MonteCarlo(n_samples=10**5, seed=seed))
+            for results, retried in results_with_retry(table, blocks):
                 retried_any = retried_any or retried
                 for result in results:
                     assert abs(result.z_score) < Z_MAX, (

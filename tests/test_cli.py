@@ -1,8 +1,11 @@
+import ast
+import inspect
 import json
 import os
 
 import pytest
 
+from xyzglass import cli, identities
 from xyzglass.cli import (
     EXIT_CAPACITY_ERROR,
     EXIT_CHECK_FAILED,
@@ -13,6 +16,13 @@ from xyzglass.cli import (
     resolve_config,
 )
 from xyzglass.errors import ConfigError
+from xyzglass.identities import (
+    MonteCarlo,
+    duhamel_identity,
+    one_point_identity,
+    three_point_identity,
+    two_point_identities,
+)
 
 
 def write_config(tmp_path, name, payload):
@@ -266,3 +276,117 @@ def test_resolve_config_applies_defaults():
     assert cfg["lattice"]["boundary"] == "open"
     cfg2 = resolve_config({"seed": 1}, 99)
     assert cfg2["seed"] == 99
+
+
+def gaussian(mu=0.3, delta=0.8):
+    return {a: {"mu": mu, "delta": delta} for a in "xyz"}
+
+
+def identities_mc_config(n, seed=13, z_max=None):
+    payload = {
+        "seed": seed,
+        "lattice": {"d": 1, "L": 3},
+        "shapes": {"1": [[[0]]], "2": [[[0], [1]]]},
+        "couplings": {"1": gaussian(), "2": gaussian()},
+        "beta": 0.6,
+        "gauge_axis": "x",
+        "observables": {"axis": "z", "x_sites": [0], "y_sites": [2], "z_sites": [1]},
+        "method": {"kind": "mc", "n_samples": n},
+    }
+    if z_max is not None:
+        payload["tolerances"] = {"z_max": z_max}
+    return payload
+
+
+def count_calls(monkeypatch, module, name):
+    calls = []
+    real = getattr(module, name)
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, counting)
+    return calls
+
+
+def test_retry_extends_the_shared_table_once(tmp_path, monkeypatch):
+    n, seed = 30, 13
+    payload = identities_mc_config(n, seed, z_max=1e-9)
+    cfg = write_config(tmp_path, "r.json", payload)
+    out = str(tmp_path / "runs")
+    draws = count_calls(monkeypatch, identities, "sample_disorder")
+    code = main(["verify-identities", "--config", cfg, "--out", out, "--extended-multipoint"])
+    assert code == EXIT_CHECK_FAILED
+    # every group failed, and the one shared retry drew only samples n..2n-1
+    assert len(draws) == 2 * n
+    report = load_report(out)
+    assert all(c["retried"] for c in report["checks"])
+    model = cli.build_model(resolve_config(payload, None))
+    bigger = MonteCarlo(2 * n, seed)
+    expected = [
+        one_point_identity(model, [0], "z", "x", bigger),
+        *two_point_identities(model, [0], [2], "z", "x", bigger),
+        *duhamel_identity(model, [0], [2], "z", "x", bigger),
+        three_point_identity(model, [0], [2], [1], "z", "x", bigger),
+    ]
+    assert len(report["checks"]) == len(expected)
+    for check, res in zip(report["checks"], expected):
+        got = check["result"]
+        assert got["n_samples"] == 2 * n
+        assert (got["mean"], got["std_error"], got["z_score"]) == (
+            res.mean, res.std_error, res.z_score,
+        )
+
+
+def test_verify_identities_decomposes_each_sample_once(tmp_path, monkeypatch):
+    n = 40
+    cfg = write_config(tmp_path, "i.json", identities_mc_config(n))
+    out = str(tmp_path / "runs")
+    draws = count_calls(monkeypatch, identities, "sample_disorder")
+    decompositions = count_calls(monkeypatch, identities, "spectral_decompose")
+    main(["verify-identities", "--config", cfg, "--out", out, "--extended-multipoint"])
+    retried = any(c["retried"] for c in load_report(out)["checks"])
+    assert len(draws) == n * (2 if retried else 1)
+    assert len(decompositions) == len(draws)
+
+
+def test_verify_bounds_makes_five_decompositions_per_sample(tmp_path, monkeypatch):
+    n = 60
+    payload = {
+        "seed": 3,
+        "lattice": {"d": 1, "L": 3},
+        "shapes": {"2": [[[0], [1]]]},
+        "couplings": {"2": gaussian(mu=0.6)},
+        "beta": 0.7,
+        "gauge_axis": "x",
+        "bounds": {"w": "z", "v": "z", "u": "x",
+                   "checks": ["magnetization", "susceptibility", "a1", "a2"]},
+        "method": {"kind": "mc", "n_samples": n},
+        "export_correlations": True,
+    }
+    cfg = write_config(tmp_path, "b.json", payload)
+    out = str(tmp_path / "runs")
+    draws = count_calls(monkeypatch, identities, "sample_disorder")
+    decompositions = count_calls(monkeypatch, identities, "spectral_decompose")
+    main(["verify-bounds", "--config", cfg, "--out", out])
+    assert len(draws) == n
+    # the base state serves every check and the a2 zero-field point; the
+    # four other stencil points are one decomposition each
+    assert len(decompositions) == 5 * n
+    assert "nishimori_correlations_csv" in load_report(out)["artifacts"]
+
+
+def test_cli_calls_no_private_identities_helper():
+    tree = ast.parse(inspect.getsource(cli))
+    private = [
+        node.attr for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+        and node.value.id == "identities" and node.attr.startswith("_")
+    ]
+    private += [
+        alias.name for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom) and node.module == "identities"
+        for alias in node.names if alias.name.startswith("_")
+    ]
+    assert private == []

@@ -26,8 +26,15 @@ from xyzglass.identities import (
     validate_gauge_axis,
 )
 from xyzglass.lattice import build_lattice, chain_pair_shape, generate_bonds, single_site_shape
-from xyzglass.operators import pauli_product
-from xyzglass.quantum_gibbs import build_hamiltonian, gibbs_expectation, spectral_decompose, thermal_state
+from xyzglass.operators import PauliString, pauli_product, pauli_site
+from xyzglass.quantum_gibbs import (
+    HamiltonianBuilder,
+    build_hamiltonian,
+    gibbs_expectation,
+    spectral_decompose,
+    string_expectations,
+    thermal_state,
+)
 
 
 def single_site_config(beta=0.5, jx=0.6):
@@ -419,3 +426,97 @@ def test_classical_checks_never_build_the_quantum_side(monkeypatch):
     method = MonteCarlo(n_samples=20, seed=61)
     assert a1_sum(cfg, "x", method).n_samples == 20
     assert mean_pair_correlation(cfg, "x", method).shape == (3, 3)
+
+
+# ---------------------------------------------------------------------------
+# one-pass plans and value tables
+# ---------------------------------------------------------------------------
+
+
+def identity_blocks(L):
+    return [
+        identities.OnePointBlock([0], "z"),
+        identities.TwoPointBlock([0], [L - 1], "z"),
+        identities.DuhamelBlock([0], [L - 1], "z"),
+        identities.ThreePointBlock([0], [L - 1], [0, L - 1], "z"),
+    ]
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+def test_extended_table_equals_fresh_table(threads):
+    cfg = chain_config(3)
+    plan = identities.Plan(cfg, identity_blocks(3), "x")
+    n = 40
+    extended = plan.evaluate(MonteCarlo(n, 71, threads)).extend(2 * n)
+    fresh = plan.evaluate(MonteCarlo(2 * n, 71, threads))
+    assert extended.n_samples == fresh.n_samples == 2 * n
+    for block in plan.blocks:
+        assert np.array_equal(extended.values(block), fresh.values(block))
+        assert extended.values(block).flags.c_contiguous
+        assert block.result(extended) == block.result(fresh)
+
+
+def test_extend_draws_only_the_new_samples(monkeypatch):
+    drawn = []
+    real = identities.sample_disorder
+
+    def counting(params, families, seed, sample_index=0):
+        drawn.append(sample_index)
+        return real(params, families, seed, sample_index)
+
+    monkeypatch.setattr(identities, "sample_disorder", counting)
+    plan = identities.Plan(chain_config(2), identity_blocks(2), "x")
+    table = plan.evaluate(MonteCarlo(25, 73))
+    assert sorted(drawn) == list(range(25))
+    drawn.clear()
+    table.extend(50)
+    assert sorted(drawn) == list(range(25, 50))
+
+
+def test_plan_shares_one_decomposition_per_sample(monkeypatch):
+    calls = []
+    real = identities.spectral_decompose
+
+    def counting(h):
+        calls.append(1)
+        return real(h)
+
+    monkeypatch.setattr(identities, "spectral_decompose", counting)
+    cfg = chain_config(3)
+    method = MonteCarlo(30, 75)
+    blocks = identity_blocks(3)
+    table = identities.Plan(cfg, blocks, "x").evaluate(method)
+    assert len(calls) == 30
+    # every block of the shared table reduces to its single-block result
+    assert blocks[0].result(table) == (one_point_identity(cfg, [0], "z", "x", method),)
+    assert blocks[1].result(table) == two_point_identities(cfg, [0], [2], "z", "x", method)
+    assert blocks[2].result(table) == duhamel_identity(cfg, [0], [2], "z", "x", method)
+    assert blocks[3].result(table) == (
+        three_point_identity(cfg, [0], [2], [0, 2], "z", "x", method),
+    )
+
+
+def test_quadrature_tables_do_not_extend():
+    table = identities.Plan(
+        single_site_config(), [identities.OnePointBlock([0], "z")], "x"
+    ).evaluate(Quadrature(4))
+    assert table.probs is not None and table.n_samples == 4**2  # y and z are random
+    with pytest.raises(ValueError, match="Monte Carlo"):
+        table.extend(8)
+
+
+def test_a2_zero_field_point_reuses_the_base_state():
+    # H - 0.0 * field must give bitwise the same magnetization as H itself,
+    # so the stencil's mu = 0 point can be the sample's own state
+    cfg = chain_config(5, beta=0.7, mu=0.6, with_field=False)
+    n = cfg.lattice.n_sites
+    builder = HamiltonianBuilder(cfg.lattice, cfg.families)
+    field = sum(pauli_site(n, i, "z") for i in range(n))
+    order = [PauliString(n, (i,), "z") for i in range(n)]
+    for k in range(20):
+        base = builder.build(sample_disorder(cfg.params, cfg.families, 1, k))
+        shared = thermal_state(spectral_decompose(base), cfg.beta)
+        shifted = thermal_state(spectral_decompose(base - 0.0 * field), cfg.beta)
+        m_shared = sum(string_expectations(shared, order)) / n
+        m_shifted = sum(string_expectations(shifted, order)) / n
+        assert m_shared == m_shifted

@@ -269,6 +269,20 @@ def test_free_energy_large_beta_no_overflow():
     )
 
 
+@pytest.mark.parametrize("beta", [0.0, 1.0, 50.0, 1000.0])
+def test_log_z_from_shifted_weights_matches_logsumexp(beta):
+    from scipy.special import logsumexp
+
+    lat, fams, sample = random_instance(np.random.default_rng(14), 3)
+    random = spectral_decompose(build_hamiltonian(lat, fams, sample))
+    # a doubly degenerate ground state
+    degenerate = spectral_decompose(np.diag([-1.3, -1.3, 0.2, 0.9]).astype(complex))
+    for spectrum in (random, degenerate):
+        e = spectrum.eigenvalues
+        state = thermal_state(spectrum, beta)
+        assert state.log_z == pytest.approx(float(logsumexp(-beta * e)), rel=1e-13, abs=0.0)
+
+
 def test_free_energy_convex_in_field_mean():
     lat, fams = chain_setup(2)
     beta = 0.9
