@@ -14,11 +14,24 @@ from .disorder import (
 )
 from .errors import CapacityError, ConfigError, EmptyFamilyError, UndersampledError
 from .identities import (
+    Block,
+    DuhamelBlock,
     EstimatorResult,
+    FieldStencilBlock,
+    FreeEnergyBlock,
+    MagnetizationBlock,
     ModelConfig,
     MonteCarlo,
+    OnePointBlock,
+    PairMatrixBlock,
+    Plan,
     Quadrature,
     QuadratureSpec,
+    SiteExpectationsBlock,
+    SusceptibilityBlock,
+    ThreePointBlock,
+    TwoPointBlock,
+    ValueTable,
     a1_sum,
     a2_nonlinear_susceptibility,
     duhamel_identity,

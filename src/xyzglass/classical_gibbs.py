@@ -59,6 +59,15 @@ def _tau_block(start: int, count: int, n_sites: int) -> np.ndarray:
     return 1.0 - 2.0 * bits
 
 
+def _pair_columns(tau: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """tau_i tau_j for every column pair i <= j, and the column of (i, j)
+    and of (j, i)."""
+    i, j = np.triu_indices(tau.shape[1])
+    col = np.empty((tau.shape[1], tau.shape[1]), dtype=np.intp)
+    col[i, j] = col[j, i] = np.arange(len(i))
+    return tau[:, i] * tau[:, j], col
+
+
 def _check_cap(n_sites: int) -> None:
     if n_sites > CLASSICAL_SITE_CAP:
         raise CapacityError(
@@ -181,6 +190,11 @@ class BondProductTable:
     structure, so that per-sample Nishimori expectations reduce to a matrix
     product plus a softmax. Limited to 16 sites; larger systems go through
     the chunked enumeration above.
+
+    The pair matrix splits the configuration index into its high bits
+    (sites 0..k-1, k = N // 2) and low bits (sites k..N-1), with one spin
+    half-table for each: tau_A (2^k x k) and tau_B (2^(N-k) x (N-k)), and
+    the products P_A, P_B of their column pairs i <= j.
     """
 
     def __init__(self, n_sites: int, families: Mapping[int, BondFamily]):
@@ -189,6 +203,21 @@ class BondProductTable:
         self.n_sites = n_sites
         self.families = dict(families)
         self.tau = _tau_block(0, 1 << n_sites, n_sites)
+        k, nb = n_sites // 2, n_sites - n_sites // 2
+        tau_a, tau_b = _tau_block(0, 1 << k, k), _tau_block(0, 1 << nb, nb)
+        pairs_a, col_a = _pair_columns(tau_a)
+        pairs_b, col_b = _pair_columns(tau_b)
+        self._high = np.ascontiguousarray(np.hstack([tau_a, pairs_a]).T)
+        self._low = np.hstack([tau_b, np.ones((1 << nb, 1))])
+        self._ones_high = np.ones(1 << k)
+        self._pairs_low = pairs_b
+        # where pair_matrix_from finds (i, j) in [cross.ravel(), low]
+        w = nb + 1
+        self._pair_index = index = np.empty((n_sites, n_sites), dtype=np.intp)
+        index[:k, k:] = np.arange(k)[:, None] * w + np.arange(nb)
+        index[k:, :k] = index[:k, k:].T
+        index[:k, :k] = (k + col_a) * w + nb
+        index[k:, k:] = (k + pairs_a.shape[1]) * w + col_b
         cols = []
         self._slices: dict[int, slice] = {}
         pos = 0
@@ -216,7 +245,12 @@ class BondProductTable:
         betas: Mapping[int, float],
         site_sets: Sequence[Sequence[int]],
     ) -> np.ndarray:
-        prob = self.probabilities(k_by_p, betas)
+        return self.expectations_from(self.probabilities(k_by_p, betas), site_sets)
+
+    def expectations_from(
+        self, prob: np.ndarray, site_sets: Sequence[Sequence[int]]
+    ) -> np.ndarray:
+        """<prod_{i in S} tau_i> for each site set S under `probabilities`."""
         out = np.empty(len(site_sets))
         for k, s in enumerate(site_sets):
             s = tuple(s)
@@ -227,5 +261,15 @@ class BondProductTable:
         self, k_by_p: Mapping[int, np.ndarray], betas: Mapping[int, float]
     ) -> np.ndarray:
         """All <tau_i tau_j> for one sample."""
-        prob = self.probabilities(k_by_p, betas)
-        return (self.tau * prob[:, None]).T @ self.tau
+        return self.pair_matrix_from(self.probabilities(k_by_p, betas))
+
+    def pair_matrix_from(self, prob: np.ndarray) -> np.ndarray:
+        """All <tau_i tau_j> under `probabilities`, as a bilinear form: with
+        M the probabilities reshaped to (high bits, low bits),
+        C_AB = tau_A^T M tau_B, C_AA = tau_A^T diag(M 1) tau_A = P_A^T M 1
+        and C_BB = tau_B^T diag(M^T 1) tau_B = P_B^T M^T 1. The first two
+        come from one product [tau_A | P_A]^T M [tau_B | 1]."""
+        m = prob.reshape(len(self._ones_high), -1)
+        cross = self._high @ (m @ self._low)
+        low = (self._ones_high @ m) @ self._pairs_low
+        return np.concatenate((cross.ravel(), low))[self._pair_index]

@@ -690,6 +690,31 @@ def run_selftest(seed: int) -> tuple[list[dict], dict]:
     res = identities.one_point_identity(model, [0], "z", "x", Quadrature(24))
     record("one-point identity (single-site quadrature)", abs(res.mean), 1e-8)
 
+    # the per-sample pair kernel versus the chunked enumerator, on Nishimori
+    # transforms of random chains
+    worst_pairs = 0.0
+    for _ in range(5):
+        length = int(rng.integers(1, 7))
+        boundary = "periodic" if rng.integers(0, 2) else "open"
+        lat4 = build_lattice(1, length)
+        fams4 = {1: generate_bonds(lat4, single_site_shape(), boundary)}
+        if length > 1:
+            fams4[2] = generate_bonds(lat4, chain_pair_shape(), boundary)
+        params4 = CouplingParams(
+            {p: {a: (float(rng.uniform(0, 0.8)), float(rng.uniform(0.3, 1.0))) for a in AXES}
+             for p in fams4}
+        )
+        sample = sample_disorder(params4, fams4, seed=int(rng.integers(2**31)))
+        nd = nishimori_transform(sample, params4, AXES[int(rng.integers(0, 3))])
+        table = classical_gibbs.BondProductTable(length, fams4)
+        chunked = classical_gibbs.classical_correlation_matrix(
+            classical_gibbs.classical_from_nishimori(nd, fams4, length)
+        )
+        worst_pairs = max(
+            worst_pairs, float(np.max(np.abs(table.pair_matrix(nd.k, nd.betas) - chunked)))
+        )
+    record("Nishimori-line pair matrix versus chunked enumeration", worst_pairs, 1e-12)
+
     return checks, {}
 
 

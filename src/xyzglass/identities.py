@@ -5,9 +5,9 @@ bound chains and the finite-size diagnostics.
 
 Every check is a block of per-sample columns. A `Plan` evaluates any set of
 blocks in one disorder pass (one Hamiltonian, one spectral decomposition,
-one thermal state and one Nishimori transform per sample) into a
-`ValueTable`, and each block reduces its columns to its result. The public
-check functions are single-block plans."""
+one thermal state, one Nishimori transform and one Nishimori-line softmax per
+sample) into a `ValueTable`, and each block reduces its columns to its
+result. The public check functions are single-block plans."""
 
 from __future__ import annotations
 
@@ -94,7 +94,8 @@ class EstimatorResult:
     """A disorder-averaged quantity with its sampling uncertainty.
 
     std_error is zero exactly when the method is quadrature; z_score is
-    mean/std_error and NaN when the error vanishes.
+    mean/std_error and NaN when the error vanishes (and, for the order
+    parameters, when every per-sample value is float dust).
     """
 
     mean: float
@@ -254,9 +255,9 @@ def _site_tuple(sites: Iterable[int]) -> tuple[int, ...]:
 class _Sample:
     """One disorder sample's shared quantities, each made on first use: the
     Hamiltonian, its thermal state and string expectations on the quantum
-    side; the Nishimori transform, the plan's spin products and the pair
-    matrix on the classical side. A block that never asks for the state
-    costs no diagonalization."""
+    side; the Nishimori transform, its configuration probabilities, the
+    plan's spin products and the pair matrix on the classical side. A block
+    that never asks for the state costs no diagonalization."""
 
     def __init__(self, plan: "Plan", sample: DisorderSample):
         self.plan = plan
@@ -281,14 +282,19 @@ class _Sample:
         return nishimori_transform(self.sample, self.plan.config.params, self.plan.u)
 
     @functools.cached_property
+    def probabilities(self) -> np.ndarray:
+        """The Nishimori-line configuration probabilities: one softmax per
+        sample, shared by the spin products and the pair matrix."""
+        return self.plan.classical_table.probabilities(self.nishimori.k, self.plan.betas)
+
+    @functools.cached_property
     def products(self) -> np.ndarray:
         """<tau_S>_N for every site set the plan registered, in order."""
-        plan = self.plan
-        return plan.classical_table.expectations(self.nishimori.k, plan.betas, plan.site_sets)
+        return self.plan.classical_table.expectations_from(self.probabilities, self.plan.site_sets)
 
     @functools.cached_property
     def pair_matrix(self) -> np.ndarray:
-        return self.plan.classical_table.pair_matrix(self.nishimori.k, self.plan.betas)
+        return self.plan.classical_table.pair_matrix_from(self.probabilities)
 
 
 Evaluator = Callable[[_Sample], np.ndarray]
@@ -1130,7 +1136,11 @@ class SiteExpectationsBlock:
         return len(ops), lambda s: np.array([s.expectation(op) for op in ops])
 
     def result(self, table: ValueTable) -> dict[str, dict[str, EstimatorResult]]:
-        """Per axis, the ferromagnetic m and spin-glass q order parameters."""
+        """Per axis, the ferromagnetic m and spin-glass q order parameters.
+
+        z_score is NaN when every per-sample value is within `_EXACT_TOL` of
+        zero: the mean and its error are then float dust, and their ratio
+        measures nothing."""
         n = table.plan.n_sites
         values = table.values(self)
         out: dict[str, dict[str, EstimatorResult]] = {}
@@ -1142,7 +1152,8 @@ class SiteExpectationsBlock:
             for name, rows in (("m", m_rows), ("q", q_rows)):
                 mv = float(table.mean(rows)[0])
                 se = float(_se(rows)[0]) if table.is_mc else 0.0
-                z = mv / se if se > 0 else math.nan
+                dust = bool(np.all(np.abs(rows) <= _EXACT_TOL))
+                z = mv / se if se > 0 and not dust else math.nan
                 res[name] = EstimatorResult(
                     mean=mv, std_error=se, n_samples=table.n_samples,
                     method=table.method_name, z_score=z,

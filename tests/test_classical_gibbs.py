@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from xyzglass.classical_gibbs import (
     BondProductTable,
@@ -16,7 +18,13 @@ from xyzglass.classical_gibbs import (
 )
 from xyzglass.disorder import CouplingParams, nishimori_transform, sample_disorder
 from xyzglass.errors import CapacityError
-from xyzglass.lattice import build_lattice, chain_pair_shape, generate_bonds, single_site_shape
+from xyzglass.lattice import (
+    build_lattice,
+    chain_pair_shape,
+    generate_bonds,
+    interaction_shape,
+    single_site_shape,
+)
 from xyzglass.operators import pauli_product
 from xyzglass.quantum_gibbs import build_hamiltonian, gibbs_expectation, spectral_decompose, thermal_state
 
@@ -204,6 +212,37 @@ def test_bond_product_table_matches_enumeration():
     assert np.max(np.abs(fast - slow)) < 1e-12
     pair = table.pair_matrix(k_by_p, betas)
     assert np.max(np.abs(pair - classical_correlation_matrix(model))) < 1e-12
+
+
+@st.composite
+def classical_chains(draw):
+    """A chain of 1..12 sites with p = 1..4 contiguous shapes, open or
+    periodic, and per-order inverse temperatures up to 25, where most of the
+    weight sits on a few configurations."""
+    n = draw(st.integers(1, 12))
+    boundary = draw(st.sampled_from(["open", "periodic"]))
+    orders = draw(st.sets(st.integers(1, 4), min_size=1))
+    lat = build_lattice(1, n)
+    fams = {
+        p: generate_bonds(lat, interaction_shape([[i] for i in range(p)]), boundary)
+        for p in sorted(orders)
+        if p <= n
+    }
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    couplings = {p: rng.normal(size=len(fam.bonds)) for p, fam in fams.items()}
+    betas = {p: draw(st.floats(0.0, 25.0)) for p in fams}
+    return ClassicalModel(n_sites=n, families=fams, couplings=couplings, betas=betas)
+
+
+@settings(max_examples=80, deadline=None)
+@given(classical_chains())
+def test_pair_matrix_matches_chunked_enumeration(model):
+    # n = 1 leaves the high-bit half of the split register empty
+    table = BondProductTable(model.n_sites, model.families)
+    pair = table.pair_matrix(model.couplings, model.betas)
+    assert np.max(np.abs(pair - classical_correlation_matrix(model))) < 1e-12
+    assert np.array_equal(pair, pair.T)
+    assert np.max(np.abs(np.diag(pair) - 1.0)) <= 1e-14
 
 
 def test_correlation_csv(tmp_path):

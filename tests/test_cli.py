@@ -66,6 +66,8 @@ def test_selftest_exits_zero(tmp_path):
     assert report["passed"] is True
     assert report["subcommand"] == "selftest"
     assert all(c["passed"] for c in report["checks"])
+    names = [c["name"] for c in report["checks"]]
+    assert "Nishimori-line pair matrix versus chunked enumeration" in names
 
 
 def test_verify_identities_quadrature(tmp_path):

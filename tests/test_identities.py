@@ -3,7 +3,12 @@ import math
 import numpy as np
 import pytest
 
-from xyzglass.classical_gibbs import classical_expectation, classical_from_nishimori
+import xyzglass
+from xyzglass.classical_gibbs import (
+    BondProductTable,
+    classical_expectation,
+    classical_from_nishimori,
+)
 from xyzglass.disorder import CouplingParams, nishimori_transform, sample_disorder
 from xyzglass.errors import CapacityError, UndersampledError
 from xyzglass import identities
@@ -410,6 +415,20 @@ def test_order_parameters_jensen_and_beta_zero():
         assert cold[axis]["q"].mean == pytest.approx(0.0, abs=1e-24)
 
 
+def test_order_parameter_z_scores_of_float_dust_are_nan():
+    # at beta = 0 every per-sample m and q is float dust (q about 1e-33), and
+    # a ratio of dust to its own spread is no z-score
+    cold = finite_size_order_parameters(chain_config(3, beta=0.0), MonteCarlo(50, 65))
+    for axis in "xyz":
+        for name in ("m", "q"):
+            assert cold[axis][name].mean == pytest.approx(0.0, abs=1e-12)
+            assert math.isnan(cold[axis][name].z_score)
+    warm = finite_size_order_parameters(chain_config(2, beta=0.8), MonteCarlo(400, 63))
+    for axis in "xyz":
+        q = warm[axis]["q"]
+        assert q.z_score == q.mean / q.std_error
+
+
 def test_mean_pair_correlation_diagonal():
     cfg = chain_config(2, with_field=False)
     corr = mean_pair_correlation(cfg, "x", MonteCarlo(n_samples=100, seed=67))
@@ -520,3 +539,56 @@ def test_a2_zero_field_point_reuses_the_base_state():
         m_shared = sum(string_expectations(shared, order)) / n
         m_shifted = sum(string_expectations(shifted, order)) / n
         assert m_shared == m_shifted
+
+
+def bounds_5site_config():
+    # the bounds-5site benchmark model: flip-symmetric, so every <tau_i>_N is
+    # exactly zero and its computed value is float dust
+    return chain_config(5, beta=0.7, mu=0.6, with_field=False)
+
+
+def test_plan_computes_one_softmax_per_sample(monkeypatch):
+    calls = []
+    real = BondProductTable.probabilities
+
+    def counting(self, k_by_p, betas):
+        calls.append(1)
+        return real(self, k_by_p, betas)
+
+    monkeypatch.setattr(BondProductTable, "probabilities", counting)
+    cfg = bounds_5site_config()
+    method = MonteCarlo(30, 77)
+    mag, pairs = identities.MagnetizationBlock("z"), identities.PairMatrixBlock()
+    table = identities.Plan(cfg, [mag, pairs], "x").evaluate(method)
+    assert len(calls) == 30
+    assert mag.result(table) == magnetization_bound_check(cfg, "z", "x", method)
+    assert np.array_equal(pairs.result(table), mean_pair_correlation(cfg, "x", method))
+
+
+def test_shared_products_equal_table_expectations():
+    # the shared softmax must leave <tau_S>_N bitwise unchanged: the
+    # magnetization chain's sqrt(mean <tau_i>_N) records dust, so a last-bit
+    # change in these products moves its report
+    cfg = bounds_5site_config()
+    plan = identities.Plan(
+        cfg, [identities.MagnetizationBlock("z"), identities.PairMatrixBlock()], "x"
+    )
+    table = plan.classical_table
+    for k in range(20):
+        s = identities._Sample(plan, sample_disorder(cfg.params, cfg.families, 1, k))
+        k_by_p = s.nishimori.k
+        prob = table.probabilities(k_by_p, plan.betas)
+        reference = [np.dot(np.prod(table.tau[:, c], axis=1), prob) for c in plan.site_sets]
+        assert np.array_equal(s.products, table.expectations(k_by_p, plan.betas, plan.site_sets))
+        assert np.array_equal(s.products, reference)
+        assert np.array_equal(s.pair_matrix, table.pair_matrix(k_by_p, plan.betas))
+
+
+def test_package_exports_the_plan_api():
+    for name in (
+        "Plan", "ValueTable", "Block", "OnePointBlock", "TwoPointBlock", "DuhamelBlock",
+        "ThreePointBlock", "MagnetizationBlock", "SusceptibilityBlock", "PairMatrixBlock",
+        "FieldStencilBlock", "SiteExpectationsBlock", "FreeEnergyBlock",
+    ):
+        assert getattr(xyzglass, name) is getattr(identities, name)
+        assert name in xyzglass.__all__

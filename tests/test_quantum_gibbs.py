@@ -1,3 +1,4 @@
+import decimal
 import math
 import tracemalloc
 
@@ -19,6 +20,8 @@ from xyzglass.lattice import (
 from xyzglass.operators import PauliString, gauge_unitary, pauli_product, pauli_site
 from xyzglass.quantum_gibbs import (
     HamiltonianBuilder,
+    Spectrum,
+    _duhamel_kernel,
     build_hamiltonian,
     derivative_identity_residual,
     duhamel,
@@ -451,3 +454,79 @@ def test_string_contractions_match_dense():
             (q,) = string_expectations(state, [op])
             assert q == pytest.approx(gibbs_expectation(state, dense), abs=1e-12)
             assert np.max(np.abs(string_in_eigenbasis(state, op) - v.conj().T @ dense @ v)) < 1e-12
+
+
+@st.composite
+def kernel_spectra(draw):
+    """A spectrum and an inverse temperature up to 1e3 whose scaled
+    half-gaps beta (E_m - E_n) / 2 fall on both sides of the kernel's 1e-4
+    series switch, including exact degeneracy."""
+    beta = draw(st.floats(1e-3, 1e3))
+    halves = draw(
+        st.lists(
+            st.just(0.0) | st.floats(1e-8, 1e-3) | st.floats(1e-3, 30.0),
+            min_size=1, max_size=5,
+        )
+    )
+    offset = draw(st.floats(-5.0, 5.0))
+    e = offset + np.concatenate([[0.0], np.cumsum(2.0 * np.array(halves) / beta)])
+    return e, beta
+
+
+@settings(max_examples=100, deadline=None)
+@given(kernel_spectra())
+def test_duhamel_kernel_matches_direct_evaluation(spectrum):
+    e, beta = spectrum
+    dim = len(e)
+    state = thermal_state(Spectrum(eigenvalues=e, eigenvectors=np.eye(dim), dim=dim), beta)
+    phi = _duhamel_kernel(state)
+    assert np.all(np.isfinite(phi)) and np.all(phi >= 0.0)
+    a = beta * (e - e[0])
+    eps = np.finfo(float).eps
+    with decimal.localcontext(decimal.Context(prec=50)):
+        for m in range(dim):
+            for n in range(dim):
+                am, an = decimal.Decimal(a[m]), decimal.Decimal(a[n])
+                if am == an:
+                    exact = float((-am).exp())
+                else:
+                    exact = float(((-an).exp() - (-am).exp()) / (am - an))
+                if exact < 1e-290:
+                    assert phi[m, n] < 1e-290
+                    continue
+                # rounding the exponents costs about (1 + s) eps; the direct
+                # branch loses a further factor 1/|x| to cancellation
+                s, x = 0.5 * (a[m] + a[n]), 0.5 * abs(a[m] - a[n])
+                cancel = 1.0 if x < 1e-4 else 1.0 / min(1.0, x)
+                assert abs(phi[m, n] - exact) <= 16 * eps * (1.0 + s) * cancel * exact
+
+
+@st.composite
+def degenerate_chains(draw):
+    """Zero-field XYZ chains of odd length: there the global x and y flips
+    anticommute, so every level is at least twofold degenerate."""
+    n = draw(st.sampled_from([3, 5]))
+    lat = build_lattice(1, n)
+    fams = {2: generate_bonds(lat, chain_pair_shape(), draw(st.sampled_from(["open", "periodic"])))}
+    law = st.tuples(st.floats(-0.5, 0.5), st.floats(0.0, 0.8))
+    params = CouplingParams({2: {a: draw(law) for a in "xyz"}})
+    return lat, fams, sample_disorder(params, fams, seed=draw(st.integers(0, 2**31 - 1)))
+
+
+@settings(max_examples=10, deadline=None)
+@given(
+    degenerate_chains(),
+    st.floats(0.05, 1.5),
+    st.tuples(st.integers(0, 4), st.sampled_from("xyz"), st.integers(0, 4), st.sampled_from("xyz")),
+)
+def test_degenerate_spectra_match_expm_and_simpson_oracles(model, beta, observables):
+    lat, fams, sample = model
+    n = lat.n_sites
+    h = build_hamiltonian(lat, fams, sample)
+    state = thermal_state(spectral_decompose(h), beta)
+    e = state.spectrum.eigenvalues
+    assert np.max(np.abs(e[0::2] - e[1::2])) < 1e-10
+    i, v, j, w = observables
+    a, b = pauli_site(n, i % n, v), pauli_site(n, j % n, w)
+    assert abs(gibbs_expectation(state, a) - gibbs_expectation_expm(h, beta, a)) < 1e-8
+    assert abs(duhamel(state, a, b) - duhamel_time_integral(h, beta, a, b)) < 1e-7
