@@ -206,6 +206,10 @@ CONFIG_SCHEMA: dict[str, Any] = {
     },
 }
 
+#: One validator for the constant schema; the schema itself is checked
+#: against its metaschema by the test suite, not on every run.
+_CONFIG_VALIDATOR = jsonschema.validators.validator_for(CONFIG_SCHEMA)(CONFIG_SCHEMA)
+
 _DEFAULTS = {
     "tolerances": {
         "z_max": DEFAULT_Z_MAX,
@@ -222,10 +226,11 @@ def load_config(path: str) -> dict:
             raw = json.load(fh)
     except (OSError, json.JSONDecodeError) as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
-    try:
-        jsonschema.validate(raw, CONFIG_SCHEMA)
-    except jsonschema.ValidationError as exc:
-        raise ConfigError(f"config schema violation at {list(exc.absolute_path)}: {exc.message}") from exc
+    exc = jsonschema.exceptions.best_match(_CONFIG_VALIDATOR.iter_errors(raw))
+    if exc is not None:
+        raise ConfigError(
+            f"config schema violation at {list(exc.absolute_path)}: {exc.message}"
+        ) from exc
     return raw
 
 

@@ -89,30 +89,82 @@ class NishimoriData:
     g: Mapping[int, np.ndarray | None]
 
 
+Term = tuple[int, str, int, tuple[int, ...]]  # (p, axis, bond index, bond)
+
+
+def coupling_terms(families: Mapping[int, BondFamily]) -> list[Term]:
+    """Every coupling component of a model in the one term order: p
+    ascending, then axis, then bond. Coupling rows, the Hamiltonian builder
+    and the disorder stream all follow it."""
+    return [
+        (p, axis, b, bond)
+        for p in sorted(families)
+        for axis in AXES
+        for b, bond in enumerate(families[p].bonds)
+    ]
+
+
+def term_slices(families: Mapping[int, BondFamily]) -> dict[tuple[int, str], slice]:
+    """The columns of each (p, axis) component in a coupling row, read off
+    `coupling_terms`."""
+    slices: dict[tuple[int, str], slice] = {}
+    for t, (p, axis, _, _) in enumerate(coupling_terms(families)):
+        first = slices.get((p, axis), slice(t, t)).start
+        slices[(p, axis)] = slice(first, t + 1)
+    return slices
+
+
+def coupling_law(
+    params: CouplingParams, families: Mapping[int, BondFamily]
+) -> tuple[np.ndarray, np.ndarray]:
+    """Mean and std-dev of every coupling, in term order."""
+    terms = coupling_terms(families)
+    return (
+        np.array([params.mu(p, axis) for p, axis, _, _ in terms]),
+        np.array([params.delta(p, axis) for p, axis, _, _ in terms]),
+    )
+
+
+def draw_row(mu: np.ndarray, delta: np.ndarray, seed: int, sample_index: int) -> np.ndarray:
+    """One sample's couplings J = mu + delta z in term order, from one
+    standard-normal row of the stream keyed by (seed, sample_index).
+
+    Distinct sample indices can be drawn concurrently in any order with
+    identical results. A zero std-dev yields the constant mean exactly.
+    """
+    rng = np.random.default_rng([int(seed) & 0xFFFFFFFFFFFFFFFF, int(sample_index)])
+    return mu + delta * rng.standard_normal(len(mu))
+
+
+def coupling_row(sample: DisorderSample) -> np.ndarray:
+    """A sample's couplings as one row in term order."""
+    keys = term_slices(sample.families)  # (p, axis) in term order
+    return np.concatenate([sample.couplings[p][axis] for p, axis in keys], dtype=float)
+
+
+def row_sample(
+    row: np.ndarray, families: Mapping[int, BondFamily], seed: int, sample_index: int
+) -> DisorderSample:
+    """The sample whose coupling row (term order) is `row`; its coupling
+    arrays are views of the row."""
+    couplings: dict[int, dict[str, np.ndarray]] = {p: {} for p in families}
+    for (p, axis), sl in term_slices(families).items():
+        couplings[p][axis] = row[sl]
+    return DisorderSample(
+        couplings=couplings, families=dict(families), seed=seed, sample_index=sample_index
+    )
+
+
 def sample_disorder(
     params: CouplingParams,
     families: Mapping[int, BondFamily],
     seed: int,
     sample_index: int = 0,
 ) -> DisorderSample:
-    """Draw all couplings J ~ N(mu, delta^2) independently.
-
-    The stream is keyed by (seed, sample_index), so distinct sample indices
-    can be drawn concurrently in any order with identical results. A zero
-    std-dev yields the constant mean exactly.
-    """
-    rng = np.random.default_rng([int(seed) & 0xFFFFFFFFFFFFFFFF, int(sample_index)])
-    couplings: dict[int, dict[str, np.ndarray]] = {}
-    for p in sorted(families):
-        n_bonds = len(families[p].bonds)
-        per_axis = {}
-        for axis in AXES:
-            z = rng.standard_normal(n_bonds)
-            per_axis[axis] = params.mu(p, axis) + params.delta(p, axis) * z
-        couplings[p] = per_axis
-    return DisorderSample(
-        couplings=couplings, families=dict(families), seed=seed, sample_index=sample_index
-    )
+    """Draw all couplings J ~ N(mu, delta^2) independently: the one-sample
+    case of `draw_row`, keyed by (seed, sample_index)."""
+    row = draw_row(*coupling_law(params, families), seed, sample_index)
+    return row_sample(row, families, seed, sample_index)
 
 
 def gaussian_log_density(j: float, mu: float, delta: float) -> float:
@@ -148,30 +200,40 @@ def nishimori_beta(params: CouplingParams, p: int, u: str) -> float:
     return math.sqrt(total)
 
 
-def nishimori_transform(sample: DisorderSample, params: CouplingParams, u: str) -> NishimoriData:
-    """Rotate the two transformed coupling components into (K, G) variables.
+def nishimori_rows(
+    rows: np.ndarray,
+    params: CouplingParams,
+    families: Mapping[int, BondFamily],
+    u: str,
+) -> tuple[dict[int, float], dict[int, np.ndarray], dict[int, np.ndarray | None]]:
+    """Rotate the two transformed coupling components of every coupling row
+    into (K, G) variables: per p, the betas and (rows x bonds) arrays.
 
     K has mean beta_p and unit variance; G is the orthogonal unit-variance
     complement, uncorrelated with K. When beta_p = 0 (all transformed means
     vanish) the rotation is degenerate and the standardized couplings are
-    returned directly, which preserves those moment contracts.
+    returned directly, which preserves those moment contracts. The formula
+    is elementwise, so each row's values do not depend on the other rows.
     """
+    if u not in AXES:
+        raise ValueError(f"axis must be one of {AXES}, got {u!r}")
+    rows = np.asarray(rows)
+    slices = term_slices(families)
     betas: dict[int, float] = {}
     k: dict[int, np.ndarray] = {}
     g: dict[int, np.ndarray | None] = {}
     v, w = [a for a in AXES if a != u]
-    for p in sorted(sample.families):
+    for p in sorted(families):
         beta = nishimori_beta(params, p, u)
         betas[p] = beta
         active = [a for a in (v, w) if params.is_active(p, a)]
-        n_bonds = len(sample.families[p].bonds)
         if not active:
-            k[p] = np.zeros(n_bonds)
+            k[p] = np.zeros((rows.shape[0], len(families[p].bonds)))
             g[p] = None
             continue
         if len(active) == 1:
             a = active[0]
-            j = sample.couplings[p][a]
+            j = rows[:, slices[(p, a)]]
             mu, delta = params.mu(p, a), params.delta(p, a)
             if beta > 0.0:
                 k[p] = (mu / delta**2) * j / beta
@@ -179,7 +241,7 @@ def nishimori_transform(sample: DisorderSample, params: CouplingParams, u: str) 
                 k[p] = j / delta
             g[p] = None
             continue
-        jv, jw = sample.couplings[p][v], sample.couplings[p][w]
+        jv, jw = rows[:, slices[(p, v)]], rows[:, slices[(p, w)]]
         mv, dv = params.mu(p, v), params.delta(p, v)
         mw, dw = params.mu(p, w), params.delta(p, w)
         if beta > 0.0:
@@ -188,7 +250,18 @@ def nishimori_transform(sample: DisorderSample, params: CouplingParams, u: str) 
         else:
             k[p] = jv / dv
             g[p] = jw / dw
-    return NishimoriData(axis=u, betas=betas, k=k, g=g)
+    return betas, k, g
+
+
+def nishimori_transform(sample: DisorderSample, params: CouplingParams, u: str) -> NishimoriData:
+    """The one-sample case of `nishimori_rows`."""
+    betas, k, g = nishimori_rows(coupling_row(sample)[None], params, sample.families, u)
+    return NishimoriData(
+        axis=u,
+        betas=betas,
+        k={p: rows[0] for p, rows in k.items()},
+        g={p: None if rows is None else rows[0] for p, rows in g.items()},
+    )
 
 
 def bond_sign(tau: Sequence[int], bond: Sequence[int]) -> int:

@@ -4,20 +4,21 @@ from the same coupling sample, plus the magnetization and susceptibility
 bound chains and the finite-size diagnostics.
 
 Every check is a block of per-sample columns. A `Plan` evaluates any set of
-blocks in one disorder pass (one Hamiltonian, one spectral decomposition,
-one thermal state, one Nishimori transform and one Nishimori-line softmax per
-sample) into a `ValueTable`, and each block reduces its columns to its
-result. The public check functions are single-block plans."""
+blocks in one disorder pass into a `ValueTable`, and each block reduces its
+columns to its result. The pass runs over batches of consecutive samples: per
+batch, one stack of coupling rows, one stacked Hamiltonian build, spectral
+decomposition and thermal state, and one Nishimori transform, then one
+Nishimori-line softmax per sample. The public check functions are
+single-block plans."""
 
 from __future__ import annotations
 
 import dataclasses
 import functools
-import itertools
 import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import Callable, Iterable, Iterator, Mapping, Protocol, Sequence
+from typing import Callable, Iterable, Mapping, Protocol, Sequence
 
 import numpy as np
 from numpy.polynomial.hermite import hermgauss
@@ -26,16 +27,19 @@ from .classical_gibbs import BondProductTable
 from .disorder import (
     CouplingParams,
     DisorderSample,
-    NishimoriData,
+    coupling_law,
+    draw_row,
     nishimori_beta,
-    nishimori_transform,
-    sample_disorder,
+    nishimori_rows,
+    row_sample,
+    term_slices,
 )
 from .errors import CapacityError, UndersampledError
 from .lattice import BondFamily, Lattice
-from .operators import AXES, PauliString, pauli_site
+from .operators import AXES, PauliString
 from .quantum_gibbs import (
     HamiltonianBuilder,
+    Spectrum,
     ThermalState,
     _duhamel_kernel,
     free_energy_density,
@@ -54,6 +58,9 @@ _EXACT_TOL = 1e-12
 
 #: Guard on the total tensor-grid size.
 _MAX_QUAD_NODES = 10**8
+
+#: Grid nodes whose coupling rows `quadrature_average` makes at once.
+_QUAD_ROWS = 4096
 
 #: Largest |second field difference| of the a2 probe that still counts as
 #: flip-symmetric at zero field.
@@ -152,37 +159,40 @@ class QuadratureSpec:
     def node_count(self) -> int:
         return self.nodes_per_dim ** len(self.random_dims)
 
-    def sample_at(self, index: Sequence[int], std_nodes: np.ndarray) -> DisorderSample:
-        couplings: dict[int, dict[str, np.ndarray]] = {}
-        for p in sorted(self.families):
-            n_bonds = len(self.families[p].bonds)
-            couplings[p] = {
-                axis: np.full(n_bonds, self.params.mu(p, axis)) for axis in AXES
-            }
+    def rows(self, start: int, stop: int) -> np.ndarray:
+        """Coupling rows (term order) of grid nodes start..stop-1. Node k's
+        grid index is k in base `nodes_per_dim`, the last random dimension
+        fastest, as `itertools.product` orders it; random coupling (p, axis,
+        b) sits at mu + delta * (its standardized node)."""
+        std_nodes, _ = _hermite_rule(self.nodes_per_dim)
+        mu, delta = coupling_law(self.params, self.families)
+        slices = term_slices(self.families)
+        nodes = np.arange(start, stop)
+        rows = np.repeat(mu[None, :], len(nodes), axis=0)
+        n_dims = len(self.random_dims)
         for d, (p, axis, b) in enumerate(self.random_dims):
-            couplings[p][axis][b] += self.params.delta(p, axis) * std_nodes[index[d]]
-        return DisorderSample(
-            couplings=couplings, families=self.families, seed=0, sample_index=0
-        )
+            digit = nodes // self.nodes_per_dim ** (n_dims - 1 - d) % self.nodes_per_dim
+            t = slices[(p, axis)].start + b
+            rows[:, t] += delta[t] * std_nodes[digit]
+        return rows
+
+    def probabilities(self) -> np.ndarray:
+        """Every node's probability: the product of its per-dimension
+        weights, multiplied left to right as `math.prod` does."""
+        if self.node_count > _MAX_QUAD_NODES:
+            raise CapacityError(
+                f"{self.node_count} quadrature nodes exceeds the guard {_MAX_QUAD_NODES}"
+            )
+        _, node_probs = _hermite_rule(self.nodes_per_dim)
+        probs = np.ones(1)
+        for _ in self.random_dims:
+            probs = np.multiply.outer(probs, node_probs).ravel()
+        return probs
 
 
 def _hermite_rule(nodes_per_dim: int) -> tuple[np.ndarray, np.ndarray]:
     nodes, weights = hermgauss(nodes_per_dim)
     return math.sqrt(2.0) * nodes, weights / math.sqrt(math.pi)
-
-
-def _quadrature_grid(spec: QuadratureSpec) -> tuple[Iterator[DisorderSample], np.ndarray]:
-    """The grid's disorder samples, made lazily, and their probabilities."""
-    total = spec.node_count
-    if total > _MAX_QUAD_NODES:
-        raise CapacityError(f"{total} quadrature nodes exceeds the guard {_MAX_QUAD_NODES}")
-    std_nodes, node_probs = _hermite_rule(spec.nodes_per_dim)
-
-    def indices() -> Iterator[tuple[int, ...]]:
-        return itertools.product(range(spec.nodes_per_dim), repeat=len(spec.random_dims))
-
-    probs = np.array([math.prod(node_probs[i] for i in idx) for idx in indices()])
-    return (spec.sample_at(idx, std_nodes) for idx in indices()), probs
 
 
 def quadrature_average(
@@ -191,10 +201,14 @@ def quadrature_average(
     """Deterministic expectation of a per-sample evaluator over the disorder.
 
     Exact for polynomial integrands of degree < 2 * nodes_per_dim in each
-    random coupling.
+    random coupling. Node k is the sample of `spec.rows` row k.
     """
-    samples, probs = _quadrature_grid(spec)
-    values = np.array([integrand(s) for s in samples], dtype=float)
+    probs = spec.probabilities()
+    values = np.empty(len(probs))
+    for start in range(0, len(probs), _QUAD_ROWS):
+        rows = spec.rows(start, min(start + _QUAD_ROWS, len(probs)))
+        for k, row in enumerate(rows, start):
+            values[k] = integrand(row_sample(row, spec.families, 0, k))
     return float(probs @ values)
 
 
@@ -252,61 +266,91 @@ def _site_tuple(sites: Iterable[int]) -> tuple[int, ...]:
 # ---------------------------------------------------------------------------
 
 
-class _Sample:
-    """One disorder sample's shared quantities, each made on first use: the
-    Hamiltonian, its thermal state and string expectations on the quantum
-    side; the Nishimori transform, its configuration probabilities, the
-    plan's spin products and the pair matrix on the classical side. A block
-    that never asks for the state costs no diagonalization."""
+#: Byte budget of a batch's largest stacked temporary. A plan evaluates its
+#: samples in batches of max(1, budget // (16 dim^2)) consecutive indices,
+#: one dim x dim complex matrix per sample: 32 samples at dim 16, 8 at dim
+#: 32, 2 at dim 64 and 1 from dim 128 on. The susceptibility, which stacks
+#: N string matrices per sample, splits its stacks to stay within the same
+#: budget, and the a2 stencil decomposes one field mean per stack. Past
+#: about 16 samples at dim 16 a bigger batch saves no time and costs peak
+#: memory.
+_BATCH_BYTES = 128 * 1024
 
-    def __init__(self, plan: "Plan", sample: DisorderSample):
+
+class _Batch:
+    """Consecutive disorder samples' shared quantities as stacked arrays, one
+    row per sample, each made on first use: the Hamiltonians, their thermal
+    states, the Duhamel kernels and string expectations on the quantum side;
+    the Nishimori-line couplings, configuration probabilities, the plan's
+    spin products and the pair matrices on the classical side. A block that
+    never asks for the state costs no diagonalization.
+
+    Every stacked operation treats the rows independently, so a sample's
+    values do not depend on the batch it falls in. The classical side is
+    evaluated sample by sample with the enumerator's own arithmetic."""
+
+    def __init__(self, plan: "Plan", indices: range, rows: np.ndarray):
         self.plan = plan
-        self.sample = sample
-        self._expectations: dict[PauliString, float] = {}
+        self.indices = indices
+        self.rows = rows
+        self._expectations: dict[PauliString, np.ndarray] = {}
 
     @functools.cached_property
-    def hamiltonian(self) -> np.ndarray:
-        return self.plan.builder.build(self.sample)
+    def hamiltonians(self) -> np.ndarray:
+        return self.plan.builder.build_rows(self.rows)
 
     @functools.cached_property
     def state(self) -> ThermalState:
-        return thermal_state(spectral_decompose(self.hamiltonian), self.plan.config.beta)
-
-    def expectation(self, op: PauliString) -> float:
-        if op not in self._expectations:
-            (self._expectations[op],) = string_expectations(self.state, [op])
-        return self._expectations[op]
+        spectrum = spectral_decompose(self.hamiltonians, self.indices)
+        return thermal_state(spectrum, self.plan.config.beta)
 
     @functools.cached_property
-    def nishimori(self) -> NishimoriData:
-        return nishimori_transform(self.sample, self.plan.config.params, self.plan.u)
+    def duhamel_kernel(self) -> np.ndarray:
+        return _duhamel_kernel(self.state)
+
+    def expectations(self, ops: Sequence[PauliString]) -> np.ndarray:
+        """(samples, len(ops)) thermal expectations, each string made once."""
+        missing = [op for op in dict.fromkeys(ops) if op not in self._expectations]
+        if missing:
+            values = string_expectations(self.state, missing)
+            for j, op in enumerate(missing):
+                self._expectations[op] = values[:, j]
+        return np.stack([self._expectations[op] for op in ops], axis=1)
 
     @functools.cached_property
-    def probabilities(self) -> np.ndarray:
+    def probabilities(self) -> list[np.ndarray]:
         """The Nishimori-line configuration probabilities: one softmax per
         sample, shared by the spin products and the pair matrix."""
-        return self.plan.classical_table.probabilities(self.nishimori.k, self.plan.betas)
+        plan = self.plan
+        _, k, _ = nishimori_rows(self.rows, plan.config.params, plan.config.families, plan.u)
+        return [
+            plan.classical_table.probabilities({p: rows[i] for p, rows in k.items()}, plan.betas)
+            for i in range(len(self.rows))
+        ]
 
     @functools.cached_property
     def products(self) -> np.ndarray:
         """<tau_S>_N for every site set the plan registered, in order."""
-        return self.plan.classical_table.expectations_from(self.probabilities, self.plan.site_sets)
+        table, site_sets = self.plan.classical_table, self.plan.site_sets
+        return np.array([table.expectations_from(prob, site_sets) for prob in self.probabilities])
 
     @functools.cached_property
     def pair_matrix(self) -> np.ndarray:
-        return self.plan.classical_table.pair_matrix_from(self.probabilities)
+        table = self.plan.classical_table
+        return np.array([table.pair_matrix_from(prob) for prob in self.probabilities])
 
 
-Evaluator = Callable[[_Sample], np.ndarray]
+Evaluator = Callable[[_Batch], np.ndarray]
 
 
 class Block(Protocol):
     """A named group of per-sample columns.
 
-    `bind` validates the block against a plan, registers the Pauli strings
-    and spin products it reads, and returns its column count and its
-    per-sample evaluator. Blocks are frozen dataclasses, so equal blocks
-    share one set of columns.
+    `bind` validates the block against a plan, registers the Pauli strings,
+    spin products and stacked matrices it needs, and returns its column
+    count and its evaluator, which maps a batch of samples to a (samples,
+    columns) array. Blocks are frozen dataclasses, so equal blocks share one
+    set of columns.
     """
 
     def bind(self, plan: "Plan") -> tuple[int, Evaluator]: ...
@@ -319,7 +363,8 @@ class Plan:
     so a run's input errors surface in the order its checks are listed.
     `u` is the gauge axis; blocks with a classical side need it. The
     quantum builder is made on first use, so classical-only plans never
-    make it.
+    make it. Samples are evaluated in batches of `batch_size` consecutive
+    indices (see `_BATCH_BYTES`); threads split batches, not samples.
     """
 
     def __init__(self, config: ModelConfig, blocks: Sequence[Block], u: str | None = None):
@@ -335,6 +380,7 @@ class Plan:
         bound = [block.bind(self) for block in self.blocks]
         self.widths = tuple(width for width, _ in bound)
         self._evaluators = tuple(evaluate for _, evaluate in bound)
+        self.batch_size = max(1, _BATCH_BYTES // (16 * 4**self.n_sites))
 
     @functools.cached_property
     def builder(self) -> HamiltonianBuilder:
@@ -357,7 +403,7 @@ class Plan:
             self.betas = {p: nishimori_beta(self.config.params, p, self.u) for p in self.config.families}
 
     def products(self, site_sets: Sequence[tuple[int, ...]]) -> list[int]:
-        """Register spin products <tau_S>_N; their positions in `_Sample.products`."""
+        """Register spin products <tau_S>_N; their columns in `_Batch.products`."""
         self.require_classical()
         for s in site_sets:
             if s not in self._set_index:
@@ -365,41 +411,47 @@ class Plan:
                 self.site_sets.append(s)
         return [self._set_index[s] for s in site_sets]
 
-    def _row(self, sample: DisorderSample) -> list[np.ndarray]:
-        shared = _Sample(self, sample)
-        return [evaluate(shared) for evaluate in self._evaluators]
-
     def _fill(
-        self, work: Callable[..., list[np.ndarray]], items: Iterable, count: int, threads: int = 1
+        self, rows: Callable[[int, int], np.ndarray], start: int, stop: int, threads: int = 1
     ) -> list[np.ndarray]:
-        columns = [np.empty((count, width)) for width in self.widths]
+        """Evaluate sample indices start..stop-1 batch by batch; `rows` gives
+        a batch's coupling rows."""
+        columns = [np.empty((stop - start, width)) for width in self.widths]
 
-        def store(rows: Iterable[list[np.ndarray]]) -> None:
-            for k, row in enumerate(rows):
-                for column, value in zip(columns, row):
-                    column[k] = value
+        def work(first: int) -> None:
+            last = min(first + self.batch_size, stop)
+            batch = _Batch(self, range(first, last), rows(first, last))
+            for column, values in zip(columns, self._evaluators):
+                column[first - start : last - start] = values(batch)
 
+        firsts = range(start, stop, self.batch_size)
         if threads > 1:
             with ThreadPoolExecutor(max_workers=threads) as pool:
-                store(pool.map(work, items))
+                for _ in pool.map(work, firsts):
+                    pass
         else:
-            store(map(work, items))
+            for first in firsts:
+                work(first)
         return columns
 
+    @functools.cached_property
+    def _law(self) -> tuple[np.ndarray, np.ndarray]:
+        return coupling_law(self.config.params, self.config.families)
+
     def _mc_columns(self, method: MonteCarlo, start: int, stop: int) -> list[np.ndarray]:
-        params, families = self.config.params, self.config.families
+        mu, delta = self._law
 
-        def work(k: int) -> list[np.ndarray]:
-            return self._row(sample_disorder(params, families, method.seed, k))
+        def rows(first: int, last: int) -> np.ndarray:
+            return np.stack([draw_row(mu, delta, method.seed, k) for k in range(first, last)])
 
-        return self._fill(work, range(start, stop), stop - start, method.threads)
+        return self._fill(rows, start, stop, method.threads)
 
     def evaluate(self, method: Method) -> "ValueTable":
         if isinstance(method, MonteCarlo):
             return ValueTable(self, method, self._mc_columns(method, 0, method.n_samples), None)
         spec = QuadratureSpec.from_model(self.config.families, self.config.params, method.nodes_per_dim)
-        samples, probs = _quadrature_grid(spec)
-        return ValueTable(self, method, self._fill(self._row, samples, len(probs)), probs)
+        probs = spec.probabilities()
+        return ValueTable(self, method, self._fill(spec.rows, 0, len(probs)), probs)
 
 
 class ValueTable:
@@ -458,9 +510,22 @@ class ValueTable:
 # ---------------------------------------------------------------------------
 
 
-def _duhamel_in_state(state: ThermalState, a_t: np.ndarray, b_t: np.ndarray) -> float:
-    phi = _duhamel_kernel(state)
-    return float(np.real(np.sum(a_t * b_t.T * phi))) / float(np.sum(state.weights))
+def _state_rows(state: ThermalState, rows: slice) -> ThermalState:
+    """The samples `rows` of a stacked thermal state."""
+    spectrum = state.spectrum
+    return ThermalState(
+        spectrum=Spectrum(spectrum.eigenvalues[rows], spectrum.eigenvectors[rows], spectrum.dim),
+        beta=state.beta,
+        log_z=state.log_z[rows],
+        weights=state.weights[rows],
+    )
+
+
+def _duhamel_in_state(s: _Batch, a_t: np.ndarray, b_t: np.ndarray) -> np.ndarray:
+    """Per sample, the Duhamel bracket of two operators in the eigenbasis."""
+    phi = s.duhamel_kernel  # made before the products, so they do not overlap it
+    bracket = np.sum(a_t * b_t.swapaxes(-1, -2) * phi, axis=(-2, -1))
+    return np.real(bracket) / np.sum(s.state.weights, axis=-1)
 
 
 class _IdentityBlock:
@@ -490,9 +555,9 @@ class OnePointBlock(_IdentityBlock):
         (c,) = plan.products([self.x_sites])
         op = plan.string(self.x_sites, self.w)
 
-        def evaluate(s: _Sample) -> np.ndarray:
-            q = s.expectation(op)
-            return np.array([q * (1.0 - s.products[c])])
+        def evaluate(s: _Batch) -> np.ndarray:
+            (q,) = s.expectations([op]).T
+            return (q * (1.0 - s.products[:, c]))[:, None]
 
         return 1, evaluate
 
@@ -516,10 +581,10 @@ class TwoPointBlock(_IdentityBlock):
         # sigma_X^w sigma_Y^w is exactly the string on the symmetric difference
         ops = [plan.string(s, self.w) for s in (self.x_sites, self.y_sites, diff)]
 
-        def evaluate(s: _Sample) -> np.ndarray:
-            qx, qy, qxy = (s.expectation(op) for op in ops)
-            cv = s.products[c]
-            return np.array([qx * qy * (1.0 - cv), qxy * (1.0 - cv)])
+        def evaluate(s: _Batch) -> np.ndarray:
+            qx, qy, qxy = s.expectations(ops).T
+            cv = s.products[:, c]
+            return np.stack([qx * qy * (1.0 - cv), qxy * (1.0 - cv)], axis=1)
 
         return 2, evaluate
 
@@ -541,14 +606,14 @@ class DuhamelBlock(_IdentityBlock):
         (c,) = plan.products([diff])
         op_x, op_y = plan.string(self.x_sites, self.w), plan.string(self.y_sites, self.w)
 
-        def evaluate(s: _Sample) -> np.ndarray:
-            state = s.state
-            a_t = string_in_eigenbasis(state, op_x)
-            b_t = string_in_eigenbasis(state, op_y)
-            dval = _duhamel_in_state(state, a_t, b_t)
-            tval = dval - s.expectation(op_x) * s.expectation(op_y)
-            cv = s.products[c]
-            return np.array([dval * (1.0 - cv), tval * (1.0 - cv)])
+        def evaluate(s: _Batch) -> np.ndarray:
+            a_t = string_in_eigenbasis(s.state, op_x)
+            b_t = string_in_eigenbasis(s.state, op_y)
+            dval = _duhamel_in_state(s, a_t, b_t)
+            qx, qy = s.expectations([op_x, op_y]).T
+            tval = dval - qx * qy
+            cv = s.products[:, c]
+            return np.stack([dval * (1.0 - cv), tval * (1.0 - cv)], axis=1)
 
         return 2, evaluate
 
@@ -573,9 +638,9 @@ class ThreePointBlock(_IdentityBlock):
         (c,) = plan.products([diff])
         ops = [plan.string(s, self.w) for s in sets]
 
-        def evaluate(s: _Sample) -> np.ndarray:
-            q1, q2, q3 = (s.expectation(op) for op in ops)
-            return np.array([q1 * q2 * q3 * (1.0 - s.products[c])])
+        def evaluate(s: _Batch) -> np.ndarray:
+            q1, q2, q3 = s.expectations(ops).T
+            return (q1 * q2 * q3 * (1.0 - s.products[:, c]))[:, None]
 
         return 1, evaluate
 
@@ -726,9 +791,8 @@ class MagnetizationBlock:
         cols = plan.products(singles)
         ops = [plan.string(s, self.w) for s in singles]
 
-        def evaluate(s: _Sample) -> np.ndarray:
-            q = [s.expectation(op) for op in ops]
-            return np.concatenate([q, s.products[cols]])
+        def evaluate(s: _Batch) -> np.ndarray:
+            return np.concatenate([s.expectations(ops), s.products[:, cols]], axis=1)
 
         return 2 * plan.n_sites, evaluate
 
@@ -844,7 +908,7 @@ class PairMatrixBlock:
 
     def bind(self, plan: Plan) -> tuple[int, Evaluator]:
         plan.require_classical()
-        return plan.n_sites**2, lambda s: s.pair_matrix.ravel()
+        return plan.n_sites**2, lambda s: s.pair_matrix.reshape(len(s.rows), -1)
 
     def result(self, table: ValueTable) -> np.ndarray:
         """Disorder-averaged pair correlation matrix E<tau_i tau_j>."""
@@ -895,17 +959,33 @@ class SusceptibilityBlock:
         ops_w = [plan.string(s, w) for s in _single_sites(n)]
         ops_v = [plan.string(s, v) for s in _single_sites(n)]
 
-        def evaluate(s: _Sample) -> np.ndarray:
-            state = s.state
-            at = np.stack([string_in_eigenbasis(state, op) for op in ops_w])
-            bt = at if v == w else np.stack([string_in_eigenbasis(state, op) for op in ops_v])
-            phi = _duhamel_kernel(state)
-            z = float(np.sum(state.weights))
-            # duh[i, j] = sum_mn at[i, m, n] bt[j, n, m] phi[m, n], as one matmul
-            duh = np.real((at * phi).reshape(n, -1) @ bt.transpose(0, 2, 1).reshape(n, -1).T) / z
-            qa = np.real(np.diagonal(at, axis1=1, axis2=2) @ state.weights) / z
-            qb = np.real(np.diagonal(bt, axis1=1, axis2=2) @ state.weights) / z
-            return (duh - np.outer(qa, qb)).ravel()
+        def contract(state: ThermalState, phi: np.ndarray) -> np.ndarray:
+            at = np.stack([string_in_eigenbasis(state, op) for op in ops_w], axis=1)
+            if v == w:
+                bt = at
+            else:
+                bt = np.stack([string_in_eigenbasis(state, op) for op in ops_v], axis=1)
+            b = len(phi)
+            z = np.sum(state.weights, axis=-1)[:, None, None]
+            # duh[:, i, j] = sum_mn at[:, i, m, n] bt[:, j, n, m] phi[:, m, n], one matmul a sample
+            bt_t = bt.swapaxes(-1, -2).reshape(b, n, -1).swapaxes(-1, -2)
+            duh = np.real((at * phi[:, None]).reshape(b, n, -1) @ bt_t) / z
+            weights = state.weights[:, None, :]
+            qa = np.sum(np.diagonal(at, axis1=-2, axis2=-1).real * weights, axis=-1) / z[:, 0]
+            qb = np.sum(np.diagonal(bt, axis1=-2, axis2=-1).real * weights, axis=-1) / z[:, 0]
+            return (duh - qa[:, :, None] * qb[:, None, :]).reshape(b, n * n)
+
+        def evaluate(s: _Batch) -> np.ndarray:
+            # the batch's samples a few at a time, so the (samples, N, dim,
+            # dim) string stacks stay within the batch byte budget
+            state, phi = s.state, s.duhamel_kernel
+            step = max(1, _BATCH_BYTES // (16 * n * phi[0].size))
+            return np.concatenate(
+                [
+                    contract(_state_rows(state, slice(i, i + step)), phi[i : i + step])
+                    for i in range(0, len(phi), step)
+                ]
+            )
 
         return n * n, evaluate
 
@@ -1049,6 +1129,17 @@ def mean_pair_correlation(config: ModelConfig, u: str, method: Method) -> np.nda
     return block.result(Plan(config, [block], u).evaluate(method))
 
 
+def _monomial_groups(strings: Sequence[PauliString]) -> list[tuple[np.ndarray, np.ndarray]]:
+    """The sum of Pauli strings as (rows, values) per flip mask: its entries
+    [rows[j], j] are values[j]. A z field is one diagonal group, and x or y
+    fields are one group per site; the values are exact."""
+    groups: dict[int, tuple[np.ndarray, np.ndarray]] = {}
+    for op in strings:
+        rows, values = groups.get(op.flip, (op.rows, 0))
+        groups[op.flip] = (rows, values + op.phase)
+    return list(groups.values())
+
+
 @dataclass(frozen=True)
 class FieldStencilBlock:
     """Third and second central differences of the magnetization in the
@@ -1067,25 +1158,30 @@ class FieldStencilBlock:
         params.require_even_mixed()
         if any(params.is_active(1, a) for a in AXES):
             raise ValueError("nonlinear susceptibility probe requires zero base field")
-        plan.builder  # made now, so a lattice too large for it fails before sampling
+        dim = plan.builder.dim  # made now, so a lattice too large for it fails before sampling
         n = plan.n_sites
-        field = np.zeros((2**n, 2**n), dtype=complex)
-        for i in range(n):
-            field += pauli_site(n, i, self.v)
+        field = _monomial_groups([plan.string(s, self.v) for s in _single_sites(n)])
+        cols = np.arange(dim)
         order = [plan.string(s, self.w) for s in _single_sites(n)]
         beta = plan.config.beta
+        # the four nonzero field means; the zero-field point is the base state
+        mus = (-2 * h, -h, h, 2 * h)
 
-        def evaluate(s: _Sample) -> np.ndarray:
-            m = []
-            for mu in (-2 * h, -h, 0.0, h, 2 * h):
-                if mu == 0.0:
-                    state = s.state
-                else:
-                    state = thermal_state(spectral_decompose(s.hamiltonian - mu * field), beta)
-                m.append(sum(string_expectations(state, order)) / n)
-            third = (m[4] - 2 * m[3] + 2 * m[1] - m[0]) / (2 * h**3)
-            second = (m[3] - 2 * m[2] + m[1]) / h**2
-            return np.array([third, second])
+        def magnetization(s: _Batch, mean: float) -> np.ndarray:
+            """Per sample, the magnetization at field mean `mean`: one stack of
+            the batch's shifted Hamiltonians, within the batch byte budget."""
+            shifted = s.hamiltonians.copy()
+            for rows, values in field:
+                shifted[:, rows, cols] -= mean * values
+            state = thermal_state(spectral_decompose(shifted, s.indices), beta)
+            return np.sum(string_expectations(state, order), axis=-1) / n
+
+        def evaluate(s: _Batch) -> np.ndarray:
+            m_minus2, m_minus1, m_plus1, m_plus2 = (magnetization(s, mean) for mean in mus)
+            m_zero = np.sum(s.expectations(order), axis=-1) / n
+            third = (m_plus2 - 2 * m_plus1 + 2 * m_minus1 - m_minus2) / (2 * h**3)
+            second = (m_plus1 - 2 * m_zero + m_minus1) / h**2
+            return np.stack([third, second], axis=1)
 
         return 2, evaluate
 
@@ -1133,7 +1229,7 @@ class SiteExpectationsBlock:
     def bind(self, plan: Plan) -> tuple[int, Evaluator]:
         plan.builder  # made now, so a lattice too large for it fails before sampling
         ops = [plan.string(s, a) for a in AXES for s in _single_sites(plan.n_sites)]
-        return len(ops), lambda s: np.array([s.expectation(op) for op in ops])
+        return len(ops), lambda s: s.expectations(ops)
 
     def result(self, table: ValueTable) -> dict[str, dict[str, EstimatorResult]]:
         """Per axis, the ferromagnetic m and spin-glass q order parameters.
@@ -1168,7 +1264,7 @@ class FreeEnergyBlock:
 
     def bind(self, plan: Plan) -> tuple[int, Evaluator]:
         n = plan.n_sites
-        return 1, lambda s: np.array([free_energy_density(s.state, n)])
+        return 1, lambda s: free_energy_density(s.state, n)[:, None]
 
     def result(self, table: ValueTable) -> EstimatorResult:
         """Disorder mean of log Z / N with its standard error."""

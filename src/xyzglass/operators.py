@@ -89,10 +89,12 @@ class PauliString:
         self._row_phase = self.phase[self.rows]
 
     def apply(self, v: np.ndarray) -> np.ndarray:
-        """op @ v for a vector or a matrix of column vectors: one row gather."""
+        """op @ v for a vector, a matrix of column vectors or a stack of such
+        matrices (..., dim, k): one row gather."""
         v = np.asarray(v)
-        phase = self._row_phase if v.ndim == 1 else self._row_phase[:, None]
-        return phase * v[self.rows]
+        if v.ndim == 1:
+            return self._row_phase * v[self.rows]
+        return self._row_phase[:, None] * v[..., self.rows, :]
 
     def dense(self) -> np.ndarray:
         """The 2^N x 2^N matrix; equals `pauli_product` on the same sites."""

@@ -11,10 +11,10 @@ import numpy as np
 from scipy.integrate import simpson
 from scipy.linalg import expm
 
-from .disorder import DisorderSample
+from .disorder import DisorderSample, coupling_row, coupling_terms
 from .errors import CapacityError
 from .lattice import BondFamily, Lattice
-from .operators import AXES, QUANTUM_SITE_CAP, PauliString, global_flip, pauli_site
+from .operators import QUANTUM_SITE_CAP, PauliString, global_flip, pauli_site
 
 #: Relative tolerance budget for eigendecomposition self-checks.
 SPECTRUM_TOL = 1e-10
@@ -22,7 +22,11 @@ SPECTRUM_TOL = 1e-10
 
 @dataclass(frozen=True)
 class Spectrum:
-    """Eigendecomposition of a Hermitian operator, eigenvalues ascending."""
+    """Eigendecomposition of a Hermitian operator, eigenvalues ascending.
+
+    For a stack of operators the arrays carry the stack's leading axes:
+    eigenvalues (..., dim) and eigenvectors (..., dim, dim).
+    """
 
     eigenvalues: np.ndarray
     eigenvectors: np.ndarray
@@ -35,11 +39,12 @@ class ThermalState:
 
     Weights are exp(-beta (E_n - E_min)), so the largest is 1 and
     log_Z = log(sum of weights) - beta E_min cannot overflow at large beta.
+    For a stack, log_z is an array over the stack's leading axes.
     """
 
     spectrum: Spectrum
     beta: float
-    log_z: float
+    log_z: float | np.ndarray
     weights: np.ndarray
 
 
@@ -48,9 +53,10 @@ class HamiltonianBuilder:
 
     Every term is a Pauli string, and terms with the same flip mask fill the
     same entries H[j ^ flip, j]. A build sums the coupling-weighted phases
-    per flip mask in one matmul and scatters them into H in one assignment.
-    Construction is O(terms); the dim-length tables are built on the first
-    build, so a builder that never builds allocates nothing of size dim.
+    per flip mask in one matmul per sample and scatters them into the stack
+    in one assignment. Construction is O(terms); the dim-length tables are
+    built on the first build, so a builder that never builds allocates
+    nothing of size dim.
     """
 
     def __init__(self, lattice: Lattice, families: Mapping[int, BondFamily]):
@@ -61,11 +67,7 @@ class HamiltonianBuilder:
             )
         self.n_sites = n
         self.dim = 2**n
-        self.terms: list[tuple[int, str, int, tuple[int, ...]]] = []
-        for p in sorted(families):
-            for axis in AXES:
-                for b, bond in enumerate(families[p].bonds):
-                    self.terms.append((p, axis, b, bond))
+        self.terms = coupling_terms(families)
         self._tables: tuple[np.ndarray, ...] | None = None
 
     def _scatter_tables(self) -> tuple[np.ndarray, ...]:
@@ -84,16 +86,17 @@ class HamiltonianBuilder:
             self._tables = (indicator, phases, rows, cols)
         return self._tables
 
-    def coupling_vector(self, sample: DisorderSample) -> np.ndarray:
-        return np.array(
-            [sample.value(p, axis, b) for (p, axis, b, _) in self.terms]
-        )
+    def build_rows(self, couplings: np.ndarray) -> np.ndarray:
+        """The (samples, dim, dim) stack of Hamiltonians for coupling rows in
+        term order (`disorder.coupling_terms`)."""
+        indicator, phases, rows, cols = self._scatter_tables()
+        couplings = np.asarray(couplings, dtype=float)
+        h = np.zeros((len(couplings), self.dim, self.dim), dtype=complex)
+        h[:, rows, cols] = (indicator * -couplings[:, None, :]) @ phases
+        return h
 
     def build(self, sample: DisorderSample) -> np.ndarray:
-        indicator, phases, rows, cols = self._scatter_tables()
-        h = np.zeros((self.dim, self.dim), dtype=complex)
-        h[rows, cols] = (indicator * -self.coupling_vector(sample)) @ phases
-        return h
+        return self.build_rows(coupling_row(sample)[None])[0]
 
 
 def build_hamiltonian(
@@ -103,25 +106,49 @@ def build_hamiltonian(
     return HamiltonianBuilder(lattice, families).build(sample)
 
 
-def spectral_decompose(h: np.ndarray) -> Spectrum:
-    """Eigendecompose a Hermitian matrix, verifying the result.
+def _matrix_max(a: np.ndarray) -> np.ndarray:
+    """max |a| over each matrix of a stack."""
+    return np.max(np.abs(a), axis=(-2, -1), initial=0.0)
+
+
+def _check_stack(
+    bad: np.ndarray, labels: Sequence[int] | None, error: type[Exception], message: str
+) -> None:
+    """Raise `error` when any matrix of the stack is flagged, naming the
+    first flagged one by the label of its entry on the stack's first axis."""
+    if np.any(bad):
+        if bad.ndim:
+            first = int(np.unravel_index(np.argmax(bad), bad.shape)[0])
+            message += f" (sample {first if labels is None else labels[first]})"
+        raise error(message)
+
+
+def spectral_decompose(h: np.ndarray, labels: Sequence[int] | None = None) -> Spectrum:
+    """Eigendecompose a Hermitian matrix, or each matrix of a stack
+    (..., dim, dim), verifying every result.
 
     Rejects non-Hermitian input, and rejects decompositions whose
     reconstruction or orthonormality residual exceeds the tolerance budget
-    rather than silently accepting them.
+    rather than silently accepting them. Each matrix is checked against its
+    own scale. An error on a stack names the failing entry of the first
+    axis by its position, or by `labels` (such as disorder sample indices).
     """
     h = np.asarray(h)
-    dim = h.shape[0]
-    scale = max(1.0, float(np.max(np.abs(h))) if h.size else 0.0)
-    if np.max(np.abs(h - h.conj().T)) > 1e-12 * scale:
-        raise ValueError("matrix is not Hermitian")
+    dim = h.shape[-1]
+    scale = np.maximum(1.0, _matrix_max(h))
+    asymmetry = _matrix_max(h - h.conj().swapaxes(-1, -2))
+    _check_stack(asymmetry > 1e-12 * scale, labels, ValueError, "matrix is not Hermitian")
     evals, evecs = np.linalg.eigh(h)
-    recon = (evecs * evals) @ evecs.conj().T
-    if np.max(np.abs(recon - h)) > SPECTRUM_TOL * scale:
-        raise ArithmeticError("eigendecomposition reconstruction residual too large")
-    gram = evecs.conj().T @ evecs
-    if np.max(np.abs(gram - np.eye(dim))) > SPECTRUM_TOL:
-        raise ArithmeticError("eigenvectors are not orthonormal within tolerance")
+    recon = (evecs * evals[..., None, :]) @ evecs.conj().swapaxes(-1, -2)
+    _check_stack(
+        _matrix_max(recon - h) > SPECTRUM_TOL * scale, labels,
+        ArithmeticError, "eigendecomposition reconstruction residual too large",
+    )
+    gram = evecs.conj().swapaxes(-1, -2) @ evecs
+    _check_stack(
+        _matrix_max(gram - np.eye(dim)) > SPECTRUM_TOL, labels,
+        ArithmeticError, "eigenvectors are not orthonormal within tolerance",
+    )
     return Spectrum(eigenvalues=evals, eigenvectors=evecs, dim=dim)
 
 
@@ -129,9 +156,11 @@ def thermal_state(spectrum: Spectrum, beta: float) -> ThermalState:
     if beta < 0:
         raise ValueError(f"beta must be >= 0, got {beta}")
     e = spectrum.eigenvalues
-    weights = np.exp(-beta * (e - e[0]))
-    log_z = float(np.log(np.sum(weights)) - beta * e[0])
-    return ThermalState(spectrum=spectrum, beta=beta, log_z=log_z, weights=weights)
+    weights = np.exp(-beta * (e - e[..., :1]))
+    log_z = np.log(np.sum(weights, axis=-1)) - beta * e[..., 0]
+    return ThermalState(
+        spectrum=spectrum, beta=beta, log_z=log_z if log_z.ndim else float(log_z), weights=weights
+    )
 
 
 def _to_eigenbasis(state: ThermalState, a: np.ndarray) -> np.ndarray:
@@ -155,39 +184,43 @@ def gibbs_expectation(state: ThermalState, a: np.ndarray) -> float:
     return _real_part(complex(val), "Gibbs expectation")
 
 
-def string_expectations(state: ThermalState, strings: Sequence[PauliString]) -> list[float]:
-    """Thermal expectations of Pauli strings, one O(dim^2) gather each."""
+def string_expectations(state: ThermalState, strings: Sequence[PauliString]) -> np.ndarray:
+    """Thermal expectations of Pauli strings, one O(dim^2) gather each, as an
+    array (..., len(strings)) over the state's stack. Each string's value is
+    reduced on its own, so it does not depend on the other strings."""
     v = state.spectrum.eigenvectors
-    z = float(np.sum(state.weights))
-    out = []
-    for op in strings:
-        diag = np.einsum("ri,ri->i", v.conj(), op.apply(v))
-        out.append(float(np.real(np.dot(diag, state.weights))) / z)
-    return out
+    v_conj = v.conj()
+    diags = np.stack(
+        [np.einsum("...ri,...ri->...i", v_conj, op.apply(v)) for op in strings], axis=-2
+    )
+    weighted = np.sum(diags.real * state.weights[..., None, :], axis=-1)
+    return weighted / np.sum(state.weights, axis=-1)[..., None]
 
 
 def string_in_eigenbasis(state: ThermalState, op: PauliString) -> np.ndarray:
-    """V^dagger op V: one row gather and one matmul."""
+    """V^dagger op V: one row gather and one matmul per matrix of the stack."""
     v = state.spectrum.eigenvectors
-    return v.conj().T @ op.apply(v)
+    return v.conj().swapaxes(-1, -2) @ op.apply(v)
 
 
 def _duhamel_kernel(state: ThermalState) -> np.ndarray:
-    """Matrix phi_mn such that the Duhamel bracket is sum A_mn B_nm phi_mn / Z.
+    """Matrix phi_mn such that the Duhamel bracket is sum A_mn B_nm phi_mn / Z,
+    with the state's stack axes in front.
 
     phi_mn = (exp(-beta E_n) - exp(-beta E_m)) / (beta (E_m - E_n)), written
     as exp(-s) sinh(x)/x with s, x the scaled mean and half-difference of the
-    shifted energies. Near degeneracy (and at beta = 0) the cancellation-free
-    series exp(-s)(1 + x^2/6) takes over; its leading term is the midpoint
-    form exp(-beta(E_m+E_n)/2).
+    shifted energies, evaluated as exp(|x| - s) (1 - exp(-2|x|)) / (2|x|):
+    s >= |x|, so neither factor overflows and expm1 leaves no cancellation.
+    Near degeneracy (and at beta = 0) the series exp(-s)(1 + x^2/6) takes
+    over; its leading term is the midpoint form exp(-beta(E_m+E_n)/2).
     """
-    e = state.spectrum.eigenvalues - state.spectrum.eigenvalues[0]
+    e = state.spectrum.eigenvalues - state.spectrum.eigenvalues[..., :1]
     a = state.beta * e
-    s = 0.5 * (a[:, None] + a[None, :])
-    x = 0.5 * (a[:, None] - a[None, :])
-    small = np.abs(x) < 1e-4
+    s = 0.5 * (a[..., :, None] + a[..., None, :])
+    x = np.abs(0.5 * (a[..., :, None] - a[..., None, :]))
+    small = x < 1e-4
     x_safe = np.where(small, 1.0, x)
-    direct = (np.exp(x - s) - np.exp(-x - s)) / (2.0 * x_safe)
+    direct = np.exp(x - s) * -np.expm1(-2.0 * x_safe) / (2.0 * x_safe)
     series = np.exp(-s) * (1.0 + x * x / 6.0)
     return np.where(small, series, direct)
 

@@ -1,8 +1,10 @@
 import ast
 import inspect
 import json
+import math
 import os
 
+import jsonschema
 import pytest
 
 from xyzglass import cli, identities
@@ -272,6 +274,14 @@ def test_load_config_rejects_garbage(tmp_path):
         load_config(str(path))
 
 
+def test_config_schema_is_valid_under_its_metaschema():
+    # load_config validates with one prebuilt validator and never re-checks
+    # the constant schema, so a malformed schema must fail here
+    validator = jsonschema.validators.validator_for(cli.CONFIG_SCHEMA)
+    validator.check_schema(cli.CONFIG_SCHEMA)
+    assert isinstance(cli._CONFIG_VALIDATOR, validator)
+
+
 def test_resolve_config_applies_defaults():
     cfg = resolve_config({"seed": 1, "lattice": {"d": 1, "L": 2}}, None)
     assert cfg["tolerances"]["quadrature_abs"] == 1e-8
@@ -300,16 +310,24 @@ def identities_mc_config(n, seed=13, z_max=None):
     return payload
 
 
-def count_calls(monkeypatch, module, name):
+def count_calls(monkeypatch, module, name, weight=lambda *args: 1):
+    """Patch module.name to record weight(*args) per call."""
     calls = []
     real = getattr(module, name)
 
     def counting(*args, **kwargs):
-        calls.append(1)
+        calls.append(weight(*args))
         return real(*args, **kwargs)
 
     monkeypatch.setattr(module, name, counting)
     return calls
+
+
+def count_decompositions(monkeypatch):
+    """The number of matrices each (stacked) decomposition call handles."""
+    return count_calls(
+        monkeypatch, identities, "spectral_decompose", lambda h, *rest: math.prod(h.shape[:-2])
+    )
 
 
 def test_retry_extends_the_shared_table_once(tmp_path, monkeypatch):
@@ -317,7 +335,7 @@ def test_retry_extends_the_shared_table_once(tmp_path, monkeypatch):
     payload = identities_mc_config(n, seed, z_max=1e-9)
     cfg = write_config(tmp_path, "r.json", payload)
     out = str(tmp_path / "runs")
-    draws = count_calls(monkeypatch, identities, "sample_disorder")
+    draws = count_calls(monkeypatch, identities, "draw_row")
     code = main(["verify-identities", "--config", cfg, "--out", out, "--extended-multipoint"])
     assert code == EXIT_CHECK_FAILED
     # every group failed, and the one shared retry drew only samples n..2n-1
@@ -345,12 +363,12 @@ def test_verify_identities_decomposes_each_sample_once(tmp_path, monkeypatch):
     n = 40
     cfg = write_config(tmp_path, "i.json", identities_mc_config(n))
     out = str(tmp_path / "runs")
-    draws = count_calls(monkeypatch, identities, "sample_disorder")
-    decompositions = count_calls(monkeypatch, identities, "spectral_decompose")
+    draws = count_calls(monkeypatch, identities, "draw_row")
+    decompositions = count_decompositions(monkeypatch)
     main(["verify-identities", "--config", cfg, "--out", out, "--extended-multipoint"])
     retried = any(c["retried"] for c in load_report(out)["checks"])
     assert len(draws) == n * (2 if retried else 1)
-    assert len(decompositions) == len(draws)
+    assert sum(decompositions) == len(draws)
 
 
 def test_verify_bounds_makes_five_decompositions_per_sample(tmp_path, monkeypatch):
@@ -369,13 +387,13 @@ def test_verify_bounds_makes_five_decompositions_per_sample(tmp_path, monkeypatc
     }
     cfg = write_config(tmp_path, "b.json", payload)
     out = str(tmp_path / "runs")
-    draws = count_calls(monkeypatch, identities, "sample_disorder")
-    decompositions = count_calls(monkeypatch, identities, "spectral_decompose")
+    draws = count_calls(monkeypatch, identities, "draw_row")
+    decompositions = count_decompositions(monkeypatch)
     main(["verify-bounds", "--config", cfg, "--out", out])
     assert len(draws) == n
     # the base state serves every check and the a2 zero-field point; the
     # four other stencil points are one decomposition each
-    assert len(decompositions) == 5 * n
+    assert sum(decompositions) == 5 * n
     assert "nishimori_correlations_csv" in load_report(out)["artifacts"]
 
 

@@ -6,14 +6,25 @@ import pytest
 from xyzglass.disorder import (
     CouplingParams,
     bond_sign,
+    coupling_law,
+    coupling_row,
+    coupling_terms,
+    draw_row,
     dump_csv,
     gauge_transform_couplings,
     gaussian_log_density,
     nishimori_beta,
+    nishimori_rows,
     nishimori_transform,
     sample_disorder,
 )
-from xyzglass.lattice import build_lattice, chain_pair_shape, generate_bonds, single_site_shape
+from xyzglass.lattice import (
+    build_lattice,
+    chain_pair_shape,
+    generate_bonds,
+    interaction_shape,
+    single_site_shape,
+)
 
 
 def chain_families(L=4, boundary="open"):
@@ -48,6 +59,69 @@ def test_sampling_determinism():
             assert np.array_equal(a.couplings[p][axis], b.couplings[p][axis])
     c = sample_disorder(params, fams, seed=42, sample_index=4)
     assert not np.array_equal(a.couplings[2]["x"], c.couplings[2]["x"])
+
+
+def per_axis_reference_draw(params, families, seed, sample_index):
+    """The per-(p, axis) sampling loop: p ascending, then axis, one
+    standard-normal vector per bond family and axis."""
+    rng = np.random.default_rng([seed, sample_index])
+    return {
+        p: {a: params.mu(p, a) + params.delta(p, a) * rng.standard_normal(len(families[p].bonds))
+            for a in "xyz"}
+        for p in sorted(families)
+    }
+
+
+def mixed_families(L=5):
+    lat = build_lattice(1, L)
+    return {
+        1: generate_bonds(lat, single_site_shape(), "open"),
+        2: generate_bonds(lat, chain_pair_shape(), "periodic"),
+        3: generate_bonds(lat, interaction_shape([(0,), (1,), (2,)]), "open"),
+    }
+
+
+def test_row_draw_equals_the_per_axis_sampling_loop():
+    fams = mixed_families()
+    params = CouplingParams({
+        1: {"x": (0.3, 0.8), "y": (0.2, 0.0), "z": (0.0, 0.8)},
+        2: {a: (0.3, 0.7) for a in "xyz"},
+        3: {"y": (0.5, 0.6)},
+    })
+    mu, delta = coupling_law(params, fams)
+    for k in range(50):
+        row = draw_row(mu, delta, 11, k)
+        reference = per_axis_reference_draw(params, fams, 11, k)
+        sample = sample_disorder(params, fams, 11, k)
+        for t, (p, axis, b, _) in enumerate(coupling_terms(fams)):
+            assert row[t] == reference[p][axis][b]
+        for p in fams:
+            for axis in "xyz":
+                assert np.array_equal(sample.couplings[p][axis], reference[p][axis])
+        assert np.array_equal(coupling_row(sample), row)
+
+
+@pytest.mark.parametrize("u", ["x", "y", "z"])
+def test_stacked_nishimori_rows_equal_per_sample_transforms(u):
+    # two active transformed axes (p=2), one (p=3 for u != y), none (p=3
+    # for u = y) and beta = 0 (p=1 with zero means on the transformed axes)
+    fams = mixed_families()
+    params = CouplingParams({
+        1: {u: (0.4, 0.3), **{a: (0.0, 0.8) for a in "xyz" if a != u}},
+        2: {a: (0.3, 0.7) for a in "xyz"},
+        3: {"y": (0.5, 0.6)},
+    })
+    mu, delta = coupling_law(params, fams)
+    rows = np.stack([draw_row(mu, delta, 12, k) for k in range(40)])
+    betas, ks, gs = nishimori_rows(rows, params, fams, u)
+    for k in range(40):
+        nd = nishimori_transform(sample_disorder(params, fams, 12, k), params, u)
+        assert betas == nd.betas
+        for p in fams:
+            assert np.array_equal(ks[p][k], nd.k[p])
+            assert (gs[p] is None) == (nd.g[p] is None)
+            if gs[p] is not None:
+                assert np.array_equal(gs[p][k], nd.g[p])
 
 
 def test_sampling_law_of_large_numbers():

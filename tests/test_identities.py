@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -9,7 +10,14 @@ from xyzglass.classical_gibbs import (
     classical_expectation,
     classical_from_nishimori,
 )
-from xyzglass.disorder import CouplingParams, nishimori_transform, sample_disorder
+from xyzglass.disorder import (
+    CouplingParams,
+    coupling_law,
+    coupling_row,
+    draw_row,
+    nishimori_transform,
+    sample_disorder,
+)
 from xyzglass.errors import CapacityError, UndersampledError
 from xyzglass import identities
 from xyzglass.identities import (
@@ -477,13 +485,13 @@ def test_extended_table_equals_fresh_table(threads):
 
 def test_extend_draws_only_the_new_samples(monkeypatch):
     drawn = []
-    real = identities.sample_disorder
+    real = identities.draw_row
 
-    def counting(params, families, seed, sample_index=0):
+    def counting(mu, delta, seed, sample_index):
         drawn.append(sample_index)
-        return real(params, families, seed, sample_index)
+        return real(mu, delta, seed, sample_index)
 
-    monkeypatch.setattr(identities, "sample_disorder", counting)
+    monkeypatch.setattr(identities, "draw_row", counting)
     plan = identities.Plan(chain_config(2), identity_blocks(2), "x")
     table = plan.evaluate(MonteCarlo(25, 73))
     assert sorted(drawn) == list(range(25))
@@ -492,20 +500,29 @@ def test_extend_draws_only_the_new_samples(monkeypatch):
     assert sorted(drawn) == list(range(25, 50))
 
 
-def test_plan_shares_one_decomposition_per_sample(monkeypatch):
+def count_decompositions(monkeypatch) -> list[int]:
+    """Patch the plan's spectral_decompose to record how many matrices each
+    (stacked) call decomposes."""
     calls = []
     real = identities.spectral_decompose
 
-    def counting(h):
-        calls.append(1)
-        return real(h)
+    def counting(h, labels=None):
+        calls.append(math.prod(np.shape(h)[:-2]))
+        return real(h, labels)
 
     monkeypatch.setattr(identities, "spectral_decompose", counting)
+    return calls
+
+
+def test_plan_shares_one_decomposition_per_sample(monkeypatch):
+    calls = count_decompositions(monkeypatch)
     cfg = chain_config(3)
     method = MonteCarlo(30, 75)
     blocks = identity_blocks(3)
-    table = identities.Plan(cfg, blocks, "x").evaluate(method)
-    assert len(calls) == 30
+    plan = identities.Plan(cfg, blocks, "x")
+    table = plan.evaluate(method)
+    assert sum(calls) == 30
+    assert len(calls) == math.ceil(30 / plan.batch_size)
     # every block of the shared table reduces to its single-block result
     assert blocks[0].result(table) == (one_point_identity(cfg, [0], "z", "x", method),)
     assert blocks[1].result(table) == two_point_identities(cfg, [0], [2], "z", "x", method)
@@ -574,14 +591,153 @@ def test_shared_products_equal_table_expectations():
         cfg, [identities.MagnetizationBlock("z"), identities.PairMatrixBlock()], "x"
     )
     table = plan.classical_table
+    mu, delta = coupling_law(cfg.params, cfg.families)
+    batch = identities._Batch(
+        plan, range(20), np.stack([draw_row(mu, delta, 1, k) for k in range(20)])
+    )
     for k in range(20):
-        s = identities._Sample(plan, sample_disorder(cfg.params, cfg.families, 1, k))
-        k_by_p = s.nishimori.k
+        sample = sample_disorder(cfg.params, cfg.families, 1, k)
+        k_by_p = nishimori_transform(sample, cfg.params, "x").k
         prob = table.probabilities(k_by_p, plan.betas)
         reference = [np.dot(np.prod(table.tau[:, c], axis=1), prob) for c in plan.site_sets]
-        assert np.array_equal(s.products, table.expectations(k_by_p, plan.betas, plan.site_sets))
-        assert np.array_equal(s.products, reference)
-        assert np.array_equal(s.pair_matrix, table.pair_matrix(k_by_p, plan.betas))
+        expected = table.expectations(k_by_p, plan.betas, plan.site_sets)
+        assert np.array_equal(batch.products[k], expected)
+        assert np.array_equal(batch.products[k], reference)
+        assert np.array_equal(batch.pair_matrix[k], table.pair_matrix(k_by_p, plan.betas))
+
+
+def plan_tables_at_batch_sizes(plan, method, sizes):
+    production = plan.batch_size
+    tables = []
+    for size in sizes:
+        plan.batch_size = size
+        tables.append(plan.evaluate(method))
+    plan.batch_size = production
+    return tables
+
+
+@pytest.mark.parametrize(
+    "cfg, blocks, u",
+    [
+        (chain_config(4), identity_blocks(4), "x"),
+        (
+            bounds_5site_config(),
+            [
+                identities.MagnetizationBlock("z"), identities.SusceptibilityBlock("y", "z"),
+                identities.PairMatrixBlock(), identities.FieldStencilBlock("x", "z", 0.05),
+            ],
+            "x",
+        ),
+        (chain_config(3), [identities.SiteExpectationsBlock(), identities.FreeEnergyBlock()], None),
+    ],
+    ids=["identities", "bounds", "order-parameters"],
+)
+def test_a_sample_row_does_not_depend_on_its_batch(cfg, blocks, u):
+    plan = identities.Plan(cfg, blocks, u)
+    n = 2 * plan.batch_size + 3
+    production, single, odd = plan_tables_at_batch_sizes(
+        plan, MonteCarlo(n, 81), [plan.batch_size, 1, 5]
+    )
+    for block in plan.blocks:
+        assert np.array_equal(single.values(block), production.values(block))
+        assert np.array_equal(odd.values(block), production.values(block))
+
+
+def test_a_failed_self_check_names_the_disorder_sample(monkeypatch):
+    # eigh is replaced by one that corrupts entry 2 of the second batch: the
+    # plan's error must name sample batch_size + 2, not the stack position
+    plan = identities.Plan(chain_config(4), [identities.OnePointBlock([0], "z")], "x")
+    real_eigh = np.linalg.eigh
+    calls = []
+
+    def corrupted(h):
+        evals, evecs = real_eigh(h)
+        calls.append(1)
+        if len(calls) == 2:
+            evals = evals.copy()
+            evals[2] += 1e-6
+        return evals, evecs
+
+    monkeypatch.setattr(np.linalg, "eigh", corrupted)
+    with pytest.raises(ArithmeticError, match=rf"reconstruction.*\(sample {plan.batch_size + 2}\)"):
+        plan.evaluate(MonteCarlo(3 * plan.batch_size, 85))
+
+
+def test_batch_size_rule():
+    # a fixed byte budget on the largest stacked temporary, never a setting
+    sizes = {}
+    for L in (4, 5, 6, 7, 8):
+        plan = identities.Plan(chain_config(L), [identities.OnePointBlock([0], "z")], "x")
+        sizes[2**L] = plan.batch_size
+    assert sizes == {16: 32, 32: 8, 64: 2, 128: 1, 256: 1}
+    # blocks that stack several matrices per sample split their own stacks
+    chain = identities.Plan(bounds_5site_config(), [identities.SusceptibilityBlock("z", "z")], "x")
+    assert chain.batch_size == 8
+
+
+def test_split_susceptibility_stacks_do_not_change_a_row(monkeypatch):
+    # the susceptibility's (samples, N, dim, dim) string stacks are split to
+    # the batch byte budget; unsplit, every row is the same
+    plan = identities.Plan(bounds_5site_config(), [identities.SusceptibilityBlock("y", "z")], "x")
+    method = MonteCarlo(plan.batch_size + 3, 87)
+    split = plan.evaluate(method)
+    monkeypatch.setattr(identities, "_BATCH_BYTES", 1 << 30)
+    whole = plan.evaluate(method)
+    for block in plan.blocks:
+        assert np.array_equal(split.values(block), whole.values(block))
+
+
+def grid_node_row(spec, idx, std_nodes):
+    """Reference couplings at grid index idx: every component at its mean,
+    then each random dimension moved to its node, one at a time."""
+    couplings = {
+        p: {axis: np.full(len(family.bonds), spec.params.mu(p, axis)) for axis in "xyz"}
+        for p, family in spec.families.items()
+    }
+    for d, (p, axis, b) in enumerate(spec.random_dims):
+        couplings[p][axis][b] += spec.params.delta(p, axis) * std_nodes[idx[d]]
+    return np.concatenate([couplings[p][axis] for p in sorted(couplings) for axis in "xyz"])
+
+
+def test_quadrature_rows_and_probabilities_match_the_grid_loop():
+    cfg = quad_chain_config()
+    spec = QuadratureSpec.from_model(cfg.families, cfg.params, 5)
+    std_nodes, node_probs = identities._hermite_rule(5)
+    grid = list(itertools.product(range(5), repeat=len(spec.random_dims)))
+    assert len(grid) == spec.node_count == 5**4
+    # batches of 97 nodes, so the digit arithmetic runs from odd offsets
+    starts = range(0, len(grid), 97)
+    rows = np.concatenate([spec.rows(start, min(start + 97, len(grid))) for start in starts])
+    for k, idx in enumerate(grid):
+        assert np.array_equal(rows[k], grid_node_row(spec, idx, std_nodes))
+    probs = np.array([math.prod(node_probs[i] for i in idx) for idx in grid])
+    assert np.array_equal(spec.probabilities(), probs)
+    # quadrature_average integrates over the same rows
+    for t in range(rows.shape[1]):
+        average = identities.quadrature_average(spec, lambda s: coupling_row(s)[t])
+        assert average == float(probs @ np.ascontiguousarray(rows[:, t]))
+
+
+@pytest.mark.parametrize("v", ["x", "y", "z"])
+def test_field_stencil_equals_the_dense_field_reference(v):
+    # the stencil's field is scattered from its Pauli strings; the entries
+    # are exact, so every shifted Hamiltonian equals H - mu * (dense field)
+    cfg, h, n = bounds_5site_config(), 0.05, 5
+    block = identities.FieldStencilBlock(v, "z", h)
+    table = identities.Plan(cfg, [block]).evaluate(MonteCarlo(6, 83))
+    builder = HamiltonianBuilder(cfg.lattice, cfg.families)
+    field = sum(pauli_site(n, i, v) for i in range(n))
+    order = [PauliString(n, (i,), "z") for i in range(n)]
+    for k in range(6):
+        base = builder.build(sample_disorder(cfg.params, cfg.families, 83, k))
+        states = [
+            thermal_state(spectral_decompose(base - mu * field), cfg.beta)
+            for mu in (-2 * h, -h, 0.0, h, 2 * h)
+        ]
+        m = [sum(string_expectations(state, order)) / n for state in states]
+        third = (m[4] - 2 * m[3] + 2 * m[1] - m[0]) / (2 * h**3)
+        second = (m[3] - 2 * m[2] + m[1]) / h**2
+        assert np.array_equal(table.values(block)[k], [third, second])
 
 
 def test_package_exports_the_plan_api():

@@ -139,6 +139,65 @@ def test_spectral_rejects_non_hermitian():
         spectral_decompose(np.array([[0.0, 1.0], [0.0, 0.0]]))
 
 
+def random_hamiltonian_stack(count, L=3, seed=37):
+    lat, fams = chain_setup(L)
+    params = CouplingParams({p: {a: (0.2, 0.8) for a in "xyz"} for p in (1, 2)})
+    builder = HamiltonianBuilder(lat, fams)
+    return np.stack([builder.build(sample_disorder(params, fams, seed, k)) for k in range(count)])
+
+
+def test_stacked_decomposition_equals_one_matrix_at_a_time():
+    stack = random_hamiltonian_stack(6)
+    together = thermal_state(spectral_decompose(stack), 0.8)
+    for k, h in enumerate(stack):
+        alone = thermal_state(spectral_decompose(h), 0.8)
+        assert np.array_equal(together.spectrum.eigenvalues[k], alone.spectrum.eigenvalues)
+        assert np.array_equal(together.spectrum.eigenvectors[k], alone.spectrum.eigenvectors)
+        assert np.array_equal(together.weights[k], alone.weights)
+        assert together.log_z[k] == alone.log_z
+        assert np.array_equal(_duhamel_kernel(together)[k], _duhamel_kernel(alone))
+        for op in (PauliString(3, (0, 2), "y"), PauliString(3, (1,), "z")):
+            assert np.array_equal(
+                string_expectations(together, [op])[k], string_expectations(alone, [op])
+            )
+            assert np.array_equal(
+                string_in_eigenbasis(together, op)[k], string_in_eigenbasis(alone, op)
+            )
+
+
+def test_stack_with_one_non_hermitian_matrix_names_it():
+    stack = random_hamiltonian_stack(5)
+    stack[3, 0, 1] += 1e-6
+    with pytest.raises(ValueError, match=r"not Hermitian \(sample 3\)"):
+        spectral_decompose(stack)
+    with pytest.raises(ValueError, match=r"not Hermitian \(sample 103\)"):
+        spectral_decompose(stack, labels=range(100, 105))
+
+
+@pytest.mark.parametrize(
+    "corrupt, message",
+    [
+        (lambda evals, evecs: (evals + 1e-6, evecs), "reconstruction"),
+        (lambda evals, evecs: (evals, 1.001 * evecs), "reconstruction|orthonormal"),
+    ],
+)
+def test_stack_with_one_bad_decomposition_raises_arithmetic_error(monkeypatch, corrupt, message):
+    # eigh is replaced by one that corrupts stack entry 2 only; the
+    # self-checks must reject the decomposition and name that entry
+    stack = random_hamiltonian_stack(4)
+    real_eigh = np.linalg.eigh
+
+    def corrupted(h):
+        evals, evecs = real_eigh(h)
+        evals, evecs = evals.copy(), evecs.copy()
+        evals[2], evecs[2] = corrupt(evals[2], evecs[2])
+        return evals, evecs
+
+    monkeypatch.setattr(np.linalg, "eigh", corrupted)
+    with pytest.raises(ArithmeticError, match=rf"({message}).*\(sample 2\)"):
+        spectral_decompose(stack)
+
+
 def test_gibbs_beta_zero_traceless():
     lat, fams, sample = random_instance(np.random.default_rng(1), 2)
     state = thermal_state(spectral_decompose(build_hamiltonian(lat, fams, sample)), 0.0)
@@ -415,6 +474,41 @@ def builder_models(draw):
     return lat, fams, sample_disorder(params, fams, seed=draw(st.integers(0, 2**31 - 1)))
 
 
+@st.composite
+def gauge_models(draw):
+    """A sample on a d=2 periodic square lattice (p=1,2,4) or on a chain
+    with a p=3 or p=4 shape (open or periodic), with a gauge configuration
+    tau and a gauge axis."""
+    kind = draw(st.sampled_from(["d2-periodic", "p3-chain", "p4-chain"]))
+    if kind == "d2-periodic":
+        lat, fams = _square_families(draw(st.integers(2, 3)))
+    else:
+        p = 3 if kind == "p3-chain" else 4
+        lat = build_lattice(1, draw(st.integers(p, 7)))
+        shape = interaction_shape([(i,) for i in range(p)])
+        boundary = draw(st.sampled_from(["open", "periodic"]))
+        fams = {p: generate_bonds(lat, shape, boundary)}
+        if draw(st.booleans()):
+            fams[2] = generate_bonds(lat, chain_pair_shape(), boundary)
+    law = st.tuples(st.floats(-1.0, 1.0), st.floats(0.0, 1.0))
+    params = CouplingParams({p: {a: draw(law) for a in "xyz"} for p in fams})
+    sample = sample_disorder(params, fams, seed=draw(st.integers(0, 2**31 - 1)))
+    tau = draw(st.lists(st.sampled_from([-1, 1]), min_size=lat.n_sites, max_size=lat.n_sites))
+    return lat, fams, sample, np.array(tau), draw(st.sampled_from("xyz"))
+
+
+@settings(max_examples=25, deadline=None)
+@given(gauge_models())
+def test_hamiltonian_gauge_invariance_beyond_pair_chains(model):
+    # g H(J) g^dagger = H(J gauge-transformed by tau on the axes other than u)
+    lat, fams, sample, tau, u = model
+    h = build_hamiltonian(lat, fams, sample)
+    g = gauge_unitary(lat.n_sites, u, tau)
+    moved = build_hamiltonian(lat, fams, gauge_transform_couplings(sample, tau, u))
+    scale = max(1.0, float(np.max(np.abs(h))))
+    assert np.max(np.abs(g @ h @ g.conj().T - moved)) <= 1e-12 * scale
+
+
 @settings(max_examples=30, deadline=None)
 @given(builder_models())
 def test_builder_matches_kron_oracle(model):
@@ -494,11 +588,10 @@ def test_duhamel_kernel_matches_direct_evaluation(spectrum):
                 if exact < 1e-290:
                     assert phi[m, n] < 1e-290
                     continue
-                # rounding the exponents costs about (1 + s) eps; the direct
-                # branch loses a further factor 1/|x| to cancellation
-                s, x = 0.5 * (a[m] + a[n]), 0.5 * abs(a[m] - a[n])
-                cancel = 1.0 if x < 1e-4 else 1.0 / min(1.0, x)
-                assert abs(phi[m, n] - exact) <= 16 * eps * (1.0 + s) * cancel * exact
+                # rounding the exponents costs about (1 + s) eps on both
+                # branches; the expm1 form of the direct branch cancels nothing
+                s = 0.5 * (a[m] + a[n])
+                assert abs(phi[m, n] - exact) <= 16 * eps * (1.0 + s) * exact
 
 
 @st.composite
