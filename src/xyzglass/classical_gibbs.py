@@ -186,10 +186,11 @@ def correlation_matrix_to_csv(matrix: np.ndarray, path: str) -> None:
 class BondProductTable:
     """Precomputed configuration tables for fast repeated evaluation.
 
-    Caches the full spin table and per-bond sign columns for one family
-    structure, so that per-sample Nishimori expectations reduce to a matrix
-    product plus a softmax. Limited to 16 sites; larger systems go through
-    the chunked enumeration above.
+    Caches the full spin table, the per-bond sign columns for one family
+    structure and the sign column of every site set it has evaluated, so
+    that per-sample Nishimori expectations reduce to a matrix product plus a
+    softmax. Limited to 16 sites; larger systems go through the chunked
+    enumeration above.
 
     The pair matrix splits the configuration index into its high bits
     (sites 0..k-1, k = N // 2) and low bits (sites k..N-1), with one spin
@@ -228,6 +229,7 @@ class BondProductTable:
             self._slices[p] = slice(pos, pos + len(bonds))
             pos += len(bonds)
         self.term_signs = np.stack(cols, axis=1) if cols else np.zeros((1 << n_sites, 0))
+        self._sign_columns: dict[tuple[int, ...], np.ndarray] = {}
 
     def probabilities(
         self, k_by_p: Mapping[int, np.ndarray], betas: Mapping[int, float]
@@ -254,8 +256,15 @@ class BondProductTable:
         out = np.empty(len(site_sets))
         for k, s in enumerate(site_sets):
             s = tuple(s)
-            out[k] = float(np.dot(np.prod(self.tau[:, s], axis=1), prob)) if s else 1.0
+            out[k] = float(np.dot(self._sign_column(s), prob)) if s else 1.0
         return out
+
+    def _sign_column(self, sites: tuple[int, ...]) -> np.ndarray:
+        """prod_{i in sites} tau_i over every configuration, made once per
+        site set."""
+        if sites not in self._sign_columns:
+            self._sign_columns[sites] = np.prod(self.tau[:, sites], axis=1)
+        return self._sign_columns[sites]
 
     def pair_matrix(
         self, k_by_p: Mapping[int, np.ndarray], betas: Mapping[int, float]

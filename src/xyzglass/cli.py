@@ -797,6 +797,19 @@ def run(subcommand: str, cfg: dict, threads: int, extended: bool, out_dir: str) 
 _SELFTEST_DEFAULT = {"seed": 20240901}
 
 
+def _thread_count(flag: int | None) -> int:
+    """--threads, else XYZGLASS_THREADS, else 1; a positive integer."""
+    if flag is None:
+        raw = os.environ.get("XYZGLASS_THREADS", "1")
+        try:
+            flag = int(raw)
+        except ValueError:
+            raise ConfigError(f"XYZGLASS_THREADS must be an integer, got {raw!r}") from None
+    if flag < 1:
+        raise ConfigError(f"the thread count must be at least 1, got {flag}")
+    return flag
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(
         prog="xyzglass",
@@ -816,11 +829,8 @@ def main(argv: list[str] | None = None) -> int:
     )
     args = parser.parse_args(argv)
 
-    threads = args.threads
-    if threads is None:
-        threads = int(os.environ.get("XYZGLASS_THREADS", "1"))
-
     try:
+        threads = _thread_count(args.threads)
         if args.config is None:
             if args.subcommand != "selftest":
                 raise ConfigError(f"{args.subcommand} requires --config")

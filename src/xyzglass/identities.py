@@ -8,8 +8,9 @@ blocks in one disorder pass into a `ValueTable`, and each block reduces its
 columns to its result. The pass runs over batches of consecutive samples: per
 batch, one stack of coupling rows, one stacked Hamiltonian build, spectral
 decomposition and thermal state, and one Nishimori transform, then one
-Nishimori-line softmax per sample. The public check functions are
-single-block plans."""
+Nishimori-line softmax per sample. A model that conserves the P_z parity is
+built and decomposed as two real parity blocks per sample, not one complex
+matrix. The public check functions are single-block plans."""
 
 from __future__ import annotations
 
@@ -36,17 +37,18 @@ from .disorder import (
 )
 from .errors import CapacityError, UndersampledError
 from .lattice import BondFamily, Lattice
-from .operators import AXES, PauliString
+from .operators import AXES, PauliString, Sectors, parity_sectors, whole_space
 from .quantum_gibbs import (
     HamiltonianBuilder,
-    Spectrum,
+    SectorStack,
     ThermalState,
     _duhamel_kernel,
+    duhamel_bracket,
     free_energy_density,
     spectral_decompose,
     string_expectations,
-    string_in_eigenbasis,
     thermal_state,
+    truncated_duhamel_matrix,
 )
 
 DEFAULT_Z_MAX = 4.0
@@ -296,8 +298,8 @@ class _Batch:
         self._expectations: dict[PauliString, np.ndarray] = {}
 
     @functools.cached_property
-    def hamiltonians(self) -> np.ndarray:
-        return self.plan.builder.build_rows(self.rows)
+    def hamiltonians(self) -> SectorStack:
+        return self.plan.builder.build_rows(self.rows, self.plan.sectors)
 
     @functools.cached_property
     def state(self) -> ThermalState:
@@ -350,7 +352,8 @@ class Block(Protocol):
     spin products and stacked matrices it needs, and returns its column
     count and its evaluator, which maps a batch of samples to a (samples,
     columns) array. Blocks are frozen dataclasses, so equal blocks share one
-    set of columns.
+    set of columns. A block whose operators break the P_z parity sets
+    `keeps_parity` to False, and its plan then runs on the whole space.
     """
 
     def bind(self, plan: "Plan") -> tuple[int, Evaluator]: ...
@@ -365,6 +368,12 @@ class Plan:
     quantum builder is made on first use, so classical-only plans never
     make it. Samples are evaluated in batches of `batch_size` consecutive
     indices (see `_BATCH_BYTES`); threads split batches, not samples.
+
+    `conserves_parity` is decided here from the couplings' declaration and
+    the blocks, never from drawn values: an active component whose terms
+    flip an odd number of spins (x or y on an odd site set) breaks the P_z
+    parity, and so does a block with `keeps_parity` False. Without either,
+    the quantum side runs on the two real parity sectors.
     """
 
     def __init__(self, config: ModelConfig, blocks: Sequence[Block], u: str | None = None):
@@ -377,6 +386,13 @@ class Plan:
         self._set_index: dict[tuple[int, ...], int] = {}
         self._strings: dict[tuple[tuple[int, ...], str], PauliString] = {}
         self.blocks: tuple[Block, ...] = tuple(dict.fromkeys(blocks))
+        self.conserves_parity = all(
+            getattr(block, "keeps_parity", True) for block in self.blocks
+        ) and not any(
+            config.params.is_active(p, axis) and any(len(set(bond)) % 2 for bond in family.bonds)
+            for p, family in config.families.items()
+            for axis in ("x", "y")
+        )
         bound = [block.bind(self) for block in self.blocks]
         self.widths = tuple(width for width, _ in bound)
         self._evaluators = tuple(evaluate for _, evaluate in bound)
@@ -385,6 +401,11 @@ class Plan:
     @functools.cached_property
     def builder(self) -> HamiltonianBuilder:
         return HamiltonianBuilder(self.config.lattice, self.config.families)
+
+    @property
+    def sectors(self) -> Sectors:
+        """The blocks the plan's Hamiltonians are built and decomposed in."""
+        return (parity_sectors if self.conserves_parity else whole_space)(self.n_sites)
 
     def string(self, sites: tuple[int, ...], axis: str) -> PauliString:
         """The plan's one PauliString for (sites, axis)."""
@@ -425,8 +446,9 @@ class Plan:
                 column[first - start : last - start] = values(batch)
 
         firsts = range(start, stop, self.batch_size)
-        if threads > 1:
-            with ThreadPoolExecutor(max_workers=threads) as pool:
+        workers = min(threads, len(firsts))
+        if workers > 1:
+            with ThreadPoolExecutor(max_workers=workers) as pool:
                 for _ in pool.map(work, firsts):
                     pass
         else:
@@ -514,18 +536,15 @@ def _state_rows(state: ThermalState, rows: slice) -> ThermalState:
     """The samples `rows` of a stacked thermal state."""
     spectrum = state.spectrum
     return ThermalState(
-        spectrum=Spectrum(spectrum.eigenvalues[rows], spectrum.eigenvectors[rows], spectrum.dim),
+        spectrum=dataclasses.replace(
+            spectrum,
+            eigenvalues=spectrum.eigenvalues[rows],
+            eigenvectors=spectrum.eigenvectors[rows],
+        ),
         beta=state.beta,
         log_z=state.log_z[rows],
         weights=state.weights[rows],
     )
-
-
-def _duhamel_in_state(s: _Batch, a_t: np.ndarray, b_t: np.ndarray) -> np.ndarray:
-    """Per sample, the Duhamel bracket of two operators in the eigenbasis."""
-    phi = s.duhamel_kernel  # made before the products, so they do not overlap it
-    bracket = np.sum(a_t * b_t.swapaxes(-1, -2) * phi, axis=(-2, -1))
-    return np.real(bracket) / np.sum(s.state.weights, axis=-1)
 
 
 class _IdentityBlock:
@@ -607,9 +626,7 @@ class DuhamelBlock(_IdentityBlock):
         op_x, op_y = plan.string(self.x_sites, self.w), plan.string(self.y_sites, self.w)
 
         def evaluate(s: _Batch) -> np.ndarray:
-            a_t = string_in_eigenbasis(s.state, op_x)
-            b_t = string_in_eigenbasis(s.state, op_y)
-            dval = _duhamel_in_state(s, a_t, b_t)
+            dval = duhamel_bracket(s.state, s.duhamel_kernel, op_x, op_y)
             qx, qy = s.expectations([op_x, op_y]).T
             tval = dval - qx * qy
             cv = s.products[:, c]
@@ -957,23 +974,7 @@ class SusceptibilityBlock:
         plan.require_classical()
         n = plan.n_sites
         ops_w = [plan.string(s, w) for s in _single_sites(n)]
-        ops_v = [plan.string(s, v) for s in _single_sites(n)]
-
-        def contract(state: ThermalState, phi: np.ndarray) -> np.ndarray:
-            at = np.stack([string_in_eigenbasis(state, op) for op in ops_w], axis=1)
-            if v == w:
-                bt = at
-            else:
-                bt = np.stack([string_in_eigenbasis(state, op) for op in ops_v], axis=1)
-            b = len(phi)
-            z = np.sum(state.weights, axis=-1)[:, None, None]
-            # duh[:, i, j] = sum_mn at[:, i, m, n] bt[:, j, n, m] phi[:, m, n], one matmul a sample
-            bt_t = bt.swapaxes(-1, -2).reshape(b, n, -1).swapaxes(-1, -2)
-            duh = np.real((at * phi[:, None]).reshape(b, n, -1) @ bt_t) / z
-            weights = state.weights[:, None, :]
-            qa = np.sum(np.diagonal(at, axis1=-2, axis2=-1).real * weights, axis=-1) / z[:, 0]
-            qb = np.sum(np.diagonal(bt, axis1=-2, axis2=-1).real * weights, axis=-1) / z[:, 0]
-            return (duh - qa[:, :, None] * qb[:, None, :]).reshape(b, n * n)
+        ops_v = ops_w if v == w else [plan.string(s, v) for s in _single_sites(n)]
 
         def evaluate(s: _Batch) -> np.ndarray:
             # the batch's samples a few at a time, so the (samples, N, dim,
@@ -982,7 +983,9 @@ class SusceptibilityBlock:
             step = max(1, _BATCH_BYTES // (16 * n * phi[0].size))
             return np.concatenate(
                 [
-                    contract(_state_rows(state, slice(i, i + step)), phi[i : i + step])
+                    truncated_duhamel_matrix(
+                        _state_rows(state, slice(i, i + step)), phi[i : i + step], ops_w, ops_v
+                    ).reshape(-1, n * n)
                     for i in range(0, len(phi), step)
                 ]
             )
@@ -1129,26 +1132,32 @@ def mean_pair_correlation(config: ModelConfig, u: str, method: Method) -> np.nda
     return block.result(Plan(config, [block], u).evaluate(method))
 
 
-def _monomial_groups(strings: Sequence[PauliString]) -> list[tuple[np.ndarray, np.ndarray]]:
-    """The sum of Pauli strings as (rows, values) per flip mask: its entries
-    [rows[j], j] are values[j]. A z field is one diagonal group, and x or y
+def _monomial_groups(strings: Sequence[PauliString]) -> dict[int, np.ndarray]:
+    """The sum of Pauli strings as values per flip mask: its entries
+    [j ^ flip, j] are values[j]. A z field is one diagonal group, and x or y
     fields are one group per site; the values are exact."""
-    groups: dict[int, tuple[np.ndarray, np.ndarray]] = {}
+    groups: dict[int, np.ndarray] = {}
     for op in strings:
-        rows, values = groups.get(op.flip, (op.rows, 0))
-        groups[op.flip] = (rows, values + op.phase)
-    return list(groups.values())
+        groups[op.flip] = groups.get(op.flip, 0) + op.phase
+    return groups
 
 
 @dataclass(frozen=True)
 class FieldStencilBlock:
     """Third and second central differences of the magnetization in the
     symmetry-breaking field mean, at zero field, with common disorder (2
-    columns). The zero-field point is the sample's own state."""
+    columns). The zero-field point is the sample's own state, so the
+    shifted Hamiltonians use the plan's sectors: a z field keeps the P_z
+    parity, and an x or y field breaks it and keeps its plan on the whole
+    space."""
 
     v: str
     w: str
     h: float
+
+    @property
+    def keeps_parity(self) -> bool:
+        return self.v == "z"
 
     def bind(self, plan: Plan) -> tuple[int, Evaluator]:
         h = self.h
@@ -1158,10 +1167,14 @@ class FieldStencilBlock:
         params.require_even_mixed()
         if any(params.is_active(1, a) for a in AXES):
             raise ValueError("nonlinear susceptibility probe requires zero base field")
-        dim = plan.builder.dim  # made now, so a lattice too large for it fails before sampling
+        plan.builder  # made now, so a lattice too large for it fails before sampling
         n = plan.n_sites
-        field = _monomial_groups([plan.string(s, self.v) for s in _single_sites(n)])
-        cols = np.arange(dim)
+        sectors = plan.sectors
+        groups = _monomial_groups([plan.string(s, self.v) for s in _single_sites(n)])
+        targets = sectors.scatter_index(list(groups))
+        values = np.array(list(groups.values()))
+        if sectors.dtype is float:
+            values = values.real
         order = [plan.string(s, self.w) for s in _single_sites(n)]
         beta = plan.config.beta
         # the four nonzero field means; the zero-field point is the base state
@@ -1170,10 +1183,12 @@ class FieldStencilBlock:
         def magnetization(s: _Batch, mean: float) -> np.ndarray:
             """Per sample, the magnetization at field mean `mean`: one stack of
             the batch's shifted Hamiltonians, within the batch byte budget."""
-            shifted = s.hamiltonians.copy()
-            for rows, values in field:
-                shifted[:, rows, cols] -= mean * values
-            state = thermal_state(spectral_decompose(shifted, s.indices), beta)
+            shifted = s.hamiltonians.blocks.copy()
+            sector, rows, cols = targets
+            for g in range(len(values)):
+                shifted[:, sector, rows[g], cols] -= mean * values[g]
+            spectrum = spectral_decompose(SectorStack(shifted, sectors), s.indices)
+            state = thermal_state(spectrum, beta)
             return np.sum(string_expectations(state, order), axis=-1) / n
 
         def evaluate(s: _Batch) -> np.ndarray:

@@ -9,10 +9,15 @@ is a monomial matrix given by a bit-flip mask and a per-basis phase (the
 binary-symplectic form). The dense Kronecker products (`pauli_product` and
 its wrappers) are the public dense API and the oracle the strings are tested
 against.
+
+`Sectors` splits the basis into blocks that the operators at hand map onto
+blocks: the whole space as one complex block, or the two real blocks of the
+P_z parity (the popcount parity of the basis index).
 """
 
 from __future__ import annotations
 
+import functools
 from typing import Sequence
 
 import numpy as np
@@ -59,6 +64,66 @@ def _site_set(n_sites: int, sites: Sequence[int], axis: str) -> set[int]:
     return site_set
 
 
+class Sectors:
+    """The basis split into S sectors of d = 2^N / S states each: sector s
+    holds the basis indices `bases[s]`, ascending, and `position[b]` is
+    index b's place in its sector. Operators that keep the split are stored
+    as S diagonal blocks of dtype `dtype`. Make them with `whole_space` or
+    `parity_sectors`, which return one shared instance per site count."""
+
+    def __init__(self, n_sites: int, bases: np.ndarray, dtype: type):
+        self.n_sites = n_sites
+        self.dim = 2**n_sites
+        self.bases = bases
+        self.dtype = dtype
+        self.count, self.size = bases.shape
+        self.sector_of = np.empty(self.dim, dtype=np.intp)
+        self.position = np.empty(self.dim, dtype=np.intp)
+        for s, basis in enumerate(bases):
+            self.sector_of[basis] = s
+            self.position[basis] = np.arange(self.size)
+        self._keeps: dict[int, bool] = {}
+
+    def target(self, flip: int) -> np.ndarray:
+        """The sector that each sector's states land in under the bit flip."""
+        return self.sector_of[self.bases[:, 0] ^ flip]
+
+    def keeps(self, flip: int) -> bool:
+        """Whether the flip maps every sector onto itself. Two strings
+        compose to a flip by the XOR of their masks."""
+        if flip not in self._keeps:
+            self._keeps[flip] = bool(np.all(self.target(flip) == np.arange(self.count)))
+        return self._keeps[flip]
+
+    def scatter_index(self, flips: Sequence[int]) -> tuple[np.ndarray, ...]:
+        """(sector, row, column) of the block entry that holds dense entry
+        [j ^ flip, j], for every flip (rows) and basis index j (columns);
+        every flip must keep the sectors."""
+        cols = np.arange(self.dim)
+        rows = cols[None, :] ^ np.array(flips, dtype=cols.dtype)[:, None]
+        return self.sector_of, self.position[rows], self.position[cols]
+
+
+@functools.cache
+def whole_space(n_sites: int) -> Sectors:
+    """The whole 2^N basis as one complex sector."""
+    _check_sites(n_sites)
+    return Sectors(n_sites, np.arange(2**n_sites)[None, :], complex)
+
+
+@functools.cache
+def parity_sectors(n_sites: int) -> Sectors:
+    """The P_z parity sectors: even popcount first, then odd, as real blocks.
+    A term that flips an even number of spins and has a real phase keeps
+    them."""
+    _check_sites(n_sites)
+    basis = np.arange(2**n_sites)
+    parity = np.zeros_like(basis)
+    for i in range(n_sites):
+        parity ^= (basis >> i) & 1
+    return Sectors(n_sites, np.stack([basis[parity == 0], basis[parity == 1]]), float)
+
+
 class PauliString:
     """Same-axis Pauli product over a site set, as a monomial matrix.
 
@@ -87,11 +152,35 @@ class PauliString:
             self.phase = unit * (1.0 - 2.0 * parity)
         # phase of output row r, which comes from column r ^ flip
         self._row_phase = self.phase[self.rows]
+        self._sector_maps: dict[Sectors, tuple[np.ndarray, np.ndarray, np.ndarray]] = {}
 
-    def apply(self, v: np.ndarray) -> np.ndarray:
+    def sector_map(self, sectors: Sectors) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(target, rows, phases): the string maps sector s onto sector
+        target[s]. Row r of the image of block s is phases[s d + r] times row
+        rows[s d + r] of the blocks stacked as one (S d)-row matrix. The
+        phases are real when the sectors are real and the string's phases
+        are."""
+        if sectors not in self._sector_maps:
+            target = sectors.target(self.flip)
+            image = sectors.bases[target]
+            phases = self._row_phase[image].ravel()
+            if sectors.dtype is float and not np.any(phases.imag):
+                phases = phases.real
+            offsets = np.arange(sectors.count)[:, None] * sectors.size
+            rows = (offsets + sectors.position[image ^ self.flip]).ravel()
+            self._sector_maps[sectors] = (target, rows, phases)
+        return self._sector_maps[sectors]
+
+    def apply(self, v: np.ndarray, sectors: Sectors | None = None) -> np.ndarray:
         """op @ v for a vector, a matrix of column vectors or a stack of such
-        matrices (..., dim, k): one row gather."""
+        matrices (..., dim, k): one row gather. With `sectors`, v holds one
+        block per sector, (..., S, d, k), and the result's block s is the
+        image of block s, in the basis of sector `sector_map(sectors)[0][s]`."""
         v = np.asarray(v)
+        if sectors is not None:
+            _, rows, phases = self.sector_map(sectors)
+            stacked = v.reshape(v.shape[:-3] + (-1, v.shape[-1]))
+            return (phases[:, None] * stacked[..., rows, :]).reshape(v.shape)
         if v.ndim == 1:
             return self._row_phase * v[self.rows]
         return self._row_phase[:, None] * v[..., self.rows, :]

@@ -14,7 +14,7 @@ from scipy.linalg import expm
 from .disorder import DisorderSample, coupling_row, coupling_terms
 from .errors import CapacityError
 from .lattice import BondFamily, Lattice
-from .operators import QUANTUM_SITE_CAP, PauliString, global_flip, pauli_site
+from .operators import QUANTUM_SITE_CAP, PauliString, Sectors, global_flip, pauli_site, whole_space
 
 #: Relative tolerance budget for eigendecomposition self-checks.
 SPECTRUM_TOL = 1e-10
@@ -25,21 +25,27 @@ class Spectrum:
     """Eigendecomposition of a Hermitian operator, eigenvalues ascending.
 
     For a stack of operators the arrays carry the stack's leading axes:
-    eigenvalues (..., dim) and eigenvectors (..., dim, dim).
+    eigenvalues (..., dim) and eigenvectors (..., dim, dim). A spectrum with
+    `sectors` is that of a block-diagonal operator and carries a sector axis
+    after the stack's axes: eigenvalues (..., S, d), ascending per sector,
+    and eigenvectors (..., S, d, d), block s in the basis of
+    `sectors.bases[s]`.
     """
 
     eigenvalues: np.ndarray
     eigenvectors: np.ndarray
     dim: int
+    sectors: Sectors | None = None
 
 
 @dataclass(frozen=True)
 class ThermalState:
     """A spectrum together with inverse temperature and shifted Boltzmann weights.
 
-    Weights are exp(-beta (E_n - E_min)), so the largest is 1 and
-    log_Z = log(sum of weights) - beta E_min cannot overflow at large beta.
-    For a stack, log_z is an array over the stack's leading axes.
+    Weights are exp(-beta (E_n - E_min)), with E_min the lowest level of all
+    sectors, so the largest is 1 and log_Z = log(sum of weights) - beta E_min
+    cannot overflow at large beta. The weights are laid out as the
+    eigenvalues. For a stack, log_z is an array over the stack's leading axes.
     """
 
     spectrum: Spectrum
@@ -48,13 +54,41 @@ class ThermalState:
     weights: np.ndarray
 
 
+@dataclass(frozen=True)
+class SectorStack:
+    """A stack of operators that are block-diagonal in `sectors`, held as
+    their diagonal blocks (..., S, d, d). `shape` is the dense stack's,
+    (..., dim, dim)."""
+
+    blocks: np.ndarray
+    sectors: Sectors
+
+    @property
+    def shape(self) -> tuple[int, ...]:
+        return self.blocks.shape[:-3] + (self.sectors.dim, self.sectors.dim)
+
+
+def _sectored(spectrum: Spectrum) -> tuple[np.ndarray, np.ndarray, Sectors]:
+    """(eigenvalues (..., S, d), eigenvectors (..., S, d, d), sectors); a
+    dense spectrum is the one-sector case with a unit sector axis."""
+    if spectrum.sectors is None:
+        e, v = spectrum.eigenvalues[..., None, :], spectrum.eigenvectors[..., None, :, :]
+        return e, v, whole_space(spectrum.dim.bit_length() - 1)
+    return spectrum.eigenvalues, spectrum.eigenvectors, spectrum.sectors
+
+
+def _sector_weights(state: ThermalState) -> np.ndarray:
+    return state.weights[..., None, :] if state.spectrum.sectors is None else state.weights
+
+
 class HamiltonianBuilder:
     """Assembles H = -sum_{p,X,w} J_{X,p}^w sigma_X^w for many samples.
 
     Every term is a Pauli string, and terms with the same flip mask fill the
     same entries H[j ^ flip, j]. A build sums the coupling-weighted phases
     per flip mask in one matmul per sample and scatters them into the stack
-    in one assignment. Construction is O(terms); the dim-length tables are
+    in one assignment, into the dense matrices or into the diagonal blocks
+    of a sector split. Construction is O(terms); the dim-length tables are
     built on the first build, so a builder that never builds allocates
     nothing of size dim.
     """
@@ -68,32 +102,42 @@ class HamiltonianBuilder:
         self.n_sites = n
         self.dim = 2**n
         self.terms = coupling_terms(families)
-        self._tables: tuple[np.ndarray, ...] | None = None
+        self._tables: dict[Sectors, tuple[np.ndarray, ...]] = {}
 
-    def _scatter_tables(self) -> tuple[np.ndarray, ...]:
-        """(flip-group indicator M x T, term phases T x dim, target rows M x dim,
-        target columns dim)."""
-        if self._tables is None:
+    def _scatter_tables(self, sectors: Sectors) -> tuple[np.ndarray, ...]:
+        """(flip-group indicator M x T, term phases T x dim, target (sector,
+        row, column) of each group's entries, terms that leave the sectors).
+        Those terms are in no group."""
+        if sectors not in self._tables:
             strings = [PauliString(self.n_sites, bond, axis) for (_, axis, _, bond) in self.terms]
-            flips = sorted({s.flip for s in strings})
+            kept = np.array([sectors.keeps(s.flip) for s in strings], dtype=bool)
+            flips = sorted({s.flip for s, keep in zip(strings, kept) if keep})
             group = {f: m for m, f in enumerate(flips)}
             indicator = np.zeros((len(flips), len(strings)))
             for t, s in enumerate(strings):
-                indicator[group[s.flip], t] = 1.0
+                if kept[t]:
+                    indicator[group[s.flip], t] = 1.0
             phases = np.array([s.phase for s in strings]).reshape(len(strings), self.dim)
-            cols = np.arange(self.dim)
-            rows = cols[None, :] ^ np.array(flips, dtype=cols.dtype)[:, None]
-            self._tables = (indicator, phases, rows, cols)
-        return self._tables
+            if sectors.dtype is float:
+                phases = phases.real
+            self._tables[sectors] = (indicator, phases, sectors.scatter_index(flips), ~kept)
+        return self._tables[sectors]
 
-    def build_rows(self, couplings: np.ndarray) -> np.ndarray:
+    def build_rows(
+        self, couplings: np.ndarray, sectors: Sectors | None = None
+    ) -> np.ndarray | SectorStack:
         """The (samples, dim, dim) stack of Hamiltonians for coupling rows in
-        term order (`disorder.coupling_terms`)."""
-        indicator, phases, rows, cols = self._scatter_tables()
+        term order (`disorder.coupling_terms`), or with `sectors` their
+        diagonal blocks. Couplings of terms that leave the sectors must be
+        zero."""
+        split = whole_space(self.n_sites) if sectors is None else sectors
+        indicator, phases, (sector, rows, cols), dropped = self._scatter_tables(split)
         couplings = np.asarray(couplings, dtype=float)
-        h = np.zeros((len(couplings), self.dim, self.dim), dtype=complex)
-        h[:, rows, cols] = (indicator * -couplings[:, None, :]) @ phases
-        return h
+        if np.any(couplings[:, dropped]):
+            raise ValueError("a coupling of a term that leaves the sectors is nonzero")
+        h = np.zeros((len(couplings), split.count, split.size, split.size), dtype=split.dtype)
+        h[:, sector, rows, cols] = (indicator * -couplings[:, None, :]) @ phases
+        return h[:, 0] if sectors is None else SectorStack(h, sectors)
 
     def build(self, sample: DisorderSample) -> np.ndarray:
         return self.build_rows(coupling_row(sample)[None])[0]
@@ -114,8 +158,10 @@ def _matrix_max(a: np.ndarray) -> np.ndarray:
 def _check_stack(
     bad: np.ndarray, labels: Sequence[int] | None, error: type[Exception], message: str
 ) -> None:
-    """Raise `error` when any matrix of the stack is flagged, naming the
-    first flagged one by the label of its entry on the stack's first axis."""
+    """Raise `error` when any block of the stack (..., S) is flagged, naming
+    the first flagged matrix by the label of its entry on the stack's first
+    axis."""
+    bad = np.any(bad, axis=-1)
     if np.any(bad):
         if bad.ndim:
             first = int(np.unravel_index(np.argmax(bad), bad.shape)[0])
@@ -123,44 +169,60 @@ def _check_stack(
         raise error(message)
 
 
-def spectral_decompose(h: np.ndarray, labels: Sequence[int] | None = None) -> Spectrum:
+def spectral_decompose(
+    h: np.ndarray | SectorStack, labels: Sequence[int] | None = None
+) -> Spectrum:
     """Eigendecompose a Hermitian matrix, or each matrix of a stack
-    (..., dim, dim), verifying every result.
+    (..., dim, dim), verifying every result. A `SectorStack` is decomposed
+    block by block into a spectrum with sectors.
 
     Rejects non-Hermitian input, and rejects decompositions whose
     reconstruction or orthonormality residual exceeds the tolerance budget
-    rather than silently accepting them. Each matrix is checked against its
+    rather than silently accepting them. Each block is checked against its
     own scale. An error on a stack names the failing entry of the first
     axis by its position, or by `labels` (such as disorder sample indices).
     """
-    h = np.asarray(h)
-    dim = h.shape[-1]
-    scale = np.maximum(1.0, _matrix_max(h))
-    asymmetry = _matrix_max(h - h.conj().swapaxes(-1, -2))
+    if isinstance(h, SectorStack):
+        blocks, sectors = h.blocks, h.sectors
+    else:
+        h = np.asarray(h)
+        blocks, sectors = h[..., None, :, :], None
+    scale = np.maximum(1.0, _matrix_max(blocks))
+    asymmetry = _matrix_max(blocks - blocks.conj().swapaxes(-1, -2))
     _check_stack(asymmetry > 1e-12 * scale, labels, ValueError, "matrix is not Hermitian")
-    evals, evecs = np.linalg.eigh(h)
+    evals, evecs = np.linalg.eigh(blocks)
     recon = (evecs * evals[..., None, :]) @ evecs.conj().swapaxes(-1, -2)
     _check_stack(
-        _matrix_max(recon - h) > SPECTRUM_TOL * scale, labels,
+        _matrix_max(recon - blocks) > SPECTRUM_TOL * scale, labels,
         ArithmeticError, "eigendecomposition reconstruction residual too large",
     )
     gram = evecs.conj().swapaxes(-1, -2) @ evecs
     _check_stack(
-        _matrix_max(gram - np.eye(dim)) > SPECTRUM_TOL, labels,
+        _matrix_max(gram - np.eye(blocks.shape[-1])) > SPECTRUM_TOL, labels,
         ArithmeticError, "eigenvectors are not orthonormal within tolerance",
     )
-    return Spectrum(eigenvalues=evals, eigenvectors=evecs, dim=dim)
+    if sectors is None:
+        return Spectrum(evals[..., 0, :], evecs[..., 0, :, :], dim=h.shape[-1])
+    return Spectrum(eigenvalues=evals, eigenvectors=evecs, dim=sectors.dim, sectors=sectors)
 
 
 def thermal_state(spectrum: Spectrum, beta: float) -> ThermalState:
     if beta < 0:
         raise ValueError(f"beta must be >= 0, got {beta}")
-    e = spectrum.eigenvalues
-    weights = np.exp(-beta * (e - e[..., :1]))
-    log_z = np.log(np.sum(weights, axis=-1)) - beta * e[..., 0]
+    e, _, _ = _sectored(spectrum)
+    e_min = np.min(e[..., 0], axis=-1)
+    weights = np.exp(-beta * (e - e_min[..., None, None]))
+    log_z = np.log(np.sum(np.sum(weights, axis=-1), axis=-1)) - beta * e_min
+    if spectrum.sectors is None:
+        weights = weights[..., 0, :]
     return ThermalState(
         spectrum=spectrum, beta=beta, log_z=log_z if log_z.ndim else float(log_z), weights=weights
     )
+
+
+def _partition_sum(state: ThermalState) -> np.ndarray:
+    """The sum of the shifted weights over all sectors, per matrix."""
+    return np.sum(np.sum(_sector_weights(state), axis=-1), axis=-1)
 
 
 def _to_eigenbasis(state: ThermalState, a: np.ndarray) -> np.ndarray:
@@ -187,25 +249,45 @@ def gibbs_expectation(state: ThermalState, a: np.ndarray) -> float:
 def string_expectations(state: ThermalState, strings: Sequence[PauliString]) -> np.ndarray:
     """Thermal expectations of Pauli strings, one O(dim^2) gather each, as an
     array (..., len(strings)) over the state's stack. Each string's value is
-    reduced on its own, so it does not depend on the other strings."""
-    v = state.spectrum.eigenvectors
+    reduced on its own, so it does not depend on the other strings. On
+    sectors, a string that maps each sector onto another has no diagonal
+    and its expectation is exactly 0."""
+    _, v, sectors = _sectored(state.spectrum)
+    weights = _sector_weights(state)
     v_conj = v.conj()
-    diags = np.stack(
-        [np.einsum("...ri,...ri->...i", v_conj, op.apply(v)) for op in strings], axis=-2
-    )
-    weighted = np.sum(diags.real * state.weights[..., None, :], axis=-1)
-    return weighted / np.sum(state.weights, axis=-1)[..., None]
+    diags = [
+        np.einsum("...ri,...ri->...i", v_conj, op.apply(v, sectors)).real
+        if sectors.keeps(op.flip)
+        else np.zeros(weights.shape)
+        for op in strings
+    ]
+    weighted = np.sum(np.sum(np.stack(diags, axis=-3) * weights[..., None, :, :], axis=-1), axis=-1)
+    return weighted / _partition_sum(state)[..., None]
+
+
+def _in_eigenbasis(
+    state: ThermalState, op: PauliString
+) -> tuple[slice | np.ndarray, np.ndarray]:
+    """(image, blocks): block s of V^dagger op V, (..., S, d, d), maps sector
+    s onto the sector that `image` (an index on the sector axis) picks at
+    position s; a string that keeps every sector has the view slice(None)."""
+    _, v, sectors = _sectored(state.spectrum)
+    image = slice(None) if sectors.keeps(op.flip) else op.sector_map(sectors)[0]
+    return image, v[..., image, :, :].conj().swapaxes(-1, -2) @ op.apply(v, sectors)
 
 
 def string_in_eigenbasis(state: ThermalState, op: PauliString) -> np.ndarray:
-    """V^dagger op V: one row gather and one matmul per matrix of the stack."""
-    v = state.spectrum.eigenvectors
-    return v.conj().swapaxes(-1, -2) @ op.apply(v)
+    """V^dagger op V: one row gather and one matmul per matrix of the stack.
+    On sectors, the blocks (..., S, d, d) that map each sector s onto sector
+    `op.sector_map(sectors)[0][s]`."""
+    _, blocks = _in_eigenbasis(state, op)
+    return blocks[..., 0, :, :] if state.spectrum.sectors is None else blocks
 
 
 def _duhamel_kernel(state: ThermalState) -> np.ndarray:
     """Matrix phi_mn such that the Duhamel bracket is sum A_mn B_nm phi_mn / Z,
-    with the state's stack axes in front.
+    with the state's stack axes in front; on sectors, one block per sector
+    pair (..., S, S, d, d), block [s, t] for m in sector s and n in sector t.
 
     phi_mn = (exp(-beta E_n) - exp(-beta E_m)) / (beta (E_m - E_n)), written
     as exp(-s) sinh(x)/x with s, x the scaled mean and half-difference of the
@@ -214,15 +296,90 @@ def _duhamel_kernel(state: ThermalState) -> np.ndarray:
     Near degeneracy (and at beta = 0) the series exp(-s)(1 + x^2/6) takes
     over; its leading term is the midpoint form exp(-beta(E_m+E_n)/2).
     """
-    e = state.spectrum.eigenvalues - state.spectrum.eigenvalues[..., :1]
-    a = state.beta * e
-    s = 0.5 * (a[..., :, None] + a[..., None, :])
-    x = np.abs(0.5 * (a[..., :, None] - a[..., None, :]))
+    e, _, _ = _sectored(state.spectrum)
+    a = state.beta * (e - np.min(e[..., 0], axis=-1)[..., None, None])
+    a_m, a_n = a[..., :, None, :, None], a[..., None, :, None, :]
+    s = 0.5 * (a_m + a_n)
+    x = np.abs(0.5 * (a_m - a_n))
     small = x < 1e-4
     x_safe = np.where(small, 1.0, x)
     direct = np.exp(x - s) * -np.expm1(-2.0 * x_safe) / (2.0 * x_safe)
     series = np.exp(-s) * (1.0 + x * x / 6.0)
-    return np.where(small, series, direct)
+    phi = np.where(small, series, direct)
+    return phi[..., 0, 0, :, :] if state.spectrum.sectors is None else phi
+
+
+def _kernel_blocks(
+    state: ThermalState, kernel: np.ndarray, image: slice | np.ndarray
+) -> np.ndarray:
+    """The kernel blocks [image[s], s], (..., S, d, d), that pair each sector
+    with its image under a string (`_in_eigenbasis`)."""
+    if state.spectrum.sectors is None:
+        return kernel[..., None, :, :]
+    if isinstance(image, slice):
+        return np.moveaxis(np.diagonal(kernel, axis1=-4, axis2=-3), -1, -3)
+    return kernel[..., image, np.arange(len(image)), :, :]
+
+
+def duhamel_bracket(
+    state: ThermalState, kernel: np.ndarray, op_a: PauliString, op_b: PauliString
+) -> np.ndarray:
+    """Per matrix of the stack, the Duhamel bracket (A ; B) without
+    truncation: sum_mn A_mn B_nm phi_mn / Z in the eigenbasis, with `kernel`
+    the state's `_duhamel_kernel`. On sectors it sums over the sector pairs
+    A connects; strings whose images differ give exactly 0."""
+    if not _sectored(state.spectrum)[2].keeps(op_a.flip ^ op_b.flip):
+        return np.zeros(np.shape(state.log_z))
+    image, a_t = _in_eigenbasis(state, op_a)
+    _, b_t = _in_eigenbasis(state, op_b)
+    terms = a_t * b_t[..., image, :, :].swapaxes(-1, -2) * _kernel_blocks(state, kernel, image)
+    bracket = np.sum(np.sum(terms, axis=(-2, -1)), axis=-1)
+    return np.real(bracket) / _partition_sum(state)
+
+
+def _string_stack(
+    state: ThermalState, ops: Sequence[PauliString]
+) -> tuple[slice | np.ndarray, np.ndarray, np.ndarray]:
+    """(image, eigenbasis blocks (b, len(ops), S, d, d), expectations (b,
+    len(ops))) of strings that share one sector map."""
+    sectors = _sectored(state.spectrum)[2]
+    if not all(sectors.keeps(op.flip ^ ops[0].flip) for op in ops):
+        raise ValueError("the strings of one stack must share their sector map")
+    pairs = [_in_eigenbasis(state, op) for op in ops]
+    image = pairs[0][0]
+    blocks = np.stack([m for _, m in pairs], axis=1)
+    weights = _sector_weights(state)[:, None]
+    if isinstance(image, slice):
+        diag = np.diagonal(blocks, axis1=-2, axis2=-1).real * weights
+        expect = np.sum(np.sum(diag, axis=-1), axis=-1) / _partition_sum(state)[:, None]
+    else:
+        expect = np.zeros(blocks.shape[:2])
+    return image, blocks, expect
+
+
+def truncated_duhamel_matrix(
+    state: ThermalState,
+    kernel: np.ndarray,
+    ops_a: Sequence[PauliString],
+    ops_b: Sequence[PauliString],
+) -> np.ndarray:
+    """The truncated Duhamel brackets (A_i ; B_j) of a stack of states (b,
+    ...), as (b, len(ops_a), len(ops_b)): one matmul per matrix, or per
+    sector pair. The strings of each list must share one sector map, as
+    single-site strings on one axis do. `ops_b` may be `ops_a`."""
+    image, at, qa = _string_stack(state, ops_a)
+    _, bt, qb = (image, at, qa) if ops_b is ops_a else _string_stack(state, ops_b)
+    b, n_a, n_b = len(at), len(ops_a), len(ops_b)
+    if _sectored(state.spectrum)[2].keeps(ops_a[0].flip ^ ops_b[0].flip):
+        phi = _kernel_blocks(state, kernel, image)
+        z = _partition_sum(state)[:, None, None]
+        # duh[:, i, j] = sum_smn at[:, i, s, m, n] bt[:, j, t, n, m] phi[:, t, s, m, n] with
+        # t = image[s], one matmul a matrix
+        bt_t = bt[:, :, image].swapaxes(-1, -2).reshape(b, n_b, -1).swapaxes(-1, -2)
+        duh = np.real((at * phi[:, None]).reshape(b, n_a, -1) @ bt_t) / z
+    else:
+        duh = np.zeros((b, n_a, n_b))
+    return duh - qa[:, :, None] * qb[:, None, :]
 
 
 def duhamel(state: ThermalState, a: np.ndarray, b: np.ndarray) -> float:

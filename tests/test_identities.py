@@ -39,9 +39,10 @@ from xyzglass.identities import (
     validate_gauge_axis,
 )
 from xyzglass.lattice import build_lattice, chain_pair_shape, generate_bonds, single_site_shape
-from xyzglass.operators import PauliString, pauli_product, pauli_site
+from xyzglass.operators import PauliString, parity_sectors, pauli_product, pauli_site
 from xyzglass.quantum_gibbs import (
     HamiltonianBuilder,
+    SectorStack,
     build_hamiltonian,
     gibbs_expectation,
     spectral_decompose,
@@ -718,26 +719,48 @@ def test_quadrature_rows_and_probabilities_match_the_grid_loop():
         assert average == float(probs @ np.ascontiguousarray(rows[:, t]))
 
 
+def stencil_values(states, h, n, order):
+    m = [sum(string_expectations(state, order)) / n for state in states]
+    third = (m[4] - 2 * m[3] + 2 * m[1] - m[0]) / (2 * h**3)
+    second = (m[3] - 2 * m[2] + m[1]) / h**2
+    return [third, second]
+
+
 @pytest.mark.parametrize("v", ["x", "y", "z"])
 def test_field_stencil_equals_the_dense_field_reference(v):
     # the stencil's field is scattered from its Pauli strings; the entries
-    # are exact, so every shifted Hamiltonian equals H - mu * (dense field)
+    # are exact, so every shifted Hamiltonian equals H - mu * (dense field).
+    # A z field keeps this model's P_z parity, so there the plan's matrices
+    # are the parity blocks of H - mu * (dense field), with H's blocks from
+    # the builder; the dense matrices give the same values up to rounding
     cfg, h, n = bounds_5site_config(), 0.05, 5
     block = identities.FieldStencilBlock(v, "z", h)
-    table = identities.Plan(cfg, [block]).evaluate(MonteCarlo(6, 83))
+    plan = identities.Plan(cfg, [block])
+    table = plan.evaluate(MonteCarlo(6, 83))
     builder = HamiltonianBuilder(cfg.lattice, cfg.families)
     field = sum(pauli_site(n, i, v) for i in range(n))
     order = [PauliString(n, (i,), "z") for i in range(n)]
+    mus = (-2 * h, -h, 0.0, h, 2 * h)
+    sectors = plan.sectors
+    assert (sectors is parity_sectors(n)) == (v == "z")
     for k in range(6):
-        base = builder.build(sample_disorder(cfg.params, cfg.families, 83, k))
-        states = [
-            thermal_state(spectral_decompose(base - mu * field), cfg.beta)
-            for mu in (-2 * h, -h, 0.0, h, 2 * h)
-        ]
-        m = [sum(string_expectations(state, order)) / n for state in states]
-        third = (m[4] - 2 * m[3] + 2 * m[1] - m[0]) / (2 * h**3)
-        second = (m[3] - 2 * m[2] + m[1]) / h**2
-        assert np.array_equal(table.values(block)[k], [third, second])
+        sample = sample_disorder(cfg.params, cfg.families, 83, k)
+        base = builder.build(sample)
+        dense = [thermal_state(spectral_decompose(base - mu * field), cfg.beta) for mu in mus]
+        if v == "z":
+            blocks = builder.build_rows(coupling_row(sample)[None], sectors).blocks[0]
+            field_blocks = np.stack([field[np.ix_(b, b)].real for b in sectors.bases])
+            states = [
+                thermal_state(
+                    spectral_decompose(SectorStack(blocks - mu * field_blocks, sectors)), cfg.beta
+                )
+                for mu in mus
+            ]
+        else:
+            states = dense
+        assert np.array_equal(table.values(block)[k], stencil_values(states, h, n, order))
+        dense_values = stencil_values(dense, h, n, order)
+        assert np.allclose(table.values(block)[k], dense_values, rtol=0, atol=1e-9)
 
 
 def test_package_exports_the_plan_api():
