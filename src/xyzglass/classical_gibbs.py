@@ -5,7 +5,7 @@ from __future__ import annotations
 
 import csv
 from dataclasses import dataclass
-from typing import Mapping, Sequence
+from typing import Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -94,6 +94,25 @@ def _log_weights(tau: np.ndarray, coeffs: np.ndarray, bonds: list[tuple[int, ...
     return w
 
 
+def _weighted_chunks(model: ClassicalModel) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """(tau, w) for every chunk of configurations in a fixed order, with w
+    the Boltzmann weights shifted by the largest log weight, which a first
+    pass over the chunks finds. Chunks hold 2^_CHUNK_BITS configurations,
+    read when the enumeration starts."""
+    _check_cap(model.n_sites)
+    coeffs, bonds = _term_arrays(model)
+    total = 1 << model.n_sites
+    chunk = min(total, 1 << _CHUNK_BITS)
+    starts = range(0, total, chunk)
+    gmax = -np.inf
+    for start in starts:
+        tau = _tau_block(start, min(chunk, total - start), model.n_sites)
+        gmax = max(gmax, float(np.max(_log_weights(tau, coeffs, bonds))))
+    for start in starts:
+        tau = _tau_block(start, min(chunk, total - start), model.n_sites)
+        yield tau, np.exp(_log_weights(tau, coeffs, bonds) - gmax)
+
+
 def product_expectations(
     model: ClassicalModel, site_sets: Sequence[Sequence[int]]
 ) -> np.ndarray:
@@ -107,18 +126,9 @@ def product_expectations(
     for s in sets:
         if s and not set(s) <= set(range(model.n_sites)):
             raise ValueError(f"site set {s} out of range")
-    coeffs, bonds = _term_arrays(model)
-    total = 1 << model.n_sites
-    chunk = min(total, 1 << _CHUNK_BITS)
-    gmax = -np.inf
-    for start in range(0, total, chunk):
-        tau = _tau_block(start, min(chunk, total - start), model.n_sites)
-        gmax = max(gmax, float(np.max(_log_weights(tau, coeffs, bonds))))
     z = 0.0
     nums = np.zeros(len(sets))
-    for start in range(0, total, chunk):
-        tau = _tau_block(start, min(chunk, total - start), model.n_sites)
-        w = np.exp(_log_weights(tau, coeffs, bonds) - gmax)
+    for tau, w in _weighted_chunks(model):
         z += float(np.sum(w))
         for k, s in enumerate(sets):
             if s:
@@ -155,19 +165,9 @@ def classical_pair_expectation(
 
 def classical_correlation_matrix(model: ClassicalModel) -> np.ndarray:
     """All pair correlations <tau_i tau_j> from a single enumeration pass."""
-    _check_cap(model.n_sites)
-    coeffs, bonds = _term_arrays(model)
-    total = 1 << model.n_sites
-    chunk = min(total, 1 << _CHUNK_BITS)
-    gmax = -np.inf
-    for start in range(0, total, chunk):
-        tau = _tau_block(start, min(chunk, total - start), model.n_sites)
-        gmax = max(gmax, float(np.max(_log_weights(tau, coeffs, bonds))))
     z = 0.0
     corr = np.zeros((model.n_sites, model.n_sites))
-    for start in range(0, total, chunk):
-        tau = _tau_block(start, min(chunk, total - start), model.n_sites)
-        w = np.exp(_log_weights(tau, coeffs, bonds) - gmax)
+    for tau, w in _weighted_chunks(model):
         z += float(np.sum(w))
         corr += (tau * w[:, None]).T @ tau
     return corr / z

@@ -28,6 +28,7 @@ import numpy as np
 from . import classical_gibbs, identities, phase_region
 from .disorder import (
     CouplingParams,
+    coupling_row,
     dump_csv,
     gauge_transform_couplings,
     gaussian_log_density,
@@ -46,14 +47,16 @@ from .identities import (
     quadrature_average,
 )
 from .lattice import build_lattice, generate_bonds, interaction_shape, merge_bond_families
-from .operators import AXES, gauge_unitary, pauli_site
+from .operators import AXES, PauliString, gauge_unitary, parity_sectors, pauli_site, whole_space
 from .quantum_gibbs import (
+    HamiltonianBuilder,
     build_hamiltonian,
-    duhamel,
+    duhamel_kernel,
+    duhamel_matrix,
     duhamel_time_integral,
-    gibbs_expectation,
     gibbs_expectation_expm,
     spectral_decompose,
+    string_expectations,
     thermal_state,
 )
 
@@ -661,30 +664,37 @@ def run_selftest(seed: int) -> tuple[list[dict], dict]:
     record("quadrature second moment", abs(second - d0**2), 1e-12)
     record("quadrature fourth moment", abs(fourth - 3.0), 1e-12)
 
-    # spectral Gibbs and Duhamel versus expm oracles
+    # the plans' string expectations and Duhamel contraction versus the expm
+    # and Simpson oracles: three 2-site models with fields on the whole
+    # space, and a zero-field 3-site chain in the parity sectors, where x on
+    # two sites keeps each sector and x on one site maps each onto the other
+    law = {a: (0.2, 0.8) for a in AXES}
+    lat2, lat3 = build_lattice(1, 2), build_lattice(1, 3)
+    fields2 = {
+        1: generate_bonds(lat2, single_site_shape(), "open"),
+        2: generate_bonds(lat2, chain_pair_shape(), "open"),
+    }
+    pairs3 = {2: generate_bonds(lat3, chain_pair_shape(), "open")}
+    z0, y1 = PauliString(2, (0,), "z"), PauliString(2, (1,), "y")
+    x0, x2, x02 = (PauliString(3, sites, "x") for sites in [(0,), (2,), (0, 2)])
+    draws = [(int(rng.integers(2**31)), float(rng.uniform(0.2, 1.2))) for _ in range(3)]
+    # (lattice, families, couplings, sectors, observable, Duhamel pair, draw)
+    models = [
+        (lat2, fields2, {1: law, 2: law}, whole_space(2), z0, (z0, y1), draw) for draw in draws
+    ]
+    models.append((lat3, pairs3, {2: law}, parity_sectors(3), x02, (x0, x2), draws[-1]))
     worst_gibbs = 0.0
     worst_duh = 0.0
-    for _ in range(3):
-        length = 2
-        lat2 = build_lattice(1, length)
-        fams2 = {
-            1: generate_bonds(lat2, single_site_shape(), "open"),
-            2: generate_bonds(lat2, chain_pair_shape(), "open"),
-        }
-        params2 = CouplingParams(
-            {p: {a: (0.2, 0.8) for a in AXES} for p in (1, 2)}
-        )
-        sample = sample_disorder(params2, fams2, seed=int(rng.integers(2**31)))
-        ham = build_hamiltonian(lat2, fams2, sample)
-        beta = float(rng.uniform(0.2, 1.2))
-        state = thermal_state(spectral_decompose(ham), beta)
-        a = pauli_site(length, 0, "z")
-        b = pauli_site(length, 1, "y")
-        worst_gibbs = max(
-            worst_gibbs, abs(gibbs_expectation(state, a) - gibbs_expectation_expm(ham, beta, a))
-        )
+    for lat_m, fams_m, entries, sectors, obs, (a, b), (sample_seed, beta) in models:
+        builder = HamiltonianBuilder(lat_m, fams_m)
+        row = coupling_row(sample_disorder(CouplingParams(entries), fams_m, seed=sample_seed))[None]
+        ham = builder.build_rows(row)[0]
+        state = thermal_state(spectral_decompose(builder.build_rows(row, sectors)), beta)
+        (q,) = string_expectations(state, [obs])[0]
+        worst_gibbs = max(worst_gibbs, abs(q - gibbs_expectation_expm(ham, beta, obs.dense())))
+        (duh,) = duhamel_matrix(state, duhamel_kernel(state), [a], [b])[0, 0]
         worst_duh = max(
-            worst_duh, abs(duhamel(state, a, b) - duhamel_time_integral(ham, beta, a, b))
+            worst_duh, abs(duh - duhamel_time_integral(ham, beta, a.dense(), b.dense()))
         )
     record("Gibbs expectation versus expm oracle", worst_gibbs, 1e-8)
     record("Duhamel versus Simpson time integration", worst_duh, 1e-7)
@@ -729,7 +739,10 @@ def run_selftest(seed: int) -> tuple[list[dict], dict]:
 
 
 def _fresh_path(directory: str, stem: str, ext: str) -> str:
-    """First unused `stem[_NNN].ext` in `directory` (reports are append-only)."""
+    """First unused `stem[_NNN].ext` in `directory` (reports are append-only).
+    The directory is made here, on the run's first write, so a run that
+    stops at a config error leaves none behind."""
+    os.makedirs(directory, exist_ok=True)
     candidate = os.path.join(directory, f"{stem}.{ext}")
     counter = 0
     while os.path.exists(candidate):
@@ -742,9 +755,7 @@ def run_directory(out_root: str, cfg: dict) -> str:
     digest = hashlib.sha256(
         json.dumps(cfg, sort_keys=True).encode()
     ).hexdigest()[:12]
-    path = os.path.join(out_root, f"run_s{cfg['seed']}_{digest}")
-    os.makedirs(path, exist_ok=True)
-    return path
+    return os.path.join(out_root, f"run_s{cfg['seed']}_{digest}")
 
 
 def write_report(report: dict, directory: str) -> str:

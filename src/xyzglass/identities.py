@@ -36,19 +36,18 @@ from .disorder import (
     term_slices,
 )
 from .errors import CapacityError, UndersampledError
-from .lattice import BondFamily, Lattice
+from .lattice import BondFamily, Lattice, generate_bonds, single_site_shape
 from .operators import AXES, PauliString, Sectors, parity_sectors, whole_space
 from .quantum_gibbs import (
     HamiltonianBuilder,
     SectorStack,
     ThermalState,
-    _duhamel_kernel,
-    duhamel_bracket,
+    duhamel_kernel,
+    duhamel_matrix,
     free_energy_density,
     spectral_decompose,
     string_expectations,
     thermal_state,
-    truncated_duhamel_matrix,
 )
 
 DEFAULT_Z_MAX = 4.0
@@ -308,7 +307,7 @@ class _Batch:
 
     @functools.cached_property
     def duhamel_kernel(self) -> np.ndarray:
-        return _duhamel_kernel(self.state)
+        return duhamel_kernel(self.state)
 
     def expectations(self, ops: Sequence[PauliString]) -> np.ndarray:
         """(samples, len(ops)) thermal expectations, each string made once."""
@@ -407,10 +406,15 @@ class Plan:
         """The blocks the plan's Hamiltonians are built and decomposed in."""
         return (parity_sectors if self.conserves_parity else whole_space)(self.n_sites)
 
+    def _check_sites(self, sites: tuple[int, ...]) -> None:
+        if not set(sites) <= set(range(self.n_sites)):
+            raise ValueError(f"sites {list(sites)} out of range for {self.n_sites} sites")
+
     def string(self, sites: tuple[int, ...], axis: str) -> PauliString:
         """The plan's one PauliString for (sites, axis)."""
         key = (sites, axis)
         if key not in self._strings:
+            self._check_sites(sites)
             self._strings[key] = PauliString(self.n_sites, sites, axis)
         return self._strings[key]
 
@@ -428,6 +432,7 @@ class Plan:
         self.require_classical()
         for s in site_sets:
             if s not in self._set_index:
+                self._check_sites(s)
                 self._set_index[s] = len(self.site_sets)
                 self.site_sets.append(s)
         return [self._set_index[s] for s in site_sets]
@@ -626,7 +631,7 @@ class DuhamelBlock(_IdentityBlock):
         op_x, op_y = plan.string(self.x_sites, self.w), plan.string(self.y_sites, self.w)
 
         def evaluate(s: _Batch) -> np.ndarray:
-            dval = duhamel_bracket(s.state, s.duhamel_kernel, op_x, op_y)
+            dval = duhamel_matrix(s.state, s.duhamel_kernel, [op_x], [op_y])[:, 0, 0]
             qx, qy = s.expectations([op_x, op_y]).T
             tval = dval - qx * qy
             cv = s.products[:, c]
@@ -981,14 +986,16 @@ class SusceptibilityBlock:
             # dim) string stacks stay within the batch byte budget
             state, phi = s.state, s.duhamel_kernel
             step = max(1, _BATCH_BYTES // (16 * n * phi[0].size))
-            return np.concatenate(
+            duh = np.concatenate(
                 [
-                    truncated_duhamel_matrix(
+                    duhamel_matrix(
                         _state_rows(state, slice(i, i + step)), phi[i : i + step], ops_w, ops_v
-                    ).reshape(-1, n * n)
+                    )
                     for i in range(0, len(phi), step)
                 ]
             )
+            qw, qv = s.expectations(ops_w), s.expectations(ops_v)
+            return (duh - qw[:, :, None] * qv[:, None, :]).reshape(-1, n * n)
 
         return n * n, evaluate
 
@@ -1132,16 +1139,6 @@ def mean_pair_correlation(config: ModelConfig, u: str, method: Method) -> np.nda
     return block.result(Plan(config, [block], u).evaluate(method))
 
 
-def _monomial_groups(strings: Sequence[PauliString]) -> dict[int, np.ndarray]:
-    """The sum of Pauli strings as values per flip mask: its entries
-    [j ^ flip, j] are values[j]. A z field is one diagonal group, and x or y
-    fields are one group per site; the values are exact."""
-    groups: dict[int, np.ndarray] = {}
-    for op in strings:
-        groups[op.flip] = groups.get(op.flip, 0) + op.phase
-    return groups
-
-
 @dataclass(frozen=True)
 class FieldStencilBlock:
     """Third and second central differences of the magnetization in the
@@ -1167,14 +1164,16 @@ class FieldStencilBlock:
         params.require_even_mixed()
         if any(params.is_active(1, a) for a in AXES):
             raise ValueError("nonlinear susceptibility probe requires zero base field")
-        plan.builder  # made now, so a lattice too large for it fails before sampling
         n = plan.n_sites
         sectors = plan.sectors
-        groups = _monomial_groups([plan.string(s, self.v) for s in _single_sites(n)])
-        targets = sectors.scatter_index(list(groups))
-        values = np.array(list(groups.values()))
-        if sectors.dtype is float:
-            values = values.real
+        # the field F = -sum_i sigma_i^v in the plan's sectors; its entries
+        # are sums of +-1 and +-i, exact, so H + mean F rounds only where F
+        # is nonzero
+        lattice = plan.config.lattice
+        singles = {1: generate_bonds(lattice, single_site_shape(lattice.d), "open")}
+        builder = HamiltonianBuilder(lattice, singles)
+        row = np.array([[float(axis == self.v) for _, axis, _, _ in builder.terms]])
+        field = builder.build_rows(row, sectors).blocks
         order = [plan.string(s, self.w) for s in _single_sites(n)]
         beta = plan.config.beta
         # the four nonzero field means; the zero-field point is the base state
@@ -1183,11 +1182,8 @@ class FieldStencilBlock:
         def magnetization(s: _Batch, mean: float) -> np.ndarray:
             """Per sample, the magnetization at field mean `mean`: one stack of
             the batch's shifted Hamiltonians, within the batch byte budget."""
-            shifted = s.hamiltonians.blocks.copy()
-            sector, rows, cols = targets
-            for g in range(len(values)):
-                shifted[:, sector, rows[g], cols] -= mean * values[g]
-            spectrum = spectral_decompose(SectorStack(shifted, sectors), s.indices)
+            shifted = SectorStack(s.hamiltonians.blocks + mean * field, sectors)
+            spectrum = spectral_decompose(shifted, s.indices)
             state = thermal_state(spectrum, beta)
             return np.sum(string_expectations(state, order), axis=-1) / n
 

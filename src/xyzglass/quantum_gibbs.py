@@ -57,15 +57,10 @@ class ThermalState:
 @dataclass(frozen=True)
 class SectorStack:
     """A stack of operators that are block-diagonal in `sectors`, held as
-    their diagonal blocks (..., S, d, d). `shape` is the dense stack's,
-    (..., dim, dim)."""
+    their diagonal blocks (..., S, d, d)."""
 
     blocks: np.ndarray
     sectors: Sectors
-
-    @property
-    def shape(self) -> tuple[int, ...]:
-        return self.blocks.shape[:-3] + (self.sectors.dim, self.sectors.dim)
 
 
 def _sectored(spectrum: Spectrum) -> tuple[np.ndarray, np.ndarray, Sectors]:
@@ -284,7 +279,7 @@ def string_in_eigenbasis(state: ThermalState, op: PauliString) -> np.ndarray:
     return blocks[..., 0, :, :] if state.spectrum.sectors is None else blocks
 
 
-def _duhamel_kernel(state: ThermalState) -> np.ndarray:
+def duhamel_kernel(state: ThermalState) -> np.ndarray:
     """Matrix phi_mn such that the Duhamel bracket is sum A_mn B_nm phi_mn / Z,
     with the state's stack axes in front; on sectors, one block per sector
     pair (..., S, S, d, d), block [s, t] for m in sector s and n in sector t.
@@ -321,65 +316,41 @@ def _kernel_blocks(
     return kernel[..., image, np.arange(len(image)), :, :]
 
 
-def duhamel_bracket(
-    state: ThermalState, kernel: np.ndarray, op_a: PauliString, op_b: PauliString
-) -> np.ndarray:
-    """Per matrix of the stack, the Duhamel bracket (A ; B) without
-    truncation: sum_mn A_mn B_nm phi_mn / Z in the eigenbasis, with `kernel`
-    the state's `_duhamel_kernel`. On sectors it sums over the sector pairs
-    A connects; strings whose images differ give exactly 0."""
-    if not _sectored(state.spectrum)[2].keeps(op_a.flip ^ op_b.flip):
-        return np.zeros(np.shape(state.log_z))
-    image, a_t = _in_eigenbasis(state, op_a)
-    _, b_t = _in_eigenbasis(state, op_b)
-    terms = a_t * b_t[..., image, :, :].swapaxes(-1, -2) * _kernel_blocks(state, kernel, image)
-    bracket = np.sum(np.sum(terms, axis=(-2, -1)), axis=-1)
-    return np.real(bracket) / _partition_sum(state)
-
-
 def _string_stack(
     state: ThermalState, ops: Sequence[PauliString]
-) -> tuple[slice | np.ndarray, np.ndarray, np.ndarray]:
-    """(image, eigenbasis blocks (b, len(ops), S, d, d), expectations (b,
-    len(ops))) of strings that share one sector map."""
+) -> tuple[slice | np.ndarray, np.ndarray]:
+    """(image, eigenbasis blocks (b, len(ops), S, d, d)) of strings that share
+    one sector map."""
     sectors = _sectored(state.spectrum)[2]
     if not all(sectors.keeps(op.flip ^ ops[0].flip) for op in ops):
         raise ValueError("the strings of one stack must share their sector map")
     pairs = [_in_eigenbasis(state, op) for op in ops]
-    image = pairs[0][0]
-    blocks = np.stack([m for _, m in pairs], axis=1)
-    weights = _sector_weights(state)[:, None]
-    if isinstance(image, slice):
-        diag = np.diagonal(blocks, axis1=-2, axis2=-1).real * weights
-        expect = np.sum(np.sum(diag, axis=-1), axis=-1) / _partition_sum(state)[:, None]
-    else:
-        expect = np.zeros(blocks.shape[:2])
-    return image, blocks, expect
+    return pairs[0][0], np.stack([m for _, m in pairs], axis=1)
 
 
-def truncated_duhamel_matrix(
+def duhamel_matrix(
     state: ThermalState,
     kernel: np.ndarray,
     ops_a: Sequence[PauliString],
     ops_b: Sequence[PauliString],
 ) -> np.ndarray:
-    """The truncated Duhamel brackets (A_i ; B_j) of a stack of states (b,
-    ...), as (b, len(ops_a), len(ops_b)): one matmul per matrix, or per
-    sector pair. The strings of each list must share one sector map, as
-    single-site strings on one axis do. `ops_b` may be `ops_a`."""
-    image, at, qa = _string_stack(state, ops_a)
-    _, bt, qb = (image, at, qa) if ops_b is ops_a else _string_stack(state, ops_b)
+    """The Duhamel brackets (A_i ; B_j) without truncation, sum_mn A_mn B_nm
+    phi_mn / Z in the eigenbasis with `kernel` the state's `duhamel_kernel`,
+    of a stack of states (b, ...) as (b, len(ops_a), len(ops_b)): one matmul
+    per matrix, or per sector pair. The strings of each list must share one
+    sector map, as single-site strings on one axis do; lists whose maps
+    differ give exactly 0. `ops_b` may be `ops_a`."""
+    image, at = _string_stack(state, ops_a)
+    bt = at if ops_b is ops_a else _string_stack(state, ops_b)[1]
     b, n_a, n_b = len(at), len(ops_a), len(ops_b)
-    if _sectored(state.spectrum)[2].keeps(ops_a[0].flip ^ ops_b[0].flip):
-        phi = _kernel_blocks(state, kernel, image)
-        z = _partition_sum(state)[:, None, None]
-        # duh[:, i, j] = sum_smn at[:, i, s, m, n] bt[:, j, t, n, m] phi[:, t, s, m, n] with
-        # t = image[s], one matmul a matrix
-        bt_t = bt[:, :, image].swapaxes(-1, -2).reshape(b, n_b, -1).swapaxes(-1, -2)
-        duh = np.real((at * phi[:, None]).reshape(b, n_a, -1) @ bt_t) / z
-    else:
-        duh = np.zeros((b, n_a, n_b))
-    return duh - qa[:, :, None] * qb[:, None, :]
+    if not _sectored(state.spectrum)[2].keeps(ops_a[0].flip ^ ops_b[0].flip):
+        return np.zeros((b, n_a, n_b))
+    phi = _kernel_blocks(state, kernel, image)
+    z = _partition_sum(state)[:, None, None]
+    # duh[:, i, j] = sum_smn at[:, i, s, m, n] bt[:, j, t, n, m] phi[:, t, s, m, n] with
+    # t = image[s], one matmul a matrix
+    bt_t = bt[:, :, image].swapaxes(-1, -2).reshape(b, n_b, -1).swapaxes(-1, -2)
+    return np.real((at * phi[:, None]).reshape(b, n_a, -1) @ bt_t) / z
 
 
 def duhamel(state: ThermalState, a: np.ndarray, b: np.ndarray) -> float:
@@ -387,7 +358,7 @@ def duhamel(state: ThermalState, a: np.ndarray, b: np.ndarray) -> float:
     < exp(t beta H) A exp(-t beta H) B >, evaluated spectrally."""
     at = _to_eigenbasis(state, a)
     bt = _to_eigenbasis(state, b)
-    phi = _duhamel_kernel(state)
+    phi = duhamel_kernel(state)
     val = np.sum(at * bt.T * phi) / np.sum(state.weights)
     return _real_part(complex(val), "Duhamel bracket")
 

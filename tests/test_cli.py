@@ -1,8 +1,7 @@
 import ast
-import inspect
 import json
-import math
 import os
+import pathlib
 
 import jsonschema
 import pytest
@@ -324,10 +323,9 @@ def count_calls(monkeypatch, module, name, weight=lambda *args: 1):
 
 
 def count_decompositions(monkeypatch):
-    """The number of matrices each (stacked) decomposition call handles."""
-    return count_calls(
-        monkeypatch, identities, "spectral_decompose", lambda h, *rest: math.prod(h.shape[:-2])
-    )
+    """The number of matrices each (stacked) decomposition call handles; a
+    plan decomposes `SectorStack`s, one stacked operator per sample."""
+    return count_calls(monkeypatch, identities, "spectral_decompose", lambda h, *rest: len(h.blocks))
 
 
 def test_retry_extends_the_shared_table_once(tmp_path, monkeypatch):
@@ -397,19 +395,63 @@ def test_verify_bounds_makes_five_decompositions_per_sample(tmp_path, monkeypatc
     assert "nishimori_correlations_csv" in load_report(out)["artifacts"]
 
 
+@pytest.mark.parametrize(
+    "field, extra", [("x_sites", []), ("y_sites", []), ("z_sites", ["--extended-multipoint"])]
+)
+def test_out_of_range_observable_site_exits_two_before_sampling(
+    tmp_path, capsys, monkeypatch, field, extra
+):
+    shipped = pathlib.Path(__file__).parents[1] / "configs" / "identities_mc.json"
+    payload = json.loads(shipped.read_text())
+    payload["observables"][field] = [7]  # the model has 4 sites
+    cfg = write_config(tmp_path, "c.json", payload)
+    draws = count_calls(monkeypatch, identities, "draw_row")
+    code = main(["verify-identities", "--config", cfg, "--out", str(tmp_path / "runs"), *extra])
+    assert code == EXIT_CONFIG_ERROR
+    err = json.loads(capsys.readouterr().err.strip())
+    assert err["error"]["kind"] == "config"
+    assert err["error"]["exit_code"] == EXIT_CONFIG_ERROR
+    assert "out of range" in err["error"]["message"]
+    assert draws == []
+    assert not (tmp_path / "runs").exists()
+
+
+def private_names_read_across_modules(package):
+    """(module, name) for every underscore name that a module of `package`
+    imports from, or reads off, another module of the package."""
+    found = []
+    for path in sorted(package.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        modules = set()  # local names bound to modules of the package
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and (node.level or node.module.startswith("xyzglass")):
+                if node.module in (None, "xyzglass"):
+                    modules |= {alias.asname or alias.name for alias in node.names}
+                else:
+                    found += [(path.stem, alias.name) for alias in node.names if _private(alias.name)]
+            elif isinstance(node, ast.Import):
+                modules |= {
+                    alias.asname for alias in node.names
+                    if alias.asname and alias.name.startswith("xyzglass.")
+                }
+        found += [
+            (path.stem, node.attr) for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+            and node.value.id in modules and _private(node.attr)
+        ]
+    return found
+
+
+def _private(name):
+    return name.startswith("_") and not name.startswith("__")
+
+
 def test_cli_calls_no_private_identities_helper():
-    tree = ast.parse(inspect.getsource(cli))
-    private = [
-        node.attr for node in ast.walk(tree)
-        if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
-        and node.value.id == "identities" and node.attr.startswith("_")
-    ]
-    private += [
-        alias.name for node in ast.walk(tree)
-        if isinstance(node, ast.ImportFrom) and node.module == "identities"
-        for alias in node.names if alias.name.startswith("_")
-    ]
-    assert private == []
+    # the guard covers every module of the package, the CLI among them;
+    # tests may use private names
+    package = pathlib.Path(cli.__file__).parent
+    assert {"cli", "identities", "quantum_gibbs"} <= {p.stem for p in package.glob("*.py")}
+    assert private_names_read_across_modules(package) == []
 
 
 @pytest.mark.parametrize(

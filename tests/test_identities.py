@@ -503,12 +503,13 @@ def test_extend_draws_only_the_new_samples(monkeypatch):
 
 def count_decompositions(monkeypatch) -> list[int]:
     """Patch the plan's spectral_decompose to record how many matrices each
-    (stacked) call decomposes."""
+    (stacked) call decomposes: a plan decomposes `SectorStack`s, one stacked
+    operator per sample."""
     calls = []
     real = identities.spectral_decompose
 
     def counting(h, labels=None):
-        calls.append(math.prod(np.shape(h)[:-2]))
+        calls.append(len(h.blocks))
         return real(h, labels)
 
     monkeypatch.setattr(identities, "spectral_decompose", counting)

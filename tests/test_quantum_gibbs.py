@@ -21,10 +21,10 @@ from xyzglass.operators import PauliString, gauge_unitary, pauli_product, pauli_
 from xyzglass.quantum_gibbs import (
     HamiltonianBuilder,
     Spectrum,
-    _duhamel_kernel,
     build_hamiltonian,
     derivative_identity_residual,
     duhamel,
+    duhamel_kernel,
     duhamel_time_integral,
     free_energy_density,
     gibbs_expectation,
@@ -155,7 +155,7 @@ def test_stacked_decomposition_equals_one_matrix_at_a_time():
         assert np.array_equal(together.spectrum.eigenvectors[k], alone.spectrum.eigenvectors)
         assert np.array_equal(together.weights[k], alone.weights)
         assert together.log_z[k] == alone.log_z
-        assert np.array_equal(_duhamel_kernel(together)[k], _duhamel_kernel(alone))
+        assert np.array_equal(duhamel_kernel(together)[k], duhamel_kernel(alone))
         for op in (PauliString(3, (0, 2), "y"), PauliString(3, (1,), "z")):
             assert np.array_equal(
                 string_expectations(together, [op])[k], string_expectations(alone, [op])
@@ -573,7 +573,7 @@ def test_duhamel_kernel_matches_direct_evaluation(spectrum):
     e, beta = spectrum
     dim = len(e)
     state = thermal_state(Spectrum(eigenvalues=e, eigenvectors=np.eye(dim), dim=dim), beta)
-    phi = _duhamel_kernel(state)
+    phi = duhamel_kernel(state)
     assert np.all(np.isfinite(phi)) and np.all(phi >= 0.0)
     a = beta * (e - e[0])
     eps = np.finfo(float).eps

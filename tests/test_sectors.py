@@ -21,12 +21,13 @@ from xyzglass.operators import PauliString, parity_sectors, pauli_site, whole_sp
 from xyzglass.quantum_gibbs import (
     HamiltonianBuilder,
     SectorStack,
-    _duhamel_kernel,
-    duhamel_bracket,
+    duhamel,
+    duhamel_kernel,
+    duhamel_matrix,
     spectral_decompose,
     string_expectations,
     thermal_state,
-    truncated_duhamel_matrix,
+    truncated_duhamel,
 )
 
 EPS = np.finfo(float).eps
@@ -127,17 +128,60 @@ def test_sector_duhamel_matrices_match_the_dense_oracle(model, w, v):
     n = config.lattice.n_sites
     dense, split = both_states(config, seed)
     tol = 4 * error_scale(dense)
-    phi_dense, phi_split = _duhamel_kernel(dense), _duhamel_kernel(split)
     ops_w, ops_v = site_strings(n, w), site_strings(n, v)
-    trunc_dense = truncated_duhamel_matrix(dense, phi_dense, ops_w, ops_v)
-    trunc_split = truncated_duhamel_matrix(split, phi_split, ops_w, ops_v)
-    assert np.max(np.abs(trunc_dense - trunc_split)) <= tol
-    full_dense = np.array([[duhamel_bracket(dense, phi_dense, a, b)[0] for b in ops_v] for a in ops_w])
-    full_split = np.array([[duhamel_bracket(split, phi_split, a, b)[0] for b in ops_v] for a in ops_w])
+    full_dense = duhamel_matrix(dense, duhamel_kernel(dense), ops_w, ops_v)
+    full_split = duhamel_matrix(split, duhamel_kernel(split), ops_w, ops_v)
     assert np.max(np.abs(full_dense - full_split)) <= tol
+
+    def truncated(state, full):
+        qw, qv = string_expectations(state, ops_w), string_expectations(state, ops_v)
+        return full - qw[:, :, None] * qv[:, None, :]
+
+    trunc_dense, trunc_split = truncated(dense, full_dense), truncated(split, full_split)
+    assert np.max(np.abs(trunc_dense - trunc_split)) <= tol
     if (w == "z") != (v == "z"):
         # one string keeps the parity and the other flips it
         assert np.all(trunc_split == 0.0)
+
+
+@st.composite
+def field_models(draw):
+    """The mc-small class: a p=2 chain of 2 to 5 sites with p=1 fields on
+    every axis, so x and y terms flip one spin and the plan runs on the whole
+    space."""
+    n = draw(st.integers(2, 5))
+    lat, fams = chain_families(n, draw(st.sampled_from(["open", "periodic"])), False)
+    fams[1] = generate_bonds(lat, single_site_shape(), "open")
+    law = st.tuples(st.floats(-1.0, 1.0), st.floats(0.0, 1.0))
+    entries = {p: {a: draw(law) for a in AXES} for p in fams}
+    beta = draw(st.floats(0.05, 2.0))
+    config = ModelConfig(lattice=lat, families=fams, params=CouplingParams(entries), beta=beta)
+    return config, draw(st.integers(0, 2**31 - 1))
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    st.one_of(field_models(), parity_models()), st.sampled_from(AXES), st.sampled_from(AXES)
+)
+def test_duhamel_matrix_matches_the_dense_duhamel_oracles(model, w, v):
+    # the plan's contraction, in the plan's own sectors, against `duhamel`
+    # and `truncated_duhamel` on the strings' dense matrices
+    config, seed = model
+    n = config.lattice.n_sites
+    plan = identities.Plan(config, [identities.SiteExpectationsBlock()])
+    builder = HamiltonianBuilder(config.lattice, config.families)
+    row = coupling_row(sample_disorder(config.params, config.families, seed))[None]
+    oracle = thermal_state(spectral_decompose(builder.build_rows(row)[0]), config.beta)
+    state = thermal_state(spectral_decompose(builder.build_rows(row, plan.sectors)), config.beta)
+    ops_w, ops_v = site_strings(n, w), site_strings(n, v)
+    full = duhamel_matrix(state, duhamel_kernel(state), ops_w, ops_v)[0]
+    qw, qv = string_expectations(state, ops_w)[0], string_expectations(state, ops_v)[0]
+    trunc = full - qw[:, None] * qv[None, :]
+    tol = 4 * error_scale(oracle)
+    for i, a in enumerate(ops_w):
+        for j, b in enumerate(ops_v):
+            assert abs(full[i, j] - duhamel(oracle, a.dense(), b.dense())) <= tol
+            assert abs(trunc[i, j] - truncated_duhamel(oracle, a.dense(), b.dense())) <= tol
 
 
 @settings(max_examples=20, deadline=None)
