@@ -223,12 +223,35 @@ _DEFAULTS = {
 }
 
 
+def _non_finite_path(value: Any, path: list) -> list | None:
+    """The key path of the first NaN or infinite number in a loaded config,
+    or None. `json` parses `NaN`, `Infinity`, `-Infinity` and overflowing
+    literals such as 1e400 to such floats, and the schema's number type
+    accepts them."""
+    if isinstance(value, float):
+        return None if math.isfinite(value) else path
+    if isinstance(value, dict):
+        items = value.items()
+    elif isinstance(value, list):
+        items = enumerate(value)
+    else:
+        return None
+    for key, item in items:
+        found = _non_finite_path(item, [*path, key])
+        if found is not None:
+            return found
+    return None
+
+
 def load_config(path: str) -> dict:
     try:
         with open(path) as fh:
             raw = json.load(fh)
     except (OSError, json.JSONDecodeError) as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
+    bad = _non_finite_path(raw, [])
+    if bad is not None:
+        raise ConfigError(f"config value at {bad} is not a finite number")
     exc = jsonschema.exceptions.best_match(_CONFIG_VALIDATOR.iter_errors(raw))
     if exc is not None:
         raise ConfigError(

@@ -10,6 +10,9 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
+# numpy.random loads with this module, not inside the first draw of a run
+from numpy.random import default_rng
+
 from .lattice import BondFamily
 from .operators import AXES
 
@@ -132,7 +135,7 @@ def draw_row(mu: np.ndarray, delta: np.ndarray, seed: int, sample_index: int) ->
     Distinct sample indices can be drawn concurrently in any order with
     identical results. A zero std-dev yields the constant mean exactly.
     """
-    rng = np.random.default_rng([int(seed) & 0xFFFFFFFFFFFFFFFF, int(sample_index)])
+    rng = default_rng([int(seed) & 0xFFFFFFFFFFFFFFFF, int(sample_index)])
     return mu + delta * rng.standard_normal(len(mu))
 
 
@@ -200,65 +203,73 @@ def nishimori_beta(params: CouplingParams, p: int, u: str) -> float:
     return math.sqrt(total)
 
 
-def nishimori_rows(
-    rows: np.ndarray,
-    params: CouplingParams,
-    families: Mapping[int, BondFamily],
-    u: str,
-) -> tuple[dict[int, float], dict[int, np.ndarray], dict[int, np.ndarray | None]]:
-    """Rotate the two transformed coupling components of every coupling row
-    into (K, G) variables: per p, the betas and (rows x bonds) arrays.
+class NishimoriRotation:
+    """The rotation of the two transformed coupling components of coupling
+    rows into (K, G) variables for gauge axis u, with its per-model
+    constants made once: each p's Nishimori beta (`betas`), and the
+    coupling-row columns, mean and std-dev of its active transformed
+    components. Calling it on (rows x terms) coupling rows gives, per p,
+    (rows x bonds) arrays K and G.
 
     K has mean beta_p and unit variance; G is the orthogonal unit-variance
-    complement, uncorrelated with K. When beta_p = 0 (all transformed means
-    vanish) the rotation is degenerate and the standardized couplings are
-    returned directly, which preserves those moment contracts. The formula
-    is elementwise, so each row's values do not depend on the other rows.
+    complement, uncorrelated with K, or None when at most one transformed
+    component is active. When beta_p = 0 (all transformed means vanish) the
+    rotation is degenerate and the standardized couplings are returned
+    directly, which preserves those moment contracts. The formula is
+    elementwise, so each row's values do not depend on the other rows.
     """
-    if u not in AXES:
-        raise ValueError(f"axis must be one of {AXES}, got {u!r}")
-    rows = np.asarray(rows)
-    slices = term_slices(families)
-    betas: dict[int, float] = {}
-    k: dict[int, np.ndarray] = {}
-    g: dict[int, np.ndarray | None] = {}
-    v, w = [a for a in AXES if a != u]
-    for p in sorted(families):
-        beta = nishimori_beta(params, p, u)
-        betas[p] = beta
-        active = [a for a in (v, w) if params.is_active(p, a)]
-        if not active:
-            k[p] = np.zeros((rows.shape[0], len(families[p].bonds)))
+
+    def __init__(self, params: CouplingParams, families: Mapping[int, BondFamily], u: str):
+        if u not in AXES:
+            raise ValueError(f"axis must be one of {AXES}, got {u!r}")
+        slices = term_slices(families)
+        self.betas = {p: nishimori_beta(params, p, u) for p in sorted(families)}
+        self._components = {
+            p: (
+                len(families[p].bonds),
+                [
+                    (slices[(p, a)], params.mu(p, a), params.delta(p, a))
+                    for a in AXES
+                    if a != u and params.is_active(p, a)
+                ],
+            )
+            for p in sorted(families)
+        }
+
+    def __call__(
+        self, rows: np.ndarray
+    ) -> tuple[dict[int, np.ndarray], dict[int, np.ndarray | None]]:
+        rows = np.asarray(rows)
+        k: dict[int, np.ndarray] = {}
+        g: dict[int, np.ndarray | None] = {}
+        for p, (n_bonds, active) in self._components.items():
+            beta = self.betas[p]
             g[p] = None
-            continue
-        if len(active) == 1:
-            a = active[0]
-            j = rows[:, slices[(p, a)]]
-            mu, delta = params.mu(p, a), params.delta(p, a)
-            if beta > 0.0:
-                k[p] = (mu / delta**2) * j / beta
+            if not active:
+                k[p] = np.zeros((rows.shape[0], n_bonds))
+            elif len(active) == 1:
+                ((sl, mu, delta),) = active
+                j = rows[:, sl]
+                k[p] = (mu / delta**2) * j / beta if beta > 0.0 else j / delta
             else:
-                k[p] = j / delta
-            g[p] = None
-            continue
-        jv, jw = rows[:, slices[(p, v)]], rows[:, slices[(p, w)]]
-        mv, dv = params.mu(p, v), params.delta(p, v)
-        mw, dw = params.mu(p, w), params.delta(p, w)
-        if beta > 0.0:
-            k[p] = ((mv / dv**2) * jv + (mw / dw**2) * jw) / beta
-            g[p] = (mw * jv - mv * jw) / (beta * dv * dw)
-        else:
-            k[p] = jv / dv
-            g[p] = jw / dw
-    return betas, k, g
+                (sv, mv, dv), (sw, mw, dw) = active
+                jv, jw = rows[:, sv], rows[:, sw]
+                if beta > 0.0:
+                    k[p] = ((mv / dv**2) * jv + (mw / dw**2) * jw) / beta
+                    g[p] = (mw * jv - mv * jw) / (beta * dv * dw)
+                else:
+                    k[p] = jv / dv
+                    g[p] = jw / dw
+        return k, g
 
 
 def nishimori_transform(sample: DisorderSample, params: CouplingParams, u: str) -> NishimoriData:
-    """The one-sample case of `nishimori_rows`."""
-    betas, k, g = nishimori_rows(coupling_row(sample)[None], params, sample.families, u)
+    """The one-sample case of `NishimoriRotation`."""
+    rotation = NishimoriRotation(params, sample.families, u)
+    k, g = rotation(coupling_row(sample)[None])
     return NishimoriData(
         axis=u,
-        betas=betas,
+        betas=rotation.betas,
         k={p: rows[0] for p, rows in k.items()},
         g={p: None if rows is None else rows[0] for p, rows in g.items()},
     )

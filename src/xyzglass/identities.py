@@ -28,10 +28,9 @@ from .classical_gibbs import BondProductTable
 from .disorder import (
     CouplingParams,
     DisorderSample,
+    NishimoriRotation,
     coupling_law,
     draw_row,
-    nishimori_beta,
-    nishimori_rows,
     row_sample,
     term_slices,
 )
@@ -243,14 +242,6 @@ def _residual_results(values: np.ndarray, probs: np.ndarray | None) -> list[Esti
     return out
 
 
-def validate_gauge_axis(
-    params: CouplingParams, families: Mapping[int, BondFamily], u: str
-) -> None:
-    """Every transformed component must be Gaussian (delta > 0) or absent."""
-    for p in families:
-        nishimori_beta(params, p, u)
-
-
 def _check_identity_axes(w: str, u: str | None) -> None:
     if w not in AXES or u not in AXES:
         raise ValueError(f"axes must be among {AXES}, got w={w!r}, u={u!r}")
@@ -323,7 +314,7 @@ class _Batch:
         """The Nishimori-line configuration probabilities: one softmax per
         sample, shared by the spin products and the pair matrix."""
         plan = self.plan
-        _, k, _ = nishimori_rows(self.rows, plan.config.params, plan.config.families, plan.u)
+        k, _ = plan.nishimori(self.rows)
         return [
             plan.classical_table.probabilities({p: rows[i] for p, rows in k.items()}, plan.betas)
             for i in range(len(self.rows))
@@ -380,6 +371,7 @@ class Plan:
         self.u = u
         self.n_sites = config.lattice.n_sites
         self.classical_table: BondProductTable | None = None
+        self.nishimori: NishimoriRotation | None = None
         self.betas: dict[int, float] = {}
         self.site_sets: list[tuple[int, ...]] = []
         self._set_index: dict[tuple[int, ...], int] = {}
@@ -419,13 +411,15 @@ class Plan:
         return self._strings[key]
 
     def require_classical(self) -> None:
-        """Validate the gauge axis and make the Nishimori-line enumerator."""
+        """Validate the gauge axis and make the Nishimori rotation, whose
+        betas and coupling columns every batch reuses, and the Nishimori-line
+        enumerator."""
         if self.classical_table is None:
             if self.u is None:
                 raise ValueError("a block with a classical side needs a gauge axis")
-            validate_gauge_axis(self.config.params, self.config.families, self.u)
+            self.nishimori = NishimoriRotation(self.config.params, self.config.families, self.u)
+            self.betas = self.nishimori.betas
             self.classical_table = BondProductTable(self.n_sites, self.config.families)
-            self.betas = {p: nishimori_beta(self.config.params, p, self.u) for p in self.config.families}
 
     def products(self, site_sets: Sequence[tuple[int, ...]]) -> list[int]:
         """Register spin products <tau_S>_N; their columns in `_Batch.products`."""

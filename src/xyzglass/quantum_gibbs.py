@@ -8,8 +8,6 @@ from dataclasses import dataclass
 from typing import Mapping, Sequence
 
 import numpy as np
-from scipy.integrate import simpson
-from scipy.linalg import expm
 
 from .disorder import DisorderSample, coupling_row, coupling_terms
 from .errors import CapacityError
@@ -289,7 +287,9 @@ def duhamel_kernel(state: ThermalState) -> np.ndarray:
     shifted energies, evaluated as exp(|x| - s) (1 - exp(-2|x|)) / (2|x|):
     s >= |x|, so neither factor overflows and expm1 leaves no cancellation.
     Near degeneracy (and at beta = 0) the series exp(-s)(1 + x^2/6) takes
-    over; its leading term is the midpoint form exp(-beta(E_m+E_n)/2).
+    over; its leading term is the midpoint form exp(-beta(E_m+E_n)/2). Each
+    form is evaluated only on its own entries, so the series' x^2 cannot
+    overflow on far-apart levels at large beta.
     """
     e, _, _ = _sectored(state.spectrum)
     a = state.beta * (e - np.min(e[..., 0], axis=-1)[..., None, None])
@@ -297,10 +297,12 @@ def duhamel_kernel(state: ThermalState) -> np.ndarray:
     s = 0.5 * (a_m + a_n)
     x = np.abs(0.5 * (a_m - a_n))
     small = x < 1e-4
-    x_safe = np.where(small, 1.0, x)
-    direct = np.exp(x - s) * -np.expm1(-2.0 * x_safe) / (2.0 * x_safe)
-    series = np.exp(-s) * (1.0 + x * x / 6.0)
-    phi = np.where(small, series, direct)
+    direct = ~small
+    phi = np.empty_like(x)
+    xd = x[direct]
+    phi[direct] = np.exp(xd - s[direct]) * -np.expm1(-2.0 * xd) / (2.0 * xd)
+    xs = x[small]
+    phi[small] = np.exp(-s[small]) * (1.0 + xs * xs / 6.0)
     return phi[..., 0, 0, :, :] if state.spectrum.sectors is None else phi
 
 
@@ -425,7 +427,10 @@ def _gershgorin_shift(h: np.ndarray) -> np.ndarray:
 
 def gibbs_expectation_expm(h: np.ndarray, beta: float, a: np.ndarray) -> float:
     """Cross-check path for Gibbs expectations via scaling-and-squaring expm,
-    independent of the eigendecomposition route."""
+    independent of the eigendecomposition route. Imports scipy on its first
+    call; the production paths never load it."""
+    from scipy.linalg import expm
+
     rho = expm(-beta * _gershgorin_shift(h))
     return float((np.trace(a @ rho) / np.trace(rho)).real)
 
@@ -434,7 +439,11 @@ def duhamel_time_integral(
     h: np.ndarray, beta: float, a: np.ndarray, b: np.ndarray, num_intervals: int = 200
 ) -> float:
     """Cross-check path for the Duhamel bracket: Simpson integration of the
-    defining imaginary-time integral using expm only."""
+    defining imaginary-time integral using expm only. Imports scipy on its
+    first call, as `gibbs_expectation_expm` does."""
+    from scipy.integrate import simpson
+    from scipy.linalg import expm
+
     hs = _gershgorin_shift(h)
     rho = expm(-beta * hs)
     z = np.trace(rho)

@@ -1,7 +1,10 @@
 import ast
 import json
+import math
 import os
 import pathlib
+import subprocess
+import sys
 
 import jsonschema
 import pytest
@@ -369,21 +372,24 @@ def test_verify_identities_decomposes_each_sample_once(tmp_path, monkeypatch):
     assert sum(decompositions) == len(draws)
 
 
-def test_verify_bounds_makes_five_decompositions_per_sample(tmp_path, monkeypatch):
-    n = 60
-    payload = {
+def bounds_mc_config(n, sites=3):
+    return {
         "seed": 3,
-        "lattice": {"d": 1, "L": 3},
+        "lattice": {"d": 1, "L": sites},
         "shapes": {"2": [[[0], [1]]]},
         "couplings": {"2": gaussian(mu=0.6)},
         "beta": 0.7,
         "gauge_axis": "x",
-        "bounds": {"w": "z", "v": "z", "u": "x",
+        "bounds": {"w": "z", "v": "z", "u": "x", "a2_step": 0.05,
                    "checks": ["magnetization", "susceptibility", "a1", "a2"]},
         "method": {"kind": "mc", "n_samples": n},
         "export_correlations": True,
     }
-    cfg = write_config(tmp_path, "b.json", payload)
+
+
+def test_verify_bounds_makes_five_decompositions_per_sample(tmp_path, monkeypatch):
+    n = 60
+    cfg = write_config(tmp_path, "b.json", bounds_mc_config(n))
     out = str(tmp_path / "runs")
     draws = count_calls(monkeypatch, identities, "draw_row")
     decompositions = count_decompositions(monkeypatch)
@@ -414,6 +420,77 @@ def test_out_of_range_observable_site_exits_two_before_sampling(
     assert "out of range" in err["error"]["message"]
     assert draws == []
     assert not (tmp_path / "runs").exists()
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf], ids=["NaN", "Infinity", "-Infinity"])
+@pytest.mark.parametrize(
+    "path",
+    [["couplings", "2", "z", "mu"], ["couplings", "2", "x", "delta"], ["beta"], ["bounds", "a2_step"]],
+    ids=["mu", "delta", "beta", "a2_step"],
+)
+def test_non_finite_config_number_exits_two_before_sampling(
+    tmp_path, capsys, monkeypatch, path, value
+):
+    payload = bounds_mc_config(20)
+    parent = payload
+    for key in path[:-1]:
+        parent = parent[key]
+    parent[path[-1]] = value
+    cfg = write_config(tmp_path, "c.json", payload)  # json writes NaN, Infinity, -Infinity
+    draws = count_calls(monkeypatch, identities, "draw_row")
+    code = main(["verify-bounds", "--config", cfg, "--out", str(tmp_path / "runs")])
+    assert code == EXIT_CONFIG_ERROR
+    err = json.loads(capsys.readouterr().err.strip())
+    assert err["error"]["kind"] == "config"
+    assert err["error"]["message"] == f"config value at {path} is not a finite number"
+    assert draws == []
+    assert not (tmp_path / "runs").exists()
+
+
+def test_overflowing_config_literal_is_rejected(tmp_path):
+    path = tmp_path / "c.json"
+    path.write_text(json.dumps(bounds_mc_config(20)).replace('"beta": 0.7', '"beta": 1e400'))
+    with pytest.raises(ConfigError, match=r"\['beta'\] is not a finite number"):
+        load_config(str(path))
+
+
+_IMPORT_SURFACE_SCRIPT = """
+import json, sys
+from xyzglass import cli
+
+def scipy_modules():
+    return sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
+
+identities_cfg, bounds_cfg, out, result = sys.argv[1:]
+loaded = {"import xyzglass.cli": scipy_modules()}
+for subcommand, cfg in [("verify-identities", identities_cfg), ("verify-bounds", bounds_cfg)]:
+    code = cli.main([subcommand, "--config", cfg, "--out", out, "--threads", "1"])
+    loaded[subcommand] = scipy_modules() if code in (0, 1) else f"exit code {code}"
+with open(result, "w") as fh:
+    json.dump(loaded, fh)
+"""
+
+
+def test_cli_runs_load_no_scipy(tmp_path):
+    # scipy serves only the expm and Simpson oracles, which import it on
+    # their first call; the production paths must not load it
+    shipped = pathlib.Path(__file__).parents[1] / "configs" / "identities_mc.json"
+    identities_payload = json.loads(shipped.read_text())
+    identities_payload["method"]["n_samples"] = 20
+    assert identities_payload["lattice"]["L"] == 4
+    src = str(pathlib.Path(cli.__file__).parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    result = tmp_path / "loaded.json"
+    argv = [
+        write_config(tmp_path, "i.json", identities_payload),
+        write_config(tmp_path, "b.json", bounds_mc_config(20, sites=4)),
+        str(tmp_path / "runs"),
+        str(result),
+    ]
+    subprocess.run([sys.executable, "-c", _IMPORT_SURFACE_SCRIPT, *argv], env=env, check=True)
+    assert json.loads(result.read_text()) == {
+        "import xyzglass.cli": [], "verify-identities": [], "verify-bounds": [],
+    }
 
 
 def private_names_read_across_modules(package):

@@ -5,6 +5,7 @@ import pytest
 
 from xyzglass.disorder import (
     CouplingParams,
+    NishimoriRotation,
     bond_sign,
     coupling_law,
     coupling_row,
@@ -14,7 +15,6 @@ from xyzglass.disorder import (
     gauge_transform_couplings,
     gaussian_log_density,
     nishimori_beta,
-    nishimori_rows,
     nishimori_transform,
     sample_disorder,
 )
@@ -113,7 +113,9 @@ def test_stacked_nishimori_rows_equal_per_sample_transforms(u):
     })
     mu, delta = coupling_law(params, fams)
     rows = np.stack([draw_row(mu, delta, 12, k) for k in range(40)])
-    betas, ks, gs = nishimori_rows(rows, params, fams, u)
+    rotation = NishimoriRotation(params, fams, u)
+    betas = rotation.betas
+    ks, gs = rotation(rows)
     for k in range(40):
         nd = nishimori_transform(sample_disorder(params, fams, 12, k), params, u)
         assert betas == nd.betas

@@ -12,6 +12,7 @@ from xyzglass.classical_gibbs import (
 )
 from xyzglass.disorder import (
     CouplingParams,
+    NishimoriRotation,
     coupling_law,
     coupling_row,
     draw_row,
@@ -36,7 +37,6 @@ from xyzglass.identities import (
     susceptibility_bound_check,
     three_point_identity,
     two_point_identities,
-    validate_gauge_axis,
 )
 from xyzglass.lattice import build_lattice, chain_pair_shape, generate_bonds, single_site_shape
 from xyzglass.operators import PauliString, parity_sectors, pauli_product, pauli_site
@@ -259,10 +259,10 @@ def test_validate_gauge_axis():
     lat = build_lattice(1, 2)
     fams = {2: generate_bonds(lat, chain_pair_shape(), "open")}
     good = CouplingParams({2: {"x": (0.5, 0.0), "y": (0.3, 0.8), "z": (0.3, 0.8)}})
-    validate_gauge_axis(good, fams, "x")
+    NishimoriRotation(good, fams, "x")
     bad = CouplingParams({2: {"x": (0.5, 0.8), "y": (0.3, 0.0), "z": (0.3, 0.8)}})
     with pytest.raises(ValueError):
-        validate_gauge_axis(bad, fams, "x")
+        NishimoriRotation(bad, fams, "x")
 
 
 # ---------------------------------------------------------------------------

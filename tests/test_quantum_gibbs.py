@@ -1,6 +1,7 @@
 import decimal
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -592,6 +593,24 @@ def test_duhamel_kernel_matches_direct_evaluation(spectrum):
                 # branches; the expm1 form of the direct branch cancels nothing
                 s = 0.5 * (a[m] + a[n])
                 assert abs(phi[m, n] - exact) <= 16 * eps * (1.0 + s) * exact
+
+
+def test_duhamel_kernel_at_huge_beta_evaluates_each_form_on_its_own_entries():
+    # at beta 1e300 the scaled half-gaps of distinct levels are about 1e300,
+    # where the near-degeneracy series' x^2 would overflow
+    lat, fams, sample = random_instance(np.random.default_rng(3), 2)
+    beta = 1e300
+    with warnings.catch_warnings(), np.errstate(over="raise", invalid="raise", divide="raise"):
+        warnings.simplefilter("error")
+        state = thermal_state(spectral_decompose(build_hamiltonian(lat, fams, sample)), beta)
+        phi = duhamel_kernel(state)
+    e = state.spectrum.eigenvalues
+    assert e[1] - e[0] > 1e-6  # a nondegenerate ground state
+    assert phi[0, 0] == 1.0
+    # (1 - exp(-beta gap)) / (beta gap) between the ground state and the rest
+    assert np.allclose(phi[0, 1:], 1.0 / (beta * (e[1:] - e[0])), rtol=1e-12, atol=0.0)
+    assert np.array_equal(phi, phi.T)
+    assert np.all(phi[1:, 1:] == 0.0)
 
 
 @st.composite
