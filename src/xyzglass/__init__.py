@@ -67,8 +67,6 @@ from .phase_region import (
     Membership,
     RatioGrid,
     RegionQuery,
-    beta2,
-    in_subspace,
     region_membership,
     sample_region,
     write_region_csv,
@@ -87,14 +85,13 @@ from .quantum_gibbs import (
     free_energy_density,
     gibbs_expectation,
     gibbs_expectation_expm,
-    order_expectation,
     spectral_decompose,
     string_expectations,
-    string_in_eigenbasis,
     thermal_state,
     truncated_duhamel,
     z2_commutator_norm,
 )
+from .tolerances import Tolerances
 
 __all__ = [name for name in dir() if not name.startswith("_")]
 __version__ = "0.1.0"

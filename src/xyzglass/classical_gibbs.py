@@ -155,14 +155,6 @@ def classical_expectation(model: ClassicalModel, sites: Sequence[int]) -> float:
     return float(product_expectations(model, [tuple(sites)])[0])
 
 
-def classical_pair_expectation(
-    model: ClassicalModel, x_sites: Sequence[int], y_sites: Sequence[int]
-) -> float:
-    """<tau_X tau_Y>, reduced to the product over the symmetric difference."""
-    diff = tuple(sorted(set(x_sites) ^ set(y_sites)))
-    return classical_expectation(model, diff)
-
-
 def classical_correlation_matrix(model: ClassicalModel) -> np.ndarray:
     """All pair correlations <tau_i tau_j> from a single enumeration pass."""
     z = 0.0

@@ -25,7 +25,7 @@ from typing import Any
 import jsonschema
 import numpy as np
 
-from . import classical_gibbs, identities, phase_region
+from . import classical_gibbs, identities, phase_region, tolerances
 from .disorder import (
     CouplingParams,
     coupling_row,
@@ -37,9 +37,6 @@ from .disorder import (
 )
 from .errors import CapacityError, ConfigError, UndersampledError
 from .identities import (
-    DEFAULT_CLIP_LIMIT,
-    DEFAULT_QUAD_TOL,
-    DEFAULT_Z_MAX,
     ModelConfig,
     MonteCarlo,
     Quadrature,
@@ -51,6 +48,7 @@ from .operators import AXES, PauliString, gauge_unitary, parity_sectors, pauli_s
 from .quantum_gibbs import (
     HamiltonianBuilder,
     build_hamiltonian,
+    derivative_identity_residual,
     duhamel_kernel,
     duhamel_matrix,
     duhamel_time_integral,
@@ -58,7 +56,9 @@ from .quantum_gibbs import (
     spectral_decompose,
     string_expectations,
     thermal_state,
+    z2_commutator_norm,
 )
+from .tolerances import Tolerances
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
@@ -134,26 +134,23 @@ CONFIG_SCHEMA: dict[str, Any] = {
             "additionalProperties": False,
             "properties": {"axis": _AXIS, "x_sites": _SITES, "y_sites": _SITES, "z_sites": _SITES},
         },
+        # the branch is picked by `kind` first, so an error names the key
+        # within the branch that is wrong
         "method": {
             "type": "object",
-            "oneOf": [
-                {
-                    "additionalProperties": False,
-                    "required": ["kind", "n_samples"],
-                    "properties": {
-                        "kind": {"const": "mc"},
-                        "n_samples": {"type": "integer", "minimum": 2},
-                    },
-                },
-                {
-                    "additionalProperties": False,
-                    "required": ["kind", "nodes_per_dim"],
-                    "properties": {
-                        "kind": {"const": "quadrature"},
-                        "nodes_per_dim": {"type": "integer", "minimum": 2},
-                    },
-                },
-            ],
+            "required": ["kind"],
+            "properties": {"kind": {"enum": ["mc", "quadrature"]}},
+            "if": {"properties": {"kind": {"const": "mc"}}},
+            "then": {
+                "additionalProperties": False,
+                "required": ["kind", "n_samples"],
+                "properties": {"kind": True, "n_samples": {"type": "integer", "minimum": 2}},
+            },
+            "else": {
+                "additionalProperties": False,
+                "required": ["kind", "nodes_per_dim"],
+                "properties": {"kind": True, "nodes_per_dim": {"type": "integer", "minimum": 2}},
+            },
         },
         "tolerances": {
             "type": "object",
@@ -213,16 +210,6 @@ CONFIG_SCHEMA: dict[str, Any] = {
 #: against its metaschema by the test suite, not on every run.
 _CONFIG_VALIDATOR = jsonschema.validators.validator_for(CONFIG_SCHEMA)(CONFIG_SCHEMA)
 
-_DEFAULTS = {
-    "tolerances": {
-        "z_max": DEFAULT_Z_MAX,
-        "quadrature_abs": DEFAULT_QUAD_TOL,
-        "clip_fraction_max": DEFAULT_CLIP_LIMIT,
-    },
-    "boundary": "open",
-}
-
-
 def _non_finite_path(value: Any, path: list) -> list | None:
     """The key path of the first NaN or infinite number in a loaded config,
     or None. `json` parses `NaN`, `Infinity`, `-Infinity` and overflowing
@@ -264,11 +251,9 @@ def resolve_config(raw: dict, seed_override: int | None) -> dict:
     cfg = json.loads(json.dumps(raw))  # deep copy, JSON-clean
     if seed_override is not None:
         cfg["seed"] = int(seed_override)
-    tol = dict(_DEFAULTS["tolerances"])
-    tol.update(cfg.get("tolerances", {}))
-    cfg["tolerances"] = tol
+    cfg["tolerances"] = {**dataclasses.asdict(Tolerances()), **cfg.get("tolerances", {})}
     if "lattice" in cfg:
-        cfg["lattice"].setdefault("boundary", _DEFAULTS["boundary"])
+        cfg["lattice"].setdefault("boundary", "open")
     return cfg
 
 
@@ -338,19 +323,12 @@ def _jsonify(obj: Any) -> Any:
 def _residual_check(
     name: str,
     result: identities.EstimatorResult,
-    tolerances: dict,
+    tol: Tolerances,
     inputs: dict,
     seed: int | None,
     retried: bool = False,
 ) -> dict:
-    if result.method == "quadrature":
-        tol = tolerances["quadrature_abs"]
-        passed = abs(result.mean) <= tol
-        tol_desc = {"kind": "absolute", "value": tol}
-    else:
-        tol = tolerances["z_max"]
-        passed = abs(result.z_score) <= tol
-        tol_desc = {"kind": "z_score", "value": tol}
+    passed, tol_desc = tol.residual(result.method, result.mean, result.z_score)
     return {
         "name": name,
         "inputs": _jsonify(inputs),
@@ -366,7 +344,7 @@ def _residual_check(
 def _with_retry(
     groups: list[tuple[list[str], Any, dict]],
     table: identities.ValueTable,
-    tolerances: dict,
+    tol: Tolerances,
 ) -> list[dict]:
     """Statistical acceptance with one doubled-n retry for Monte Carlo runs.
 
@@ -380,14 +358,14 @@ def _with_retry(
     checks = []
     for names, block, inputs in groups:
         group = [
-            _residual_check(name, result, tolerances, inputs, seed)
+            _residual_check(name, result, tol, inputs, seed)
             for name, result in zip(names, block.result(table))
         ]
         if table.is_mc and not all(c["passed"] for c in group):
             if bigger is None:
                 bigger = table.extend(2 * table.n_samples)
             group = [
-                _residual_check(name, result, tolerances, inputs, seed, retried=True)
+                _residual_check(name, result, tol, inputs, seed, retried=True)
                 for name, result in zip(names, block.result(bigger))
             ]
         checks += group
@@ -400,12 +378,11 @@ def _with_retry(
 
 
 def run_verify_identities(
-    cfg: dict, threads: int, extended: bool, artifacts_dir: str | None
+    cfg: dict, tol: Tolerances, threads: int, extended: bool, artifacts_dir: str | None
 ) -> tuple[list[dict], dict]:
     _require(cfg, ["gauge_axis", "observables"], "verify-identities")
     model = build_model(cfg)
     method = build_method(cfg, threads)
-    tol = cfg["tolerances"]
     u = cfg["gauge_axis"]
     obs = cfg["observables"]
     if "axis" not in obs or "x_sites" not in obs:
@@ -444,21 +421,18 @@ def run_verify_identities(
     return checks, artifacts
 
 
-def run_verify_bounds(cfg: dict, threads: int, artifacts_dir: str | None) -> tuple[list[dict], dict]:
+def run_verify_bounds(
+    cfg: dict, tol: Tolerances, threads: int, artifacts_dir: str | None
+) -> tuple[list[dict], dict]:
     _require(cfg, ["gauge_axis", "bounds"], "verify-bounds")
     model = build_model(cfg)
     method = build_method(cfg, threads)
-    tol = cfg["tolerances"]
     u = cfg["bounds"].get("u", cfg["gauge_axis"])
     w = cfg["bounds"].get("w", "z")
     v = cfg["bounds"].get("v", w)
     which = cfg["bounds"].get("checks", ["magnetization", "susceptibility", "a1", "a2"])
     export = bool(cfg.get("export_correlations") and artifacts_dir)
     seed = cfg["seed"] if isinstance(method, MonteCarlo) else None
-    chain_tol = {
-        "z_max": tol["z_max"], "quad_tol": tol["quadrature_abs"],
-        "clip_limit": tol["clip_fraction_max"],
-    }
     magnetization = identities.MagnetizationBlock(w)
     susceptibility = identities.SusceptibilityBlock(v, w)
     pairs = identities.PairMatrixBlock()
@@ -475,26 +449,26 @@ def run_verify_bounds(cfg: dict, threads: int, artifacts_dir: str | None) -> tup
     table = identities.Plan(model, wanted, u).evaluate(method) if wanted else None
     checks: list[dict] = []
     if "magnetization" in which:
-        rep = magnetization.result(table, **chain_tol)
+        rep = magnetization.result(table, tol)
         checks.append({"name": rep.name, "inputs": {"w": w, "gauge_axis": u},
                        "method": rep.method, "seed": seed, "report": _jsonify(rep),
-                       "tolerance": {"kind": "chain", "z_max": tol["z_max"]},
+                       "tolerance": {"kind": "chain", "z_max": tol.z_max},
                        "passed": rep.passed})
     if "susceptibility" in which:
-        rep = susceptibility.result(table, **chain_tol)
+        rep = susceptibility.result(table, tol)
         checks.append({"name": rep.name, "inputs": {"v": v, "w": w, "gauge_axis": u},
                        "method": rep.method, "seed": seed, "report": _jsonify(rep),
-                       "tolerance": {"kind": "chain", "z_max": tol["z_max"]},
+                       "tolerance": {"kind": "chain", "z_max": tol.z_max},
                        "passed": rep.passed})
     if "a1" in which:
-        res = pairs.correlation_sum(table, clip_limit=tol["clip_fraction_max"])
+        res = pairs.correlation_sum(table, tol)
         checks.append({"name": "correlation sum (reported, not asserted)",
                        "inputs": {"gauge_axis": u},
                        "method": res.method, "seed": seed, "result": _jsonify(res),
                        "tolerance": {"kind": "none"}, "passed": True})
     if "a2" in which:
         third, second = stencil.result(table)
-        sym_ok = abs(second) <= identities.FLIP_SYMMETRY_TOL
+        sym_ok = abs(second) <= tolerances.FLIP_SYMMETRY_TOL
         checks.append({
             "name": "nonlinear susceptibility probe",
             "inputs": {"v": v, "w": w, "step": step},
@@ -502,7 +476,7 @@ def run_verify_bounds(cfg: dict, threads: int, artifacts_dir: str | None) -> tup
             "seed": seed,
             "third_difference": _jsonify(third),
             "second_difference": _jsonify(second),
-            "tolerance": {"kind": "flip_symmetry_abs", "value": identities.FLIP_SYMMETRY_TOL},
+            "tolerance": {"kind": "flip_symmetry_abs", "value": tolerances.FLIP_SYMMETRY_TOL},
             "passed": bool(sym_ok),
         })
     artifacts = {}
@@ -540,7 +514,7 @@ def run_order_params(cfg: dict, threads: int) -> tuple[list[dict], dict]:
         order = sites.result(table)
         psi = free_energy.result(table)
         jensen_ok = all(
-            order[a]["q"].mean >= order[a]["m"].mean ** 2 - 1e-12 for a in AXES
+            order[a]["q"].mean >= order[a]["m"].mean ** 2 - tolerances.EXACT_TOL for a in AXES
         )
         checks.append({
             "name": f"order parameters at {label}",
@@ -601,11 +575,11 @@ def run_selftest(seed: int) -> tuple[list[dict], dict]:
     rng = np.random.default_rng(seed)
     checks = []
 
-    def record(name, residual, tol):
+    def record(name, residual, tol, holds=True):
         checks.append({
             "name": name, "method": "exact", "residual": float(residual),
             "tolerance": {"kind": "absolute", "value": tol},
-            "passed": bool(residual <= tol),
+            "passed": bool(residual <= tol and holds),
         })
 
     # Pauli algebra and gauge conjugation on random instances
@@ -628,7 +602,7 @@ def run_selftest(seed: int) -> tuple[list[dict], dict]:
                 conj = g @ pauli_site(n, i, w_ax) @ g.conj().T
                 expected = pauli_site(n, i, w_ax) * (1 if w_ax == u else tau[i])
                 worst_alg = max(worst_alg, float(np.max(np.abs(conj - expected))))
-    record("operator algebra and gauge conjugation", worst_alg, 1e-12)
+    record("operator algebra and gauge conjugation", worst_alg, tolerances.ROUNDING_TOL)
 
     # Hamiltonian gauge invariance on random chains
     worst_inv = 0.0
@@ -651,7 +625,7 @@ def run_selftest(seed: int) -> tuple[list[dict], dict]:
         moved = build_hamiltonian(lat, fams, gauge_transform_couplings(sample, tau, u))
         scale = max(1.0, float(np.max(np.abs(ham))))
         worst_inv = max(worst_inv, float(np.max(np.abs(g @ ham @ g.conj().T - moved))) / scale)
-    record("Hamiltonian gauge invariance", worst_inv, 1e-12)
+    record("Hamiltonian gauge invariance", worst_inv, tolerances.ROUNDING_TOL)
 
     # change of variables and density covariance on random draws
     lat = build_lattice(1, 2)
@@ -671,8 +645,8 @@ def run_selftest(seed: int) -> tuple[list[dict], dict]:
         flip = gaussian_log_density(jy * tau_x, 0.4, 0.9)
         covar = gaussian_log_density(jy, 0.4, 0.9) + (0.4 / 0.9**2) * jy * (tau_x - 1.0)
         worst_rel = max(worst_rel, abs(flip - covar) / max(1.0, abs(covar)))
-    record("change-of-variables relation (10^4 draws)", worst_cov, 1e-12)
-    record("density gauge covariance (10^4 draws)", worst_rel, 1e-10)
+    record("change-of-variables relation (10^4 draws)", worst_cov, tolerances.ROUNDING_TOL)
+    record("density gauge covariance (10^4 draws)", worst_rel, tolerances.DENSITY_TOL)
 
     # quadrature moment oracle
     lat1 = build_lattice(1, 1)
@@ -683,9 +657,9 @@ def run_selftest(seed: int) -> tuple[list[dict], dict]:
     first = quadrature_average(spec, lambda s: s.value(1, "z", 0))
     second = quadrature_average(spec, lambda s: (s.value(1, "z", 0) - mu0) ** 2)
     fourth = quadrature_average(spec, lambda s: ((s.value(1, "z", 0) - mu0) / d0) ** 4)
-    record("quadrature first moment", abs(first - mu0), 1e-12)
-    record("quadrature second moment", abs(second - d0**2), 1e-12)
-    record("quadrature fourth moment", abs(fourth - 3.0), 1e-12)
+    record("quadrature first moment", abs(first - mu0), tolerances.ROUNDING_TOL)
+    record("quadrature second moment", abs(second - d0**2), tolerances.ROUNDING_TOL)
+    record("quadrature fourth moment", abs(fourth - 3.0), tolerances.ROUNDING_TOL)
 
     # the plans' string expectations and Duhamel contraction versus the expm
     # and Simpson oracles: three 2-site models with fields on the whole
@@ -708,10 +682,14 @@ def run_selftest(seed: int) -> tuple[list[dict], dict]:
     models.append((lat3, pairs3, {2: law}, parity_sectors(3), x02, (x0, x2), draws[-1]))
     worst_gibbs = 0.0
     worst_duh = 0.0
+    parity = []  # (the plan's sector decision, ||[H, P_z]||) per model
     for lat_m, fams_m, entries, sectors, obs, (a, b), (sample_seed, beta) in models:
         builder = HamiltonianBuilder(lat_m, fams_m)
-        row = coupling_row(sample_disorder(CouplingParams(entries), fams_m, seed=sample_seed))[None]
+        params_m = CouplingParams(entries)
+        row = coupling_row(sample_disorder(params_m, fams_m, seed=sample_seed))[None]
         ham = builder.build_rows(row)[0]
+        plan = identities.Plan(ModelConfig(lat_m, fams_m, params_m, beta), [])
+        parity.append((plan.conserves_parity, z2_commutator_norm(ham, "z")))
         state = thermal_state(spectral_decompose(builder.build_rows(row, sectors)), beta)
         (q,) = string_expectations(state, [obs])[0]
         worst_gibbs = max(worst_gibbs, abs(q - gibbs_expectation_expm(ham, beta, obs.dense())))
@@ -719,14 +697,16 @@ def run_selftest(seed: int) -> tuple[list[dict], dict]:
         worst_duh = max(
             worst_duh, abs(duh - duhamel_time_integral(ham, beta, a.dense(), b.dense()))
         )
-    record("Gibbs expectation versus expm oracle", worst_gibbs, 1e-8)
-    record("Duhamel versus Simpson time integration", worst_duh, 1e-7)
+    record("Gibbs expectation versus expm oracle", worst_gibbs, tolerances.EXPM_TOL)
+    record("Duhamel versus Simpson time integration", worst_duh, tolerances.SIMPSON_TOL)
 
     # tiny deterministic identity check
     params3 = CouplingParams({1: {"x": (0.6, 0.0), "y": (0.5, 0.8), "z": (0.7, 0.9)}})
     model = ModelConfig(lattice=lat1, families=fams1, params=params3, beta=0.5)
     res = identities.one_point_identity(model, [0], "z", "x", Quadrature(24))
-    record("one-point identity (single-site quadrature)", abs(res.mean), 1e-8)
+    record(
+        "one-point identity (single-site quadrature)", abs(res.mean), Tolerances().quadrature_abs
+    )
 
     # the per-sample pair kernel versus the chunked enumerator, on Nishimori
     # transforms of random chains
@@ -751,7 +731,29 @@ def run_selftest(seed: int) -> tuple[list[dict], dict]:
         worst_pairs = max(
             worst_pairs, float(np.max(np.abs(table.pair_matrix(nd.k, nd.betas) - chunked)))
         )
-    record("Nishimori-line pair matrix versus chunked enumeration", worst_pairs, 1e-12)
+    record(
+        "Nishimori-line pair matrix versus chunked enumeration", worst_pairs,
+        tolerances.ROUNDING_TOL,
+    )
+
+    # the Z2 symmetry behind a plan's sector decision: P_z commutes with H
+    # where the plan splits into parity sectors (the zero-field chain) and
+    # not where it keeps the whole space (the x-field models)
+    record(
+        "P_z commutator versus the plans' sector decision",
+        max(norm for kept, norm in parity if kept), tolerances.ROUNDING_TOL,
+        holds=all(norm > tolerances.ROUNDING_TOL for kept, norm in parity if not kept),
+    )
+
+    # linear response, which makes the susceptibility chain a statement about
+    # the susceptibility: the z-field derivative of <sigma_0^z> equals beta N
+    # times its truncated Duhamel correlation with the magnetization
+    lat_m, fams_m, entries, _, obs, _, (sample_seed, beta) = models[0]
+    sample = sample_disorder(CouplingParams(entries), fams_m, seed=sample_seed)
+    gap = derivative_identity_residual(
+        lat_m, fams_m, sample, beta, obs.dense(), "z", tolerances.DERIVATIVE_STEP
+    )
+    record("field derivative versus linear response (2 sites)", gap, tolerances.DERIVATIVE_TOL)
 
     return checks, {}
 
@@ -792,12 +794,13 @@ def write_report(report: dict, directory: str) -> str:
 def run(subcommand: str, cfg: dict, threads: int, extended: bool, out_dir: str) -> tuple[int, str]:
     """Execute a subcommand and write its report; returns (exit_code, report_path)."""
     directory = run_directory(out_dir, cfg)
+    tol = Tolerances(**cfg["tolerances"])
     artifacts: dict = {}
     try:
         if subcommand == "verify-identities":
-            checks, artifacts = run_verify_identities(cfg, threads, extended, directory)
+            checks, artifacts = run_verify_identities(cfg, tol, threads, extended, directory)
         elif subcommand == "verify-bounds":
-            checks, artifacts = run_verify_bounds(cfg, threads, directory)
+            checks, artifacts = run_verify_bounds(cfg, tol, threads, directory)
         elif subcommand == "order-params":
             checks, artifacts = run_order_params(cfg, threads)
         elif subcommand == "phase-region":

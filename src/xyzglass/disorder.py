@@ -183,7 +183,7 @@ def nishimori_beta(params: CouplingParams, p: int, u: str) -> float:
     Sums (mu/delta)^2 over the two transformed axes. Components that are
     absent (mu = delta = 0) contribute nothing; a point mass (delta = 0 with
     mu != 0) on a transformed axis is rejected because the gauge flip would
-    change its distribution.
+    change its distribution, and so is a sum that overflows a float.
     """
     if u not in AXES:
         raise ValueError(f"axis must be one of {AXES}, got {u!r}")
@@ -199,7 +199,15 @@ def nishimori_beta(params: CouplingParams, p: int, u: str) -> float:
                     f"transformed axes for gauge axis {u} need delta > 0 or mu = delta = 0"
                 )
             continue
-        total += (mu / delta) ** 2
+        try:
+            total += (mu / delta) ** 2
+        except OverflowError:
+            total = math.inf
+        if not math.isfinite(total):
+            raise ValueError(
+                f"component (p={p}, axis={axis}) makes the Nishimori ratio (mu/delta)^2 "
+                f"overflow (mu = {mu}, delta = {delta})"
+            )
     return math.sqrt(total)
 
 

@@ -17,6 +17,7 @@ from __future__ import annotations
 import dataclasses
 import functools
 import math
+import sys
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Callable, Iterable, Mapping, Protocol, Sequence
@@ -48,23 +49,13 @@ from .quantum_gibbs import (
     string_expectations,
     thermal_state,
 )
-
-DEFAULT_Z_MAX = 4.0
-DEFAULT_QUAD_TOL = 1e-8
-DEFAULT_CLIP_LIMIT = 0.01
-
-#: Slack for inequalities that hold exactly on the empirical measure.
-_EXACT_TOL = 1e-12
+from .tolerances import EXACT_TOL, FLIP_SYMMETRY_TOL, Tolerances
 
 #: Guard on the total tensor-grid size.
 _MAX_QUAD_NODES = 10**8
 
 #: Grid nodes whose coupling rows `quadrature_average` makes at once.
 _QUAD_ROWS = 4096
-
-#: Largest |second field difference| of the a2 probe that still counts as
-#: flip-symmetric at zero field.
-FLIP_SYMMETRY_TOL = 1e-8
 
 
 @dataclass(frozen=True)
@@ -210,36 +201,6 @@ def quadrature_average(
         for k, row in enumerate(rows, start):
             values[k] = integrand(row_sample(row, spec.families, 0, k))
     return float(probs @ values)
-
-
-def _disorder_mean(values: np.ndarray, probs: np.ndarray | None) -> np.ndarray:
-    return values.mean(axis=0) if probs is None else probs @ values
-
-
-def _residual_results(values: np.ndarray, probs: np.ndarray | None) -> list[EstimatorResult]:
-    n = values.shape[0]
-    out = []
-    if probs is None:
-        means = values.mean(axis=0)
-        ses = values.std(axis=0, ddof=1) / math.sqrt(n)
-        for mean, se in zip(means, ses):
-            z = mean / se if se > 0 else (0.0 if mean == 0.0 else math.inf)
-            out.append(
-                EstimatorResult(
-                    mean=float(mean), std_error=float(se), n_samples=n,
-                    method="mc", z_score=float(z),
-                )
-            )
-    else:
-        means = probs @ values
-        for mean in means:
-            out.append(
-                EstimatorResult(
-                    mean=float(mean), std_error=0.0, n_samples=n,
-                    method="quadrature", z_score=math.nan,
-                )
-            )
-    return out
 
 
 def _check_identity_axes(w: str, u: str | None) -> None:
@@ -508,7 +469,44 @@ class ValueTable:
 
     def mean(self, values: np.ndarray) -> np.ndarray:
         """The disorder average of per-sample rows."""
-        return _disorder_mean(values, self.probs)
+        return values.mean(axis=0) if self.is_mc else self.probs @ values
+
+    def se(self, values: np.ndarray) -> np.ndarray:
+        """The standard error of each column's mean: std(ddof=1) / sqrt(n)
+        for Monte Carlo (0 when n < 2); a quadrature mean has none."""
+        n = values.shape[0]
+        if not self.is_mc or n < 2:
+            return np.zeros(values.shape[1:])
+        return values.std(axis=0, ddof=1) / math.sqrt(n)
+
+    def jackknife_se(self, values: np.ndarray, statistic: Callable[[np.ndarray], float]) -> float:
+        """The leave-one-out standard error of a statistic of the column
+        means; 0 for quadrature."""
+        n = values.shape[0]
+        if not self.is_mc or n < 2:
+            return 0.0
+        loo = (values.sum(axis=0)[None, :] - values) / (n - 1)
+        vals = np.array([statistic(loo[k]) for k in range(n)])
+        return float(math.sqrt((n - 1) / n * np.sum((vals - vals.mean()) ** 2)))
+
+    def tolerance(self, se: float | np.ndarray, tol: Tolerances, quadrature: float) -> np.ndarray:
+        """The acceptance bound of a statistic with standard error `se`:
+        max(z_max se, EXACT_TOL) for Monte Carlo, `quadrature` on a grid."""
+        if self.is_mc:
+            return np.maximum(tol.z_max * se, EXACT_TOL)
+        return np.full(np.shape(se), quadrature)
+
+    def estimate(
+        self, mean: float, se: float, zero_se: float = math.nan, **clips: float
+    ) -> EstimatorResult:
+        """The result of a disorder mean with standard error `se`: z = mean /
+        se, and where se is 0, `zero_se` for Monte Carlo and NaN for
+        quadrature."""
+        z = mean / se if se > 0 else (zero_se if self.is_mc else math.nan)
+        return EstimatorResult(
+            mean=float(mean), std_error=float(se), n_samples=self.n_samples,
+            method=self.method_name, z_score=float(z), **clips,
+        )
 
     def extend(self, n_samples: int) -> "ValueTable":
         """The same plan at n_samples Monte Carlo rows. Rows 0..n-1 are this
@@ -550,7 +548,13 @@ class _IdentityBlock:
     """Identity residual columns; `result` gives one EstimatorResult each."""
 
     def result(self, table: ValueTable) -> tuple[EstimatorResult, ...]:
-        return tuple(_residual_results(table.values(self), table.probs))
+        """A Monte Carlo residual with no spread has z 0 when its mean is 0
+        and infinite otherwise."""
+        values = table.values(self)
+        return tuple(
+            table.estimate(mean, se, 0.0 if mean == 0.0 else math.inf)
+            for mean, se in zip(table.mean(values), table.se(values))
+        )
 
 
 def _normalize_sites(block: object, *fields: str) -> None:
@@ -734,10 +738,6 @@ class ChainStep:
     tolerance: float
     passed: bool
 
-    @property
-    def margin(self) -> float:
-        return self.rhs - self.lhs
-
 
 @dataclass(frozen=True)
 class BoundCheckReport:
@@ -766,26 +766,19 @@ def _identity_step(name: str, lhs: float, rhs: float, tol: float) -> ChainStep:
     )
 
 
-def _se(values: np.ndarray) -> np.ndarray:
-    n = values.shape[0]
-    if n < 2:
-        return np.zeros(values.shape[1:])
-    return values.std(axis=0, ddof=1) / math.sqrt(n)
-
-
 def _clip_nonneg(values: np.ndarray) -> tuple[np.ndarray, int]:
     # count only genuine Monte Carlo negatives; exact-zero float dust is not
     # an undersampling signal
-    clipped = int(np.count_nonzero(values < -_EXACT_TOL))
+    clipped = int(np.count_nonzero(values < -EXACT_TOL))
     return np.maximum(values, 0.0), clipped
 
 
-def _check_clip_fraction(clipped: int, total: int, clip_limit: float, what: str) -> float:
+def _check_clip_fraction(clipped: int, total: int, tol: Tolerances, what: str) -> float:
     fraction = clipped / total if total else 0.0
-    if fraction > clip_limit:
+    if fraction > tol.clip_fraction_max:
         raise UndersampledError(
             f"{what}: {clipped}/{total} square-root arguments clipped at zero "
-            f"(fraction {fraction:.3f} > {clip_limit}); increase the sample count"
+            f"(fraction {fraction:.3f} > {tol.clip_fraction_max}); increase the sample count"
         )
     return fraction
 
@@ -812,18 +805,11 @@ class MagnetizationBlock:
 
         return 2 * plan.n_sites, evaluate
 
-    def result(
-        self,
-        table: ValueTable,
-        z_max: float = DEFAULT_Z_MAX,
-        quad_tol: float = DEFAULT_QUAD_TOL,
-        clip_limit: float = DEFAULT_CLIP_LIMIT,
-    ) -> BoundCheckReport:
+    def result(self, table: ValueTable, tol: Tolerances = Tolerances()) -> BoundCheckReport:
         """The chain's report; see `magnetization_bound_check`."""
         n = table.plan.n_sites
         values = table.values(self)
         qs, cs = values[:, :n], values[:, n:]
-        is_mc = table.is_mc
         mean = table.mean
 
         eq = mean(qs)
@@ -834,7 +820,7 @@ class MagnetizationBlock:
         ec = mean(cs)
 
         steps = []
-        id_tol = (np.maximum(z_max * _se(qs - qs * cs), _EXACT_TOL)) if is_mc else np.full(n, quad_tol)
+        id_tol = table.tolerance(table.se(qs - qs * cs), tol, tol.quadrature_abs)
         worst = int(np.argmax(np.abs(eq - eqc) / id_tol))
         steps.append(
             _identity_step("one-point identity (worst site)", eq[worst], eqc[worst], id_tol[worst])
@@ -842,23 +828,23 @@ class MagnetizationBlock:
         steps.append(
             _inequality(
                 "triangle inequality", float(np.mean(np.abs(eqc))),
-                float(np.mean(eabs_qc)), _EXACT_TOL,
+                float(np.mean(eabs_qc)), EXACT_TOL,
             )
         )
         steps.append(
             _inequality(
                 "thermal average bounded by one", float(np.mean(eabs_qc)),
-                float(np.mean(eabs_c)), _EXACT_TOL,
+                float(np.mean(eabs_c)), EXACT_TOL,
             )
         )
         ec2_pos, _ = _clip_nonneg(ec2)
         steps.append(
             _inequality(
                 "Cauchy-Schwarz over samples", float(np.mean(eabs_c)),
-                float(np.mean(np.sqrt(ec2_pos))), _EXACT_TOL,
+                float(np.mean(np.sqrt(ec2_pos))), EXACT_TOL,
             )
         )
-        nid_tol = (np.maximum(z_max * _se(cs * cs - cs), _EXACT_TOL)) if is_mc else np.full(n, quad_tol)
+        nid_tol = table.tolerance(table.se(cs * cs - cs), tol, tol.quadrature_abs)
         worst = int(np.argmax(np.abs(ec2 - ec) / nid_tol))
         steps.append(
             _identity_step(
@@ -866,25 +852,22 @@ class MagnetizationBlock:
             )
         )
         ec_pos, clipped = _clip_nonneg(ec)
-        clip_fraction = _check_clip_fraction(clipped, n, clip_limit, "magnetization bound")
+        clip_fraction = _check_clip_fraction(clipped, n, tol, "magnetization bound")
         steps.append(
             _inequality(
                 "site-average concavity", float(np.mean(np.sqrt(ec_pos))),
-                float(math.sqrt(np.mean(ec_pos))), _EXACT_TOL,
+                float(math.sqrt(np.mean(ec_pos))), EXACT_TOL,
             )
         )
 
         lhs = float(np.mean(eq))
         rhs_arg = float(np.mean(ec_pos))
         rhs = math.sqrt(rhs_arg)
-        if is_mc:
-            se_lhs = float(_se(qs.mean(axis=1, keepdims=True))[0])
-            se_arg = float(_se(cs.mean(axis=1, keepdims=True))[0])
-            se_rhs = se_arg / (2.0 * rhs) if rhs > 0 else 0.0
-            tol = max(z_max * math.hypot(se_lhs, se_rhs), _EXACT_TOL)
-        else:
-            tol = quad_tol
-        steps.append(_inequality("magnetization bound", lhs, rhs, tol))
+        se_lhs = float(table.se(qs.mean(axis=1, keepdims=True))[0])
+        se_arg = float(table.se(cs.mean(axis=1, keepdims=True))[0])
+        se_rhs = se_arg / (2.0 * rhs) if rhs > 0 else 0.0
+        bound_tol = table.tolerance(math.hypot(se_lhs, se_rhs), tol, tol.quadrature_abs)
+        steps.append(_inequality("magnetization bound", lhs, rhs, bound_tol))
 
         return BoundCheckReport(
             name=f"magnetization bound (w={self.w}, u={table.plan.u})",
@@ -900,9 +883,7 @@ def magnetization_bound_check(
     w: str,
     u: str,
     method: Method,
-    z_max: float = DEFAULT_Z_MAX,
-    quad_tol: float = DEFAULT_QUAD_TOL,
-    clip_limit: float = DEFAULT_CLIP_LIMIT,
+    tol: Tolerances = Tolerances(),
 ) -> BoundCheckReport:
     """Certify the magnetization bound chain:
 
@@ -913,7 +894,7 @@ def magnetization_bound_check(
     classical Nishimori identity) with matched disorder samples throughout.
     """
     block = MagnetizationBlock(w)
-    return block.result(Plan(config, [block], u).evaluate(method), z_max, quad_tol, clip_limit)
+    return block.result(Plan(config, [block], u).evaluate(method), tol)
 
 
 @dataclass(frozen=True)
@@ -931,27 +912,15 @@ class PairMatrixBlock:
         n = table.plan.n_sites
         return table.mean(table.values(self)).reshape(n, n)
 
-    def correlation_sum(
-        self, table: ValueTable, clip_limit: float = DEFAULT_CLIP_LIMIT
-    ) -> EstimatorResult:
+    def correlation_sum(self, table: ValueTable, tol: Tolerances = Tolerances()) -> EstimatorResult:
         """The diagnostic a1; see `a1_sum`."""
         n = table.plan.n_sites
         values = table.values(self)
-        ec = table.mean(values)
-        ec_pos, clipped = _clip_nonneg(ec)
-        fraction = _check_clip_fraction(clipped, n * n, clip_limit, "correlation sum")
+        ec_pos, clipped = _clip_nonneg(table.mean(values))
+        fraction = _check_clip_fraction(clipped, n * n, tol, "correlation sum")
         total = float(np.sqrt(ec_pos).sum()) / n
-        if table.is_mc:
-            stat = lambda m: float(np.sqrt(np.maximum(m, 0.0)).sum()) / n
-            se = _jackknife_se(values, stat)
-        else:
-            se = 0.0
-        z = total / se if se > 0 else math.nan
-        return EstimatorResult(
-            mean=total, std_error=se, n_samples=table.n_samples,
-            method=table.method_name, z_score=z,
-            clip_count=clipped, clip_fraction=fraction,
-        )
+        se = table.jackknife_se(values, lambda m: float(np.sqrt(np.maximum(m, 0.0)).sum()) / n)
+        return table.estimate(total, se, clip_count=clipped, clip_fraction=fraction)
 
 
 @dataclass(frozen=True)
@@ -993,33 +962,23 @@ class SusceptibilityBlock:
 
         return n * n, evaluate
 
-    def result(
-        self,
-        table: ValueTable,
-        z_max: float = DEFAULT_Z_MAX,
-        quad_tol: float = DEFAULT_QUAD_TOL,
-        clip_limit: float = DEFAULT_CLIP_LIMIT,
-    ) -> BoundCheckReport:
+    def result(self, table: ValueTable, tol: Tolerances = Tolerances()) -> BoundCheckReport:
         """The chain's report; see `susceptibility_bound_check`."""
         n = table.plan.n_sites
         beta = table.plan.config.beta
-        is_mc = table.is_mc
         ts = table.values(self)
         cs = table.values(PairMatrixBlock())
         mean = table.mean
 
         steps = []
         max_t = float(np.max(np.abs(ts)))
-        steps.append(_inequality("per-pair Duhamel magnitude", max_t, 2.0, _EXACT_TOL))
+        steps.append(_inequality("per-pair Duhamel magnitude", max_t, 2.0, EXACT_TOL))
 
         et = mean(ts)
         etc = mean(ts * cs)
         scale = beta / n
-        id_tol = (
-            max(z_max * float(_se((ts - ts * cs).sum(axis=1, keepdims=True))[0]), _EXACT_TOL)
-            if is_mc
-            else quad_tol * n * n
-        )
+        id_se = float(table.se((ts - ts * cs).sum(axis=1, keepdims=True))[0])
+        id_tol = table.tolerance(id_se, tol, tol.quadrature_abs * n * n)
         steps.append(
             _identity_step(
                 "truncated-Duhamel identity (summed)",
@@ -1029,24 +988,24 @@ class SusceptibilityBlock:
         steps.append(
             _inequality(
                 "triangle inequality", scale * abs(float(etc.sum())),
-                scale * float(mean(np.abs(ts * cs)).sum()), _EXACT_TOL,
+                scale * float(mean(np.abs(ts * cs)).sum()), EXACT_TOL,
             )
         )
         steps.append(
             _inequality(
                 "Duhamel magnitude bound", scale * float(mean(np.abs(ts * cs)).sum()),
-                2.0 * scale * float(mean(np.abs(cs)).sum()), _EXACT_TOL,
+                2.0 * scale * float(mean(np.abs(cs)).sum()), EXACT_TOL,
             )
         )
         ec2_pos, _ = _clip_nonneg(mean(cs * cs))
         steps.append(
             _inequality(
                 "Cauchy-Schwarz over samples", 2.0 * scale * float(mean(np.abs(cs)).sum()),
-                2.0 * scale * float(np.sqrt(ec2_pos).sum()), _EXACT_TOL,
+                2.0 * scale * float(np.sqrt(ec2_pos).sum()), EXACT_TOL,
             )
         )
         ec = mean(cs)
-        nid_tol = (np.maximum(z_max * _se(cs * cs - cs), _EXACT_TOL)) if is_mc else np.full(n * n, quad_tol)
+        nid_tol = table.tolerance(table.se(cs * cs - cs), tol, tol.quadrature_abs)
         worst = int(np.argmax(np.abs(mean(cs * cs) - ec) / nid_tol))
         steps.append(
             _identity_step(
@@ -1056,17 +1015,14 @@ class SusceptibilityBlock:
         )
 
         ec_pos, clipped = _clip_nonneg(ec)
-        clip_fraction = _check_clip_fraction(clipped, n * n, clip_limit, "susceptibility bound")
+        clip_fraction = _check_clip_fraction(clipped, n * n, tol, "susceptibility bound")
         chi = scale * abs(float(et.sum()))
         bound = 2.0 * scale * float(np.sqrt(ec_pos).sum())
-        if is_mc:
-            se_chi = scale * float(_se(ts.sum(axis=1, keepdims=True))[0])
-            bound_stat = lambda m: 2.0 * scale * float(np.sqrt(np.maximum(m, 0.0)).sum())
-            se_bound = _jackknife_se(cs, bound_stat)
-            tol = max(z_max * math.hypot(se_chi, se_bound), _EXACT_TOL)
-        else:
-            tol = quad_tol
-        steps.append(_inequality("susceptibility bound", chi, bound, tol))
+        se_chi = scale * float(table.se(ts.sum(axis=1, keepdims=True))[0])
+        bound_stat = lambda m: 2.0 * scale * float(np.sqrt(np.maximum(m, 0.0)).sum())
+        se_bound = table.jackknife_se(cs, bound_stat)
+        bound_tol = table.tolerance(math.hypot(se_chi, se_bound), tol, tol.quadrature_abs)
+        steps.append(_inequality("susceptibility bound", chi, bound, bound_tol))
 
         return BoundCheckReport(
             name=f"susceptibility bound (v={self.v}, w={self.w}, u={table.plan.u})",
@@ -1083,9 +1039,7 @@ def susceptibility_bound_check(
     w: str,
     u: str,
     method: Method,
-    z_max: float = DEFAULT_Z_MAX,
-    quad_tol: float = DEFAULT_QUAD_TOL,
-    clip_limit: float = DEFAULT_CLIP_LIMIT,
+    tol: Tolerances = Tolerances(),
 ) -> BoundCheckReport:
     """Certify the susceptibility bound chain at zero symmetry-breaking field:
 
@@ -1098,25 +1052,14 @@ def susceptibility_bound_check(
     """
     block = SusceptibilityBlock(v, w)
     table = Plan(config, [block, PairMatrixBlock()], u).evaluate(method)
-    return block.result(table, z_max, quad_tol, clip_limit)
-
-
-def _jackknife_se(samples: np.ndarray, statistic: Callable[[np.ndarray], float]) -> float:
-    """Leave-one-out standard error of a statistic of column means."""
-    n = samples.shape[0]
-    if n < 2:
-        return 0.0
-    total = samples.sum(axis=0)
-    loo = (total[None, :] - samples) / (n - 1)
-    vals = np.array([statistic(loo[k]) for k in range(n)])
-    return float(math.sqrt((n - 1) / n * np.sum((vals - vals.mean()) ** 2)))
+    return block.result(table, tol)
 
 
 def a1_sum(
     config: ModelConfig,
     u: str,
     method: Method,
-    clip_limit: float = DEFAULT_CLIP_LIMIT,
+    tol: Tolerances = Tolerances(),
 ) -> EstimatorResult:
     """Diagnostic (1/N) sum_ij sqrt(E<tau_i tau_j>_N); reported, not asserted.
 
@@ -1124,7 +1067,7 @@ def a1_sum(
     and counted; exceeding the clip budget raises UndersampledError.
     """
     block = PairMatrixBlock()
-    return block.correlation_sum(Plan(config, [block], u).evaluate(method), clip_limit)
+    return block.correlation_sum(Plan(config, [block], u).evaluate(method), tol)
 
 
 def mean_pair_correlation(config: ModelConfig, u: str, method: Method) -> np.ndarray:
@@ -1152,8 +1095,14 @@ class FieldStencilBlock:
 
     def bind(self, plan: Plan) -> tuple[int, Evaluator]:
         h = self.h
-        if h <= 0:
-            raise ValueError(f"step h must be > 0, got {h}")
+        # the stencil divides by h**3 and h**2; a subnormal or overflowing
+        # power would turn the differences into inf or NaN
+        try:
+            normal = h > 0 and all(sys.float_info.min <= float(h) ** k < math.inf for k in (2, 3))
+        except OverflowError:
+            normal = False
+        if not normal:
+            raise ValueError(f"a2_step h must be > 0 with h**2 and h**3 normal floats, got {h}")
         params = plan.config.params
         params.require_even_mixed()
         if any(params.is_active(1, a) for a in AXES):
@@ -1239,7 +1188,7 @@ class SiteExpectationsBlock:
     def result(self, table: ValueTable) -> dict[str, dict[str, EstimatorResult]]:
         """Per axis, the ferromagnetic m and spin-glass q order parameters.
 
-        z_score is NaN when every per-sample value is within `_EXACT_TOL` of
+        z_score is NaN when every per-sample value is within `EXACT_TOL` of
         zero: the mean and its error are then float dust, and their ratio
         measures nothing."""
         n = table.plan.n_sites
@@ -1251,14 +1200,9 @@ class SiteExpectationsBlock:
             q_rows = (sites * sites).mean(axis=1, keepdims=True)
             res = {}
             for name, rows in (("m", m_rows), ("q", q_rows)):
-                mv = float(table.mean(rows)[0])
-                se = float(_se(rows)[0]) if table.is_mc else 0.0
-                dust = bool(np.all(np.abs(rows) <= _EXACT_TOL))
-                z = mv / se if se > 0 and not dust else math.nan
-                res[name] = EstimatorResult(
-                    mean=mv, std_error=se, n_samples=table.n_samples,
-                    method=table.method_name, z_score=z,
-                )
+                est = table.estimate(float(table.mean(rows)[0]), float(table.se(rows)[0]))
+                dust = bool(np.all(np.abs(rows) <= EXACT_TOL))
+                res[name] = dataclasses.replace(est, z_score=math.nan) if dust else est
             out[axis] = res
         return out
 
@@ -1274,13 +1218,7 @@ class FreeEnergyBlock:
     def result(self, table: ValueTable) -> EstimatorResult:
         """Disorder mean of log Z / N with its standard error."""
         values = table.values(self)
-        mean = float(table.mean(values)[0])
-        se = float(values.std(ddof=1) / math.sqrt(values.shape[0])) if table.is_mc else 0.0
-        z = mean / se if se > 0 else math.nan
-        return EstimatorResult(
-            mean=mean, std_error=se, n_samples=table.n_samples,
-            method=table.method_name, z_score=z,
-        )
+        return table.estimate(float(table.mean(values)[0]), float(table.se(values)[0]))
 
 
 def finite_size_order_parameters(

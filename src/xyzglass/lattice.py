@@ -30,9 +30,6 @@ class Lattice:
     def n_sites(self) -> int:
         return len(self.sites)
 
-    def site_index(self, coord: Sequence[int]) -> int:
-        return self.sites.index(tuple(coord))
-
 
 @dataclass(frozen=True)
 class InteractionShape:

@@ -107,13 +107,6 @@ def beta2_from_ratios(rx, ry, rz, u: str):
     return np.hypot(r[a], r[b])
 
 
-def beta2(query: RegionQuery, u: str) -> float:
-    if u not in AXES:
-        raise ValueError(f"axis must be one of {AXES}, got {u!r}")
-    r = query.ratios()
-    return float(beta2_from_ratios(r["x"], r["y"], r["z"], u))
-
-
 def membership_from_ratios(rx, ry, rz, beta_t: float):
     """Per-axis membership booleans (strict inequalities), vectorized."""
     out = {}
@@ -123,15 +116,6 @@ def membership_from_ratios(rx, ry, rz, beta_t: float):
         bb = beta2_from_ratios(rx, ry, rz, b)
         out[u] = (ba < beta_t) & (bb < beta_t)
     return out
-
-
-def in_subspace(query: RegionQuery, u: str) -> bool:
-    """True iff both non-u Nishimori temperatures are strictly below beta_t."""
-    if u not in AXES:
-        raise ValueError(f"axis must be one of {AXES}, got {u!r}")
-    r = query.ratios()
-    flags = membership_from_ratios(r["x"], r["y"], r["z"], query.beta_t)
-    return bool(flags[u])
 
 
 def region_membership(query: RegionQuery) -> Membership:

@@ -13,9 +13,7 @@ from .disorder import DisorderSample, coupling_row, coupling_terms
 from .errors import CapacityError
 from .lattice import BondFamily, Lattice
 from .operators import QUANTUM_SITE_CAP, PauliString, Sectors, global_flip, pauli_site, whole_space
-
-#: Relative tolerance budget for eigendecomposition self-checks.
-SPECTRUM_TOL = 1e-10
+from .tolerances import DUHAMEL_SERIES_SWITCH, HERMITIAN_TOL, IMAGINARY_TOL, SPECTRUM_TOL
 
 
 @dataclass(frozen=True)
@@ -182,7 +180,7 @@ def spectral_decompose(
         blocks, sectors = h[..., None, :, :], None
     scale = np.maximum(1.0, _matrix_max(blocks))
     asymmetry = _matrix_max(blocks - blocks.conj().swapaxes(-1, -2))
-    _check_stack(asymmetry > 1e-12 * scale, labels, ValueError, "matrix is not Hermitian")
+    _check_stack(asymmetry > HERMITIAN_TOL * scale, labels, ValueError, "matrix is not Hermitian")
     evals, evecs = np.linalg.eigh(blocks)
     recon = (evecs * evals[..., None, :]) @ evecs.conj().swapaxes(-1, -2)
     _check_stack(
@@ -226,7 +224,7 @@ def _to_eigenbasis(state: ThermalState, a: np.ndarray) -> np.ndarray:
 
 
 def _real_part(value: complex, what: str) -> float:
-    if abs(value.imag) > 1e-10 * max(1.0, abs(value.real)):
+    if abs(value.imag) > IMAGINARY_TOL * max(1.0, abs(value.real)):
         raise ValueError(f"{what} has non-negligible imaginary part {value.imag}")
     return float(value.real)
 
@@ -269,14 +267,6 @@ def _in_eigenbasis(
     return image, v[..., image, :, :].conj().swapaxes(-1, -2) @ op.apply(v, sectors)
 
 
-def string_in_eigenbasis(state: ThermalState, op: PauliString) -> np.ndarray:
-    """V^dagger op V: one row gather and one matmul per matrix of the stack.
-    On sectors, the blocks (..., S, d, d) that map each sector s onto sector
-    `op.sector_map(sectors)[0][s]`."""
-    _, blocks = _in_eigenbasis(state, op)
-    return blocks[..., 0, :, :] if state.spectrum.sectors is None else blocks
-
-
 def duhamel_kernel(state: ThermalState) -> np.ndarray:
     """Matrix phi_mn such that the Duhamel bracket is sum A_mn B_nm phi_mn / Z,
     with the state's stack axes in front; on sectors, one block per sector
@@ -296,7 +286,7 @@ def duhamel_kernel(state: ThermalState) -> np.ndarray:
     a_m, a_n = a[..., :, None, :, None], a[..., None, :, None, :]
     s = 0.5 * (a_m + a_n)
     x = np.abs(0.5 * (a_m - a_n))
-    small = x < 1e-4
+    small = x < DUHAMEL_SERIES_SWITCH
     direct = ~small
     phi = np.empty_like(x)
     xd = x[direct]
@@ -373,13 +363,6 @@ def truncated_duhamel(state: ThermalState, a: np.ndarray, b: np.ndarray) -> floa
 def free_energy_density(state: ThermalState, volume: int) -> float:
     """log Z per site (overflow-safe through shifted weights)."""
     return state.log_z / volume
-
-
-def order_expectation(state: ThermalState, axis: str) -> float:
-    """Expectation of the order operator: the site-averaged axis Pauli."""
-    n = state.spectrum.dim.bit_length() - 1
-    sites = [PauliString(n, (i,), axis) for i in range(n)]
-    return float(np.mean(string_expectations(state, sites)))
 
 
 def z2_commutator_norm(h: np.ndarray, axis: str) -> float:

@@ -12,7 +12,6 @@ from xyzglass.classical_gibbs import (
     classical_energy,
     classical_expectation,
     classical_from_nishimori,
-    classical_pair_expectation,
     correlation_matrix_to_csv,
     product_expectations,
 )
@@ -77,10 +76,11 @@ def test_beta_zero_uniform_measure():
 
 
 def test_pair_expectation_symmetric_difference():
+    # tau_X tau_Y is the product over the symmetric difference of X and Y
     model = chain_model(3, k2=[0.4, 0.6], beta2=1.1)
     direct = classical_expectation(model, [0, 2])
-    assert classical_pair_expectation(model, [0, 1], [1, 2]) == pytest.approx(direct, abs=1e-14)
-    assert classical_pair_expectation(model, [0, 1], [0, 1]) == 1.0
+    assert classical_expectation(model, [0, 1, 1, 2]) == pytest.approx(direct, abs=1e-14)
+    assert classical_expectation(model, []) == 1.0
 
 
 def test_correlation_matrix_properties():

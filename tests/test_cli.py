@@ -1,4 +1,5 @@
 import ast
+import dataclasses
 import json
 import math
 import os
@@ -20,6 +21,7 @@ from xyzglass.cli import (
     resolve_config,
 )
 from xyzglass.errors import ConfigError
+from xyzglass.tolerances import Tolerances
 from xyzglass.identities import (
     MonteCarlo,
     duhamel_identity,
@@ -72,6 +74,10 @@ def test_selftest_exits_zero(tmp_path):
     assert all(c["passed"] for c in report["checks"])
     names = [c["name"] for c in report["checks"]]
     assert "Nishimori-line pair matrix versus chunked enumeration" in names
+    assert names[-2:] == [
+        "P_z commutator versus the plans' sector decision",
+        "field derivative versus linear response (2 sites)",
+    ]
 
 
 def test_verify_identities_quadrature(tmp_path):
@@ -546,3 +552,75 @@ def test_bad_thread_counts_exit_two(tmp_path, capsys, monkeypatch, argv, env):
     assert err["error"]["kind"] == "config"
     assert err["error"]["exit_code"] == EXIT_CONFIG_ERROR
     assert "thread" in err["error"]["message"].lower()
+
+
+@pytest.mark.parametrize(
+    "field, value", [("mu", 1e200), ("delta", 1e-300)], ids=["mu-1e200", "delta-1e-300"]
+)
+def test_overflowing_nishimori_ratio_exits_two_before_sampling(
+    tmp_path, capsys, monkeypatch, field, value
+):
+    shipped = pathlib.Path(__file__).parents[1] / "configs" / "identities_mc.json"
+    payload = json.loads(shipped.read_text())
+    payload["couplings"]["2"]["y"][field] = value  # transformed for gauge axis x
+    cfg = write_config(tmp_path, "c.json", payload)
+    draws = count_calls(monkeypatch, identities, "draw_row")
+    code = main(["verify-identities", "--config", cfg, "--out", str(tmp_path / "runs")])
+    assert code == EXIT_CONFIG_ERROR
+    err = json.loads(capsys.readouterr().err.strip())
+    assert err["error"]["kind"] == "config"
+    assert "(p=2, axis=y)" in err["error"]["message"]
+    assert "Nishimori" in err["error"]["message"]
+    assert draws == []
+    assert not (tmp_path / "runs").exists()
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("step", [1e-300, 1e-103, 1e300], ids=["h-underflows", "h3-subnormal", "h3-overflows"])
+def test_a2_step_without_normal_powers_exits_two_before_sampling(
+    tmp_path, capsys, monkeypatch, step
+):
+    payload = bounds_mc_config(20)
+    payload["bounds"]["a2_step"] = step
+    cfg = write_config(tmp_path, "c.json", payload)
+    draws = count_calls(monkeypatch, identities, "draw_row")
+    code = main(["verify-bounds", "--config", cfg, "--out", str(tmp_path / "runs")])
+    assert code == EXIT_CONFIG_ERROR
+    err = json.loads(capsys.readouterr().err.strip())
+    assert err["error"]["kind"] == "config"
+    assert "a2_step" in err["error"]["message"]
+    assert draws == []
+    assert not (tmp_path / "runs").exists()
+
+
+@pytest.mark.parametrize(
+    "method, key",
+    [({"kind": "mc", "n_samples": 1}, "n_samples"),
+     ({"kind": "quadrature", "nodes_per_dim": 1}, "nodes_per_dim")],
+    ids=["mc", "quadrature"],
+)
+def test_method_schema_error_names_the_key_of_its_kind(tmp_path, method, key):
+    payload = single_site_identity_config()
+    payload["method"] = method
+    with pytest.raises(ConfigError, match=rf"\['method', '{key}'\]: 1 is less than the minimum of 2"):
+        load_config(write_config(tmp_path, "c.json", payload))
+    # a key of the other kind is unexpected, not a wrong kind
+    payload["method"] = {**method, ("nodes_per_dim" if key == "n_samples" else "n_samples"): 4}
+    payload["method"][key] = 4
+    with pytest.raises(ConfigError, match="was unexpected"):
+        load_config(write_config(tmp_path, "c.json", payload))
+
+
+def test_resolved_tolerances_are_the_table_defaults():
+    assert resolve_config({"seed": 1}, None)["tolerances"] == dataclasses.asdict(Tolerances())
+    cfg = resolve_config({"seed": 1, "tolerances": {"z_max": 3}}, None)
+    assert cfg["tolerances"] == {"z_max": 3, "quadrature_abs": 1e-8, "clip_fraction_max": 0.01}
+
+
+def test_residual_pass_rule():
+    tol = Tolerances(z_max=4.0, quadrature_abs=1e-8)
+    assert tol.residual("mc", 1.0, -4.0) == (True, {"kind": "z_score", "value": 4.0})
+    assert not tol.residual("mc", 0.0, 4.5)[0]
+    assert not tol.residual("mc", 0.0, math.inf)[0]
+    assert tol.residual("quadrature", -1e-8, math.nan) == (True, {"kind": "absolute", "value": 1e-8})
+    assert not tol.residual("quadrature", 2e-8, 0.0)[0]

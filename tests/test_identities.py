@@ -49,6 +49,7 @@ from xyzglass.quantum_gibbs import (
     string_expectations,
     thermal_state,
 )
+from xyzglass.tolerances import EXACT_TOL, Tolerances
 
 
 def single_site_config(beta=0.5, jx=0.6):
@@ -772,3 +773,33 @@ def test_package_exports_the_plan_api():
     ):
         assert getattr(xyzglass, name) is getattr(identities, name)
         assert name in xyzglass.__all__
+
+
+def test_value_table_owns_the_standard_errors_and_the_tolerance_rule():
+    block = identities.FreeEnergyBlock()
+    plan = identities.Plan(chain_config(2), [block])
+    mc = plan.evaluate(MonteCarlo(n_samples=5, seed=3))
+    values = mc.values(block)
+    x = [float(v) for v in values[:, 0]]
+    mean = sum(x) / 5
+    # std(ddof=1) / sqrt(n), written out
+    se = math.sqrt(sum((v - mean) ** 2 for v in x) / 4 / 5)
+    assert mc.se(values)[0] == pytest.approx(se, rel=1e-12)
+    # the leave-one-out error of the mean is the standard error
+    assert mc.jackknife_se(values, lambda m: float(m[0])) == pytest.approx(se, rel=1e-12)
+    tol = Tolerances(z_max=2.5, quadrature_abs=1e-3)
+    assert mc.tolerance(se, tol, 1.0) == 2.5 * se
+    assert mc.tolerance(0.0, tol, 1.0) == EXACT_TOL
+    assert mc.estimate(mean, se).z_score == pytest.approx(mean / se)
+    assert mc.estimate(mean, 0.0, math.inf).z_score == math.inf
+    assert math.isnan(mc.estimate(mean, 0.0).z_score)
+    assert np.array_equal(
+        identities.ValueTable(plan, mc.method, [values[:1]], None).se(values[:1]), [0.0]
+    )
+
+    grid = plan.evaluate(Quadrature(2))
+    grid_values = grid.values(block)
+    assert np.array_equal(grid.se(grid_values), [0.0])
+    assert grid.jackknife_se(grid_values, lambda m: float(m[0])) == 0.0
+    assert np.array_equal(grid.tolerance(np.ones(3), tol, 1e-3), [1e-3] * 3)
+    assert math.isnan(grid.estimate(1.0, 0.0, 0.0).z_score)

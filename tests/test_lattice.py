@@ -20,7 +20,7 @@ def test_volumes():
 def test_lexicographic_order_and_indexing():
     lat = build_lattice(2, 3)
     assert lat.sites == tuple(sorted(lat.sites))
-    assert lat.site_index((1, 2)) == 5
+    assert lat.sites.index((1, 2)) == 5
 
 
 def test_capacity_error_names_cap():

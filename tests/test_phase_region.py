@@ -9,8 +9,7 @@ from xyzglass.phase_region import (
     Membership,
     RatioGrid,
     RegionQuery,
-    beta2,
-    in_subspace,
+    beta2_from_ratios,
     membership_from_ratios,
     region_membership,
     sample_region,
@@ -24,6 +23,11 @@ def query_from_ratios(rx, ry, rz, beta_t, scale=1.0):
         mu_x=rx * scale, mu_y=ry * scale, mu_z=rz * scale,
         beta_t=beta_t,
     )
+
+
+def beta2(query, u):
+    r = query.ratios()
+    return float(beta2_from_ratios(r["x"], r["y"], r["z"], u))
 
 
 def test_beta2_values():
@@ -44,8 +48,6 @@ def test_validation():
         RegionQuery(0.0, 1.0, 1.0, 0.0, 0.0, 0.0, beta_t=1.0)
     with pytest.raises(ValueError, match="beta_t"):
         RegionQuery(1.0, 1.0, 1.0, 0.0, 0.0, 0.0, beta_t=0.0)
-    with pytest.raises(ValueError):
-        beta2(query_from_ratios(0, 0, 0, 1.0), "q")
 
 
 def test_origin_in_everything():
@@ -65,9 +67,10 @@ def test_boundary_is_strict():
     q = query_from_ratios(0.0, 0.0, beta_t, beta_t=beta_t)
     # beta2 for both x and y equals beta_t exactly: strict inequality excludes
     assert beta2(q, "x") == pytest.approx(beta_t)
-    assert not in_subspace(q, "x")
-    assert not in_subspace(q, "y")
-    assert not in_subspace(q, "z")
+    m = region_membership(q)
+    assert not m.in_x
+    assert not m.in_y
+    assert not m.in_z
 
 
 def test_point_in_exactly_one_subspace():

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from xyzglass import quantum_gibbs
 from xyzglass.disorder import CouplingParams, gauge_transform_couplings, sample_disorder
 from xyzglass.errors import CapacityError
 from xyzglass.lattice import (
@@ -30,14 +31,25 @@ from xyzglass.quantum_gibbs import (
     free_energy_density,
     gibbs_expectation,
     gibbs_expectation_expm,
-    order_expectation,
     spectral_decompose,
     string_expectations,
-    string_in_eigenbasis,
     thermal_state,
     truncated_duhamel,
     z2_commutator_norm,
 )
+
+
+def eigenbasis_matrix(state, op):
+    """V^dagger op V of a dense state or stack: the one block of the
+    eigenbasis gather that `duhamel_matrix` contracts."""
+    return quantum_gibbs._in_eigenbasis(state, op)[1][..., 0, :, :]
+
+
+def order_expectation(state, axis):
+    """The site-averaged axis magnetization, from `string_expectations`."""
+    n = state.spectrum.dim.bit_length() - 1
+    sites = [PauliString(n, (i,), axis) for i in range(n)]
+    return float(np.mean(string_expectations(state, sites)))
 
 
 def chain_setup(L, boundary="open"):
@@ -162,7 +174,7 @@ def test_stacked_decomposition_equals_one_matrix_at_a_time():
                 string_expectations(together, [op])[k], string_expectations(alone, [op])
             )
             assert np.array_equal(
-                string_in_eigenbasis(together, op)[k], string_in_eigenbasis(alone, op)
+                eigenbasis_matrix(together, op)[k], eigenbasis_matrix(alone, op)
             )
 
 
@@ -548,7 +560,7 @@ def test_string_contractions_match_dense():
             dense = pauli_product(3, sites, axis)
             (q,) = string_expectations(state, [op])
             assert q == pytest.approx(gibbs_expectation(state, dense), abs=1e-12)
-            assert np.max(np.abs(string_in_eigenbasis(state, op) - v.conj().T @ dense @ v)) < 1e-12
+            assert np.max(np.abs(eigenbasis_matrix(state, op) - v.conj().T @ dense @ v)) < 1e-12
 
 
 @st.composite
