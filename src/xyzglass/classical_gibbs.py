@@ -5,15 +5,17 @@ from __future__ import annotations
 
 import csv
 from dataclasses import dataclass
-from typing import Iterator, Mapping, Sequence
+from typing import Mapping, Sequence
 
 import numpy as np
 
 from .disorder import NishimoriData
 from .errors import CapacityError
-from .lattice import CLASSICAL_SITE_CAP, BondFamily
+from .lattice import BondFamily
 
-_CHUNK_BITS = 16
+#: Largest lattice whose 2^N configurations are enumerated: the tables of
+#: 2^16 rows hold a few MiB per column.
+ENUMERATION_SITE_CAP = 16
 
 
 @dataclass(frozen=True)
@@ -69,9 +71,9 @@ def _pair_columns(tau: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _check_cap(n_sites: int) -> None:
-    if n_sites > CLASSICAL_SITE_CAP:
+    if n_sites > ENUMERATION_SITE_CAP:
         raise CapacityError(
-            f"{n_sites} sites exceeds the classical enumeration cap {CLASSICAL_SITE_CAP}"
+            f"{n_sites} sites exceeds the classical enumeration cap {ENUMERATION_SITE_CAP}"
         )
 
 
@@ -94,47 +96,29 @@ def _log_weights(tau: np.ndarray, coeffs: np.ndarray, bonds: list[tuple[int, ...
     return w
 
 
-def _weighted_chunks(model: ClassicalModel) -> Iterator[tuple[np.ndarray, np.ndarray]]:
-    """(tau, w) for every chunk of configurations in a fixed order, with w
-    the Boltzmann weights shifted by the largest log weight, which a first
-    pass over the chunks finds. Chunks hold 2^_CHUNK_BITS configurations,
-    read when the enumeration starts."""
+def _weighted_configurations(model: ClassicalModel) -> tuple[np.ndarray, np.ndarray, float]:
+    """(tau, w, z) over every configuration in index order: the spins, the
+    Boltzmann weights shifted by the largest log weight, and their sum."""
     _check_cap(model.n_sites)
     coeffs, bonds = _term_arrays(model)
-    total = 1 << model.n_sites
-    chunk = min(total, 1 << _CHUNK_BITS)
-    starts = range(0, total, chunk)
-    gmax = -np.inf
-    for start in starts:
-        tau = _tau_block(start, min(chunk, total - start), model.n_sites)
-        gmax = max(gmax, float(np.max(_log_weights(tau, coeffs, bonds))))
-    for start in starts:
-        tau = _tau_block(start, min(chunk, total - start), model.n_sites)
-        yield tau, np.exp(_log_weights(tau, coeffs, bonds) - gmax)
+    tau = _tau_block(0, 1 << model.n_sites, model.n_sites)
+    logw = _log_weights(tau, coeffs, bonds)
+    w = np.exp(logw - float(np.max(logw)))
+    return tau, w, float(np.sum(w))
 
 
 def product_expectations(
     model: ClassicalModel, site_sets: Sequence[Sequence[int]]
 ) -> np.ndarray:
-    """Exact <prod_{i in S} tau_i> for each site set S, in one enumeration.
-
-    Configurations are enumerated in fixed-size chunks in a fixed order, so
-    results are bit-reproducible regardless of lattice size.
-    """
+    """Exact <prod_{i in S} tau_i> for each site set S, in one enumeration,
+    bond by bond: the reference that `BondProductTable` is tested against."""
     _check_cap(model.n_sites)
     sets = [tuple(int(i) for i in s) for s in site_sets]
     for s in sets:
         if s and not set(s) <= set(range(model.n_sites)):
             raise ValueError(f"site set {s} out of range")
-    z = 0.0
-    nums = np.zeros(len(sets))
-    for tau, w in _weighted_chunks(model):
-        z += float(np.sum(w))
-        for k, s in enumerate(sets):
-            if s:
-                nums[k] += float(np.dot(np.prod(tau[:, s], axis=1), w))
-            else:
-                nums[k] += float(np.sum(w))
+    tau, w, z = _weighted_configurations(model)
+    nums = np.array([float(np.dot(np.prod(tau[:, s], axis=1), w)) if s else z for s in sets])
     return nums / z
 
 
@@ -157,12 +141,8 @@ def classical_expectation(model: ClassicalModel, sites: Sequence[int]) -> float:
 
 def classical_correlation_matrix(model: ClassicalModel) -> np.ndarray:
     """All pair correlations <tau_i tau_j> from a single enumeration pass."""
-    z = 0.0
-    corr = np.zeros((model.n_sites, model.n_sites))
-    for tau, w in _weighted_chunks(model):
-        z += float(np.sum(w))
-        corr += (tau * w[:, None]).T @ tau
-    return corr / z
+    tau, w, z = _weighted_configurations(model)
+    return (tau * w[:, None]).T @ tau / z
 
 
 def correlation_matrix_to_csv(matrix: np.ndarray, path: str) -> None:
@@ -181,8 +161,8 @@ class BondProductTable:
     Caches the full spin table, the per-bond sign columns for one family
     structure and the sign column of every site set it has evaluated, so
     that per-sample Nishimori expectations reduce to a matrix product plus a
-    softmax. Limited to 16 sites; larger systems go through the chunked
-    enumeration above.
+    softmax. Limited to `ENUMERATION_SITE_CAP` sites, as the enumeration
+    above is.
 
     The pair matrix splits the configuration index into its high bits
     (sites 0..k-1, k = N // 2) and low bits (sites k..N-1), with one spin
@@ -191,8 +171,7 @@ class BondProductTable:
     """
 
     def __init__(self, n_sites: int, families: Mapping[int, BondFamily]):
-        if n_sites > 16:
-            raise CapacityError("fast tables are limited to 16 sites")
+        _check_cap(n_sites)
         self.n_sites = n_sites
         self.families = dict(families)
         self.tau = _tau_block(0, 1 << n_sites, n_sites)

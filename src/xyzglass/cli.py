@@ -64,6 +64,7 @@ EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
 EXIT_CONFIG_ERROR = 2
 EXIT_CAPACITY_ERROR = 3
+EXIT_NUMERICAL_ERROR = 4
 
 _AXIS = {"enum": ["x", "y", "z"]}
 _SITES = {"type": "array", "items": {"type": "integer", "minimum": 0}}
@@ -687,7 +688,7 @@ def run_selftest(seed: int) -> tuple[list[dict], dict]:
         builder = HamiltonianBuilder(lat_m, fams_m)
         params_m = CouplingParams(entries)
         row = coupling_row(sample_disorder(params_m, fams_m, seed=sample_seed))[None]
-        ham = builder.build_rows(row)[0]
+        ham = builder.build_rows(row, whole_space(lat_m.n_sites)).blocks[0, 0]
         plan = identities.Plan(ModelConfig(lat_m, fams_m, params_m, beta), [])
         parity.append((plan.conserves_parity, z2_commutator_norm(ham, "z")))
         state = thermal_state(spectral_decompose(builder.build_rows(row, sectors)), beta)
@@ -708,7 +709,7 @@ def run_selftest(seed: int) -> tuple[list[dict], dict]:
         "one-point identity (single-site quadrature)", abs(res.mean), Tolerances().quadrature_abs
     )
 
-    # the per-sample pair kernel versus the chunked enumerator, on Nishimori
+    # the per-sample pair kernel versus the per-bond enumerator, on Nishimori
     # transforms of random chains
     worst_pairs = 0.0
     for _ in range(5):
@@ -725,11 +726,11 @@ def run_selftest(seed: int) -> tuple[list[dict], dict]:
         sample = sample_disorder(params4, fams4, seed=int(rng.integers(2**31)))
         nd = nishimori_transform(sample, params4, AXES[int(rng.integers(0, 3))])
         table = classical_gibbs.BondProductTable(length, fams4)
-        chunked = classical_gibbs.classical_correlation_matrix(
+        enumerated = classical_gibbs.classical_correlation_matrix(
             classical_gibbs.classical_from_nishimori(nd, fams4, length)
         )
         worst_pairs = max(
-            worst_pairs, float(np.max(np.abs(table.pair_matrix(nd.k, nd.betas) - chunked)))
+            worst_pairs, float(np.max(np.abs(table.pair_matrix(nd.k, nd.betas) - enumerated)))
         )
     record(
         "Nishimori-line pair matrix versus chunked enumeration", worst_pairs,
@@ -882,6 +883,11 @@ def main(argv: list[str] | None = None) -> int:
     except CapacityError as exc:
         _emit_error("capacity", exc, EXIT_CAPACITY_ERROR)
         return EXIT_CAPACITY_ERROR
+    # before ValueError, which LinAlgError subclasses: arithmetic that fails
+    # on a drawn sample is a numerical failure, not a config error
+    except (ArithmeticError, np.linalg.LinAlgError) as exc:
+        _emit_error("numerical", exc, EXIT_NUMERICAL_ERROR)
+        return EXIT_NUMERICAL_ERROR
     except ValueError as exc:
         _emit_error("config", exc, EXIT_CONFIG_ERROR)
         return EXIT_CONFIG_ERROR

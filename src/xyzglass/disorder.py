@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import csv
 import math
+import sys
 from dataclasses import dataclass, field
 from typing import Mapping, Sequence
 
@@ -232,6 +233,23 @@ class NishimoriRotation:
             raise ValueError(f"axis must be one of {AXES}, got {u!r}")
         slices = term_slices(families)
         self.betas = {p: nishimori_beta(params, p, u) for p in sorted(families)}
+        for p in sorted(families):
+            for a in AXES:
+                if a == u or not params.is_active(p, a):
+                    continue
+                mu, delta = params.mu(p, a), params.delta(p, a)
+                # the rotation divides by delta**2 and scales by mu/delta**2;
+                # a subnormal or overflowing square would turn K into inf or NaN
+                try:
+                    normal = sys.float_info.min <= delta**2 < math.inf
+                    normal = normal and math.isfinite(mu / delta**2)
+                except OverflowError:
+                    normal = False
+                if not normal:
+                    raise ValueError(
+                        f"component (p={p}, axis={a}) needs delta**2 a normal float and "
+                        f"mu/delta**2 finite (mu = {mu}, delta = {delta})"
+                    )
         self._components = {
             p: (
                 len(families[p].bonds),

@@ -171,19 +171,15 @@ class PauliString:
             self._sector_maps[sectors] = (target, rows, phases)
         return self._sector_maps[sectors]
 
-    def apply(self, v: np.ndarray, sectors: Sectors | None = None) -> np.ndarray:
-        """op @ v for a vector, a matrix of column vectors or a stack of such
-        matrices (..., dim, k): one row gather. With `sectors`, v holds one
-        block per sector, (..., S, d, k), and the result's block s is the
-        image of block s, in the basis of sector `sector_map(sectors)[0][s]`."""
+    def apply(self, v: np.ndarray, sectors: Sectors) -> np.ndarray:
+        """op @ v, one row gather, for matrices of column vectors held as one
+        block per sector, (..., S, d, k): the result's block s is the image
+        of block s, in the basis of sector `sector_map(sectors)[0][s]`. On
+        `whole_space`, v is (..., 1, dim, k)."""
         v = np.asarray(v)
-        if sectors is not None:
-            _, rows, phases = self.sector_map(sectors)
-            stacked = v.reshape(v.shape[:-3] + (-1, v.shape[-1]))
-            return (phases[:, None] * stacked[..., rows, :]).reshape(v.shape)
-        if v.ndim == 1:
-            return self._row_phase * v[self.rows]
-        return self._row_phase[:, None] * v[..., self.rows, :]
+        _, rows, phases = self.sector_map(sectors)
+        stacked = v.reshape(v.shape[:-3] + (-1, v.shape[-1]))
+        return (phases[:, None] * stacked[..., rows, :]).reshape(v.shape)
 
     def dense(self) -> np.ndarray:
         """The 2^N x 2^N matrix; equals `pauli_product` on the same sites."""

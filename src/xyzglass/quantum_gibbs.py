@@ -18,20 +18,16 @@ from .tolerances import DUHAMEL_SERIES_SWITCH, HERMITIAN_TOL, IMAGINARY_TOL, SPE
 
 @dataclass(frozen=True)
 class Spectrum:
-    """Eigendecomposition of a Hermitian operator, eigenvalues ascending.
-
-    For a stack of operators the arrays carry the stack's leading axes:
-    eigenvalues (..., dim) and eigenvectors (..., dim, dim). A spectrum with
-    `sectors` is that of a block-diagonal operator and carries a sector axis
-    after the stack's axes: eigenvalues (..., S, d), ascending per sector,
-    and eigenvectors (..., S, d, d), block s in the basis of
-    `sectors.bases[s]`.
+    """Eigendecomposition of a Hermitian operator that is block-diagonal in
+    `sectors`, or of each operator of a stack: eigenvalues (..., S, d),
+    ascending per sector, and eigenvectors (..., S, d, d), block s in the
+    basis of `sectors.bases[s]`, with the stack's axes in front. A dense
+    operator is the one-sector case, `whole_space`.
     """
 
     eigenvalues: np.ndarray
     eigenvectors: np.ndarray
-    dim: int
-    sectors: Sectors | None = None
+    sectors: Sectors
 
 
 @dataclass(frozen=True)
@@ -41,7 +37,8 @@ class ThermalState:
     Weights are exp(-beta (E_n - E_min)), with E_min the lowest level of all
     sectors, so the largest is 1 and log_Z = log(sum of weights) - beta E_min
     cannot overflow at large beta. The weights are laid out as the
-    eigenvalues. For a stack, log_z is an array over the stack's leading axes.
+    eigenvalues, (..., S, d). For a stack, log_z is an array over the
+    stack's leading axes.
     """
 
     spectrum: Spectrum
@@ -59,29 +56,16 @@ class SectorStack:
     sectors: Sectors
 
 
-def _sectored(spectrum: Spectrum) -> tuple[np.ndarray, np.ndarray, Sectors]:
-    """(eigenvalues (..., S, d), eigenvectors (..., S, d, d), sectors); a
-    dense spectrum is the one-sector case with a unit sector axis."""
-    if spectrum.sectors is None:
-        e, v = spectrum.eigenvalues[..., None, :], spectrum.eigenvectors[..., None, :, :]
-        return e, v, whole_space(spectrum.dim.bit_length() - 1)
-    return spectrum.eigenvalues, spectrum.eigenvectors, spectrum.sectors
-
-
-def _sector_weights(state: ThermalState) -> np.ndarray:
-    return state.weights[..., None, :] if state.spectrum.sectors is None else state.weights
-
-
 class HamiltonianBuilder:
     """Assembles H = -sum_{p,X,w} J_{X,p}^w sigma_X^w for many samples.
 
     Every term is a Pauli string, and terms with the same flip mask fill the
     same entries H[j ^ flip, j]. A build sums the coupling-weighted phases
     per flip mask in one matmul per sample and scatters them into the stack
-    in one assignment, into the dense matrices or into the diagonal blocks
-    of a sector split. Construction is O(terms); the dim-length tables are
-    built on the first build, so a builder that never builds allocates
-    nothing of size dim.
+    in one assignment, into the diagonal blocks of a sector split (the whole
+    space is the one-block split). Construction is O(terms); the dim-length
+    tables are built on the first build, so a builder that never builds
+    allocates nothing of size dim.
     """
 
     def __init__(self, lattice: Lattice, families: Mapping[int, BondFamily]):
@@ -114,24 +98,22 @@ class HamiltonianBuilder:
             self._tables[sectors] = (indicator, phases, sectors.scatter_index(flips), ~kept)
         return self._tables[sectors]
 
-    def build_rows(
-        self, couplings: np.ndarray, sectors: Sectors | None = None
-    ) -> np.ndarray | SectorStack:
-        """The (samples, dim, dim) stack of Hamiltonians for coupling rows in
-        term order (`disorder.coupling_terms`), or with `sectors` their
-        diagonal blocks. Couplings of terms that leave the sectors must be
-        zero."""
-        split = whole_space(self.n_sites) if sectors is None else sectors
-        indicator, phases, (sector, rows, cols), dropped = self._scatter_tables(split)
+    def build_rows(self, couplings: np.ndarray, sectors: Sectors) -> SectorStack:
+        """The diagonal blocks in `sectors` of the Hamiltonians of coupling
+        rows in term order (`disorder.coupling_terms`), (samples, S, d, d).
+        Couplings of terms that leave the sectors must be zero."""
+        indicator, phases, (sector, rows, cols), dropped = self._scatter_tables(sectors)
         couplings = np.asarray(couplings, dtype=float)
         if np.any(couplings[:, dropped]):
             raise ValueError("a coupling of a term that leaves the sectors is nonzero")
-        h = np.zeros((len(couplings), split.count, split.size, split.size), dtype=split.dtype)
+        d = sectors.size
+        h = np.zeros((len(couplings), sectors.count, d, d), dtype=sectors.dtype)
         h[:, sector, rows, cols] = (indicator * -couplings[:, None, :]) @ phases
-        return h[:, 0] if sectors is None else SectorStack(h, sectors)
+        return SectorStack(h, sectors)
 
     def build(self, sample: DisorderSample) -> np.ndarray:
-        return self.build_rows(coupling_row(sample)[None])[0]
+        """One sample's dense (dim, dim) Hamiltonian."""
+        return self.build_rows(coupling_row(sample)[None], whole_space(self.n_sites)).blocks[0, 0]
 
 
 def build_hamiltonian(
@@ -147,12 +129,16 @@ def _matrix_max(a: np.ndarray) -> np.ndarray:
 
 
 def _check_stack(
-    bad: np.ndarray, labels: Sequence[int] | None, error: type[Exception], message: str
+    values: np.ndarray,
+    bound: float | np.ndarray,
+    labels: Sequence[int] | None,
+    error: type[Exception],
+    message: str,
 ) -> None:
-    """Raise `error` when any block of the stack (..., S) is flagged, naming
-    the first flagged matrix by the label of its entry on the stack's first
-    axis."""
-    bad = np.any(bad, axis=-1)
+    """Raise `error` when any value of the stack (..., S) is not <= its
+    bound, NaN included, naming the first flagged matrix by the label of its
+    entry on the stack's first axis."""
+    bad = np.any(~(values <= bound), axis=-1)
     if np.any(bad):
         if bad.ndim:
             first = int(np.unravel_index(np.argmax(bad), bad.shape)[0])
@@ -163,49 +149,54 @@ def _check_stack(
 def spectral_decompose(
     h: np.ndarray | SectorStack, labels: Sequence[int] | None = None
 ) -> Spectrum:
-    """Eigendecompose a Hermitian matrix, or each matrix of a stack
-    (..., dim, dim), verifying every result. A `SectorStack` is decomposed
-    block by block into a spectrum with sectors.
+    """Eigendecompose the blocks of a `SectorStack`, verifying every result.
+    A dense matrix, or a stack of them (..., dim, dim), is decomposed as the
+    one-sector stack of `whole_space`.
 
-    Rejects non-Hermitian input, and rejects decompositions whose
-    reconstruction or orthonormality residual exceeds the tolerance budget
-    rather than silently accepting them. Each block is checked against its
-    own scale. An error on a stack names the failing entry of the first
-    axis by its position, or by `labels` (such as disorder sample indices).
+    Rejects non-Hermitian input, and rejects non-finite entries or
+    eigenvalues and decompositions whose reconstruction or orthonormality
+    residual exceeds the tolerance budget rather than silently accepting
+    them. Each block is checked against its own scale. An error on a stack
+    names the failing entry of the first axis by its position, or by
+    `labels` (such as disorder sample indices).
     """
-    if isinstance(h, SectorStack):
-        blocks, sectors = h.blocks, h.sectors
-    else:
+    if not isinstance(h, SectorStack):
         h = np.asarray(h)
-        blocks, sectors = h[..., None, :, :], None
+        sectors = whole_space(max(1, h.shape[-1].bit_length() - 1))
+        if h.shape[-2:] != (sectors.dim, sectors.dim):
+            raise ValueError(f"a dense operator must be 2^N x 2^N, got {h.shape[-2:]}")
+        h = SectorStack(h[..., None, :, :], sectors)
+    blocks = h.blocks
+    largest = np.finfo(float).max
     scale = np.maximum(1.0, _matrix_max(blocks))
+    _check_stack(scale, largest, labels, ArithmeticError, "matrix has non-finite entries")
     asymmetry = _matrix_max(blocks - blocks.conj().swapaxes(-1, -2))
-    _check_stack(asymmetry > HERMITIAN_TOL * scale, labels, ValueError, "matrix is not Hermitian")
+    _check_stack(asymmetry, HERMITIAN_TOL * scale, labels, ValueError, "matrix is not Hermitian")
     evals, evecs = np.linalg.eigh(blocks)
+    _check_stack(
+        np.max(np.abs(evals), axis=-1), largest, labels,
+        ArithmeticError, "eigenvalues are not finite",
+    )
     recon = (evecs * evals[..., None, :]) @ evecs.conj().swapaxes(-1, -2)
     _check_stack(
-        _matrix_max(recon - blocks) > SPECTRUM_TOL * scale, labels,
+        _matrix_max(recon - blocks), SPECTRUM_TOL * scale, labels,
         ArithmeticError, "eigendecomposition reconstruction residual too large",
     )
     gram = evecs.conj().swapaxes(-1, -2) @ evecs
     _check_stack(
-        _matrix_max(gram - np.eye(blocks.shape[-1])) > SPECTRUM_TOL, labels,
+        _matrix_max(gram - np.eye(blocks.shape[-1])), SPECTRUM_TOL, labels,
         ArithmeticError, "eigenvectors are not orthonormal within tolerance",
     )
-    if sectors is None:
-        return Spectrum(evals[..., 0, :], evecs[..., 0, :, :], dim=h.shape[-1])
-    return Spectrum(eigenvalues=evals, eigenvectors=evecs, dim=sectors.dim, sectors=sectors)
+    return Spectrum(eigenvalues=evals, eigenvectors=evecs, sectors=h.sectors)
 
 
 def thermal_state(spectrum: Spectrum, beta: float) -> ThermalState:
     if beta < 0:
         raise ValueError(f"beta must be >= 0, got {beta}")
-    e, _, _ = _sectored(spectrum)
+    e = spectrum.eigenvalues
     e_min = np.min(e[..., 0], axis=-1)
     weights = np.exp(-beta * (e - e_min[..., None, None]))
     log_z = np.log(np.sum(np.sum(weights, axis=-1), axis=-1)) - beta * e_min
-    if spectrum.sectors is None:
-        weights = weights[..., 0, :]
     return ThermalState(
         spectrum=spectrum, beta=beta, log_z=log_z if log_z.ndim else float(log_z), weights=weights
     )
@@ -213,13 +204,21 @@ def thermal_state(spectrum: Spectrum, beta: float) -> ThermalState:
 
 def _partition_sum(state: ThermalState) -> np.ndarray:
     """The sum of the shifted weights over all sectors, per matrix."""
-    return np.sum(np.sum(_sector_weights(state), axis=-1), axis=-1)
+    return np.sum(np.sum(state.weights, axis=-1), axis=-1)
+
+
+def _dense_block(state: ThermalState) -> tuple[np.ndarray, np.ndarray]:
+    """(eigenvectors (dim, dim), weights (dim,)) of one whole-space state,
+    the one block that the dense oracles read."""
+    if state.spectrum.eigenvectors.shape[:-2] != (1,):
+        raise ValueError("the dense oracles read one state on the whole space")
+    return state.spectrum.eigenvectors[0], state.weights[0]
 
 
 def _to_eigenbasis(state: ThermalState, a: np.ndarray) -> np.ndarray:
-    v = state.spectrum.eigenvectors
-    if a.shape != (state.spectrum.dim, state.spectrum.dim):
-        raise ValueError(f"operator shape {a.shape} does not match dim {state.spectrum.dim}")
+    v, _ = _dense_block(state)
+    if a.shape != v.shape:
+        raise ValueError(f"operator shape {a.shape} does not match dim {len(v)}")
     return v.conj().T @ a @ v
 
 
@@ -231,9 +230,9 @@ def _real_part(value: complex, what: str) -> float:
 
 def gibbs_expectation(state: ThermalState, a: np.ndarray) -> float:
     """Thermal expectation (1/Z) Tr[A exp(-beta H)] in the eigenbasis."""
-    v = state.spectrum.eigenvectors
+    v, weights = _dense_block(state)
     diag = np.einsum("ji,ji->i", v.conj(), a @ v)
-    val = np.dot(diag, state.weights) / np.sum(state.weights)
+    val = np.dot(diag, weights) / np.sum(weights)
     return _real_part(complex(val), "Gibbs expectation")
 
 
@@ -243,8 +242,7 @@ def string_expectations(state: ThermalState, strings: Sequence[PauliString]) -> 
     reduced on its own, so it does not depend on the other strings. On
     sectors, a string that maps each sector onto another has no diagonal
     and its expectation is exactly 0."""
-    _, v, sectors = _sectored(state.spectrum)
-    weights = _sector_weights(state)
+    v, sectors, weights = state.spectrum.eigenvectors, state.spectrum.sectors, state.weights
     v_conj = v.conj()
     diags = [
         np.einsum("...ri,...ri->...i", v_conj, op.apply(v, sectors)).real
@@ -262,15 +260,15 @@ def _in_eigenbasis(
     """(image, blocks): block s of V^dagger op V, (..., S, d, d), maps sector
     s onto the sector that `image` (an index on the sector axis) picks at
     position s; a string that keeps every sector has the view slice(None)."""
-    _, v, sectors = _sectored(state.spectrum)
+    v, sectors = state.spectrum.eigenvectors, state.spectrum.sectors
     image = slice(None) if sectors.keeps(op.flip) else op.sector_map(sectors)[0]
     return image, v[..., image, :, :].conj().swapaxes(-1, -2) @ op.apply(v, sectors)
 
 
 def duhamel_kernel(state: ThermalState) -> np.ndarray:
     """Matrix phi_mn such that the Duhamel bracket is sum A_mn B_nm phi_mn / Z,
-    with the state's stack axes in front; on sectors, one block per sector
-    pair (..., S, S, d, d), block [s, t] for m in sector s and n in sector t.
+    with the state's stack axes in front, as one block per sector pair
+    (..., S, S, d, d), block [s, t] for m in sector s and n in sector t.
 
     phi_mn = (exp(-beta E_n) - exp(-beta E_m)) / (beta (E_m - E_n)), written
     as exp(-s) sinh(x)/x with s, x the scaled mean and half-difference of the
@@ -281,7 +279,7 @@ def duhamel_kernel(state: ThermalState) -> np.ndarray:
     form is evaluated only on its own entries, so the series' x^2 cannot
     overflow on far-apart levels at large beta.
     """
-    e, _, _ = _sectored(state.spectrum)
+    e = state.spectrum.eigenvalues
     a = state.beta * (e - np.min(e[..., 0], axis=-1)[..., None, None])
     a_m, a_n = a[..., :, None, :, None], a[..., None, :, None, :]
     s = 0.5 * (a_m + a_n)
@@ -293,7 +291,7 @@ def duhamel_kernel(state: ThermalState) -> np.ndarray:
     phi[direct] = np.exp(xd - s[direct]) * -np.expm1(-2.0 * xd) / (2.0 * xd)
     xs = x[small]
     phi[small] = np.exp(-s[small]) * (1.0 + xs * xs / 6.0)
-    return phi[..., 0, 0, :, :] if state.spectrum.sectors is None else phi
+    return phi
 
 
 def _kernel_blocks(
@@ -301,8 +299,6 @@ def _kernel_blocks(
 ) -> np.ndarray:
     """The kernel blocks [image[s], s], (..., S, d, d), that pair each sector
     with its image under a string (`_in_eigenbasis`)."""
-    if state.spectrum.sectors is None:
-        return kernel[..., None, :, :]
     if isinstance(image, slice):
         return np.moveaxis(np.diagonal(kernel, axis1=-4, axis2=-3), -1, -3)
     return kernel[..., image, np.arange(len(image)), :, :]
@@ -313,7 +309,7 @@ def _string_stack(
 ) -> tuple[slice | np.ndarray, np.ndarray]:
     """(image, eigenbasis blocks (b, len(ops), S, d, d)) of strings that share
     one sector map."""
-    sectors = _sectored(state.spectrum)[2]
+    sectors = state.spectrum.sectors
     if not all(sectors.keeps(op.flip ^ ops[0].flip) for op in ops):
         raise ValueError("the strings of one stack must share their sector map")
     pairs = [_in_eigenbasis(state, op) for op in ops]
@@ -329,13 +325,13 @@ def duhamel_matrix(
     """The Duhamel brackets (A_i ; B_j) without truncation, sum_mn A_mn B_nm
     phi_mn / Z in the eigenbasis with `kernel` the state's `duhamel_kernel`,
     of a stack of states (b, ...) as (b, len(ops_a), len(ops_b)): one matmul
-    per matrix, or per sector pair. The strings of each list must share one
+    per matrix over its sector pairs. The strings of each list must share one
     sector map, as single-site strings on one axis do; lists whose maps
     differ give exactly 0. `ops_b` may be `ops_a`."""
     image, at = _string_stack(state, ops_a)
     bt = at if ops_b is ops_a else _string_stack(state, ops_b)[1]
     b, n_a, n_b = len(at), len(ops_a), len(ops_b)
-    if not _sectored(state.spectrum)[2].keeps(ops_a[0].flip ^ ops_b[0].flip):
+    if not state.spectrum.sectors.keeps(ops_a[0].flip ^ ops_b[0].flip):
         return np.zeros((b, n_a, n_b))
     phi = _kernel_blocks(state, kernel, image)
     z = _partition_sum(state)[:, None, None]
@@ -350,8 +346,8 @@ def duhamel(state: ThermalState, a: np.ndarray, b: np.ndarray) -> float:
     < exp(t beta H) A exp(-t beta H) B >, evaluated spectrally."""
     at = _to_eigenbasis(state, a)
     bt = _to_eigenbasis(state, b)
-    phi = duhamel_kernel(state)
-    val = np.sum(at * bt.T * phi) / np.sum(state.weights)
+    phi = duhamel_kernel(state)[0, 0]
+    val = np.sum(at * bt.T * phi) / np.sum(_dense_block(state)[1])
     return _real_part(complex(val), "Duhamel bracket")
 
 

@@ -58,7 +58,7 @@ DUHAMEL_SERIES_SWITCH = 1e-4
 
 #: The selftest's relations that are exact in exact arithmetic: algebra,
 #: gauge invariance, the change of variables, Gaussian quadrature moments
-#: and the pair kernel against the chunked enumerator.
+#: and the pair kernel against the per-bond enumerator.
 ROUNDING_TOL = 1e-12
 
 #: The selftest's relative gap of the log-density gauge covariance: a log

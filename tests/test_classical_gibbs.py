@@ -104,21 +104,6 @@ def test_ferromagnetic_ground_state_dominance():
     assert np.all(corr > 1.0 - 1e-8)
 
 
-def test_chunked_path_matches_direct():
-    # force the chunked two-pass path with a tiny chunk size
-    import xyzglass.classical_gibbs as cg
-
-    model = chain_model(5, k1=[0.2, -0.1, 0.3, 0.0, 0.5], k2=[0.4] * 4, beta1=0.7, beta2=1.2)
-    direct = product_expectations(model, [(0,), (1, 3), (0, 2, 4)])
-    old = cg._CHUNK_BITS
-    try:
-        cg._CHUNK_BITS = 3
-        chunked = product_expectations(model, [(0,), (1, 3), (0, 2, 4)])
-    finally:
-        cg._CHUNK_BITS = old
-    assert np.max(np.abs(direct - chunked)) < 1e-14
-
-
 def test_capacity_cap():
     lat = build_lattice(1, 24)
     fam = generate_bonds(lat, single_site_shape(), "open")

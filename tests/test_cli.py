@@ -15,6 +15,7 @@ from xyzglass.cli import (
     EXIT_CAPACITY_ERROR,
     EXIT_CHECK_FAILED,
     EXIT_CONFIG_ERROR,
+    EXIT_NUMERICAL_ERROR,
     EXIT_OK,
     load_config,
     main,
@@ -590,6 +591,39 @@ def test_a2_step_without_normal_powers_exits_two_before_sampling(
     assert err["error"]["kind"] == "config"
     assert "a2_step" in err["error"]["message"]
     assert draws == []
+    assert not (tmp_path / "runs").exists()
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize(
+    "p, axis, law, code, needle",
+    [
+        ("2", "y", {"mu": 1e-170, "delta": 1e-170}, EXIT_CONFIG_ERROR, "(p=2, axis=y)"),
+        ("2", "z", {"mu": 1e200, "delta": 1e200}, EXIT_CONFIG_ERROR, "(p=2, axis=z)"),
+        # x is the gauge axis: finite H entries whose eigenvalues overflow
+        ("1", "x", {"mu": 1e308, "delta": 0.0}, EXIT_NUMERICAL_ERROR, "not finite (sample 0)"),
+    ],
+    ids=["delta-squared-underflows", "delta-squared-overflows", "eigenvalues-overflow"],
+)
+def test_extreme_coupling_laws_end_in_one_typed_error_record(
+    tmp_path, capsys, monkeypatch, p, axis, law, code, needle
+):
+    shipped = pathlib.Path(__file__).parents[1] / "configs" / "identities_mc.json"
+    payload = json.loads(shipped.read_text())
+    payload["method"]["n_samples"] = 20
+    payload["couplings"][p][axis] = law
+    cfg = write_config(tmp_path, "c.json", payload)
+    draws = count_calls(monkeypatch, identities, "draw_row")
+    assert main(["verify-identities", "--config", cfg, "--out", str(tmp_path / "runs")]) == code
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    (line,) = err.strip().splitlines()
+    record = json.loads(line)["error"]
+    assert record["kind"] == ("config" if code == EXIT_CONFIG_ERROR else "numerical")
+    assert record["exit_code"] == code
+    assert needle in record["message"]
+    # the config errors are raised when the plan binds, before any draw
+    assert (draws == []) == (code == EXIT_CONFIG_ERROR)
     assert not (tmp_path / "runs").exists()
 
 

@@ -12,6 +12,7 @@ from xyzglass.operators import (
     global_flip,
     pauli_product,
     pauli_site,
+    whole_space,
 )
 
 TOL = 1e-12
@@ -156,8 +157,9 @@ def test_string_apply_equals_dense_matvec(case, seed):
     for axis in AXES:
         op = PauliString(n, sites, axis)
         dense = pauli_product(n, sites, axis)
-        assert np.max(np.abs(op.apply(v) - dense @ v)) < TOL
-        assert np.max(np.abs(op.apply(v[:, 0]) - dense @ v[:, 0])) < TOL
+        assert np.max(np.abs(op.apply(v[None], whole_space(n))[0] - dense @ v)) < TOL
+        stack = np.stack([v, 2.0 * v])[:, None]
+        assert np.max(np.abs(op.apply(stack, whole_space(n))[1, 0] - 2.0 * dense @ v)) < TOL
 
 
 @settings(max_examples=60, deadline=None)

@@ -19,7 +19,7 @@ from xyzglass.lattice import (
     merge_bond_families,
     single_site_shape,
 )
-from xyzglass.operators import PauliString, gauge_unitary, pauli_product, pauli_site
+from xyzglass.operators import PauliString, gauge_unitary, pauli_product, pauli_site, whole_space
 from xyzglass.quantum_gibbs import (
     HamiltonianBuilder,
     Spectrum,
@@ -47,7 +47,7 @@ def eigenbasis_matrix(state, op):
 
 def order_expectation(state, axis):
     """The site-averaged axis magnetization, from `string_expectations`."""
-    n = state.spectrum.dim.bit_length() - 1
+    n = state.spectrum.sectors.n_sites
     sites = [PauliString(n, (i,), axis) for i in range(n)]
     return float(np.mean(string_expectations(state, sites)))
 
@@ -143,7 +143,8 @@ def test_spectral_reconstruction_random():
         lat, fams, sample = random_instance(rng, 3)
         h = build_hamiltonian(lat, fams, sample)
         s = spectral_decompose(h)
-        recon = (s.eigenvectors * s.eigenvalues) @ s.eigenvectors.conj().T
+        v, e = s.eigenvectors[0], s.eigenvalues[0]
+        recon = (v * e) @ v.conj().T
         assert np.max(np.abs(recon - h)) < 1e-10 * max(1.0, np.max(np.abs(h)))
 
 
@@ -187,11 +188,28 @@ def test_stack_with_one_non_hermitian_matrix_names_it():
         spectral_decompose(stack, labels=range(100, 105))
 
 
+@pytest.mark.parametrize("value", [np.inf, np.nan])
+def test_stack_with_one_non_finite_matrix_raises_arithmetic_error(value):
+    stack = random_hamiltonian_stack(5)
+    stack[3, 0, 1] = stack[3, 1, 0] = value
+    with pytest.raises(ArithmeticError, match=r"non-finite entries \(sample 3\)"):
+        spectral_decompose(stack)
+
+
 @pytest.mark.parametrize(
     "corrupt, message",
     [
         (lambda evals, evecs: (evals + 1e-6, evecs), "reconstruction"),
         (lambda evals, evecs: (evals, 1.001 * evecs), "reconstruction|orthonormal"),
+        # NaN residuals compare False against any bound and must still fail
+        pytest.param(
+            lambda evals, evecs: (evals, np.full_like(evecs, np.nan)), "reconstruction",
+            id="nan-eigenvectors",
+        ),
+        pytest.param(
+            lambda evals, evecs: (np.full_like(evals, np.inf), evecs), "eigenvalues are not finite",
+            id="inf-eigenvalues",
+        ),
     ],
 )
 def test_stack_with_one_bad_decomposition_raises_arithmetic_error(monkeypatch, corrupt, message):
@@ -340,7 +358,7 @@ def test_free_energy_large_beta_no_overflow():
     state = thermal_state(spectral_decompose(build_hamiltonian(lat, fams, sample)), 50.0)
     assert np.isfinite(state.log_z)
     assert free_energy_density(state, 2) == pytest.approx(
-        -50.0 * state.spectrum.eigenvalues[0] / 2, rel=1e-2
+        -50.0 * state.spectrum.eigenvalues[0, 0] / 2, rel=1e-2
     )
 
 
@@ -553,7 +571,7 @@ def test_string_contractions_match_dense():
         state = thermal_state(
             spectral_decompose(build_hamiltonian(lat, fams, sample)), rng.uniform(0.1, 2.0)
         )
-        v = state.spectrum.eigenvectors
+        v = state.spectrum.eigenvectors[0]
         for axis in "xyz":
             sites = tuple(rng.choice(3, size=rng.integers(1, 4), replace=False))
             op = PauliString(3, sites, axis)
@@ -565,14 +583,15 @@ def test_string_contractions_match_dense():
 
 @st.composite
 def kernel_spectra(draw):
-    """A spectrum and an inverse temperature up to 1e3 whose scaled
-    half-gaps beta (E_m - E_n) / 2 fall on both sides of the kernel's 1e-4
-    series switch, including exact degeneracy."""
+    """A spectrum of dim 2, 4 or 8 and an inverse temperature up to 1e3 whose
+    scaled half-gaps beta (E_m - E_n) / 2 fall on both sides of the kernel's
+    1e-4 series switch, including exact degeneracy."""
     beta = draw(st.floats(1e-3, 1e3))
+    gaps = draw(st.sampled_from([1, 3, 7]))
     halves = draw(
         st.lists(
             st.just(0.0) | st.floats(1e-8, 1e-3) | st.floats(1e-3, 30.0),
-            min_size=1, max_size=5,
+            min_size=gaps, max_size=gaps,
         )
     )
     offset = draw(st.floats(-5.0, 5.0))
@@ -585,8 +604,8 @@ def kernel_spectra(draw):
 def test_duhamel_kernel_matches_direct_evaluation(spectrum):
     e, beta = spectrum
     dim = len(e)
-    state = thermal_state(Spectrum(eigenvalues=e, eigenvectors=np.eye(dim), dim=dim), beta)
-    phi = duhamel_kernel(state)
+    spectrum = Spectrum(e[None], np.eye(dim)[None], whole_space(dim.bit_length() - 1))
+    phi = duhamel_kernel(thermal_state(spectrum, beta))[0, 0]
     assert np.all(np.isfinite(phi)) and np.all(phi >= 0.0)
     a = beta * (e - e[0])
     eps = np.finfo(float).eps
@@ -616,7 +635,7 @@ def test_duhamel_kernel_at_huge_beta_evaluates_each_form_on_its_own_entries():
         warnings.simplefilter("error")
         state = thermal_state(spectral_decompose(build_hamiltonian(lat, fams, sample)), beta)
         phi = duhamel_kernel(state)
-    e = state.spectrum.eigenvalues
+    phi, e = phi[0, 0], state.spectrum.eigenvalues[0]
     assert e[1] - e[0] > 1e-6  # a nondegenerate ground state
     assert phi[0, 0] == 1.0
     # (1 - exp(-beta gap)) / (beta gap) between the ground state and the rest
@@ -648,7 +667,7 @@ def test_degenerate_spectra_match_expm_and_simpson_oracles(model, beta, observab
     n = lat.n_sites
     h = build_hamiltonian(lat, fams, sample)
     state = thermal_state(spectral_decompose(h), beta)
-    e = state.spectrum.eigenvalues
+    e = state.spectrum.eigenvalues[0]
     assert np.max(np.abs(e[0::2] - e[1::2])) < 1e-10
     i, v, j, w = observables
     a, b = pauli_site(n, i % n, v), pauli_site(n, j % n, w)

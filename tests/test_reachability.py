@@ -18,8 +18,8 @@ RETAINED = {
     "classical_gibbs.BondProductTable.expectations":
         "wrapper: one sample's softmax and products; bench/spans.py traces it",
     "classical_gibbs.classical_energy": "oracle: the energy the enumerators' weights come from",
-    "classical_gibbs.classical_expectation": "oracle: one product of the chunked enumerator",
-    "classical_gibbs.product_expectations": "oracle: the chunked enumerator's product pass",
+    "classical_gibbs.classical_expectation": "oracle: one product of the per-bond enumerator",
+    "classical_gibbs.product_expectations": "oracle: the per-bond enumerator's product pass",
     "identities.Block.bind": "protocol stub: every block implements it",
     "identities._a2_differences": "bench import: bench/spans.py traces it",
     "identities.a1_sum": "wrapper: single-block plan of the correlation sum",

@@ -80,7 +80,9 @@ def both_states(config, seed):
     builder = HamiltonianBuilder(config.lattice, config.families)
     row = coupling_row(sample_disorder(config.params, config.families, seed))[None]
     sectors = parity_sectors(config.lattice.n_sites)
-    dense = thermal_state(spectral_decompose(builder.build_rows(row)), config.beta)
+    dense = thermal_state(
+        spectral_decompose(builder.build_rows(row, whole_space(sectors.n_sites))), config.beta
+    )
     split = thermal_state(spectral_decompose(builder.build_rows(row, sectors)), config.beta)
     return dense, split
 
@@ -90,7 +92,8 @@ def error_scale(state):
     shifted energy, times the dimension for the sums over the basis."""
     e = state.spectrum.eigenvalues
     width = float(np.max(e) - np.min(e))
-    return EPS * state.spectrum.dim * (1.0 + state.beta * width) * max(1.0, float(np.max(np.abs(e))))
+    dim = state.spectrum.sectors.dim
+    return EPS * dim * (1.0 + state.beta * width) * max(1.0, float(np.max(np.abs(e))))
 
 
 def site_strings(n, axis):
@@ -171,7 +174,9 @@ def test_duhamel_matrix_matches_the_dense_duhamel_oracles(model, w, v):
     plan = identities.Plan(config, [identities.SiteExpectationsBlock()])
     builder = HamiltonianBuilder(config.lattice, config.families)
     row = coupling_row(sample_disorder(config.params, config.families, seed))[None]
-    oracle = thermal_state(spectral_decompose(builder.build_rows(row)[0]), config.beta)
+    oracle = thermal_state(
+        spectral_decompose(builder.build_rows(row, whole_space(n)).blocks[0, 0]), config.beta
+    )
     state = thermal_state(spectral_decompose(builder.build_rows(row, plan.sectors)), config.beta)
     ops_w, ops_v = site_strings(n, w), site_strings(n, v)
     full = duhamel_matrix(state, duhamel_kernel(state), ops_w, ops_v)[0]
@@ -192,7 +197,8 @@ def test_sector_stencil_magnetizations_match_the_dense_oracle(model, h):
     sectors = parity_sectors(n)
     builder = HamiltonianBuilder(config.lattice, config.families)
     row = coupling_row(sample_disorder(config.params, config.families, seed))[None]
-    base, blocks = builder.build_rows(row), builder.build_rows(row, sectors).blocks
+    base = builder.build_rows(row, whole_space(n)).blocks[:, 0]
+    blocks = builder.build_rows(row, sectors).blocks
     field = sum(pauli_site(n, i, "z") for i in range(n))
     field_blocks = np.stack([field[np.ix_(b, b)].real for b in sectors.bases])
     order = site_strings(n, "z")
