@@ -752,35 +752,68 @@ class BoundCheckReport:
     passed: bool
 
 
+def _link(name: str, kind: str, lhs: float, rhs: float, tol: float) -> ChainStep:
+    """A chain link's verdict; none is made on a number that is not finite."""
+    lhs, rhs, tol = float(lhs), float(rhs), float(tol)
+    if not all(math.isfinite(x) for x in (lhs, rhs, tol)):
+        raise ArithmeticError(f"{name}: lhs {lhs}, rhs {rhs} or tolerance {tol} is not finite")
+    passed = lhs <= rhs + tol if kind == "inequality" else abs(lhs - rhs) <= tol
+    return ChainStep(name=name, kind=kind, lhs=lhs, rhs=rhs, tolerance=tol, passed=passed)
+
+
 def _inequality(name: str, lhs: float, rhs: float, tol: float) -> ChainStep:
-    return ChainStep(
-        name=name, kind="inequality", lhs=float(lhs), rhs=float(rhs),
-        tolerance=float(tol), passed=bool(lhs <= rhs + tol),
-    )
+    return _link(name, "inequality", lhs, rhs, tol)
 
 
 def _identity_step(name: str, lhs: float, rhs: float, tol: float) -> ChainStep:
-    return ChainStep(
-        name=name, kind="identity", lhs=float(lhs), rhs=float(rhs),
-        tolerance=float(tol), passed=bool(abs(lhs - rhs) <= tol),
+    return _link(name, "identity", lhs, rhs, tol)
+
+
+def _worst_identity(name: str, lhs: np.ndarray, rhs: np.ndarray, tol: np.ndarray) -> ChainStep:
+    """The identity link of the entry that misses by the most tolerances."""
+    worst = int(np.argmax(np.abs(lhs - rhs) / tol))
+    return _identity_step(name, lhs[worst], rhs[worst], tol[worst])
+
+
+def _nishimori_identity(
+    table: ValueTable, cs: np.ndarray, tol: Tolerances, entry: str
+) -> ChainStep:
+    """The classical Nishimori identity E[<tau>_N^2] = E<tau>_N at the worst
+    `entry` (site or pair) of the per-sample columns `cs`."""
+    nid_tol = table.tolerance(table.se(cs * cs - cs), tol, tol.quadrature_abs)
+    return _worst_identity(
+        f"classical Nishimori identity (worst {entry})",
+        table.mean(cs * cs), table.mean(cs), nid_tol,
     )
 
 
-def _clip_nonneg(values: np.ndarray) -> tuple[np.ndarray, int]:
-    # count only genuine Monte Carlo negatives; exact-zero float dust is not
-    # an undersampling signal
+def _clipped(values: np.ndarray, tol: Tolerances, what: str) -> tuple[np.ndarray, int, float]:
+    """Square-root arguments clipped at zero, with the clip count and
+    fraction. Only genuine Monte Carlo negatives count: exact-zero float dust
+    is not an undersampling signal. Past `clip_fraction_max` the check is
+    undersampled."""
+    if not np.all(np.isfinite(values)):
+        raise ArithmeticError(f"{what}: square-root arguments are not finite")
     clipped = int(np.count_nonzero(values < -EXACT_TOL))
-    return np.maximum(values, 0.0), clipped
-
-
-def _check_clip_fraction(clipped: int, total: int, tol: Tolerances, what: str) -> float:
-    fraction = clipped / total if total else 0.0
+    fraction = clipped / values.size
     if fraction > tol.clip_fraction_max:
         raise UndersampledError(
-            f"{what}: {clipped}/{total} square-root arguments clipped at zero "
+            f"{what}: {clipped}/{values.size} square-root arguments clipped at zero "
             f"(fraction {fraction:.3f} > {tol.clip_fraction_max}); increase the sample count"
         )
-    return fraction
+    return np.maximum(values, 0.0), clipped, fraction
+
+
+def _chain_report(
+    name: str, table: ValueTable, steps: list[ChainStep], clip_count: int, clip_fraction: float
+) -> BoundCheckReport:
+    """A chain's report; its last link is the bound it certifies."""
+    return BoundCheckReport(
+        name=name, lhs=steps[-1].lhs, rhs=steps[-1].rhs, steps=tuple(steps),
+        n_samples=table.n_samples, method=table.method_name,
+        clip_count=clip_count, clip_fraction=clip_fraction,
+        passed=all(s.passed for s in steps),
+    )
 
 
 def _single_sites(n: int) -> list[tuple[int, ...]]:
@@ -816,65 +849,38 @@ class MagnetizationBlock:
         eqc = mean(qs * cs)
         eabs_qc = mean(np.abs(qs * cs))
         eabs_c = mean(np.abs(cs))
-        ec2 = mean(cs * cs)
-        ec = mean(cs)
+        ec_pos, clipped, clip_fraction = _clipped(mean(cs), tol, "magnetization bound")
 
-        steps = []
         id_tol = table.tolerance(table.se(qs - qs * cs), tol, tol.quadrature_abs)
-        worst = int(np.argmax(np.abs(eq - eqc) / id_tol))
-        steps.append(
-            _identity_step("one-point identity (worst site)", eq[worst], eqc[worst], id_tol[worst])
-        )
-        steps.append(
-            _inequality(
-                "triangle inequality", float(np.mean(np.abs(eqc))),
-                float(np.mean(eabs_qc)), EXACT_TOL,
-            )
-        )
-        steps.append(
-            _inequality(
-                "thermal average bounded by one", float(np.mean(eabs_qc)),
-                float(np.mean(eabs_c)), EXACT_TOL,
-            )
-        )
-        ec2_pos, _ = _clip_nonneg(ec2)
-        steps.append(
-            _inequality(
-                "Cauchy-Schwarz over samples", float(np.mean(eabs_c)),
-                float(np.mean(np.sqrt(ec2_pos))), EXACT_TOL,
-            )
-        )
-        nid_tol = table.tolerance(table.se(cs * cs - cs), tol, tol.quadrature_abs)
-        worst = int(np.argmax(np.abs(ec2 - ec) / nid_tol))
-        steps.append(
-            _identity_step(
-                "classical Nishimori identity (worst site)", ec2[worst], ec[worst], nid_tol[worst]
-            )
-        )
-        ec_pos, clipped = _clip_nonneg(ec)
-        clip_fraction = _check_clip_fraction(clipped, n, tol, "magnetization bound")
-        steps.append(
-            _inequality(
-                "site-average concavity", float(np.mean(np.sqrt(ec_pos))),
-                float(math.sqrt(np.mean(ec_pos))), EXACT_TOL,
-            )
-        )
-
         lhs = float(np.mean(eq))
-        rhs_arg = float(np.mean(ec_pos))
-        rhs = math.sqrt(rhs_arg)
+        rhs = math.sqrt(float(np.mean(ec_pos)))
         se_lhs = float(table.se(qs.mean(axis=1, keepdims=True))[0])
         se_arg = float(table.se(cs.mean(axis=1, keepdims=True))[0])
         se_rhs = se_arg / (2.0 * rhs) if rhs > 0 else 0.0
         bound_tol = table.tolerance(math.hypot(se_lhs, se_rhs), tol, tol.quadrature_abs)
-        steps.append(_inequality("magnetization bound", lhs, rhs, bound_tol))
-
-        return BoundCheckReport(
-            name=f"magnetization bound (w={self.w}, u={table.plan.u})",
-            lhs=lhs, rhs=rhs, steps=tuple(steps),
-            n_samples=table.n_samples, method=table.method_name,
-            clip_count=clipped, clip_fraction=clip_fraction,
-            passed=all(s.passed for s in steps),
+        steps = [
+            _worst_identity("one-point identity (worst site)", eq, eqc, id_tol),
+            _inequality(
+                "triangle inequality", float(np.mean(np.abs(eqc))),
+                float(np.mean(eabs_qc)), EXACT_TOL,
+            ),
+            _inequality(
+                "thermal average bounded by one", float(np.mean(eabs_qc)),
+                float(np.mean(eabs_c)), EXACT_TOL,
+            ),
+            _inequality(
+                "Cauchy-Schwarz over samples", float(np.mean(eabs_c)),
+                float(np.mean(np.sqrt(np.maximum(mean(cs * cs), 0.0)))), EXACT_TOL,
+            ),
+            _nishimori_identity(table, cs, tol, "site"),
+            _inequality(
+                "site-average concavity", float(np.mean(np.sqrt(ec_pos))), rhs, EXACT_TOL
+            ),
+            _inequality("magnetization bound", lhs, rhs, bound_tol),
+        ]
+        return _chain_report(
+            f"magnetization bound (w={self.w}, u={table.plan.u})", table, steps,
+            clipped, clip_fraction,
         )
 
 
@@ -900,8 +906,7 @@ def magnetization_bound_check(
 @dataclass(frozen=True)
 class PairMatrixBlock:
     """The Nishimori-line pair matrix <tau_i tau_j>_N per sample (N^2
-    columns), shared by the susceptibility chain, the correlation sum and
-    the correlation export."""
+    columns), shared by the correlation sum and the correlation export."""
 
     def bind(self, plan: Plan) -> tuple[int, Evaluator]:
         plan.require_classical()
@@ -916,8 +921,7 @@ class PairMatrixBlock:
         """The diagnostic a1; see `a1_sum`."""
         n = table.plan.n_sites
         values = table.values(self)
-        ec_pos, clipped = _clip_nonneg(table.mean(values))
-        fraction = _check_clip_fraction(clipped, n * n, tol, "correlation sum")
+        ec_pos, clipped, fraction = _clipped(table.mean(values), tol, "correlation sum")
         total = float(np.sqrt(ec_pos).sum()) / n
         se = table.jackknife_se(values, lambda m: float(np.sqrt(np.maximum(m, 0.0)).sum()) / n)
         return table.estimate(total, se, clip_count=clipped, clip_fraction=fraction)
@@ -925,8 +929,9 @@ class PairMatrixBlock:
 
 @dataclass(frozen=True)
 class SusceptibilityBlock:
-    """The truncated Duhamel matrix (sigma_i^w ; sigma_j^v) per sample (N^2
-    columns). Its chain also reads the plan's `PairMatrixBlock`."""
+    """Per sample, the truncated Duhamel matrix (sigma_i^w ; sigma_j^v) (N^2
+    columns) and then the Nishimori-line pair matrix <tau_i tau_j>_N (N^2
+    columns, the batch's cached one): the susceptibility bound chain."""
 
     v: str
     w: str
@@ -958,78 +963,55 @@ class SusceptibilityBlock:
                 ]
             )
             qw, qv = s.expectations(ops_w), s.expectations(ops_v)
-            return (duh - qw[:, :, None] * qv[:, None, :]).reshape(-1, n * n)
+            truncated = (duh - qw[:, :, None] * qv[:, None, :]).reshape(-1, n * n)
+            return np.concatenate([truncated, s.pair_matrix.reshape(len(s.rows), -1)], axis=1)
 
-        return n * n, evaluate
+        return 2 * n * n, evaluate
 
     def result(self, table: ValueTable, tol: Tolerances = Tolerances()) -> BoundCheckReport:
         """The chain's report; see `susceptibility_bound_check`."""
         n = table.plan.n_sites
         beta = table.plan.config.beta
-        ts = table.values(self)
-        cs = table.values(PairMatrixBlock())
+        values = table.values(self)
+        ts, cs = values[:, : n * n], values[:, n * n :]
         mean = table.mean
-
-        steps = []
-        max_t = float(np.max(np.abs(ts)))
-        steps.append(_inequality("per-pair Duhamel magnitude", max_t, 2.0, EXACT_TOL))
 
         et = mean(ts)
         etc = mean(ts * cs)
         scale = beta / n
         id_se = float(table.se((ts - ts * cs).sum(axis=1, keepdims=True))[0])
         id_tol = table.tolerance(id_se, tol, tol.quadrature_abs * n * n)
-        steps.append(
-            _identity_step(
-                "truncated-Duhamel identity (summed)",
-                scale * float(et.sum()), scale * float(etc.sum()), scale * id_tol,
-            )
-        )
-        steps.append(
-            _inequality(
-                "triangle inequality", scale * abs(float(etc.sum())),
-                scale * float(mean(np.abs(ts * cs)).sum()), EXACT_TOL,
-            )
-        )
-        steps.append(
-            _inequality(
-                "Duhamel magnitude bound", scale * float(mean(np.abs(ts * cs)).sum()),
-                2.0 * scale * float(mean(np.abs(cs)).sum()), EXACT_TOL,
-            )
-        )
-        ec2_pos, _ = _clip_nonneg(mean(cs * cs))
-        steps.append(
-            _inequality(
-                "Cauchy-Schwarz over samples", 2.0 * scale * float(mean(np.abs(cs)).sum()),
-                2.0 * scale * float(np.sqrt(ec2_pos).sum()), EXACT_TOL,
-            )
-        )
-        ec = mean(cs)
-        nid_tol = table.tolerance(table.se(cs * cs - cs), tol, tol.quadrature_abs)
-        worst = int(np.argmax(np.abs(mean(cs * cs) - ec) / nid_tol))
-        steps.append(
-            _identity_step(
-                "classical Nishimori identity (worst pair)",
-                float(mean(cs * cs)[worst]), float(ec[worst]), float(nid_tol[worst]),
-            )
-        )
-
-        ec_pos, clipped = _clip_nonneg(ec)
-        clip_fraction = _check_clip_fraction(clipped, n * n, tol, "susceptibility bound")
+        ec_pos, clipped, clip_fraction = _clipped(mean(cs), tol, "susceptibility bound")
         chi = scale * abs(float(et.sum()))
         bound = 2.0 * scale * float(np.sqrt(ec_pos).sum())
         se_chi = scale * float(table.se(ts.sum(axis=1, keepdims=True))[0])
         bound_stat = lambda m: 2.0 * scale * float(np.sqrt(np.maximum(m, 0.0)).sum())
         se_bound = table.jackknife_se(cs, bound_stat)
         bound_tol = table.tolerance(math.hypot(se_chi, se_bound), tol, tol.quadrature_abs)
-        steps.append(_inequality("susceptibility bound", chi, bound, bound_tol))
-
-        return BoundCheckReport(
-            name=f"susceptibility bound (v={self.v}, w={self.w}, u={table.plan.u})",
-            lhs=chi, rhs=bound, steps=tuple(steps),
-            n_samples=table.n_samples, method=table.method_name,
-            clip_count=clipped, clip_fraction=clip_fraction,
-            passed=all(s.passed for s in steps),
+        steps = [
+            _inequality("per-pair Duhamel magnitude", float(np.max(np.abs(ts))), 2.0, EXACT_TOL),
+            _identity_step(
+                "truncated-Duhamel identity (summed)",
+                scale * float(et.sum()), scale * float(etc.sum()), scale * id_tol,
+            ),
+            _inequality(
+                "triangle inequality", scale * abs(float(etc.sum())),
+                scale * float(mean(np.abs(ts * cs)).sum()), EXACT_TOL,
+            ),
+            _inequality(
+                "Duhamel magnitude bound", scale * float(mean(np.abs(ts * cs)).sum()),
+                2.0 * scale * float(mean(np.abs(cs)).sum()), EXACT_TOL,
+            ),
+            _inequality(
+                "Cauchy-Schwarz over samples", 2.0 * scale * float(mean(np.abs(cs)).sum()),
+                2.0 * scale * float(np.sqrt(np.maximum(mean(cs * cs), 0.0)).sum()), EXACT_TOL,
+            ),
+            _nishimori_identity(table, cs, tol, "pair"),
+            _inequality("susceptibility bound", chi, bound, bound_tol),
+        ]
+        return _chain_report(
+            f"susceptibility bound (v={self.v}, w={self.w}, u={table.plan.u})", table, steps,
+            clipped, clip_fraction,
         )
 
 
@@ -1051,8 +1033,7 @@ def susceptibility_bound_check(
     axis distinct from both observable axes.
     """
     block = SusceptibilityBlock(v, w)
-    table = Plan(config, [block, PairMatrixBlock()], u).evaluate(method)
-    return block.result(table, tol)
+    return block.result(Plan(config, [block], u).evaluate(method), tol)
 
 
 def a1_sum(
@@ -1158,7 +1139,6 @@ def a2_nonlinear_susceptibility(
     w: str,
     h: float,
     method: Method,
-    symmetry_tol: float = FLIP_SYMMETRY_TOL,
 ) -> float:
     """Third central difference of the magnetization in the field mean at the
     symmetric point (the finite-size nonlinear susceptibility probe).
@@ -1167,9 +1147,9 @@ def a2_nonlinear_susceptibility(
     indicates a configuration without the required flip symmetry and raises.
     """
     third, second = _a2_differences(config, v, w, h, method)
-    if abs(second) > symmetry_tol:
+    if abs(second) > FLIP_SYMMETRY_TOL:
         raise RuntimeError(
-            f"second field-difference {second} exceeds {symmetry_tol}; "
+            f"second field-difference {second} exceeds {FLIP_SYMMETRY_TOL}; "
             "the configuration is not flip-symmetric at zero field"
         )
     return third

@@ -221,7 +221,7 @@ def classical_chains(draw):
 
 @settings(max_examples=80, deadline=None)
 @given(classical_chains())
-def test_pair_matrix_matches_chunked_enumeration(model):
+def test_pair_matrix_matches_per_bond_enumeration(model):
     # n = 1 leaves the high-bit half of the split register empty
     table = BondProductTable(model.n_sites, model.families)
     pair = table.pair_matrix(model.couplings, model.betas)

@@ -74,7 +74,7 @@ def test_selftest_exits_zero(tmp_path):
     assert report["subcommand"] == "selftest"
     assert all(c["passed"] for c in report["checks"])
     names = [c["name"] for c in report["checks"]]
-    assert "Nishimori-line pair matrix versus chunked enumeration" in names
+    assert "Nishimori-line pair matrix versus per-bond enumeration" in names
     assert names[-2:] == [
         "P_z commutator versus the plans' sector decision",
         "field derivative versus linear response (2 sites)",
@@ -115,6 +115,14 @@ def test_schema_violation_exits_two(tmp_path, capsys):
     assert main(["verify-identities", "--config", cfg]) == EXIT_CONFIG_ERROR
     err = json.loads(capsys.readouterr().err.strip())
     assert err["error"]["exit_code"] == EXIT_CONFIG_ERROR
+    # a clip budget of 1 or more would turn the clip rule off
+    payload = single_site_identity_config()
+    payload["tolerances"] = {"clip_fraction_max": 2}
+    cfg = write_config(tmp_path, "clip.json", payload)
+    assert main(["verify-identities", "--config", cfg]) == EXIT_CONFIG_ERROR
+    err = json.loads(capsys.readouterr().err.strip())
+    assert err["error"]["exit_code"] == EXIT_CONFIG_ERROR
+    assert "['tolerances', 'clip_fraction_max']" in err["error"]["message"]
 
 
 def test_unknown_key_rejected(tmp_path):
@@ -624,6 +632,28 @@ def test_extreme_coupling_laws_end_in_one_typed_error_record(
     assert needle in record["message"]
     # the config errors are raised when the plan binds, before any draw
     assert (draws == []) == (code == EXIT_CONFIG_ERROR)
+    assert not (tmp_path / "runs").exists()
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_chain_numbers_that_are_not_finite_exit_four(tmp_path, capsys):
+    # the Nishimori-line softmax overflows at this z mean, so every
+    # classical column is NaN: no chain link and no a1 clip may pass on it
+    shipped = pathlib.Path(__file__).parents[1] / "configs" / "bounds_mc.json"
+    payload = json.loads(shipped.read_text())
+    payload["method"]["n_samples"] = 20
+    payload["bounds"]["checks"] = ["magnetization", "susceptibility", "a1"]
+    payload["couplings"]["2"]["z"] = {"mu": 1e154, "delta": 1}
+    cfg = write_config(tmp_path, "c.json", payload)
+    assert main(["verify-bounds", "--config", cfg, "--out", str(tmp_path / "runs")]) == (
+        EXIT_NUMERICAL_ERROR
+    )
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    (line,) = err.strip().splitlines()
+    record = json.loads(line)["error"]
+    assert record["kind"] == "numerical"
+    assert record["exit_code"] == EXIT_NUMERICAL_ERROR
     assert not (tmp_path / "runs").exists()
 
 

@@ -371,6 +371,17 @@ def test_a1_undersampled_raises():
         a1_sum(cfg, "x", MonteCarlo(n_samples=40, seed=3))
 
 
+def test_clip_rule_boundary():
+    # the test above's model clips 4 of its 9 pair means: a budget of
+    # exactly 4/9 still passes, one just below it does not
+    cfg = chain_config(3, mu=0.001, delta=1.0, with_field=False)
+    method = MonteCarlo(n_samples=40, seed=3)
+    res = a1_sum(cfg, "x", method, Tolerances(clip_fraction_max=4 / 9))
+    assert (res.clip_count, res.clip_fraction) == (4, 4 / 9)
+    with pytest.raises(UndersampledError, match="4/9 square-root arguments clipped"):
+        a1_sum(cfg, "x", method, Tolerances(clip_fraction_max=0.44))
+
+
 def test_a2_classical_ferromagnet_nonpositive():
     lat = build_lattice(1, 4)
     fams = {2: generate_bonds(lat, chain_pair_shape(), "open")}
@@ -579,10 +590,14 @@ def test_plan_computes_one_softmax_per_sample(monkeypatch):
     cfg = bounds_5site_config()
     method = MonteCarlo(30, 77)
     mag, pairs = identities.MagnetizationBlock("z"), identities.PairMatrixBlock()
-    table = identities.Plan(cfg, [mag, pairs], "x").evaluate(method)
+    chi = identities.SusceptibilityBlock("z", "z")
+    table = identities.Plan(cfg, [mag, pairs, chi], "x").evaluate(method)
     assert len(calls) == 30
     assert mag.result(table) == magnetization_bound_check(cfg, "z", "x", method)
     assert np.array_equal(pairs.result(table), mean_pair_correlation(cfg, "x", method))
+    # the susceptibility chain reads only its own columns: its report is the
+    # same from a plan without the pair matrix block
+    assert chi.result(table) == susceptibility_bound_check(cfg, "z", "z", "x", method)
 
 
 def test_shared_products_equal_table_expectations():
