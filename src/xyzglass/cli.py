@@ -28,7 +28,6 @@ import numpy as np
 from . import classical_gibbs, identities, phase_region, tolerances
 from .disorder import (
     CouplingParams,
-    coupling_row,
     dump_csv,
     gauge_transform_couplings,
     gaussian_log_density,
@@ -329,7 +328,7 @@ def _residual_check(
     seed: int | None,
     retried: bool = False,
 ) -> dict:
-    passed, tol_desc = tol.residual(result.method, result.mean, result.z_score)
+    passed, tol_desc = tol.residual(name, result.method, result.mean, result.z_score)
     return {
         "name": name,
         "inputs": _jsonify(inputs),
@@ -468,7 +467,6 @@ def run_verify_bounds(
                        "tolerance": {"kind": "none"}, "passed": True})
     if "a2" in which:
         third, second = stencil.result(table)
-        sym_ok = abs(second) <= tolerances.FLIP_SYMMETRY_TOL
         checks.append({
             "name": "nonlinear susceptibility probe",
             "inputs": {"v": v, "w": w, "step": step},
@@ -477,7 +475,7 @@ def run_verify_bounds(
             "third_difference": _jsonify(third),
             "second_difference": _jsonify(second),
             "tolerance": {"kind": "flip_symmetry_abs", "value": tolerances.FLIP_SYMMETRY_TOL},
-            "passed": bool(sym_ok),
+            "passed": tolerances.flip_symmetric(second),
         })
     artifacts = {}
     if export:
@@ -634,7 +632,7 @@ def run_selftest(seed: int) -> tuple[list[dict], dict]:
     worst_cov = 0.0
     worst_rel = 0.0
     for k in range(10**4):
-        sample = sample_disorder(params, fams, seed=seed + 1, sample_index=k)
+        sample = sample_disorder(params, fams, seed + 1, k)
         nd = nishimori_transform(sample, params, "x")
         beta_n = nd.betas[2]
         lhs = (nd.k[2][0] - beta_n) ** 2 + nd.g[2][0] ** 2
@@ -686,7 +684,7 @@ def run_selftest(seed: int) -> tuple[list[dict], dict]:
     for lat_m, fams_m, entries, sectors, obs, (a, b), (sample_seed, beta) in models:
         builder = HamiltonianBuilder(lat_m, fams_m)
         params_m = CouplingParams(entries)
-        row = coupling_row(sample_disorder(params_m, fams_m, seed=sample_seed))[None]
+        row = sample_disorder(params_m, fams_m, seed=sample_seed).row[None]
         ham = builder.build_rows(row, whole_space(lat_m.n_sites)).blocks[0, 0]
         plan = identities.Plan(ModelConfig(lat_m, fams_m, params_m, beta), [])
         parity.append((plan.conserves_parity, z2_commutator_norm(ham, "z")))

@@ -4,9 +4,10 @@ Nishimori change of variables and gauge transformation of couplings."""
 from __future__ import annotations
 
 import csv
+import functools
 import math
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -64,15 +65,21 @@ class CouplingParams:
 
 @dataclass(frozen=True)
 class DisorderSample:
-    """One realization of all couplings, reproducible from (seed, sample_index).
+    """One realization of all couplings: `row` holds them in term order
+    (`coupling_terms`), as `draw_row` makes them.
 
-    `couplings[p][axis]` is a float array parallel to `families[p].bonds`.
+    `couplings[p][axis]` is a view of the row parallel to `families[p].bonds`.
     """
 
-    couplings: Mapping[int, Mapping[str, np.ndarray]]
+    row: np.ndarray
     families: Mapping[int, BondFamily]
-    seed: int
-    sample_index: int
+
+    @functools.cached_property
+    def couplings(self) -> dict[int, dict[str, np.ndarray]]:
+        couplings: dict[int, dict[str, np.ndarray]] = {p: {} for p in self.families}
+        for (p, axis), sl in term_slices(self.families).items():
+            couplings[p][axis] = self.row[sl]
+        return couplings
 
     def value(self, p: int, axis: str, bond_index: int) -> float:
         return float(self.couplings[p][axis][bond_index])
@@ -140,25 +147,6 @@ def draw_row(mu: np.ndarray, delta: np.ndarray, seed: int, sample_index: int) ->
     return mu + delta * rng.standard_normal(len(mu))
 
 
-def coupling_row(sample: DisorderSample) -> np.ndarray:
-    """A sample's couplings as one row in term order."""
-    keys = term_slices(sample.families)  # (p, axis) in term order
-    return np.concatenate([sample.couplings[p][axis] for p, axis in keys], dtype=float)
-
-
-def row_sample(
-    row: np.ndarray, families: Mapping[int, BondFamily], seed: int, sample_index: int
-) -> DisorderSample:
-    """The sample whose coupling row (term order) is `row`; its coupling
-    arrays are views of the row."""
-    couplings: dict[int, dict[str, np.ndarray]] = {p: {} for p in families}
-    for (p, axis), sl in term_slices(families).items():
-        couplings[p][axis] = row[sl]
-    return DisorderSample(
-        couplings=couplings, families=dict(families), seed=seed, sample_index=sample_index
-    )
-
-
 def sample_disorder(
     params: CouplingParams,
     families: Mapping[int, BondFamily],
@@ -168,7 +156,7 @@ def sample_disorder(
     """Draw all couplings J ~ N(mu, delta^2) independently: the one-sample
     case of `draw_row`, keyed by (seed, sample_index)."""
     row = draw_row(*coupling_law(params, families), seed, sample_index)
-    return row_sample(row, families, seed, sample_index)
+    return DisorderSample(row, dict(families))
 
 
 def gaussian_log_density(j: float, mu: float, delta: float) -> float:
@@ -292,7 +280,7 @@ class NishimoriRotation:
 def nishimori_transform(sample: DisorderSample, params: CouplingParams, u: str) -> NishimoriData:
     """The one-sample case of `NishimoriRotation`."""
     rotation = NishimoriRotation(params, sample.families, u)
-    k, g = rotation(coupling_row(sample)[None])
+    k, g = rotation(sample.row[None])
     return NishimoriData(
         axis=u,
         betas=rotation.betas,
@@ -313,27 +301,19 @@ def gauge_transform_couplings(sample: DisorderSample, tau: Sequence[int], u: str
     """Multiply every coupling on the two axes other than u by the bond sign.
 
     The u-axis couplings are untouched; applying the same tau twice restores
-    the original sample.
+    the original sample. Each coupling is multiplied by exactly +-1.0, so it
+    keeps its bits up to sign.
     """
     if u not in AXES:
         raise ValueError(f"axis must be one of {AXES}, got {u!r}")
     tau = np.asarray(tau)
     if not np.all(np.abs(tau) == 1):
         raise ValueError("tau entries must be +1 or -1")
-    couplings: dict[int, dict[str, np.ndarray]] = {}
-    for p, family in sample.families.items():
-        signs = np.array([bond_sign(tau, bond) for bond in family.bonds], dtype=float)
-        per_axis = {}
-        for axis in AXES:
-            j = sample.couplings[p][axis]
-            per_axis[axis] = j.copy() if axis == u else j * signs
-        couplings[p] = per_axis
-    return DisorderSample(
-        couplings=couplings,
-        families=sample.families,
-        seed=sample.seed,
-        sample_index=sample.sample_index,
-    )
+    signs = np.array([
+        1.0 if axis == u else bond_sign(tau, bond)
+        for _, axis, _, bond in coupling_terms(sample.families)
+    ])
+    return replace(sample, row=sample.row * signs)
 
 
 def dump_csv(sample: DisorderSample, path: str) -> None:

@@ -32,7 +32,6 @@ from .disorder import (
     NishimoriRotation,
     coupling_law,
     draw_row,
-    row_sample,
     term_slices,
 )
 from .errors import CapacityError, UndersampledError
@@ -49,7 +48,7 @@ from .quantum_gibbs import (
     string_expectations,
     thermal_state,
 )
-from .tolerances import EXACT_TOL, FLIP_SYMMETRY_TOL, Tolerances
+from .tolerances import EXACT_TOL, FLIP_SYMMETRY_TOL, Tolerances, flip_symmetric
 
 #: Guard on the total tensor-grid size.
 _MAX_QUAD_NODES = 10**8
@@ -199,7 +198,7 @@ def quadrature_average(
     for start in range(0, len(probs), _QUAD_ROWS):
         rows = spec.rows(start, min(start + _QUAD_ROWS, len(probs)))
         for k, row in enumerate(rows, start):
-            values[k] = integrand(row_sample(row, spec.families, 0, k))
+            values[k] = integrand(DisorderSample(row, spec.families))
     return float(probs @ values)
 
 
@@ -222,9 +221,10 @@ def _site_tuple(sites: Iterable[int]) -> tuple[int, ...]:
 #: Byte budget of a batch's largest stacked temporary. A plan evaluates its
 #: samples in batches of max(1, budget // (16 dim^2)) consecutive indices,
 #: one dim x dim complex matrix per sample: 32 samples at dim 16, 8 at dim
-#: 32, 2 at dim 64 and 1 from dim 128 on. The susceptibility, which stacks
-#: N string matrices per sample, splits its stacks to stay within the same
-#: budget, and the a2 stencil decomposes one field mean per stack. Past
+#: 32, 2 at dim 64 and 1 from dim 128 on. The susceptibility stacks N
+#: string matrices per sample for the whole batch, N times the budget
+#: (under 1 MiB a stack up to 6 sites; from 7 sites on the batch is one
+#: sample), and the a2 stencil decomposes one field mean per stack. Past
 #: about 16 samples at dim 16 a bigger batch saves no time and costs peak
 #: memory.
 _BATCH_BYTES = 128 * 1024
@@ -527,21 +527,6 @@ class ValueTable:
 # ---------------------------------------------------------------------------
 # Correlation identities
 # ---------------------------------------------------------------------------
-
-
-def _state_rows(state: ThermalState, rows: slice) -> ThermalState:
-    """The samples `rows` of a stacked thermal state."""
-    spectrum = state.spectrum
-    return ThermalState(
-        spectrum=dataclasses.replace(
-            spectrum,
-            eigenvalues=spectrum.eigenvalues[rows],
-            eigenvectors=spectrum.eigenvectors[rows],
-        ),
-        beta=state.beta,
-        log_z=state.log_z[rows],
-        weights=state.weights[rows],
-    )
 
 
 class _IdentityBlock:
@@ -950,18 +935,7 @@ class SusceptibilityBlock:
         ops_v = ops_w if v == w else [plan.string(s, v) for s in _single_sites(n)]
 
         def evaluate(s: _Batch) -> np.ndarray:
-            # the batch's samples a few at a time, so the (samples, N, dim,
-            # dim) string stacks stay within the batch byte budget
-            state, phi = s.state, s.duhamel_kernel
-            step = max(1, _BATCH_BYTES // (16 * n * phi[0].size))
-            duh = np.concatenate(
-                [
-                    duhamel_matrix(
-                        _state_rows(state, slice(i, i + step)), phi[i : i + step], ops_w, ops_v
-                    )
-                    for i in range(0, len(phi), step)
-                ]
-            )
+            duh = duhamel_matrix(s.state, s.duhamel_kernel, ops_w, ops_v)
             qw, qv = s.expectations(ops_w), s.expectations(ops_v)
             truncated = (duh - qw[:, :, None] * qv[:, None, :]).reshape(-1, n * n)
             return np.concatenate([truncated, s.pair_matrix.reshape(len(s.rows), -1)], axis=1)
@@ -1147,7 +1121,7 @@ def a2_nonlinear_susceptibility(
     indicates a configuration without the required flip symmetry and raises.
     """
     third, second = _a2_differences(config, v, w, h, method)
-    if abs(second) > FLIP_SYMMETRY_TOL:
+    if not flip_symmetric(second):
         raise RuntimeError(
             f"second field-difference {second} exceeds {FLIP_SYMMETRY_TOL}; "
             "the configuration is not flip-symmetric at zero field"

@@ -10,7 +10,9 @@ from .errors import CapacityError, EmptyFamilyError
 
 Boundary = Literal["open", "periodic"]
 
-#: Hard cap on site count for exact classical enumeration (2^24 configurations).
+#: Hard cap on the site count of any lattice `build_lattice` makes. The
+#: classical enumeration has its own, tighter cap
+#: (`classical_gibbs.ENUMERATION_SITE_CAP`), and so has the quantum side.
 CLASSICAL_SITE_CAP = 24
 
 

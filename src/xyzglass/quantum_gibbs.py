@@ -9,7 +9,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .disorder import DisorderSample, coupling_row, coupling_terms
+from .disorder import DisorderSample, coupling_terms
 from .errors import CapacityError
 from .lattice import BondFamily, Lattice
 from .operators import QUANTUM_SITE_CAP, PauliString, Sectors, global_flip, pauli_site, whole_space
@@ -113,7 +113,7 @@ class HamiltonianBuilder:
 
     def build(self, sample: DisorderSample) -> np.ndarray:
         """One sample's dense (dim, dim) Hamiltonian."""
-        return self.build_rows(coupling_row(sample)[None], whole_space(self.n_sites)).blocks[0, 0]
+        return self.build_rows(sample.row[None], whole_space(self.n_sites)).blocks[0, 0]
 
 
 def build_hamiltonian(

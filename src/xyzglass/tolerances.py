@@ -2,12 +2,13 @@
 
 `Tolerances` holds the three a run's config may set (its `tolerances`
 keys, with these defaults); the constants below are fixed. The identity
-residuals' pass rule sits here too; the bound chains' Monte Carlo and
-quadrature rule is `identities.ValueTable.tolerance`.
+residuals' pass rule and the a2 flip-symmetry rule sit here too; the bound
+chains' Monte Carlo and quadrature rule is `identities.ValueTable.tolerance`.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 
@@ -21,10 +22,15 @@ class Tolerances:
     quadrature_abs: float = 1e-8
     clip_fraction_max: float = 0.01
 
-    def residual(self, method: str, mean: float, z_score: float) -> tuple[bool, dict]:
+    def residual(self, name: str, method: str, mean: float, z_score: float) -> tuple[bool, dict]:
         """An identity residual's verdict and its report's tolerance record:
         |mean| <= quadrature_abs on a quadrature grid, |z| <= z_max for
-        Monte Carlo."""
+        Monte Carlo. A mean that is not finite gets no verdict: it raises
+        ArithmeticError naming the check. The z-score is not checked, since
+        a quadrature z is NaN and a spreadless Monte Carlo z infinite by
+        design."""
+        if not math.isfinite(mean):
+            raise ArithmeticError(f"{name}: residual mean {mean} is not finite")
         if method == "quadrature":
             bound = self.quadrature_abs
             return abs(mean) <= bound, {"kind": "absolute", "value": bound}
@@ -39,6 +45,16 @@ EXACT_TOL = 1e-12
 #: Largest |second field difference| of the a2 probe that still counts as
 #: flip-symmetric at zero field; the difference is 0 on a symmetric model.
 FLIP_SYMMETRY_TOL = 1e-8
+
+
+def flip_symmetric(second: float) -> bool:
+    """Whether the a2 probe's second field difference is within
+    FLIP_SYMMETRY_TOL of 0; one that is not finite gets no verdict and
+    raises ArithmeticError."""
+    if not math.isfinite(second):
+        raise ArithmeticError(f"a2 second field difference {second} is not finite")
+    return abs(second) <= FLIP_SYMMETRY_TOL
+
 
 #: Largest asymmetry, relative to the largest entry, of a matrix accepted as
 #: Hermitian: the builder's sums are exact, so only rounding remains.

@@ -178,7 +178,7 @@ def test_criterion_02_change_of_variables():
         checked = 0
         k = 0
         while checked < 10**5:
-            sample = sample_disorder(params, fams, seed=202, sample_index=k)
+            sample = sample_disorder(params, fams, 202, k)
             nd = nishimori_transform(sample, params, "z")
             for p in (1, 2):
                 beta_n = nd.betas[p]

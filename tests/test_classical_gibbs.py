@@ -169,7 +169,7 @@ def test_classical_nishimori_two_site_identity_via_transform():
     first = np.empty(n)
     second = np.empty(n)
     for k in range(n):
-        sample = sample_disorder(params, fams, seed=13, sample_index=k)
+        sample = sample_disorder(params, fams, 13, k)
         nd = nishimori_transform(sample, params, "x")
         model = classical_from_nishimori(nd, fams, 2)
         val = classical_expectation(model, [0, 1])

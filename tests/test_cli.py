@@ -22,7 +22,7 @@ from xyzglass.cli import (
     resolve_config,
 )
 from xyzglass.errors import ConfigError
-from xyzglass.tolerances import Tolerances
+from xyzglass.tolerances import Tolerances, flip_symmetric
 from xyzglass.identities import (
     MonteCarlo,
     duhamel_identity,
@@ -683,8 +683,55 @@ def test_resolved_tolerances_are_the_table_defaults():
 
 def test_residual_pass_rule():
     tol = Tolerances(z_max=4.0, quadrature_abs=1e-8)
-    assert tol.residual("mc", 1.0, -4.0) == (True, {"kind": "z_score", "value": 4.0})
-    assert not tol.residual("mc", 0.0, 4.5)[0]
-    assert not tol.residual("mc", 0.0, math.inf)[0]
-    assert tol.residual("quadrature", -1e-8, math.nan) == (True, {"kind": "absolute", "value": 1e-8})
-    assert not tol.residual("quadrature", 2e-8, 0.0)[0]
+    assert tol.residual("r", "mc", 1.0, -4.0) == (True, {"kind": "z_score", "value": 4.0})
+    assert not tol.residual("r", "mc", 0.0, 4.5)[0]
+    assert not tol.residual("r", "mc", 0.0, math.inf)[0]
+    assert tol.residual("r", "quadrature", -1e-8, math.nan) == (
+        True, {"kind": "absolute", "value": 1e-8}
+    )
+    assert not tol.residual("r", "quadrature", 2e-8, 0.0)[0]
+    # a mean that is not finite gets no verdict, whatever its z
+    for method in ("mc", "quadrature"):
+        for mean in (math.nan, math.inf):
+            with pytest.raises(ArithmeticError, match="one-point identity"):
+                tol.residual("one-point identity", method, mean, 0.0)
+
+
+def test_flip_symmetry_rule():
+    assert flip_symmetric(1e-9)
+    assert flip_symmetric(-1e-8)
+    assert not flip_symmetric(1e-6)
+    for second in (math.nan, -math.inf):
+        with pytest.raises(ArithmeticError, match="not finite"):
+            flip_symmetric(second)
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize(
+    "path, value",
+    [(["couplings", "2", "z"], {"mu": 1e154, "delta": 1}), (["beta"], 1e308)],
+    ids=["softmax-overflow", "huge-beta"],
+)
+def test_identity_residuals_that_are_not_finite_exit_four(tmp_path, capsys, path, value):
+    # the first overflows the Nishimori-line softmax, so every classical
+    # column is NaN; the second makes the Duhamel kernel NaN: no residual
+    # may get a verdict on either
+    shipped = pathlib.Path(__file__).parents[1] / "configs" / "identities_mc.json"
+    payload = json.loads(shipped.read_text())
+    payload["method"]["n_samples"] = 20
+    target = payload
+    for key in path[:-1]:
+        target = target[key]
+    target[path[-1]] = value
+    cfg = write_config(tmp_path, "c.json", payload)
+    assert main(["verify-identities", "--config", cfg, "--out", str(tmp_path / "runs")]) == (
+        EXIT_NUMERICAL_ERROR
+    )
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    (line,) = err.strip().splitlines()
+    record = json.loads(line)["error"]
+    assert record["kind"] == "numerical"
+    assert record["exit_code"] == EXIT_NUMERICAL_ERROR
+    assert "identity" in record["message"]
+    assert not (tmp_path / "runs").exists()

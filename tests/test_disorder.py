@@ -5,10 +5,10 @@ import pytest
 
 from xyzglass.disorder import (
     CouplingParams,
+    DisorderSample,
     NishimoriRotation,
     bond_sign,
     coupling_law,
-    coupling_row,
     coupling_terms,
     draw_row,
     dump_csv,
@@ -52,12 +52,12 @@ def test_point_mass_sampling():
 def test_sampling_determinism():
     _, fams = chain_families()
     params = full_params()
-    a = sample_disorder(params, fams, seed=42, sample_index=3)
-    b = sample_disorder(params, fams, seed=42, sample_index=3)
+    a = sample_disorder(params, fams, 42, 3)
+    b = sample_disorder(params, fams, 42, 3)
     for p in fams:
         for axis in "xyz":
             assert np.array_equal(a.couplings[p][axis], b.couplings[p][axis])
-    c = sample_disorder(params, fams, seed=42, sample_index=4)
+    c = sample_disorder(params, fams, 42, 4)
     assert not np.array_equal(a.couplings[2]["x"], c.couplings[2]["x"])
 
 
@@ -98,7 +98,7 @@ def test_row_draw_equals_the_per_axis_sampling_loop():
         for p in fams:
             for axis in "xyz":
                 assert np.array_equal(sample.couplings[p][axis], reference[p][axis])
-        assert np.array_equal(coupling_row(sample), row)
+        assert np.array_equal(sample.row, row)
 
 
 @pytest.mark.parametrize("u", ["x", "y", "z"])
@@ -133,7 +133,7 @@ def test_sampling_law_of_large_numbers():
     params = CouplingParams({1: {"y": (mu, delta)}})
     n = 10**5
     vals = np.array(
-        [sample_disorder(params, fams, seed=9, sample_index=k).value(1, "y", 0) for k in range(n)]
+        [sample_disorder(params, fams, 9, k).value(1, "y", 0) for k in range(n)]
     )
     assert abs(vals.mean() - mu) < 4 * delta / math.sqrt(n)
 
@@ -191,7 +191,7 @@ def test_change_of_variables_relation():
     _, fams = chain_families()
     params = full_params(mu=0.37, delta=1.21)
     for k in range(200):
-        s = sample_disorder(params, fams, seed=5, sample_index=k)
+        s = sample_disorder(params, fams, 5, k)
         nd = nishimori_transform(s, params, "z")
         for p in (1, 2):
             beta = nd.betas[p]
@@ -224,19 +224,12 @@ def test_transform_moments_and_covariance():
 def test_transform_is_linear():
     _, fams = chain_families(L=2)
     params = full_params(mu=0.4, delta=1.0)
-    s1 = sample_disorder(params, fams, seed=1, sample_index=0)
-    s2 = sample_disorder(params, fams, seed=1, sample_index=1)
+    s1 = sample_disorder(params, fams, 1, 0)
+    s2 = sample_disorder(params, fams, 1, 1)
     # superposition of centered couplings maps to superposition of centered (K, G)
     nd1 = nishimori_transform(s1, params, "y")
     nd2 = nishimori_transform(s2, params, "y")
-    mixed = {
-        p: {
-            a: 0.4 + (s1.couplings[p][a] - 0.4) + (s2.couplings[p][a] - 0.4)
-            for a in "xyz"
-        }
-        for p in (1, 2)
-    }
-    s3 = type(s1)(couplings=mixed, families=s1.families, seed=0, sample_index=0)
+    s3 = DisorderSample(0.4 + (s1.row - 0.4) + (s2.row - 0.4), s1.families)
     nd3 = nishimori_transform(s3, params, "y")
     for p in (1, 2):
         beta = nd1.betas[p]
@@ -284,7 +277,7 @@ def test_gauge_covariance_of_density():
     params = full_params(mu=0.45, delta=0.85)
     rng = np.random.default_rng(10)
     for k in range(200):
-        s = sample_disorder(params, fams, seed=21, sample_index=k)
+        s = sample_disorder(params, fams, 21, k)
         tau = rng.choice([-1, 1], size=lat.n_sites)
         t = gauge_transform_couplings(s, tau, "x")
         for p in (1, 2):

@@ -14,7 +14,6 @@ from xyzglass.disorder import (
     CouplingParams,
     NishimoriRotation,
     coupling_law,
-    coupling_row,
     draw_row,
     nishimori_transform,
     sample_disorder,
@@ -688,21 +687,9 @@ def test_batch_size_rule():
         plan = identities.Plan(chain_config(L), [identities.OnePointBlock([0], "z")], "x")
         sizes[2**L] = plan.batch_size
     assert sizes == {16: 32, 32: 8, 64: 2, 128: 1, 256: 1}
-    # blocks that stack several matrices per sample split their own stacks
+    # the susceptibility stacks N matrices per sample but keeps the plan's batch
     chain = identities.Plan(bounds_5site_config(), [identities.SusceptibilityBlock("z", "z")], "x")
     assert chain.batch_size == 8
-
-
-def test_split_susceptibility_stacks_do_not_change_a_row(monkeypatch):
-    # the susceptibility's (samples, N, dim, dim) string stacks are split to
-    # the batch byte budget; unsplit, every row is the same
-    plan = identities.Plan(bounds_5site_config(), [identities.SusceptibilityBlock("y", "z")], "x")
-    method = MonteCarlo(plan.batch_size + 3, 87)
-    split = plan.evaluate(method)
-    monkeypatch.setattr(identities, "_BATCH_BYTES", 1 << 30)
-    whole = plan.evaluate(method)
-    for block in plan.blocks:
-        assert np.array_equal(split.values(block), whole.values(block))
 
 
 def grid_node_row(spec, idx, std_nodes):
@@ -732,7 +719,7 @@ def test_quadrature_rows_and_probabilities_match_the_grid_loop():
     assert np.array_equal(spec.probabilities(), probs)
     # quadrature_average integrates over the same rows
     for t in range(rows.shape[1]):
-        average = identities.quadrature_average(spec, lambda s: coupling_row(s)[t])
+        average = identities.quadrature_average(spec, lambda s: s.row[t])
         assert average == float(probs @ np.ascontiguousarray(rows[:, t]))
 
 
@@ -765,7 +752,7 @@ def test_field_stencil_equals_the_dense_field_reference(v):
         base = builder.build(sample)
         dense = [thermal_state(spectral_decompose(base - mu * field), cfg.beta) for mu in mus]
         if v == "z":
-            blocks = builder.build_rows(coupling_row(sample)[None], sectors).blocks[0]
+            blocks = builder.build_rows(sample.row[None], sectors).blocks[0]
             field_blocks = np.stack([field[np.ix_(b, b)].real for b in sectors.bases])
             states = [
                 thermal_state(

@@ -243,6 +243,14 @@ def test_gibbs_two_level_tanh():
     assert val == pytest.approx(math.tanh(beta * j), abs=1e-12)
 
 
+def test_gibbs_rejects_an_imaginary_part_above_rounding():
+    # a Hermitian observable's trace is real up to rounding; 1e-6 is no rounding
+    state = thermal_state(spectral_decompose(np.diag([1.0, -0.5, 0.2, 0.0])), 0.7)
+    with pytest.raises(ValueError, match="imaginary part"):
+        gibbs_expectation(state, (1 + 1e-6j) * np.eye(4))
+    assert gibbs_expectation(state, (1 + 1e-12j) * np.eye(4)) == 1.0
+
+
 def test_gibbs_matches_expm_oracle():
     rng = np.random.default_rng(29)
     for _ in range(10):

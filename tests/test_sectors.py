@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from xyzglass import identities
-from xyzglass.disorder import CouplingParams, coupling_row, sample_disorder
+from xyzglass.disorder import CouplingParams, sample_disorder
 from xyzglass.identities import ModelConfig, MonteCarlo
 from xyzglass.lattice import (
     build_lattice,
@@ -78,7 +78,7 @@ def both_states(config, seed):
     """The sample's dense complex and parity-sector thermal states, each a
     stack of one."""
     builder = HamiltonianBuilder(config.lattice, config.families)
-    row = coupling_row(sample_disorder(config.params, config.families, seed))[None]
+    row = sample_disorder(config.params, config.families, seed).row[None]
     sectors = parity_sectors(config.lattice.n_sites)
     dense = thermal_state(
         spectral_decompose(builder.build_rows(row, whole_space(sectors.n_sites))), config.beta
@@ -173,7 +173,7 @@ def test_duhamel_matrix_matches_the_dense_duhamel_oracles(model, w, v):
     n = config.lattice.n_sites
     plan = identities.Plan(config, [identities.SiteExpectationsBlock()])
     builder = HamiltonianBuilder(config.lattice, config.families)
-    row = coupling_row(sample_disorder(config.params, config.families, seed))[None]
+    row = sample_disorder(config.params, config.families, seed).row[None]
     oracle = thermal_state(
         spectral_decompose(builder.build_rows(row, whole_space(n)).blocks[0, 0]), config.beta
     )
@@ -196,7 +196,7 @@ def test_sector_stencil_magnetizations_match_the_dense_oracle(model, h):
     n = config.lattice.n_sites
     sectors = parity_sectors(n)
     builder = HamiltonianBuilder(config.lattice, config.families)
-    row = coupling_row(sample_disorder(config.params, config.families, seed))[None]
+    row = sample_disorder(config.params, config.families, seed).row[None]
     base = builder.build_rows(row, whole_space(n)).blocks[:, 0]
     blocks = builder.build_rows(row, sectors).blocks
     field = sum(pauli_site(n, i, "z") for i in range(n))
@@ -248,7 +248,7 @@ def test_plans_bind_their_sectors_from_the_declaration():
 def test_builder_refuses_couplings_that_leave_the_sectors():
     config = bounds_config({"z": (0.3, 0.8)})
     builder = HamiltonianBuilder(config.lattice, config.families)
-    row = coupling_row(sample_disorder(config.params, config.families, 3))
+    row = sample_disorder(config.params, config.families, 3).row
     builder.build_rows(row[None], parity_sectors(5))
     row[0] = 0.1  # the first term is the x field on site 0
     with pytest.raises(ValueError, match="leaves the sectors"):
