@@ -164,6 +164,11 @@ class BondProductTable:
     softmax. Limited to `ENUMERATION_SITE_CAP` sites, as the enumeration
     above is.
 
+    `flip_invariant` is decided from the sign columns, never from coupling
+    values: when each reads the same on configuration i and on its global
+    flip 2^N-1-i (every bond holds an even number of sites), `term_signs`
+    keeps only the first 2^(N-1) rows.
+
     The pair matrix splits the configuration index into its high bits
     (sites 0..k-1, k = N // 2) and low bits (sites k..N-1), with one spin
     half-table for each: tau_A (2^k x k) and tau_B (2^(N-k) x (N-k)), and
@@ -199,18 +204,33 @@ class BondProductTable:
                 cols.append(np.prod(self.tau[:, bond], axis=1))
             self._slices[p] = slice(pos, pos + len(bonds))
             pos += len(bonds)
-        self.term_signs = np.stack(cols, axis=1) if cols else np.zeros((1 << n_sites, 0))
+        half = 1 << (n_sites - 1)
+        # configuration i and its flip 2^N-1-i are mirror rows; the full
+        # table is not stacked when the half is kept, to keep peak memory
+        self.flip_invariant = all(np.array_equal(c[half:], c[:half][::-1]) for c in cols)
+        rows = half if self.flip_invariant else 2 * half
+        self.term_signs = np.stack([c[:rows] for c in cols], axis=1) if cols else np.zeros((rows, 0))
         self._sign_columns: dict[tuple[int, ...], np.ndarray] = {}
 
     def probabilities(
         self, k_by_p: Mapping[int, np.ndarray], betas: Mapping[int, float]
     ) -> np.ndarray:
-        coeff = np.empty(self.term_signs.shape[1])
-        for p, sl in self._slices.items():
-            coeff[sl] = betas[p] * np.asarray(k_by_p[p])
-        logw = self.term_signs @ coeff
-        w = np.exp(logw - np.max(logw))
-        return w / np.sum(w)
+        """(B, 2^N) configuration probabilities for (B, bonds) couplings per
+        p: one softmax per row, whose bits do not depend on B. The log
+        weights are a per-row matmul, since a gemm across rows changes last
+        bits, and the sum runs over the full mirrored row. A table without
+        terms gives one uniform row. An overflow or an invalid value raises
+        FloatingPointError; underflow stays silent."""
+        n_rows = max((len(k) for k in k_by_p.values()), default=1)
+        with np.errstate(over="raise", invalid="raise", divide="raise"):
+            coeff = np.empty((n_rows, self.term_signs.shape[1]))
+            for p, sl in self._slices.items():
+                coeff[:, sl] = betas[p] * np.asarray(k_by_p[p])
+            logw = (self.term_signs[None] @ coeff[:, :, None])[..., 0]
+            w = np.exp(logw - np.max(logw, axis=1, keepdims=True))
+            if self.flip_invariant:
+                w = np.concatenate((w, w[:, ::-1]), axis=1)
+            return w / np.sum(w, axis=1, keepdims=True)
 
     def expectations(
         self,
@@ -218,7 +238,12 @@ class BondProductTable:
         betas: Mapping[int, float],
         site_sets: Sequence[Sequence[int]],
     ) -> np.ndarray:
-        return self.expectations_from(self.probabilities(k_by_p, betas), site_sets)
+        return self.expectations_from(self._probabilities_of_one(k_by_p, betas), site_sets)
+
+    def _probabilities_of_one(
+        self, k_by_p: Mapping[int, np.ndarray], betas: Mapping[int, float]
+    ) -> np.ndarray:
+        return self.probabilities({p: np.asarray(k)[None] for p, k in k_by_p.items()}, betas)[0]
 
     def expectations_from(
         self, prob: np.ndarray, site_sets: Sequence[Sequence[int]]
@@ -241,7 +266,7 @@ class BondProductTable:
         self, k_by_p: Mapping[int, np.ndarray], betas: Mapping[int, float]
     ) -> np.ndarray:
         """All <tau_i tau_j> for one sample."""
-        return self.pair_matrix_from(self.probabilities(k_by_p, betas))
+        return self.pair_matrix_from(self._probabilities_of_one(k_by_p, betas))
 
     def pair_matrix_from(self, prob: np.ndarray) -> np.ndarray:
         """All <tau_i tau_j> under `probabilities`, as a bilinear form: with

@@ -239,8 +239,9 @@ class _Batch:
     never asks for the state costs no diagonalization.
 
     Every stacked operation treats the rows independently, so a sample's
-    values do not depend on the batch it falls in. The classical side is
-    evaluated sample by sample with the enumerator's own arithmetic."""
+    values do not depend on the batch it falls in. The classical side makes
+    one stacked softmax per batch; its spin products and pair matrices are
+    reduced sample by sample, since their stacked forms change last bits."""
 
     def __init__(self, plan: "Plan", indices: range, rows: np.ndarray):
         self.plan = plan
@@ -271,15 +272,20 @@ class _Batch:
         return np.stack([self._expectations[op] for op in ops], axis=1)
 
     @functools.cached_property
-    def probabilities(self) -> list[np.ndarray]:
-        """The Nishimori-line configuration probabilities: one softmax per
-        sample, shared by the spin products and the pair matrix."""
+    def probabilities(self) -> np.ndarray:
+        """(samples, 2^N) Nishimori-line configuration probabilities: one
+        stacked softmax per batch, shared by the spin products and the pair
+        matrix."""
         plan = self.plan
         k, _ = plan.nishimori(self.rows)
-        return [
-            plan.classical_table.probabilities({p: rows[i] for p, rows in k.items()}, plan.betas)
-            for i in range(len(self.rows))
-        ]
+        try:
+            prob = plan.classical_table.probabilities(k, plan.betas)
+        except FloatingPointError as exc:
+            raise ArithmeticError(
+                f"Nishimori-line softmax of the batch from sample {self.indices[0]}: {exc}"
+            ) from exc
+        # a model without couplings has one uniform row for every sample
+        return np.broadcast_to(prob, (len(self.rows), prob.shape[1]))
 
     @functools.cached_property
     def products(self) -> np.ndarray:

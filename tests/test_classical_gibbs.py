@@ -17,6 +17,7 @@ from xyzglass.classical_gibbs import (
 )
 from xyzglass.disorder import CouplingParams, nishimori_transform, sample_disorder
 from xyzglass.errors import CapacityError
+from xyzglass.identities import ModelConfig, Plan
 from xyzglass.lattice import (
     build_lattice,
     chain_pair_shape,
@@ -228,6 +229,61 @@ def test_pair_matrix_matches_per_bond_enumeration(model):
     assert np.max(np.abs(pair - classical_correlation_matrix(model))) < 1e-12
     assert np.array_equal(pair, pair.T)
     assert np.max(np.abs(np.diag(pair) - 1.0)) <= 1e-14
+
+
+def per_sample_probabilities(table, families, betas, k_by_p):
+    """The one-sample softmax over the full sign table, written out: the
+    arithmetic whose bits the stacked softmax must keep."""
+    cols = [np.prod(table.tau[:, bond], axis=1) for p in sorted(families)
+            for bond in families[p].bonds]
+    signs = np.stack(cols, axis=1) if cols else np.zeros((len(table.tau), 0))
+    coeff = np.array([betas[p] * k for p in sorted(families) for k in k_by_p[p]])
+    logw = signs @ coeff
+    w = np.exp(logw - np.max(logw))
+    return w / np.sum(w)
+
+
+def assert_stacked_rows_keep_their_bits(n_sites, families, betas, n_rows, seed):
+    table = BondProductTable(n_sites, families)
+    # a bond on an even number of sites is blind to the global flip; a table
+    # whose every bond is such keeps half of the configurations
+    invariant = all(p % 2 == 0 for p in families)
+    assert table.flip_invariant == invariant
+    assert table.term_signs.shape == (
+        1 << (n_sites - invariant), sum(len(f.bonds) for f in families.values())
+    )
+    rng = np.random.default_rng(seed)
+    k = {p: rng.normal(size=(n_rows, len(f.bonds))) for p, f in families.items()}
+    stacked = table.probabilities(k, betas)
+    # without terms there is nothing to stack: one uniform row
+    assert stacked.shape == (n_rows if families else 1, 1 << n_sites)
+    for i in range(len(stacked)):
+        row = {p: rows[i] for p, rows in k.items()}
+        assert np.array_equal(stacked[i], per_sample_probabilities(table, families, betas, row))
+        single = table.probabilities({p: rows[i : i + 1] for p, rows in k.items()}, betas)
+        assert np.array_equal(single[0], stacked[i])
+
+
+@settings(max_examples=60, deadline=None)
+@given(classical_chains(), st.sampled_from([1, 7]), st.integers(0, 2**32 - 1))
+def test_stacked_softmax_keeps_the_per_sample_bits(model, n_rows, seed):
+    assert_stacked_rows_keep_their_bits(model.n_sites, model.families, model.betas, n_rows, seed)
+
+
+@pytest.mark.parametrize(
+    "n, boundary, orders",
+    [(14, "periodic", (2, 4)), (5, "open", (2,)), (5, "open", (1, 2)), (6, "periodic", (2, 3))],
+    ids=["classical-14site", "bounds-5site", "odd-field", "odd-triple"],
+)
+def test_stacked_softmax_keeps_the_bits_at_plan_batch_sizes(n, boundary, orders):
+    lat = build_lattice(1, n)
+    fams = {
+        p: generate_bonds(lat, interaction_shape([[i] for i in range(p)]), boundary)
+        for p in orders
+    }
+    params = CouplingParams({p: {a: (0.4, 0.8) for a in "xyz"} for p in orders})
+    plan = Plan(ModelConfig(lat, fams, params, beta=0.7), [], "x")
+    assert_stacked_rows_keep_their_bits(n, fams, {p: 0.5 * p for p in orders}, plan.batch_size, n)
 
 
 def test_correlation_csv(tmp_path):

@@ -635,10 +635,10 @@ def test_extreme_coupling_laws_end_in_one_typed_error_record(
     assert not (tmp_path / "runs").exists()
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.filterwarnings("error")
 def test_chain_numbers_that_are_not_finite_exit_four(tmp_path, capsys):
-    # the Nishimori-line softmax overflows at this z mean, so every
-    # classical column is NaN: no chain link and no a1 clip may pass on it
+    # the Nishimori-line softmax overflows at this z mean: it raises before
+    # any chain link or a1 clip sees a classical column, and warns nothing
     shipped = pathlib.Path(__file__).parents[1] / "configs" / "bounds_mc.json"
     payload = json.loads(shipped.read_text())
     payload["method"]["n_samples"] = 20
@@ -654,6 +654,7 @@ def test_chain_numbers_that_are_not_finite_exit_four(tmp_path, capsys):
     record = json.loads(line)["error"]
     assert record["kind"] == "numerical"
     assert record["exit_code"] == EXIT_NUMERICAL_ERROR
+    assert "Nishimori-line softmax of the batch from sample 0" in record["message"]
     assert not (tmp_path / "runs").exists()
 
 
@@ -706,16 +707,9 @@ def test_flip_symmetry_rule():
             flip_symmetric(second)
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
-@pytest.mark.parametrize(
-    "path, value",
-    [(["couplings", "2", "z"], {"mu": 1e154, "delta": 1}), (["beta"], 1e308)],
-    ids=["softmax-overflow", "huge-beta"],
-)
-def test_identity_residuals_that_are_not_finite_exit_four(tmp_path, capsys, path, value):
-    # the first overflows the Nishimori-line softmax, so every classical
-    # column is NaN; the second makes the Duhamel kernel NaN: no residual
-    # may get a verdict on either
+def identities_numerical_error(tmp_path, capsys, path, value, threads=1):
+    """The one numerical error record of identities_mc at 20 samples with
+    the config entry at `path` set to `value`."""
     shipped = pathlib.Path(__file__).parents[1] / "configs" / "identities_mc.json"
     payload = json.loads(shipped.read_text())
     payload["method"]["n_samples"] = 20
@@ -724,14 +718,33 @@ def test_identity_residuals_that_are_not_finite_exit_four(tmp_path, capsys, path
         target = target[key]
     target[path[-1]] = value
     cfg = write_config(tmp_path, "c.json", payload)
-    assert main(["verify-identities", "--config", cfg, "--out", str(tmp_path / "runs")]) == (
-        EXIT_NUMERICAL_ERROR
-    )
+    argv = ["verify-identities", "--config", cfg, "--threads", str(threads)]
+    assert main(argv + ["--out", str(tmp_path / "runs")]) == EXIT_NUMERICAL_ERROR
     err = capsys.readouterr().err
     assert "Traceback" not in err
     (line,) = err.strip().splitlines()
     record = json.loads(line)["error"]
     assert record["kind"] == "numerical"
     assert record["exit_code"] == EXIT_NUMERICAL_ERROR
-    assert "identity" in record["message"]
     assert not (tmp_path / "runs").exists()
+    return record
+
+
+# duhamel_kernel still warns on its way to the NaN
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("path, value", [(["beta"], 1e308)], ids=["huge-beta"])
+def test_identity_residuals_that_are_not_finite_exit_four(tmp_path, capsys, path, value):
+    # the Duhamel kernel is NaN at this beta: no residual may get a verdict
+    record = identities_numerical_error(tmp_path, capsys, path, value)
+    assert "identity" in record["message"]
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("threads", [1, 2])
+def test_a_softmax_overflow_exits_four_without_a_warning(tmp_path, capsys, threads):
+    # the Nishimori-line softmax raises on its overflow, in worker threads
+    # too, before any residual sees the classical columns
+    record = identities_numerical_error(
+        tmp_path, capsys, ["couplings", "2", "z"], {"mu": 1e154, "delta": 1}, threads
+    )
+    assert "Nishimori-line softmax of the batch from sample 0" in record["message"]

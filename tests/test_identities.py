@@ -577,12 +577,13 @@ def bounds_5site_config():
     return chain_config(5, beta=0.7, mu=0.6, with_field=False)
 
 
-def test_plan_computes_one_softmax_per_sample(monkeypatch):
+def test_plan_computes_one_softmax_per_batch(monkeypatch):
     calls = []
     real = BondProductTable.probabilities
 
     def counting(self, k_by_p, betas):
-        calls.append(1)
+        # stacked couplings: one (samples, bonds) array per p
+        calls.append(len(next(iter(k_by_p.values()))))
         return real(self, k_by_p, betas)
 
     monkeypatch.setattr(BondProductTable, "probabilities", counting)
@@ -590,13 +591,24 @@ def test_plan_computes_one_softmax_per_sample(monkeypatch):
     method = MonteCarlo(30, 77)
     mag, pairs = identities.MagnetizationBlock("z"), identities.PairMatrixBlock()
     chi = identities.SusceptibilityBlock("z", "z")
-    table = identities.Plan(cfg, [mag, pairs, chi], "x").evaluate(method)
-    assert len(calls) == 30
+    plan = identities.Plan(cfg, [mag, pairs, chi], "x")
+    table = plan.evaluate(method)
+    assert len(calls) == math.ceil(30 / plan.batch_size)
+    assert sum(calls) == 30
     assert mag.result(table) == magnetization_bound_check(cfg, "z", "x", method)
     assert np.array_equal(pairs.result(table), mean_pair_correlation(cfg, "x", method))
     # the susceptibility chain reads only its own columns: its report is the
     # same from a plan without the pair matrix block
     assert chi.result(table) == susceptibility_bound_check(cfg, "z", "z", "x", method)
+
+
+def test_a_model_without_couplings_gives_every_sample_the_uniform_measure():
+    # the classical table has no terms, so its one softmax row serves the batch
+    cfg = ModelConfig(lattice=build_lattice(1, 3), families={}, params=CouplingParams({}), beta=0.5)
+    mag, pairs = identities.MagnetizationBlock("z"), identities.PairMatrixBlock()
+    table = identities.Plan(cfg, [mag, pairs], "x").evaluate(MonteCarlo(20, 1))
+    assert np.array_equal(table.values(mag)[:, 3:], np.zeros((20, 3)))
+    assert np.array_equal(table.values(pairs), np.tile(np.eye(3).ravel(), (20, 1)))
 
 
 def test_shared_products_equal_table_expectations():
@@ -615,7 +627,7 @@ def test_shared_products_equal_table_expectations():
     for k in range(20):
         sample = sample_disorder(cfg.params, cfg.families, 1, k)
         k_by_p = nishimori_transform(sample, cfg.params, "x").k
-        prob = table.probabilities(k_by_p, plan.betas)
+        prob = table.probabilities({p: k[None] for p, k in k_by_p.items()}, plan.betas)[0]
         reference = [np.dot(np.prod(table.tau[:, c], axis=1), prob) for c in plan.site_sets]
         expected = table.expectations(k_by_p, plan.betas, plan.site_sets)
         assert np.array_equal(batch.products[k], expected)
