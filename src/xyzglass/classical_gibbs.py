@@ -61,6 +61,24 @@ def _tau_block(start: int, count: int, n_sites: int) -> np.ndarray:
     return 1.0 - 2.0 * bits
 
 
+def _index_mask(n_sites: int, sites: Sequence[int]) -> int:
+    """The configuration-index bits of a site set, in `_tau_block`'s
+    convention. A repeated site cancels, as tau_i^2 = 1 does in a product."""
+    mask = 0
+    for i in sites:
+        mask ^= 1 << (n_sites - 1 - i)
+    return mask
+
+
+def _product_signs(count: int, masks: Sequence[int]) -> np.ndarray:
+    """(count, len(masks)) spin products over configurations 0..count-1: the
+    product over a site set is -1 exactly when an odd number of its index
+    bits are set."""
+    idx = np.arange(count, dtype=np.uint32)[:, None]
+    odd = np.bitwise_count(idx & np.array(masks, dtype=np.uint32)) & 1
+    return np.where(odd, -1.0, 1.0)
+
+
 def _pair_columns(tau: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """tau_i tau_j for every column pair i <= j, and the column of (i, j)
     and of (j, i)."""
@@ -158,16 +176,18 @@ def correlation_matrix_to_csv(matrix: np.ndarray, path: str) -> None:
 class BondProductTable:
     """Precomputed configuration tables for fast repeated evaluation.
 
-    Caches the full spin table, the per-bond sign columns for one family
-    structure and the sign column of every site set it has evaluated, so
-    that per-sample Nishimori expectations reduce to a matrix product plus a
-    softmax. Limited to `ENUMERATION_SITE_CAP` sites, as the enumeration
-    above is.
+    Caches the per-bond sign columns for one family structure and the sign
+    column of every site set it has evaluated, so that per-sample
+    Nishimori expectations reduce to a matrix product plus a softmax. Every
+    sign column is read off the configuration index's bits, so no spin
+    table of 2^N rows is held. Limited to `ENUMERATION_SITE_CAP` sites, as
+    the enumeration above is.
 
-    `flip_invariant` is decided from the sign columns, never from coupling
-    values: when each reads the same on configuration i and on its global
-    flip 2^N-1-i (every bond holds an even number of sites), `term_signs`
-    keeps only the first 2^(N-1) rows.
+    `flip_invariant` is decided from the bonds' index masks, never from
+    coupling values: when every mask holds an even number of bits (every
+    bond holds an even number of distinct sites, counted with cancellation),
+    each sign column reads the same on configuration i and on its global
+    flip 2^N-1-i, and `term_signs` keeps only the first 2^(N-1) rows.
 
     The pair matrix splits the configuration index into its high bits
     (sites 0..k-1, k = N // 2) and low bits (sites k..N-1), with one spin
@@ -179,7 +199,6 @@ class BondProductTable:
         _check_cap(n_sites)
         self.n_sites = n_sites
         self.families = dict(families)
-        self.tau = _tau_block(0, 1 << n_sites, n_sites)
         k, nb = n_sites // 2, n_sites - n_sites // 2
         tau_a, tau_b = _tau_block(0, 1 << k, k), _tau_block(0, 1 << nb, nb)
         pairs_a, col_a = _pair_columns(tau_a)
@@ -195,21 +214,17 @@ class BondProductTable:
         index[k:, :k] = index[:k, k:].T
         index[:k, :k] = (k + col_a) * w + nb
         index[k:, k:] = (k + pairs_a.shape[1]) * w + col_b
-        cols = []
+        masks = []
         self._slices: dict[int, slice] = {}
-        pos = 0
         for p in sorted(families):
             bonds = families[p].bonds
-            for bond in bonds:
-                cols.append(np.prod(self.tau[:, bond], axis=1))
-            self._slices[p] = slice(pos, pos + len(bonds))
-            pos += len(bonds)
-        half = 1 << (n_sites - 1)
-        # configuration i and its flip 2^N-1-i are mirror rows; the full
-        # table is not stacked when the half is kept, to keep peak memory
-        self.flip_invariant = all(np.array_equal(c[half:], c[:half][::-1]) for c in cols)
-        rows = half if self.flip_invariant else 2 * half
-        self.term_signs = np.stack([c[:rows] for c in cols], axis=1) if cols else np.zeros((rows, 0))
+            self._slices[p] = slice(len(masks), len(masks) + len(bonds))
+            masks += [_index_mask(n_sites, bond) for bond in bonds]
+        # the global flip sets every index bit, so it turns a sign column
+        # into its mirror times (-1)^(bits of its mask)
+        self.flip_invariant = all(mask.bit_count() % 2 == 0 for mask in masks)
+        rows = 1 << (n_sites - self.flip_invariant)
+        self.term_signs = _product_signs(rows, masks)
         self._sign_columns: dict[tuple[int, ...], np.ndarray] = {}
 
     def probabilities(
@@ -226,11 +241,14 @@ class BondProductTable:
             coeff = np.empty((n_rows, self.term_signs.shape[1]))
             for p, sl in self._slices.items():
                 coeff[:, sl] = betas[p] * np.asarray(k_by_p[p])
-            logw = (self.term_signs[None] @ coeff[:, :, None])[..., 0]
-            w = np.exp(logw - np.max(logw, axis=1, keepdims=True))
+            # in place where the arithmetic allows: the bits are the same
+            w = (self.term_signs[None] @ coeff[:, :, None])[..., 0]
+            w -= np.max(w, axis=1, keepdims=True)
+            np.exp(w, out=w)
             if self.flip_invariant:
                 w = np.concatenate((w, w[:, ::-1]), axis=1)
-            return w / np.sum(w, axis=1, keepdims=True)
+            w /= np.sum(w, axis=1, keepdims=True)
+            return w
 
     def expectations(
         self,
@@ -259,7 +277,8 @@ class BondProductTable:
         """prod_{i in sites} tau_i over every configuration, made once per
         site set."""
         if sites not in self._sign_columns:
-            self._sign_columns[sites] = np.prod(self.tau[:, sites], axis=1)
+            mask = _index_mask(self.n_sites, sites)
+            self._sign_columns[sites] = _product_signs(1 << self.n_sites, [mask])[:, 0]
         return self._sign_columns[sites]
 
     def pair_matrix(

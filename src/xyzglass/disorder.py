@@ -206,7 +206,7 @@ class NishimoriRotation:
     constants made once: each p's Nishimori beta (`betas`), and the
     coupling-row columns, mean and std-dev of its active transformed
     components. Calling it on (rows x terms) coupling rows gives, per p,
-    (rows x bonds) arrays K and G.
+    the (rows x bonds) array K; `complement` gives G.
 
     K has mean beta_p and unit variance; G is the orthogonal unit-variance
     complement, uncorrelated with K, or None when at most one transformed
@@ -250,15 +250,11 @@ class NishimoriRotation:
             for p in sorted(families)
         }
 
-    def __call__(
-        self, rows: np.ndarray
-    ) -> tuple[dict[int, np.ndarray], dict[int, np.ndarray | None]]:
+    def __call__(self, rows: np.ndarray) -> dict[int, np.ndarray]:
         rows = np.asarray(rows)
         k: dict[int, np.ndarray] = {}
-        g: dict[int, np.ndarray | None] = {}
         for p, (n_bonds, active) in self._components.items():
             beta = self.betas[p]
-            g[p] = None
             if not active:
                 k[p] = np.zeros((rows.shape[0], n_bonds))
             elif len(active) == 1:
@@ -270,22 +266,33 @@ class NishimoriRotation:
                 jv, jw = rows[:, sv], rows[:, sw]
                 if beta > 0.0:
                     k[p] = ((mv / dv**2) * jv + (mw / dw**2) * jw) / beta
-                    g[p] = (mw * jv - mv * jw) / (beta * dv * dw)
                 else:
                     k[p] = jv / dv
-                    g[p] = jw / dw
-        return k, g
+        return k
+
+    def complement(self, rows: np.ndarray) -> dict[int, np.ndarray | None]:
+        """Per p, the (rows x bonds) complement G of K, or None."""
+        rows = np.asarray(rows)
+        g: dict[int, np.ndarray | None] = {}
+        for p, (_, active) in self._components.items():
+            beta = self.betas[p]
+            g[p] = None
+            if len(active) == 2:
+                (sv, mv, dv), (sw, mw, dw) = active
+                jv, jw = rows[:, sv], rows[:, sw]
+                g[p] = (mw * jv - mv * jw) / (beta * dv * dw) if beta > 0.0 else jw / dw
+        return g
 
 
 def nishimori_transform(sample: DisorderSample, params: CouplingParams, u: str) -> NishimoriData:
-    """The one-sample case of `NishimoriRotation`."""
+    """The one-sample case of `NishimoriRotation` and its complement."""
     rotation = NishimoriRotation(params, sample.families, u)
-    k, g = rotation(sample.row[None])
+    row = sample.row[None]
     return NishimoriData(
         axis=u,
         betas=rotation.betas,
-        k={p: rows[0] for p, rows in k.items()},
-        g={p: None if rows is None else rows[0] for p, rows in g.items()},
+        k={p: rows[0] for p, rows in rotation(row).items()},
+        g={p: None if rows is None else rows[0] for p, rows in rotation.complement(row).items()},
     )
 
 

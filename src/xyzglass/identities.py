@@ -7,20 +7,21 @@ Every check is a block of per-sample columns. A `Plan` evaluates any set of
 blocks in one disorder pass into a `ValueTable`, and each block reduces its
 columns to its result. The pass runs over batches of consecutive samples: per
 batch, one stack of coupling rows, one stacked Hamiltonian build, spectral
-decomposition and thermal state, and one Nishimori transform, then one
-Nishimori-line softmax per sample. A model that conserves the P_z parity is
+decomposition and thermal state, and one Nishimori transform and one
+stacked Nishimori-line softmax. A model that conserves the P_z parity is
 built and decomposed as two real parity blocks per sample, not one complex
 matrix. The public check functions are single-block plans."""
 
 from __future__ import annotations
 
+import contextlib
 import dataclasses
 import functools
 import math
 import sys
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import Callable, Iterable, Mapping, Protocol, Sequence
+from typing import Callable, Iterable, Iterator, Mapping, Protocol, Sequence
 
 import numpy as np
 from numpy.polynomial.hermite import hermgauss
@@ -218,16 +219,25 @@ def _site_tuple(sites: Iterable[int]) -> tuple[int, ...]:
 # ---------------------------------------------------------------------------
 
 
-#: Byte budget of a batch's largest stacked temporary. A plan evaluates its
-#: samples in batches of max(1, budget // (16 dim^2)) consecutive indices,
-#: one dim x dim complex matrix per sample: 32 samples at dim 16, 8 at dim
-#: 32, 2 at dim 64 and 1 from dim 128 on. The susceptibility stacks N
-#: string matrices per sample for the whole batch, N times the budget
-#: (under 1 MiB a stack up to 6 sites; from 7 sites on the batch is one
-#: sample), and the a2 stencil decomposes one field mean per stack. Past
-#: about 16 samples at dim 16 a bigger batch saves no time and costs peak
-#: memory.
+#: Byte budget of a batch's largest stacked temporary in a plan that reads
+#: the quantum state. Such a plan evaluates its samples in batches of
+#: max(1, budget // (16 dim^2)) consecutive indices, one dim x dim complex
+#: matrix per sample: 32 samples at dim 16, 8 at dim 32, 2 at dim 64 and 1
+#: from dim 128 on. The susceptibility stacks N string matrices per sample
+#: for the whole batch, N times the budget (under 1 MiB a stack up to 6
+#: sites; from 7 sites on the batch is one sample), and the a2 stencil
+#: decomposes one field mean per stack. Past about 16 samples at dim 16 a
+#: bigger batch saves no time and costs peak memory.
 _BATCH_BYTES = 128 * 1024
+
+#: Byte budget of the one stack of a plan that reads no quantum state: its
+#: (B, 2^N) float64 Nishimori-line probabilities, so B = max(1, budget //
+#: (8 2^N)): 4 samples at 14 sites, 16 at 12 and 64 at 10. On a 2-core Xeon
+#: (2 MiB L2 a core, one BLAS thread) the 14-site a1 run took a median
+#: 0.205, 0.159, 0.132, 0.117 and 0.189 s at B = 1, 2, 4, 8 and 16 (25 runs
+#: each, in process). At B = 16 the stack alone fills a core's L2; 512 KiB
+#: keeps a margin below that, with half the peak memory of B = 8.
+_LINE_BATCH_BYTES = 512 * 1024
 
 
 class _Batch:
@@ -249,18 +259,36 @@ class _Batch:
         self.rows = rows
         self._expectations: dict[PauliString, np.ndarray] = {}
 
+    @contextlib.contextmanager
+    def guard(self, stage: str) -> Iterator[None]:
+        """Run a stage of the batch with overflow, invalid values and division
+        by zero raised, and re-raise them as an ArithmeticError naming the
+        stage and the batch's first sample; underflow stays silent. numpy's
+        error state is per thread, so it is entered where the work runs, in
+        each `--threads` worker too."""
+        try:
+            with np.errstate(over="raise", invalid="raise", divide="raise"):
+                yield
+        except FloatingPointError as exc:
+            raise ArithmeticError(
+                f"{stage} of the batch from sample {self.indices[0]}: {exc}"
+            ) from exc
+
     @functools.cached_property
     def hamiltonians(self) -> SectorStack:
-        return self.plan.builder.build_rows(self.rows, self.plan.sectors)
+        with self.guard("Hamiltonian build"):
+            return self.plan.builder.build_rows(self.rows, self.plan.sectors)
 
     @functools.cached_property
     def state(self) -> ThermalState:
-        spectrum = spectral_decompose(self.hamiltonians, self.indices)
-        return thermal_state(spectrum, self.plan.config.beta)
+        with self.guard("thermal state"):
+            spectrum = spectral_decompose(self.hamiltonians, self.indices)
+            return thermal_state(spectrum, self.plan.config.beta)
 
     @functools.cached_property
     def duhamel_kernel(self) -> np.ndarray:
-        return duhamel_kernel(self.state)
+        with self.guard("Duhamel kernel"):
+            return duhamel_kernel(self.state)
 
     def expectations(self, ops: Sequence[PauliString]) -> np.ndarray:
         """(samples, len(ops)) thermal expectations, each string made once."""
@@ -277,13 +305,9 @@ class _Batch:
         stacked softmax per batch, shared by the spin products and the pair
         matrix."""
         plan = self.plan
-        k, _ = plan.nishimori(self.rows)
-        try:
+        k = plan.nishimori(self.rows)
+        with self.guard("Nishimori-line softmax"):
             prob = plan.classical_table.probabilities(k, plan.betas)
-        except FloatingPointError as exc:
-            raise ArithmeticError(
-                f"Nishimori-line softmax of the batch from sample {self.indices[0]}: {exc}"
-            ) from exc
         # a model without couplings has one uniform row for every sample
         return np.broadcast_to(prob, (len(self.rows), prob.shape[1]))
 
@@ -310,7 +334,8 @@ class Block(Protocol):
     count and its evaluator, which maps a batch of samples to a (samples,
     columns) array. Blocks are frozen dataclasses, so equal blocks share one
     set of columns. A block whose operators break the P_z parity sets
-    `keeps_parity` to False, and its plan then runs on the whole space.
+    `keeps_parity` to False, and its plan then runs on the whole space. A
+    block that reads only the Nishimori line sets `reads_state` to False.
     """
 
     def bind(self, plan: "Plan") -> tuple[int, Evaluator]: ...
@@ -324,7 +349,13 @@ class Plan:
     `u` is the gauge axis; blocks with a classical side need it. The
     quantum builder is made on first use, so classical-only plans never
     make it. Samples are evaluated in batches of `batch_size` consecutive
-    indices (see `_BATCH_BYTES`); threads split batches, not samples.
+    indices; threads split batches, not samples.
+
+    `reads_state` is decided here from the blocks, as `conserves_parity`
+    is: a block reads the quantum state unless it sets `reads_state` to
+    False, as `PairMatrixBlock` does, and an empty plan reads none. A plan
+    that reads it sizes its batches by `_BATCH_BYTES`; one that does not
+    never builds a Hamiltonian, and sizes them by `_LINE_BATCH_BYTES`.
 
     `conserves_parity` is decided here from the couplings' declaration and
     the blocks, never from drawn values: an active component whose terms
@@ -354,7 +385,11 @@ class Plan:
         bound = [block.bind(self) for block in self.blocks]
         self.widths = tuple(width for width, _ in bound)
         self._evaluators = tuple(evaluate for _, evaluate in bound)
-        self.batch_size = max(1, _BATCH_BYTES // (16 * 4**self.n_sites))
+        self.reads_state = any(getattr(block, "reads_state", True) for block in self.blocks)
+        if self.reads_state:
+            self.batch_size = max(1, _BATCH_BYTES // (16 * 4**self.n_sites))
+        else:
+            self.batch_size = max(1, _LINE_BATCH_BYTES // (8 * 2**self.n_sites))
 
     @functools.cached_property
     def builder(self) -> HamiltonianBuilder:
@@ -897,7 +932,10 @@ def magnetization_bound_check(
 @dataclass(frozen=True)
 class PairMatrixBlock:
     """The Nishimori-line pair matrix <tau_i tau_j>_N per sample (N^2
-    columns), shared by the correlation sum and the correlation export."""
+    columns), shared by the correlation sum and the correlation export. It
+    reads no quantum state."""
+
+    reads_state = False
 
     def bind(self, plan: Plan) -> tuple[int, Evaluator]:
         plan.require_classical()
@@ -1086,9 +1124,9 @@ class FieldStencilBlock:
         def magnetization(s: _Batch, mean: float) -> np.ndarray:
             """Per sample, the magnetization at field mean `mean`: one stack of
             the batch's shifted Hamiltonians, within the batch byte budget."""
-            shifted = SectorStack(s.hamiltonians.blocks + mean * field, sectors)
-            spectrum = spectral_decompose(shifted, s.indices)
-            state = thermal_state(spectrum, beta)
+            with s.guard("field-shifted thermal state"):
+                shifted = SectorStack(s.hamiltonians.blocks + mean * field, sectors)
+                state = thermal_state(spectral_decompose(shifted, s.indices), beta)
             return np.sum(string_expectations(state, order), axis=-1) / n
 
         def evaluate(s: _Batch) -> np.ndarray:

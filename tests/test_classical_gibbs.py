@@ -17,8 +17,9 @@ from xyzglass.classical_gibbs import (
 )
 from xyzglass.disorder import CouplingParams, nishimori_transform, sample_disorder
 from xyzglass.errors import CapacityError
-from xyzglass.identities import ModelConfig, Plan
+from xyzglass.identities import MagnetizationBlock, ModelConfig, PairMatrixBlock, Plan
 from xyzglass.lattice import (
+    BondFamily,
     build_lattice,
     chain_pair_shape,
     generate_bonds,
@@ -231,12 +232,25 @@ def test_pair_matrix_matches_per_bond_enumeration(model):
     assert np.max(np.abs(np.diag(pair) - 1.0)) <= 1e-14
 
 
-def per_sample_probabilities(table, families, betas, k_by_p):
+def spin_table(n_sites):
+    """(2^N, N) spins +-1: site i reads bit N-1-i of the configuration index,
+    bit 0 meaning +1."""
+    idx = np.arange(1 << n_sites)[:, None]
+    return 1.0 - 2.0 * ((idx >> (n_sites - 1 - np.arange(n_sites))) & 1)
+
+
+def sign_table(n_sites, families):
+    """(2^N, bonds) products of the spins of each bond, in term order."""
+    tau = spin_table(n_sites)
+    cols = [np.prod(tau[:, bond], axis=1) for p in sorted(families)
+            for bond in families[p].bonds]
+    return np.stack(cols, axis=1) if cols else np.zeros((len(tau), 0))
+
+
+def per_sample_probabilities(n_sites, families, betas, k_by_p):
     """The one-sample softmax over the full sign table, written out: the
     arithmetic whose bits the stacked softmax must keep."""
-    cols = [np.prod(table.tau[:, bond], axis=1) for p in sorted(families)
-            for bond in families[p].bonds]
-    signs = np.stack(cols, axis=1) if cols else np.zeros((len(table.tau), 0))
+    signs = sign_table(n_sites, families)
     coeff = np.array([betas[p] * k for p in sorted(families) for k in k_by_p[p]])
     logw = signs @ coeff
     w = np.exp(logw - np.max(logw))
@@ -249,9 +263,9 @@ def assert_stacked_rows_keep_their_bits(n_sites, families, betas, n_rows, seed):
     # whose every bond is such keeps half of the configurations
     invariant = all(p % 2 == 0 for p in families)
     assert table.flip_invariant == invariant
-    assert table.term_signs.shape == (
-        1 << (n_sites - invariant), sum(len(f.bonds) for f in families.values())
-    )
+    signs = sign_table(n_sites, families)
+    # the kept rows are the written-out products, read off the index bits
+    assert np.array_equal(table.term_signs, signs[: 1 << (n_sites - invariant)])
     rng = np.random.default_rng(seed)
     k = {p: rng.normal(size=(n_rows, len(f.bonds))) for p, f in families.items()}
     stacked = table.probabilities(k, betas)
@@ -259,9 +273,27 @@ def assert_stacked_rows_keep_their_bits(n_sites, families, betas, n_rows, seed):
     assert stacked.shape == (n_rows if families else 1, 1 << n_sites)
     for i in range(len(stacked)):
         row = {p: rows[i] for p, rows in k.items()}
-        assert np.array_equal(stacked[i], per_sample_probabilities(table, families, betas, row))
+        assert np.array_equal(stacked[i], per_sample_probabilities(n_sites, families, betas, row))
         single = table.probabilities({p: rows[i : i + 1] for p, rows in k.items()}, betas)
         assert np.array_equal(single[0], stacked[i])
+
+
+def test_a_repeated_bond_site_cancels_in_its_signs():
+    # tau_0^2 = 1: bond (0, 0, 1) reads as tau_1 and breaks the flip
+    # symmetry, and (0, 1, 1, 2) reads as tau_0 tau_2 and keeps it
+    for bonds, invariant in ((((0, 0, 1),), False), (((0, 1, 1, 2),), True)):
+        p = len(bonds[0])
+        families = {p: BondFamily(p, bonds, "open")}
+        table = BondProductTable(3, families)
+        assert table.flip_invariant == invariant
+        assert np.array_equal(table.term_signs, sign_table(3, families)[: 8 >> invariant])
+        # a site set's sign column follows the same rule
+        k, betas = {p: np.array([0.7])}, {p: 1.0}
+        prob = table.probabilities({p: k[p][None]}, betas)[0]
+        sets = [bonds[0], (1,), (0, 2)]
+        expected = [np.dot(np.prod(spin_table(3)[:, s], axis=1), prob) for s in sets]
+        assert np.array_equal(table.expectations(k, betas, sets), expected)
+        assert np.count_nonzero(expected) == 2
 
 
 @settings(max_examples=60, deadline=None)
@@ -271,18 +303,26 @@ def test_stacked_softmax_keeps_the_per_sample_bits(model, n_rows, seed):
 
 
 @pytest.mark.parametrize(
-    "n, boundary, orders",
-    [(14, "periodic", (2, 4)), (5, "open", (2,)), (5, "open", (1, 2)), (6, "periodic", (2, 3))],
+    "n, boundary, orders, block, batch_size",
+    [
+        # the a1-only plan reads no quantum state: its batch is sized by
+        # the probabilities alone
+        (14, "periodic", (2, 4), PairMatrixBlock(), 4),
+        (5, "open", (2,), MagnetizationBlock("z"), 8),
+        (5, "open", (1, 2), MagnetizationBlock("z"), 8),
+        (6, "periodic", (2, 3), MagnetizationBlock("z"), 2),
+    ],
     ids=["classical-14site", "bounds-5site", "odd-field", "odd-triple"],
 )
-def test_stacked_softmax_keeps_the_bits_at_plan_batch_sizes(n, boundary, orders):
+def test_stacked_softmax_keeps_the_bits_at_plan_batch_sizes(n, boundary, orders, block, batch_size):
     lat = build_lattice(1, n)
     fams = {
         p: generate_bonds(lat, interaction_shape([[i] for i in range(p)]), boundary)
         for p in orders
     }
     params = CouplingParams({p: {a: (0.4, 0.8) for a in "xyz"} for p in orders})
-    plan = Plan(ModelConfig(lat, fams, params, beta=0.7), [], "x")
+    plan = Plan(ModelConfig(lat, fams, params, beta=0.7), [block], "x")
+    assert plan.batch_size == batch_size
     assert_stacked_rows_keep_their_bits(n, fams, {p: 0.5 * p for p in orders}, plan.batch_size, n)
 
 

@@ -1,5 +1,6 @@
 import ast
 import dataclasses
+import importlib.util
 import json
 import math
 import os
@@ -584,6 +585,31 @@ def test_overflowing_nishimori_ratio_exits_two_before_sampling(
     assert not (tmp_path / "runs").exists()
 
 
+def test_workload_plans_keep_or_gain_their_batch_sizes(tmp_path, monkeypatch):
+    # the plans that read the quantum state keep the quantum byte budget; the
+    # a1-only plan reads only the Nishimori line and batches by its rows
+    bench = pathlib.Path(__file__).parents[1] / "bench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("workloads", bench)
+    workloads = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+    sizes = {}
+    real = identities.Plan.evaluate
+
+    def recording(plan, method):
+        sizes.setdefault(name, set()).add(plan.batch_size)
+        return real(plan, method)
+
+    monkeypatch.setattr(identities.Plan, "evaluate", recording)
+    for name in workloads.WORKLOADS:
+        subcommand, payload = workloads.make_config(name, 1)
+        payload["method"]["n_samples"] = 2
+        cfg = write_config(tmp_path, f"{name}.json", payload)
+        main([subcommand, "--config", cfg, "--out", str(tmp_path / "runs")])
+    assert sizes == {
+        "mc-small": {32}, "ed-8site": {1}, "bounds-5site": {8}, "classical-14site": {4}
+    }
+
+
 @pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize("step", [1e-300, 1e-103, 1e300], ids=["h-underflows", "h3-subnormal", "h3-overflows"])
 def test_a2_step_without_normal_powers_exits_two_before_sampling(
@@ -658,6 +684,27 @@ def test_chain_numbers_that_are_not_finite_exit_four(tmp_path, capsys):
     assert not (tmp_path / "runs").exists()
 
 
+@pytest.mark.filterwarnings("error")
+def test_a_stencil_overflow_exits_four_without_a_warning(tmp_path, capsys):
+    # beta (E - E_min) overflows in the a2 stencil's field-shifted thermal
+    # states, which the batch's own state does not cover
+    shipped = pathlib.Path(__file__).parents[1] / "configs" / "bounds_mc.json"
+    payload = json.loads(shipped.read_text())
+    payload["method"]["n_samples"] = 20
+    payload["bounds"]["checks"] = ["a2"]
+    payload["beta"] = 1e308
+    cfg = write_config(tmp_path, "c.json", payload)
+    assert main(["verify-bounds", "--config", cfg, "--out", str(tmp_path / "runs")]) == (
+        EXIT_NUMERICAL_ERROR
+    )
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    (line,) = err.strip().splitlines()
+    record = json.loads(line)["error"]
+    assert "field-shifted thermal state of the batch from sample 0" in record["message"]
+    assert not (tmp_path / "runs").exists()
+
+
 @pytest.mark.parametrize(
     "method, key",
     [({"kind": "mc", "n_samples": 1}, "n_samples"),
@@ -707,16 +754,17 @@ def test_flip_symmetry_rule():
             flip_symmetric(second)
 
 
-def identities_numerical_error(tmp_path, capsys, path, value, threads=1):
+def identities_numerical_error(tmp_path, capsys, changes, threads=1):
     """The one numerical error record of identities_mc at 20 samples with
-    the config entry at `path` set to `value`."""
+    each config entry at a path of `changes` set to its value."""
     shipped = pathlib.Path(__file__).parents[1] / "configs" / "identities_mc.json"
     payload = json.loads(shipped.read_text())
     payload["method"]["n_samples"] = 20
-    target = payload
-    for key in path[:-1]:
-        target = target[key]
-    target[path[-1]] = value
+    for path, value in changes.items():
+        target = payload
+        for key in path[:-1]:
+            target = target[key]
+        target[path[-1]] = value
     cfg = write_config(tmp_path, "c.json", payload)
     argv = ["verify-identities", "--config", cfg, "--threads", str(threads)]
     assert main(argv + ["--out", str(tmp_path / "runs")]) == EXIT_NUMERICAL_ERROR
@@ -730,13 +778,34 @@ def identities_numerical_error(tmp_path, capsys, path, value, threads=1):
     return record
 
 
-# duhamel_kernel still warns on its way to the NaN
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
-@pytest.mark.parametrize("path, value", [(["beta"], 1e308)], ids=["huge-beta"])
-def test_identity_residuals_that_are_not_finite_exit_four(tmp_path, capsys, path, value):
-    # the Duhamel kernel is NaN at this beta: no residual may get a verdict
-    record = identities_numerical_error(tmp_path, capsys, path, value)
-    assert "identity" in record["message"]
+_HUGE_Z = {"mu": 1.5e308, "delta": 0}
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize(
+    "changes, stage",
+    [
+        # beta (E - E_min) overflows: the thermal weights, the partition sum
+        # and the Duhamel kernel would all be inf or NaN
+        ({("beta",): 1e308}, "thermal state"),
+        # the z couplings are not transformed under a z gauge, so a point mass
+        # may sit there; their sum on the diagonal overflows
+        (
+            {
+                ("gauge_axis",): "z", ("observables", "axis"): "x",
+                ("couplings", "1", "z"): _HUGE_Z, ("couplings", "2", "z"): _HUGE_Z,
+            },
+            "Hamiltonian build",
+        ),
+    ],
+    ids=["huge-beta", "z-gauge-sum-overflows"],
+)
+def test_identity_residuals_that_are_not_finite_exit_four(tmp_path, capsys, changes, stage):
+    # the batch stage raises on its overflow, in worker threads too, and
+    # warns nothing: no residual gets a verdict on a number that is not finite
+    for threads in (1, 2):
+        record = identities_numerical_error(tmp_path, capsys, changes, threads)
+        assert f"{stage} of the batch from sample 0" in record["message"]
 
 
 @pytest.mark.filterwarnings("error")
@@ -745,6 +814,6 @@ def test_a_softmax_overflow_exits_four_without_a_warning(tmp_path, capsys, threa
     # the Nishimori-line softmax raises on its overflow, in worker threads
     # too, before any residual sees the classical columns
     record = identities_numerical_error(
-        tmp_path, capsys, ["couplings", "2", "z"], {"mu": 1e154, "delta": 1}, threads
+        tmp_path, capsys, {("couplings", "2", "z"): {"mu": 1e154, "delta": 1}}, threads
     )
     assert "Nishimori-line softmax of the batch from sample 0" in record["message"]

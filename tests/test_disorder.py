@@ -115,7 +115,7 @@ def test_stacked_nishimori_rows_equal_per_sample_transforms(u):
     rows = np.stack([draw_row(mu, delta, 12, k) for k in range(40)])
     rotation = NishimoriRotation(params, fams, u)
     betas = rotation.betas
-    ks, gs = rotation(rows)
+    ks, gs = rotation(rows), rotation.complement(rows)
     for k in range(40):
         nd = nishimori_transform(sample_disorder(params, fams, 12, k), params, u)
         assert betas == nd.betas

@@ -37,7 +37,13 @@ from xyzglass.identities import (
     three_point_identity,
     two_point_identities,
 )
-from xyzglass.lattice import build_lattice, chain_pair_shape, generate_bonds, single_site_shape
+from xyzglass.lattice import (
+    build_lattice,
+    chain_pair_shape,
+    generate_bonds,
+    interaction_shape,
+    single_site_shape,
+)
 from xyzglass.operators import PauliString, parity_sectors, pauli_product, pauli_site
 from xyzglass.quantum_gibbs import (
     HamiltonianBuilder,
@@ -620,6 +626,9 @@ def test_shared_products_equal_table_expectations():
         cfg, [identities.MagnetizationBlock("z"), identities.PairMatrixBlock()], "x"
     )
     table = plan.classical_table
+    # the spins of every configuration, site i at index bit N-1-i
+    n = cfg.lattice.n_sites
+    tau = 1.0 - 2.0 * ((np.arange(1 << n)[:, None] >> (n - 1 - np.arange(n))) & 1)
     mu, delta = coupling_law(cfg.params, cfg.families)
     batch = identities._Batch(
         plan, range(20), np.stack([draw_row(mu, delta, 1, k) for k in range(20)])
@@ -628,7 +637,7 @@ def test_shared_products_equal_table_expectations():
         sample = sample_disorder(cfg.params, cfg.families, 1, k)
         k_by_p = nishimori_transform(sample, cfg.params, "x").k
         prob = table.probabilities({p: k[None] for p, k in k_by_p.items()}, plan.betas)[0]
-        reference = [np.dot(np.prod(table.tau[:, c], axis=1), prob) for c in plan.site_sets]
+        reference = [np.dot(np.prod(tau[:, c], axis=1), prob) for c in plan.site_sets]
         expected = table.expectations(k_by_p, plan.betas, plan.site_sets)
         assert np.array_equal(batch.products[k], expected)
         assert np.array_equal(batch.products[k], reference)
@@ -702,6 +711,50 @@ def test_batch_size_rule():
     # the susceptibility stacks N matrices per sample but keeps the plan's batch
     chain = identities.Plan(bounds_5site_config(), [identities.SusceptibilityBlock("z", "z")], "x")
     assert chain.batch_size == 8
+
+
+def classical_14site_config():
+    # the classical-14site benchmark model: p = 2 and p = 4 on a periodic chain
+    lat = build_lattice(1, 14)
+    fams = {
+        p: generate_bonds(lat, interaction_shape([[i] for i in range(p)]), "periodic")
+        for p in (2, 4)
+    }
+    params = CouplingParams({p: {a: (0.4, 0.8) for a in "xyz"} for p in fams})
+    return ModelConfig(lattice=lat, families=fams, params=params, beta=0.7)
+
+
+def test_a_plan_that_reads_no_state_sizes_its_batch_by_its_probabilities():
+    # the pair matrix reads only the Nishimori line: its batch is sized by the
+    # (B, 2^N) float64 probabilities, not by a dim x dim matrix never built
+    pairs, one_point = identities.PairMatrixBlock(), identities.OnePointBlock([0], "z")
+    sizes = {}
+    for L in (4, 10, 12):
+        plan = identities.Plan(chain_config(L), [pairs], "x")
+        assert not plan.reads_state
+        sizes[L] = plan.batch_size
+    plan = identities.Plan(classical_14site_config(), [pairs], "x")
+    sizes[14] = plan.batch_size
+    assert sizes == {4: 4096, 10: 64, 12: 16, 14: 4}
+    assert "builder" not in vars(plan)
+    # an empty plan reads no state either; any block that reads it brings
+    # back the quantum budget
+    assert not identities.Plan(chain_config(4), [], "x").reads_state
+    mixed = identities.Plan(chain_config(4), [pairs, one_point], "x")
+    assert mixed.reads_state and mixed.batch_size == 32
+
+
+def test_a_classical_only_plan_gives_the_same_columns_at_any_batch():
+    pairs = identities.PairMatrixBlock()
+    plan = identities.Plan(classical_14site_config(), [pairs], "x")
+    n = 2 * plan.batch_size + 3
+    single, production, odd = plan_tables_at_batch_sizes(
+        plan, MonteCarlo(n, 19), [1, plan.batch_size, 3]
+    )
+    threaded = plan.evaluate(MonteCarlo(n, 19, threads=2))
+    extended = plan.evaluate(MonteCarlo(5, 19)).extend(n)
+    for table in (production, odd, threaded, extended):
+        assert np.array_equal(table.values(pairs), single.values(pairs))
 
 
 def grid_node_row(spec, idx, std_nodes):
