@@ -225,9 +225,12 @@ def _site_tuple(sites: Iterable[int]) -> tuple[int, ...]:
 #: matrix per sample: 32 samples at dim 16, 8 at dim 32, 2 at dim 64 and 1
 #: from dim 128 on. The susceptibility stacks N string matrices per sample
 #: for the whole batch, N times the budget (under 1 MiB a stack up to 6
-#: sites; from 7 sites on the batch is one sample), and the a2 stencil
-#: decomposes one field mean per stack. Past about 16 samples at dim 16 a
-#: bigger batch saves no time and costs peak memory.
+#: sites; from 7 sites on the batch is one sample). The a2 stencil stacks
+#: max(1, budget // (B bytes)) of its four field means, one Hamiltonian of
+#: `bytes` in the plan's sectors per sample and mean: all four on parity
+#: blocks up to 6 sites, two at 7 and one from 8 sites on or on the whole
+#: space. Past about 16 samples at dim 16 a bigger batch saves no time and
+#: costs peak memory.
 _BATCH_BYTES = 128 * 1024
 
 #: Byte budget of the one stack of a plan that reads no quantum state: its
@@ -246,7 +249,9 @@ class _Batch:
     states, the Duhamel kernels and string expectations on the quantum side;
     the Nishimori-line couplings, configuration probabilities, the plan's
     spin products and the pair matrices on the classical side. A block that
-    never asks for the state costs no diagonalization.
+    never asks for the state costs no diagonalization. A block may stack
+    more rows a sample of its own, as the a2 stencil stacks its field means,
+    and labels them by the sample's index.
 
     Every stacked operation treats the rows independently, so a sample's
     values do not depend on the batch it falls in. The classical side makes
@@ -262,14 +267,16 @@ class _Batch:
     @contextlib.contextmanager
     def guard(self, stage: str) -> Iterator[None]:
         """Run a stage of the batch with overflow, invalid values and division
-        by zero raised, and re-raise them as an ArithmeticError naming the
-        stage and the batch's first sample; underflow stays silent. numpy's
-        error state is per thread, so it is entered where the work runs, in
-        each `--threads` worker too."""
+        by zero raised, and re-raise them, and the stage's failed spectral
+        self-checks, as an ArithmeticError naming the stage and the batch's
+        first sample; underflow stays silent. A stage makes the stages it
+        reads before it enters its own guard. numpy's error state is per
+        thread, so it is entered where the work runs, in each `--threads`
+        worker too."""
         try:
             with np.errstate(over="raise", invalid="raise", divide="raise"):
                 yield
-        except FloatingPointError as exc:
+        except ArithmeticError as exc:
             raise ArithmeticError(
                 f"{stage} of the batch from sample {self.indices[0]}: {exc}"
             ) from exc
@@ -281,14 +288,16 @@ class _Batch:
 
     @functools.cached_property
     def state(self) -> ThermalState:
+        hamiltonians = self.hamiltonians
         with self.guard("thermal state"):
-            spectrum = spectral_decompose(self.hamiltonians, self.indices)
+            spectrum = spectral_decompose(hamiltonians, self.indices)
             return thermal_state(spectrum, self.plan.config.beta)
 
     @functools.cached_property
     def duhamel_kernel(self) -> np.ndarray:
+        state = self.state
         with self.guard("Duhamel kernel"):
-            return duhamel_kernel(self.state)
+            return duhamel_kernel(state)
 
     def expectations(self, ops: Sequence[PauliString]) -> np.ndarray:
         """(samples, len(ops)) thermal expectations, each string made once."""
@@ -382,14 +391,14 @@ class Plan:
             for p, family in config.families.items()
             for axis in ("x", "y")
         )
-        bound = [block.bind(self) for block in self.blocks]
-        self.widths = tuple(width for width, _ in bound)
-        self._evaluators = tuple(evaluate for _, evaluate in bound)
         self.reads_state = any(getattr(block, "reads_state", True) for block in self.blocks)
         if self.reads_state:
             self.batch_size = max(1, _BATCH_BYTES // (16 * 4**self.n_sites))
         else:
             self.batch_size = max(1, _LINE_BATCH_BYTES // (8 * 2**self.n_sites))
+        bound = [block.bind(self) for block in self.blocks]
+        self.widths = tuple(width for width, _ in bound)
+        self._evaluators = tuple(evaluate for _, evaluate in bound)
 
     @functools.cached_property
     def builder(self) -> HamiltonianBuilder:
@@ -514,11 +523,17 @@ class ValueTable:
 
     def se(self, values: np.ndarray) -> np.ndarray:
         """The standard error of each column's mean: std(ddof=1) / sqrt(n)
-        for Monte Carlo (0 when n < 2); a quadrature mean has none."""
+        for Monte Carlo (0 when n < 2); a quadrature mean has none. Values
+        whose squared spread overflows, as log Z / N does near beta 1e300,
+        raise an ArithmeticError rather than report an infinite error."""
         n = values.shape[0]
         if not self.is_mc or n < 2:
             return np.zeros(values.shape[1:])
-        return values.std(axis=0, ddof=1) / math.sqrt(n)
+        try:
+            with np.errstate(over="raise"):
+                return values.std(axis=0, ddof=1) / math.sqrt(n)
+        except FloatingPointError as exc:
+            raise ArithmeticError(f"the standard error of a disorder mean overflows: {exc}") from exc
 
     def jackknife_se(self, values: np.ndarray, statistic: Callable[[np.ndarray], float]) -> float:
         """The leave-one-out standard error of a statistic of the column
@@ -1082,7 +1097,10 @@ class FieldStencilBlock:
     columns). The zero-field point is the sample's own state, so the
     shifted Hamiltonians use the plan's sectors: a z field keeps the P_z
     parity, and an x or y field breaks it and keeps its plan on the whole
-    space."""
+    space. The four shifted means of a batch go through one stacked
+    decomposition, thermal state and string expectation when the batch
+    byte budget holds them (`_BATCH_BYTES`), else through two or four, as
+    the plan decides when it binds the block."""
 
     v: str
     w: str
@@ -1119,18 +1137,25 @@ class FieldStencilBlock:
         order = [plan.string(s, self.w) for s in _single_sites(n)]
         beta = plan.config.beta
         # the four nonzero field means; the zero-field point is the base state
-        mus = (-2 * h, -h, h, 2 * h)
-
-        def magnetization(s: _Batch, mean: float) -> np.ndarray:
-            """Per sample, the magnetization at field mean `mean`: one stack of
-            the batch's shifted Hamiltonians, within the batch byte budget."""
-            with s.guard("field-shifted thermal state"):
-                shifted = SectorStack(s.hamiltonians.blocks + mean * field, sectors)
-                state = thermal_state(spectral_decompose(shifted, s.indices), beta)
-            return np.sum(string_expectations(state, order), axis=-1) / n
+        mus = np.array([-2 * h, -h, h, 2 * h], dtype=float)
+        # as many means per stack as keep it within the batch byte budget
+        hamiltonian_bytes = sectors.count * sectors.size**2 * np.dtype(sectors.dtype).itemsize
+        per_stack = max(1, _BATCH_BYTES // (plan.batch_size * hamiltonian_bytes))
 
         def evaluate(s: _Batch) -> np.ndarray:
-            m_minus2, m_minus1, m_plus1, m_plus2 = (magnetization(s, mean) for mean in mus)
+            base = s.hamiltonians.blocks
+            m = []
+            for first in range(0, len(mus), per_stack):
+                means = mus[first : first + per_stack]
+                # row k B + b is sample b at means[k]
+                labels = list(s.indices) * len(means)
+                with s.guard("field-shifted thermal state"):
+                    shifted = base + means[:, None, None, None, None] * field
+                    stack = SectorStack(shifted.reshape((-1,) + base.shape[1:]), sectors)
+                    state = thermal_state(spectral_decompose(stack, labels), beta)
+                values = np.sum(string_expectations(state, order), axis=-1) / n
+                m.extend(values.reshape(len(means), -1))
+            m_minus2, m_minus1, m_plus1, m_plus2 = m
             m_zero = np.sum(s.expectations(order), axis=-1) / n
             third = (m_plus2 - 2 * m_plus1 + 2 * m_minus1 - m_minus2) / (2 * h**3)
             second = (m_plus1 - 2 * m_zero + m_minus1) / h**2

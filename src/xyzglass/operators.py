@@ -175,11 +175,14 @@ class PauliString:
         """op @ v, one row gather, for matrices of column vectors held as one
         block per sector, (..., S, d, k): the result's block s is the image
         of block s, in the basis of sector `sector_map(sectors)[0][s]`. On
-        `whole_space`, v is (..., 1, dim, k)."""
+        `whole_space`, v is (..., 1, dim, k). A string without a flip (any z
+        string) maps every row onto itself and gathers nothing."""
         v = np.asarray(v)
         _, rows, phases = self.sector_map(sectors)
         stacked = v.reshape(v.shape[:-3] + (-1, v.shape[-1]))
-        return (phases[:, None] * stacked[..., rows, :]).reshape(v.shape)
+        if self.flip:
+            stacked = stacked[..., rows, :]
+        return (phases[:, None] * stacked).reshape(v.shape)
 
     def dense(self) -> np.ndarray:
         """The 2^N x 2^N matrix; equals `pauli_product` on the same sites."""

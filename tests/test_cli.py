@@ -1,15 +1,20 @@
 import ast
+import contextlib
 import dataclasses
 import importlib.util
+import io
 import json
 import math
 import os
 import pathlib
 import subprocess
 import sys
+import tempfile
 
 import jsonschema
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from xyzglass import cli, identities
 from xyzglass.cli import (
@@ -817,3 +822,104 @@ def test_a_softmax_overflow_exits_four_without_a_warning(tmp_path, capsys, threa
         tmp_path, capsys, {("couplings", "2", "z"): {"mu": 1e154, "delta": 1}}, threads
     )
     assert "Nishimori-line softmax of the batch from sample 0" in record["message"]
+
+
+_SHIPPED = pathlib.Path(__file__).parents[1] / "configs"
+
+_SUBCOMMANDS = {
+    "bounds_mc": "verify-bounds",
+    "identities_mc": "verify-identities",
+    "identities_quadrature": "verify-identities",
+    "order_params": "order-params",
+    "phase_region": "phase-region",
+}
+
+
+def shrunk_config(name):
+    """A shipped config at 20 samples or 2 nodes a dimension, with a 5-point
+    phase grid; every shipped lattice has at most 4 sites."""
+    payload = json.loads((_SHIPPED / f"{name}.json").read_text())
+    assert payload.get("lattice", {"L": 1})["L"] <= 4
+    method = payload.get("method", {})
+    if "n_samples" in method:
+        method["n_samples"] = 20
+    if "nodes_per_dim" in method:
+        method["nodes_per_dim"] = 2
+    for axis in payload.get("phase_grid", {}).values():
+        axis[2] = 5
+    return payload
+
+
+def config_paths(node, path=()):
+    """The key path of every entry of a config tree, depth first."""
+    if isinstance(node, dict):
+        items = node.items()
+    elif isinstance(node, list):
+        items = enumerate(node)
+    else:
+        return
+    for key, child in items:
+        yield path + (key,)
+        yield from config_paths(child, path + (key,))
+
+
+def sets_a_size(path):
+    """Whether the entry sizes an allocation: the lattice, the sample count,
+    the quadrature grid or a phase grid's point count. The fuzz test leaves
+    them alone."""
+    sizes = {("lattice", "L"), ("lattice", "d"), ("method", "n_samples"), ("method", "nodes_per_dim")}
+    return path in sizes or (path[0] == "phase_grid" and path[2:] == (2,))
+
+
+#: One change of one config entry: name -> the new value from the old one.
+#: 4 is a site past every shrunk lattice.
+_FUZZ_CHANGES = {
+    "zero": lambda old: 0,
+    "negative": lambda old: -1,
+    "1e300": lambda old: 1e300,
+    "1e-300": lambda old: 1e-300,
+    "1e154": lambda old: 1e154,
+    "1e-154": lambda old: 1e-154,
+    "wrong type": lambda old: 1 if isinstance(old, str) else "x",
+    "out-of-range site": lambda old: 4 if isinstance(old, int) else [4],
+    "empty list": lambda old: [],
+}
+
+
+@st.composite
+def fuzzed_configs(draw):
+    """(subcommand, config, threads): a shrunk shipped config with one entry
+    changed, and at most 2 threads."""
+    name = draw(st.sampled_from(sorted(_SUBCOMMANDS)))
+    payload = shrunk_config(name)
+    path = draw(st.sampled_from([p for p in config_paths(payload) if not sets_a_size(p)]))
+    change = draw(st.sampled_from(sorted(_FUZZ_CHANGES)))
+    target = payload
+    for key in path[:-1]:
+        target = target[key]
+    target[path[-1]] = _FUZZ_CHANGES[change](target[path[-1]])
+    return _SUBCOMMANDS[name], payload, draw(st.integers(1, 2))
+
+
+@pytest.mark.filterwarnings("error")
+@settings(max_examples=400, deadline=None, derandomize=True, database=None)
+@given(fuzzed_configs())
+def test_a_fuzzed_config_ends_in_a_typed_exit(case):
+    # in process and with warnings as errors: every run ends in a report or
+    # in exactly one JSON error record, never in a traceback
+    subcommand, payload, threads = case
+    with tempfile.TemporaryDirectory() as tmp:
+        cfg = write_config(pathlib.Path(tmp), "c.json", payload)
+        out = pathlib.Path(tmp) / "runs"
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+            code = main([subcommand, "--config", cfg, "--threads", str(threads), "--out", str(out)])
+        assert code in (EXIT_OK, EXIT_CHECK_FAILED, EXIT_CONFIG_ERROR, EXIT_CAPACITY_ERROR,
+                        EXIT_NUMERICAL_ERROR)
+        assert "Traceback" not in err.getvalue()
+        if code in (EXIT_OK, EXIT_CHECK_FAILED):
+            assert err.getvalue() == ""
+        else:
+            (line,) = err.getvalue().strip().splitlines()
+            assert json.loads(line)["error"]["exit_code"] == code
+            assert not out.exists()

@@ -44,7 +44,7 @@ from xyzglass.lattice import (
     interaction_shape,
     single_site_shape,
 )
-from xyzglass.operators import PauliString, parity_sectors, pauli_product, pauli_site
+from xyzglass.operators import PauliString, parity_sectors, pauli_product, pauli_site, whole_space
 from xyzglass.quantum_gibbs import (
     HamiltonianBuilder,
     SectorStack,
@@ -666,9 +666,19 @@ def plan_tables_at_batch_sizes(plan, method, sizes):
             ],
             "x",
         ),
+        # a z field keeps the parity sectors, and the stencil stacks its four
+        # field means in one decomposition
+        (
+            bounds_5site_config(),
+            [
+                identities.MagnetizationBlock("z"), identities.SusceptibilityBlock("z", "z"),
+                identities.FieldStencilBlock("z", "z", 0.05),
+            ],
+            "x",
+        ),
         (chain_config(3), [identities.SiteExpectationsBlock(), identities.FreeEnergyBlock()], None),
     ],
-    ids=["identities", "bounds", "order-parameters"],
+    ids=["identities", "bounds", "bounds-z-field", "order-parameters"],
 )
 def test_a_sample_row_does_not_depend_on_its_batch(cfg, blocks, u):
     plan = identities.Plan(cfg, blocks, u)
@@ -676,9 +686,11 @@ def test_a_sample_row_does_not_depend_on_its_batch(cfg, blocks, u):
     production, single, odd = plan_tables_at_batch_sizes(
         plan, MonteCarlo(n, 81), [plan.batch_size, 1, 5]
     )
+    threaded = plan.evaluate(MonteCarlo(n, 81, threads=2))
+    extended = plan.evaluate(MonteCarlo(5, 81)).extend(n)
     for block in plan.blocks:
-        assert np.array_equal(single.values(block), production.values(block))
-        assert np.array_equal(odd.values(block), production.values(block))
+        for table in (single, odd, threaded, extended):
+            assert np.array_equal(table.values(block), production.values(block))
 
 
 def test_a_failed_self_check_names_the_disorder_sample(monkeypatch):
@@ -699,6 +711,85 @@ def test_a_failed_self_check_names_the_disorder_sample(monkeypatch):
     monkeypatch.setattr(np.linalg, "eigh", corrupted)
     with pytest.raises(ArithmeticError, match=rf"reconstruction.*\(sample {plan.batch_size + 2}\)"):
         plan.evaluate(MonteCarlo(3 * plan.batch_size, 85))
+
+
+def test_a_failed_shifted_state_self_check_names_its_stage_and_sample(monkeypatch):
+    # eigh is replaced by one that corrupts the +h matrix of sample 3 of the
+    # second batch's stencil stack: the error must name the stencil stage and
+    # sample batch_size + 3, not the row of the stack that held it
+    plan = identities.Plan(bounds_5site_config(), [identities.FieldStencilBlock("z", "z", 0.05)])
+    b = plan.batch_size
+    real_eigh = np.linalg.eigh
+    shapes = []
+
+    def corrupted(h):
+        evals, evecs = real_eigh(h)
+        shapes.append(h.shape)
+        if len(shapes) == 3:
+            evals = evals.copy()
+            evals[2 * b + 3, 0, 0] += 1e-6
+        return evals, evecs
+
+    monkeypatch.setattr(np.linalg, "eigh", corrupted)
+    with pytest.raises(
+        ArithmeticError,
+        match=rf"field-shifted thermal state of the batch from sample {b}: "
+        rf".*reconstruction.*\(sample {b + 3}\)",
+    ):
+        plan.evaluate(MonteCarlo(3 * b, 85))
+    # per batch, the stencil stack of (-2h, -h, +h, +2h) x the batch, then
+    # the zero-field point, the batch's own state
+    assert shapes == [(4 * b, 2, 16, 16), (b, 2, 16, 16), (4 * b, 2, 16, 16)]
+
+
+@pytest.mark.parametrize(
+    "L, v, per_stack", [(3, "z", 4), (5, "z", 4), (6, "z", 4), (7, "z", 2), (8, "z", 1), (5, "x", 1)]
+)
+def test_the_stencil_stacks_as_many_field_means_as_the_batch_budget_holds(
+    monkeypatch, L, v, per_stack
+):
+    # a z field keeps the two real parity blocks, 2 (2^(L-1))^2 float64
+    # entries a Hamiltonian; an x field breaks them, one complex 2^L x 2^L
+    # matrix. A stack of B Hamiltonians per mean fits max(1, budget // (B
+    # bytes)) means. From 8 sites on, and on the whole space, a stack holds
+    # one mean, one matrix per sample
+    plan = identities.Plan(
+        chain_config(L, beta=0.7, mu=0.6, with_field=False),
+        [identities.FieldStencilBlock(v, "z", 0.05)],
+    )
+    b = plan.batch_size
+    if v == "z":
+        assert plan.sectors is parity_sectors(L)
+        hamiltonian_bytes = 2 * 4 ** (L - 1) * 8
+    else:
+        assert plan.sectors is whole_space(L)
+        hamiltonian_bytes = 4**L * 16
+    assert max(1, identities._BATCH_BYTES // (b * hamiltonian_bytes)) == per_stack
+    calls = count_decompositions(monkeypatch)
+    plan.evaluate(MonteCarlo(b, 87))
+    assert calls == [per_stack * b] * (4 // per_stack) + [b]
+
+
+def test_a_bounds_plan_makes_two_eigh_calls_per_batch(monkeypatch):
+    # the batch's own state, then one stack of the stencil's four field means
+    plan = identities.Plan(
+        bounds_5site_config(),
+        [
+            identities.MagnetizationBlock("z"), identities.SusceptibilityBlock("z", "z"),
+            identities.PairMatrixBlock(), identities.FieldStencilBlock("z", "z", 0.05),
+        ],
+        "x",
+    )
+    real_eigh = np.linalg.eigh
+    calls = []
+
+    def counting(h):
+        calls.append(len(h))
+        return real_eigh(h)
+
+    monkeypatch.setattr(np.linalg, "eigh", counting)
+    plan.evaluate(MonteCarlo(3 * plan.batch_size, 89))
+    assert calls == [plan.batch_size, 4 * plan.batch_size] * 3
 
 
 def test_batch_size_rule():
@@ -863,6 +954,9 @@ def test_value_table_owns_the_standard_errors_and_the_tolerance_rule():
     assert np.array_equal(
         identities.ValueTable(plan, mc.method, [values[:1]], None).se(values[:1]), [0.0]
     )
+    # an error whose squared spread overflows is no number to report
+    with pytest.raises(ArithmeticError, match="standard error of a disorder mean overflows"):
+        mc.se(np.array([[3e300], [-3e300], [1e300]]))
 
     grid = plan.evaluate(Quadrature(2))
     grid_values = grid.values(block)

@@ -10,6 +10,7 @@ from xyzglass.operators import (
     PauliString,
     gauge_unitary,
     global_flip,
+    parity_sectors,
     pauli_product,
     pauli_site,
     whole_space,
@@ -160,6 +161,35 @@ def test_string_apply_equals_dense_matvec(case, seed):
         assert np.max(np.abs(op.apply(v[None], whole_space(n))[0] - dense @ v)) < TOL
         stack = np.stack([v, 2.0 * v])[:, None]
         assert np.max(np.abs(op.apply(stack, whole_space(n))[1, 0] - 2.0 * dense @ v)) < TOL
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    site_lists(),
+    st.booleans(),
+    st.lists(st.integers(1, 3), max_size=2),
+    st.integers(0, 2**32 - 1),
+)
+def test_a_string_without_a_flip_gathers_nothing_and_keeps_the_bits(case, parity, lead, seed):
+    # a z string's row map is the identity, so apply skips the row gather;
+    # its products are the gather path's, bit for bit, on either sector split
+    # and any stack, and it returns a new array
+    n, sites, _ = case
+    sectors = (parity_sectors if parity else whole_space)(n)
+    op = PauliString(n, sites, "z")
+    _, rows, phases = op.sector_map(sectors)
+    assert op.flip == 0 and np.array_equal(rows, np.arange(sectors.dim))
+    rng = np.random.default_rng(seed)
+    shape = (*lead, sectors.count, sectors.size, 3)
+    v = rng.normal(size=shape)
+    if sectors.dtype is complex:
+        v = v + 1j * rng.normal(size=shape)
+    stacked = v.reshape((*lead, sectors.dim, 3))
+    gathered = (phases[:, None] * stacked[..., rows, :]).reshape(shape)
+    applied = op.apply(v, sectors)
+    assert applied.dtype == gathered.dtype
+    assert np.array_equal(applied, gathered)
+    assert not np.shares_memory(applied, v)
 
 
 @settings(max_examples=60, deadline=None)
