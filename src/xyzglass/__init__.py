@@ -32,16 +32,7 @@ from .identities import (
     ThreePointBlock,
     TwoPointBlock,
     ValueTable,
-    a1_sum,
-    a2_nonlinear_susceptibility,
-    duhamel_identity,
-    finite_size_order_parameters,
-    magnetization_bound_check,
-    one_point_identity,
     quadrature_average,
-    susceptibility_bound_check,
-    three_point_identity,
-    two_point_identities,
 )
 from .lattice import (
     BondFamily,

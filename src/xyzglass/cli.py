@@ -701,7 +701,8 @@ def run_selftest(seed: int) -> tuple[list[dict], dict]:
     # tiny deterministic identity check
     params3 = CouplingParams({1: {"x": (0.6, 0.0), "y": (0.5, 0.8), "z": (0.7, 0.9)}})
     model = ModelConfig(lattice=lat1, families=fams1, params=params3, beta=0.5)
-    res = identities.one_point_identity(model, [0], "z", "x", Quadrature(24))
+    one_point = identities.OnePointBlock([0], "z")
+    (res,) = one_point.result(identities.Plan(model, [one_point], "x").evaluate(Quadrature(24)))
     record(
         "one-point identity (single-site quadrature)", abs(res.mean), Tolerances().quadrature_abs
     )

@@ -25,14 +25,14 @@ from xyzglass.disorder import (
 )
 from xyzglass.identities import (
     DuhamelBlock,
+    MagnetizationBlock,
     ModelConfig,
     MonteCarlo,
     OnePointBlock,
     Plan,
     Quadrature,
+    SusceptibilityBlock,
     TwoPointBlock,
-    magnetization_bound_check,
-    susceptibility_bound_check,
 )
 from xyzglass.lattice import (
     build_lattice,
@@ -58,6 +58,9 @@ from xyzglass.quantum_gibbs import (
     thermal_state,
     z2_commutator_norm,
 )
+from xyzglass.tolerances import Tolerances
+
+from plans import evaluate_alone
 
 Z_MAX = 4.0
 QUAD_TOL = 1e-8
@@ -361,26 +364,40 @@ def test_criterion_09_bound_chains():
             }),
             beta=0.7,
         )
-        rep = magnetization_bound_check(field_cfg, "z", "x", MonteCarlo(2 * 10**4, seed=909))
+        tol = Tolerances()
+        magnetization = MagnetizationBlock("z")
+        rep = magnetization.result(
+            evaluate_alone(field_cfg, magnetization, "x", MonteCarlo(2 * 10**4, seed=909)), tol
+        )
         assert rep.passed, [s.name for s in rep.steps if not s.passed]
         assert rep.lhs > 0.01  # a genuinely magnetized benchmark
 
         even3 = gaussian_chain_config(3, beta=0.8, orders=(2,))
-        rep = susceptibility_bound_check(even3, "z", "z", "x", MonteCarlo(2 * 10**4, seed=911))
+        same_axes = SusceptibilityBlock("z", "z")
+        rep = same_axes.result(
+            evaluate_alone(even3, same_axes, "x", MonteCarlo(2 * 10**4, seed=911)), tol
+        )
         assert rep.passed, [s.name for s in rep.steps if not s.passed]
         assert rep.steps[0].name == "per-pair Duhamel magnitude" and rep.steps[0].passed
 
-        rep = susceptibility_bound_check(even3, "y", "z", "x", MonteCarlo(10**4, seed=913))
+        cross_axes = SusceptibilityBlock("y", "z")
+        rep = cross_axes.result(
+            evaluate_alone(even3, cross_axes, "x", MonteCarlo(10**4, seed=913)), tol
+        )
         assert rep.passed, [s.name for s in rep.steps if not s.passed]
 
         cold = ModelConfig(
             field_cfg.lattice, field_cfg.families, field_cfg.params, beta=0.0
         )
-        rep = magnetization_bound_check(cold, "z", "x", MonteCarlo(2000, seed=915))
+        rep = magnetization.result(
+            evaluate_alone(cold, magnetization, "x", MonteCarlo(2000, seed=915)), tol
+        )
         assert rep.passed
         assert rep.lhs == pytest.approx(0.0, abs=1e-12)
         cold_even = ModelConfig(even3.lattice, even3.families, even3.params, beta=0.0)
-        rep = susceptibility_bound_check(cold_even, "z", "z", "x", MonteCarlo(2000, seed=917))
+        rep = same_axes.result(
+            evaluate_alone(cold_even, same_axes, "x", MonteCarlo(2000, seed=917)), tol
+        )
         assert rep.passed
         assert rep.lhs == pytest.approx(0.0, abs=1e-12)
         elapsed = time.perf_counter() - start

@@ -30,12 +30,14 @@ from xyzglass.cli import (
 from xyzglass.errors import ConfigError
 from xyzglass.tolerances import Tolerances, flip_symmetric
 from xyzglass.identities import (
+    DuhamelBlock,
     MonteCarlo,
-    duhamel_identity,
-    one_point_identity,
-    three_point_identity,
-    two_point_identities,
+    OnePointBlock,
+    ThreePointBlock,
+    TwoPointBlock,
 )
+
+from plans import evaluate_alone
 
 
 def write_config(tmp_path, name, payload):
@@ -366,11 +368,13 @@ def test_retry_extends_the_shared_table_once(tmp_path, monkeypatch):
     assert all(c["retried"] for c in report["checks"])
     model = cli.build_model(resolve_config(payload, None))
     bigger = MonteCarlo(2 * n, seed)
+    # each block again, in a plan of its own
+    blocks = [
+        OnePointBlock([0], "z"), TwoPointBlock([0], [2], "z"), DuhamelBlock([0], [2], "z"),
+        ThreePointBlock([0], [2], [1], "z"),
+    ]
     expected = [
-        one_point_identity(model, [0], "z", "x", bigger),
-        *two_point_identities(model, [0], [2], "z", "x", bigger),
-        *duhamel_identity(model, [0], [2], "z", "x", bigger),
-        three_point_identity(model, [0], [2], [1], "z", "x", bigger),
+        res for block in blocks for res in block.result(evaluate_alone(model, block, "x", bigger))
     ]
     assert len(report["checks"]) == len(expected)
     for check, res in zip(report["checks"], expected):

@@ -21,21 +21,20 @@ from xyzglass.disorder import (
 from xyzglass.errors import CapacityError, UndersampledError
 from xyzglass import identities
 from xyzglass.identities import (
+    DuhamelBlock,
+    FieldStencilBlock,
+    MagnetizationBlock,
     ModelConfig,
     MonteCarlo,
+    OnePointBlock,
+    PairMatrixBlock,
     Quadrature,
     QuadratureSpec,
-    a1_sum,
-    a2_nonlinear_susceptibility,
-    duhamel_identity,
-    finite_size_order_parameters,
-    magnetization_bound_check,
-    mean_pair_correlation,
-    one_point_identity,
+    SiteExpectationsBlock,
+    SusceptibilityBlock,
+    ThreePointBlock,
+    TwoPointBlock,
     quadrature_average,
-    susceptibility_bound_check,
-    three_point_identity,
-    two_point_identities,
 )
 from xyzglass.lattice import (
     build_lattice,
@@ -54,7 +53,9 @@ from xyzglass.quantum_gibbs import (
     string_expectations,
     thermal_state,
 )
-from xyzglass.tolerances import EXACT_TOL, Tolerances
+from xyzglass.tolerances import EXACT_TOL, Tolerances, flip_symmetric
+
+from plans import evaluate_alone
 
 
 def single_site_config(beta=0.5, jx=0.6):
@@ -143,7 +144,8 @@ def test_quadrature_zero_dims_single_node():
 def test_one_point_identity_single_site_quadrature():
     cfg = single_site_config()
     for w in ("y", "z"):
-        res = one_point_identity(cfg, [0], w, "x", Quadrature(24))
+        block = OnePointBlock([0], w)
+        (res,) = block.result(evaluate_alone(cfg, block, "x", Quadrature(24)))
         assert res.method == "quadrature"
         assert res.std_error == 0.0
         assert abs(res.mean) < 1e-8
@@ -151,19 +153,21 @@ def test_one_point_identity_single_site_quadrature():
 
 def test_one_point_identity_beta_zero():
     cfg = single_site_config(beta=0.0)
-    res = one_point_identity(cfg, [0], "z", "x", Quadrature(8))
+    block = OnePointBlock([0], "z")
+    (res,) = block.result(evaluate_alone(cfg, block, "x", Quadrature(8)))
     assert abs(res.mean) < 1e-14
 
 
 def test_identity_rejects_matching_axes():
     cfg = single_site_config()
     with pytest.raises(ValueError):
-        one_point_identity(cfg, [0], "x", "x", Quadrature(8))
+        evaluate_alone(cfg, OnePointBlock([0], "x"), "x", Quadrature(8))
 
 
 def test_two_point_same_set_exact_zero():
     cfg = quad_chain_config()
-    prod, joint = two_point_identities(cfg, [0, 1], [0, 1], "z", "x", Quadrature(4))
+    block = TwoPointBlock([0, 1], [0, 1], "z")
+    prod, joint = block.result(evaluate_alone(cfg, block, "x", Quadrature(4)))
     # tau_X tau_X = 1, so both residuals vanish identically
     assert abs(prod.mean) < 1e-14
     assert abs(joint.mean) < 1e-14
@@ -171,14 +175,16 @@ def test_two_point_same_set_exact_zero():
 
 def test_two_point_identity_quadrature():
     cfg = quad_chain_config()
-    prod, joint = two_point_identities(cfg, [0], [1], "z", "x", Quadrature(10))
+    block = TwoPointBlock([0], [1], "z")
+    prod, joint = block.result(evaluate_alone(cfg, block, "x", Quadrature(10)))
     assert abs(prod.mean) < 1e-7
     assert abs(joint.mean) < 1e-7
 
 
 def test_duhamel_identity_quadrature():
     cfg = quad_chain_config()
-    duh, trunc = duhamel_identity(cfg, [0], [1], "z", "x", Quadrature(10))
+    block = DuhamelBlock([0], [1], "z")
+    duh, trunc = block.result(evaluate_alone(cfg, block, "x", Quadrature(10)))
     assert abs(duh.mean) < 1e-7
     assert abs(trunc.mean) < 1e-7
 
@@ -191,14 +197,16 @@ def test_duhamel_identity_commuting_reduction():
     params = CouplingParams({2: {"z": (0.4, 0.9)}})
     cfg = ModelConfig(lattice=lat, families=fams, params=params, beta=0.8)
     method = MonteCarlo(n_samples=200, seed=31)
-    _, joint = two_point_identities(cfg, [0], [1], "z", "x", method)
-    duh, _ = duhamel_identity(cfg, [0], [1], "z", "x", method)
+    two_point, duhamel = TwoPointBlock([0], [1], "z"), DuhamelBlock([0], [1], "z")
+    _, joint = two_point.result(evaluate_alone(cfg, two_point, "x", method))
+    duh, _ = duhamel.result(evaluate_alone(cfg, duhamel, "x", method))
     assert duh.mean == pytest.approx(joint.mean, abs=1e-10)
 
 
 def test_duhamel_identity_beta_zero_distinct_sets():
     cfg = quad_chain_config(beta=0.0)
-    duh, trunc = duhamel_identity(cfg, [0], [1], "z", "x", Quadrature(4))
+    block = DuhamelBlock([0], [1], "z")
+    duh, trunc = block.result(evaluate_alone(cfg, block, "x", Quadrature(4)))
     assert abs(duh.mean) < 1e-14
     assert abs(trunc.mean) < 1e-14
 
@@ -206,12 +214,15 @@ def test_duhamel_identity_beta_zero_distinct_sets():
 def test_identities_paired_mc_z_scores():
     cfg = chain_config(2)
     method = MonteCarlo(n_samples=4000, seed=17)
-    res = one_point_identity(cfg, [0], "z", "x", method)
+    one_point = OnePointBlock([0], "z")
+    (res,) = one_point.result(evaluate_alone(cfg, one_point, "x", method))
     assert res.method == "mc" and res.n_samples == 4000
     assert abs(res.z_score) < 4
-    prod, joint = two_point_identities(cfg, [0], [1], "z", "x", method)
+    two_point = TwoPointBlock([0], [1], "z")
+    prod, joint = two_point.result(evaluate_alone(cfg, two_point, "x", method))
     assert abs(prod.z_score) < 4 and abs(joint.z_score) < 4
-    duh, trunc = duhamel_identity(cfg, [0], [1], "z", "x", method)
+    duhamel = DuhamelBlock([0], [1], "z")
+    duh, trunc = duhamel.result(evaluate_alone(cfg, duhamel, "x", method))
     assert abs(duh.z_score) < 4 and abs(trunc.z_score) < 4
 
 
@@ -230,7 +241,8 @@ def test_one_point_engine_matches_public_building_blocks():
         nd = nishimori_transform(sample, cfg.params, "x")
         model = classical_from_nishimori(nd, cfg.families, 2)
         residuals[k] = q * (1.0 - classical_expectation(model, [0]))
-    res = one_point_identity(cfg, [0], "z", "x", MonteCarlo(n_samples=n, seed=seed))
+    block = OnePointBlock([0], "z")
+    (res,) = block.result(evaluate_alone(cfg, block, "x", MonteCarlo(n_samples=n, seed=seed)))
     assert res.mean == pytest.approx(residuals.mean(), abs=1e-12)
 
 
@@ -257,7 +269,8 @@ def test_paired_estimator_variance_beats_unpaired():
 
 def test_three_point_identity_quadrature():
     cfg = quad_chain_config()
-    res = three_point_identity(cfg, [0], [1], [0, 1], "z", "x", Quadrature(8))
+    block = ThreePointBlock([0], [1], [0, 1], "z")
+    (res,) = block.result(evaluate_alone(cfg, block, "x", Quadrature(8)))
     assert abs(res.mean) < 1e-6
 
 
@@ -278,7 +291,10 @@ def test_validate_gauge_axis():
 
 def test_magnetization_bound_small_mc():
     cfg = chain_config(2, beta=0.7)
-    rep = magnetization_bound_check(cfg, "z", "x", MonteCarlo(n_samples=3000, seed=41))
+    block = MagnetizationBlock("z")
+    rep = block.result(
+        evaluate_alone(cfg, block, "x", MonteCarlo(n_samples=3000, seed=41)), Tolerances()
+    )
     assert rep.passed
     assert rep.lhs <= rep.rhs + 4 * 1.0  # sanity: chain holds with wide margin anyway
     names = [s.name for s in rep.steps]
@@ -289,7 +305,10 @@ def test_magnetization_bound_small_mc():
 
 def test_magnetization_bound_beta_zero_exact():
     cfg = chain_config(2, beta=0.0)
-    rep = magnetization_bound_check(cfg, "z", "x", MonteCarlo(n_samples=500, seed=43))
+    block = MagnetizationBlock("z")
+    rep = block.result(
+        evaluate_alone(cfg, block, "x", MonteCarlo(n_samples=500, seed=43)), Tolerances()
+    )
     assert rep.passed
     assert rep.lhs == pytest.approx(0.0, abs=1e-12)
 
@@ -298,7 +317,10 @@ def test_magnetization_bound_symmetric_disorder():
     # zero coupling means put the reference model at infinite temperature:
     # the classical side vanishes sample by sample and both sides sit at zero
     cfg = chain_config(2, beta=0.8, mu=0.0, delta=0.8)
-    rep = magnetization_bound_check(cfg, "z", "x", MonteCarlo(n_samples=2000, seed=45))
+    block = MagnetizationBlock("z")
+    rep = block.result(
+        evaluate_alone(cfg, block, "x", MonteCarlo(n_samples=2000, seed=45)), Tolerances()
+    )
     assert rep.passed
     assert rep.rhs == pytest.approx(0.0, abs=1e-12)
     assert abs(rep.lhs) <= rep.steps[-1].tolerance
@@ -307,7 +329,10 @@ def test_magnetization_bound_symmetric_disorder():
 def test_susceptibility_bound_same_and_cross_axes():
     cfg = chain_config(3, beta=0.7, with_field=False)
     for v, w, u in [("z", "z", "x"), ("y", "z", "x")]:
-        rep = susceptibility_bound_check(cfg, v, w, u, MonteCarlo(n_samples=2000, seed=47))
+        block = SusceptibilityBlock(v, w)
+        rep = block.result(
+            evaluate_alone(cfg, block, u, MonteCarlo(n_samples=2000, seed=47)), Tolerances()
+        )
         assert rep.passed
         assert rep.steps[0].name == "per-pair Duhamel magnitude"
         assert rep.steps[0].rhs == 2.0
@@ -321,7 +346,8 @@ def test_susceptibility_bound_quadrature_exact():
     fams = {2: generate_bonds(lat, chain_pair_shape(), "open")}
     params = CouplingParams({2: {"x": (0.3, 0.0), "y": (0.3, 0.8), "z": (0.3, 0.8)}})
     cfg = ModelConfig(lattice=lat, families=fams, params=params, beta=0.4)
-    rep = susceptibility_bound_check(cfg, "z", "z", "x", Quadrature(16))
+    block = SusceptibilityBlock("z", "z")
+    rep = block.result(evaluate_alone(cfg, block, "x", Quadrature(16)), Tolerances())
     assert rep.passed
     assert rep.method == "quadrature"
 
@@ -329,10 +355,10 @@ def test_susceptibility_bound_quadrature_exact():
 def test_susceptibility_rejects_invalid_configs():
     cfg = chain_config(2)  # has an active field sector
     with pytest.raises(ValueError, match="single-site"):
-        susceptibility_bound_check(cfg, "z", "z", "x", MonteCarlo(100, 1))
+        evaluate_alone(cfg, SusceptibilityBlock("z", "z"), "x", MonteCarlo(100, 1))
     even = chain_config(2, with_field=False)
     with pytest.raises(ValueError, match="gauge"):
-        susceptibility_bound_check(even, "z", "x", "x", MonteCarlo(100, 1))
+        evaluate_alone(even, SusceptibilityBlock("z", "x"), "x", MonteCarlo(100, 1))
     lat = build_lattice(1, 3)
     fams = {3: generate_bonds(lat, type(chain_pair_shape())(3, ((0,), (1,), (2,))), "open")}
     odd = ModelConfig(
@@ -340,7 +366,7 @@ def test_susceptibility_rejects_invalid_configs():
         params=CouplingParams({3: {a: (0.1, 0.5) for a in "xyz"}}), beta=0.5,
     )
     with pytest.raises(ValueError, match="even"):
-        susceptibility_bound_check(odd, "z", "z", "x", MonteCarlo(100, 1))
+        evaluate_alone(odd, SusceptibilityBlock("z", "z"), "x", MonteCarlo(100, 1))
 
 
 def test_a1_single_site_is_one():
@@ -348,22 +374,29 @@ def test_a1_single_site_is_one():
     fams = {1: generate_bonds(lat, single_site_shape(), "open")}
     params = CouplingParams({1: {"y": (0.4, 0.8), "z": (0.4, 0.8)}})
     cfg = ModelConfig(lattice=lat, families=fams, params=params, beta=0.5)
-    res = a1_sum(cfg, "x", Quadrature(8))
+    pairs = PairMatrixBlock()
+    res = pairs.correlation_sum(evaluate_alone(cfg, pairs, "x", Quadrature(8)), Tolerances())
     assert res.mean == pytest.approx(1.0, abs=1e-10)
 
 
 def test_a1_infinite_temperature_diagonal_only():
     # symmetric disorder puts the reference temperature at zero: only i = j survives
     cfg = chain_config(3, mu=0.0, delta=0.8, with_field=False)
-    res = a1_sum(cfg, "x", MonteCarlo(n_samples=200, seed=51))
+    pairs = PairMatrixBlock()
+    res = pairs.correlation_sum(
+        evaluate_alone(cfg, pairs, "x", MonteCarlo(n_samples=200, seed=51)), Tolerances()
+    )
     assert res.mean == pytest.approx(1.0, abs=1e-10)
     assert res.clip_count == 0
 
 
 def test_a1_reports_value_with_error():
     cfg = chain_config(3, with_field=False, beta=0.5)
-    res = a1_sum(cfg, "x", MonteCarlo(n_samples=2000, seed=53))
-    quad = a1_sum(cfg, "x", Quadrature(8))
+    pairs = PairMatrixBlock()
+    res = pairs.correlation_sum(
+        evaluate_alone(cfg, pairs, "x", MonteCarlo(n_samples=2000, seed=53)), Tolerances()
+    )
+    quad = pairs.correlation_sum(evaluate_alone(cfg, pairs, "x", Quadrature(8)), Tolerances())
     assert res.std_error > 0
     assert abs(res.mean - quad.mean) < 5 * res.std_error
 
@@ -372,8 +405,10 @@ def test_a1_undersampled_raises():
     # near-zero reference temperature with few samples leaves many pair
     # means negative, tripping the clip budget
     cfg = chain_config(3, mu=0.001, delta=1.0, with_field=False)
+    pairs = PairMatrixBlock()
+    table = evaluate_alone(cfg, pairs, "x", MonteCarlo(n_samples=40, seed=3))
     with pytest.raises(UndersampledError):
-        a1_sum(cfg, "x", MonteCarlo(n_samples=40, seed=3))
+        pairs.correlation_sum(table, Tolerances())
 
 
 def test_clip_rule_boundary():
@@ -381,10 +416,12 @@ def test_clip_rule_boundary():
     # exactly 4/9 still passes, one just below it does not
     cfg = chain_config(3, mu=0.001, delta=1.0, with_field=False)
     method = MonteCarlo(n_samples=40, seed=3)
-    res = a1_sum(cfg, "x", method, Tolerances(clip_fraction_max=4 / 9))
+    pairs = PairMatrixBlock()
+    table = evaluate_alone(cfg, pairs, "x", method)
+    res = pairs.correlation_sum(table, Tolerances(clip_fraction_max=4 / 9))
     assert (res.clip_count, res.clip_fraction) == (4, 4 / 9)
     with pytest.raises(UndersampledError, match="4/9 square-root arguments clipped"):
-        a1_sum(cfg, "x", method, Tolerances(clip_fraction_max=0.44))
+        pairs.correlation_sum(table, Tolerances(clip_fraction_max=0.44))
 
 
 def test_a2_classical_ferromagnet_nonpositive():
@@ -392,7 +429,9 @@ def test_a2_classical_ferromagnet_nonpositive():
     fams = {2: generate_bonds(lat, chain_pair_shape(), "open")}
     params = CouplingParams({2: {"z": (1.0, 0.0)}})
     cfg = ModelConfig(lattice=lat, families=fams, params=params, beta=0.5)
-    third = a2_nonlinear_susceptibility(cfg, "z", "z", 0.05, Quadrature(2))
+    block = FieldStencilBlock("z", "z", 0.05)
+    third, second = block.result(evaluate_alone(cfg, block, None, Quadrature(2)))
+    assert flip_symmetric(second)
     assert third <= 1e-8
 
 
@@ -401,26 +440,32 @@ def test_a2_beta_zero():
     fams = {2: generate_bonds(lat, chain_pair_shape(), "open")}
     params = CouplingParams({2: {"z": (1.0, 0.0)}})
     cfg = ModelConfig(lattice=lat, families=fams, params=params, beta=0.0)
-    assert a2_nonlinear_susceptibility(cfg, "z", "z", 0.05, Quadrature(2)) == pytest.approx(
-        0.0, abs=1e-10
-    )
+    block = FieldStencilBlock("z", "z", 0.05)
+    third, second = block.result(evaluate_alone(cfg, block, None, Quadrature(2)))
+    assert flip_symmetric(second)
+    assert third == pytest.approx(0.0, abs=1e-10)
 
 
 def test_a2_quantum_disordered_symmetric():
     cfg = chain_config(3, with_field=False, beta=0.8)
-    third = a2_nonlinear_susceptibility(cfg, "y", "z", 0.05, MonteCarlo(n_samples=50, seed=59))
+    block = FieldStencilBlock("y", "z", 0.05)
+    third, second = block.result(
+        evaluate_alone(cfg, block, None, MonteCarlo(n_samples=50, seed=59))
+    )
+    assert flip_symmetric(second)
     assert np.isfinite(third)
 
 
 def test_a2_rejects_field_configs():
     cfg = chain_config(2, with_field=True)
     with pytest.raises(ValueError, match="field"):
-        a2_nonlinear_susceptibility(cfg, "z", "z", 0.05, MonteCarlo(10, 1))
+        evaluate_alone(cfg, FieldStencilBlock("z", "z", 0.05), None, MonteCarlo(10, 1))
 
 
 def test_order_parameters_symmetric_model_vanish_exactly():
     cfg = chain_config(3, with_field=False, beta=0.9)
-    out = finite_size_order_parameters(cfg, MonteCarlo(n_samples=100, seed=61))
+    sites = SiteExpectationsBlock()
+    out = sites.result(evaluate_alone(cfg, sites, None, MonteCarlo(n_samples=100, seed=61)))
     for axis in "xyz":
         assert out[axis]["m"].mean == pytest.approx(0.0, abs=1e-12)
         assert out[axis]["q"].mean == pytest.approx(0.0, abs=1e-24)
@@ -428,14 +473,15 @@ def test_order_parameters_symmetric_model_vanish_exactly():
 
 def test_order_parameters_jensen_and_beta_zero():
     cfg = chain_config(2, beta=0.8)
-    out = finite_size_order_parameters(cfg, MonteCarlo(n_samples=400, seed=63))
+    sites = SiteExpectationsBlock()
+    out = sites.result(evaluate_alone(cfg, sites, None, MonteCarlo(n_samples=400, seed=63)))
     for axis in "xyz":
         assert out[axis]["q"].mean >= out[axis]["m"].mean ** 2 - 1e-12
         assert out[axis]["q"].mean > 0
-    cold = finite_size_order_parameters(
-        ModelConfig(cfg.lattice, cfg.families, cfg.params, 0.0),
+    cold = sites.result(evaluate_alone(
+        ModelConfig(cfg.lattice, cfg.families, cfg.params, 0.0), sites, None,
         MonteCarlo(n_samples=50, seed=65),
-    )
+    ))
     for axis in "xyz":
         assert cold[axis]["m"].mean == pytest.approx(0.0, abs=1e-12)
         assert cold[axis]["q"].mean == pytest.approx(0.0, abs=1e-24)
@@ -444,12 +490,13 @@ def test_order_parameters_jensen_and_beta_zero():
 def test_order_parameter_z_scores_of_float_dust_are_nan():
     # at beta = 0 every per-sample m and q is float dust (q about 1e-33), and
     # a ratio of dust to its own spread is no z-score
-    cold = finite_size_order_parameters(chain_config(3, beta=0.0), MonteCarlo(50, 65))
+    sites = SiteExpectationsBlock()
+    cold = sites.result(evaluate_alone(chain_config(3, beta=0.0), sites, None, MonteCarlo(50, 65)))
     for axis in "xyz":
         for name in ("m", "q"):
             assert cold[axis][name].mean == pytest.approx(0.0, abs=1e-12)
             assert math.isnan(cold[axis][name].z_score)
-    warm = finite_size_order_parameters(chain_config(2, beta=0.8), MonteCarlo(400, 63))
+    warm = sites.result(evaluate_alone(chain_config(2, beta=0.8), sites, None, MonteCarlo(400, 63)))
     for axis in "xyz":
         q = warm[axis]["q"]
         assert q.z_score == q.mean / q.std_error
@@ -457,7 +504,8 @@ def test_order_parameter_z_scores_of_float_dust_are_nan():
 
 def test_mean_pair_correlation_diagonal():
     cfg = chain_config(2, with_field=False)
-    corr = mean_pair_correlation(cfg, "x", MonteCarlo(n_samples=100, seed=67))
+    pairs = PairMatrixBlock()
+    corr = pairs.result(evaluate_alone(cfg, pairs, "x", MonteCarlo(n_samples=100, seed=67)))
     assert np.allclose(np.diag(corr), 1.0)
     assert corr.shape == (2, 2)
 
@@ -469,8 +517,9 @@ def test_classical_checks_never_build_the_quantum_side(monkeypatch):
     monkeypatch.setattr(identities, "HamiltonianBuilder", refuse)
     cfg = chain_config(3, with_field=False)
     method = MonteCarlo(n_samples=20, seed=61)
-    assert a1_sum(cfg, "x", method).n_samples == 20
-    assert mean_pair_correlation(cfg, "x", method).shape == (3, 3)
+    pairs = PairMatrixBlock()
+    assert pairs.correlation_sum(evaluate_alone(cfg, pairs, "x", method), Tolerances()).n_samples == 20
+    assert pairs.result(evaluate_alone(cfg, pairs, "x", method)).shape == (3, 3)
 
 
 # ---------------------------------------------------------------------------
@@ -543,12 +592,8 @@ def test_plan_shares_one_decomposition_per_sample(monkeypatch):
     assert sum(calls) == 30
     assert len(calls) == math.ceil(30 / plan.batch_size)
     # every block of the shared table reduces to its single-block result
-    assert blocks[0].result(table) == (one_point_identity(cfg, [0], "z", "x", method),)
-    assert blocks[1].result(table) == two_point_identities(cfg, [0], [2], "z", "x", method)
-    assert blocks[2].result(table) == duhamel_identity(cfg, [0], [2], "z", "x", method)
-    assert blocks[3].result(table) == (
-        three_point_identity(cfg, [0], [2], [0, 2], "z", "x", method),
-    )
+    for block in blocks:
+        assert block.result(table) == block.result(evaluate_alone(cfg, block, "x", method))
 
 
 def test_quadrature_tables_do_not_extend():
@@ -601,11 +646,12 @@ def test_plan_computes_one_softmax_per_batch(monkeypatch):
     table = plan.evaluate(method)
     assert len(calls) == math.ceil(30 / plan.batch_size)
     assert sum(calls) == 30
-    assert mag.result(table) == magnetization_bound_check(cfg, "z", "x", method)
-    assert np.array_equal(pairs.result(table), mean_pair_correlation(cfg, "x", method))
+    tol = Tolerances()
+    assert mag.result(table, tol) == mag.result(evaluate_alone(cfg, mag, "x", method), tol)
+    assert np.array_equal(pairs.result(table), pairs.result(evaluate_alone(cfg, pairs, "x", method)))
     # the susceptibility chain reads only its own columns: its report is the
     # same from a plan without the pair matrix block
-    assert chi.result(table) == susceptibility_bound_check(cfg, "z", "z", "x", method)
+    assert chi.result(table, tol) == chi.result(evaluate_alone(cfg, chi, "x", method), tol)
 
 
 def test_a_model_without_couplings_gives_every_sample_the_uniform_measure():
