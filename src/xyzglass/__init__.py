@@ -32,7 +32,6 @@ from .identities import (
     ThreePointBlock,
     TwoPointBlock,
     ValueTable,
-    quadrature_average,
 )
 from .lattice import (
     BondFamily,

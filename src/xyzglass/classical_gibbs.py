@@ -130,7 +130,6 @@ def product_expectations(
 ) -> np.ndarray:
     """Exact <prod_{i in S} tau_i> for each site set S, in one enumeration,
     bond by bond: the reference that `BondProductTable` is tested against."""
-    _check_cap(model.n_sites)
     sets = [tuple(int(i) for i in s) for s in site_sets]
     for s in sets:
         if s and not set(s) <= set(range(model.n_sites)):

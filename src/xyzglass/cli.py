@@ -40,7 +40,6 @@ from .identities import (
     MonteCarlo,
     Quadrature,
     QuadratureSpec,
-    quadrature_average,
 )
 from .lattice import build_lattice, generate_bonds, interaction_shape, merge_bond_families
 from .operators import AXES, PauliString, gauge_unitary, parity_sectors, pauli_site, whole_space
@@ -333,7 +332,7 @@ def _residual_check(
         "name": name,
         "inputs": _jsonify(inputs),
         "method": result.method,
-        "seed": seed if result.method == "mc" else None,
+        "seed": seed,
         "result": _jsonify(result),
         "tolerance": tol_desc,
         "retried": retried,
@@ -353,19 +352,18 @@ def _with_retry(
     marked retried. The extension is made at most once and shared by every
     failing group; it reuses rows 0..n-1 and evaluates only the new samples.
     """
-    seed = table.method.seed if table.is_mc else None
     bigger = None
     checks = []
     for names, block, inputs in groups:
         group = [
-            _residual_check(name, result, tol, inputs, seed)
+            _residual_check(name, result, tol, inputs, table.seed)
             for name, result in zip(names, block.result(table))
         ]
         if table.is_mc and not all(c["passed"] for c in group):
             if bigger is None:
                 bigger = table.extend(2 * table.n_samples)
             group = [
-                _residual_check(name, result, tol, inputs, seed, retried=True)
+                _residual_check(name, result, tol, inputs, table.seed, retried=True)
                 for name, result in zip(names, block.result(bigger))
             ]
         checks += group
@@ -432,7 +430,6 @@ def run_verify_bounds(
     v = cfg["bounds"].get("v", w)
     which = cfg["bounds"].get("checks", ["magnetization", "susceptibility", "a1", "a2"])
     export = bool(cfg.get("export_correlations") and artifacts_dir)
-    seed = cfg["seed"] if isinstance(method, MonteCarlo) else None
     magnetization = identities.MagnetizationBlock(w)
     susceptibility = identities.SusceptibilityBlock(v, w)
     pairs = identities.PairMatrixBlock()
@@ -456,22 +453,22 @@ def run_verify_bounds(
         if name in which:
             rep = blocks[name].result(table, tol)
             checks.append({"name": rep.name, "inputs": inputs,
-                           "method": rep.method, "seed": seed, "report": _jsonify(rep),
+                           "method": rep.method, "seed": table.seed, "report": _jsonify(rep),
                            "tolerance": {"kind": "chain", "z_max": tol.z_max},
                            "passed": rep.passed})
     if "a1" in which:
         res = pairs.correlation_sum(table, tol)
         checks.append({"name": "correlation sum (reported, not asserted)",
                        "inputs": {"gauge_axis": u},
-                       "method": res.method, "seed": seed, "result": _jsonify(res),
+                       "method": res.method, "seed": table.seed, "result": _jsonify(res),
                        "tolerance": {"kind": "none"}, "passed": True})
     if "a2" in which:
         third, second = stencil.result(table)
         checks.append({
             "name": "nonlinear susceptibility probe",
             "inputs": {"v": v, "w": w, "step": step},
-            "method": "mc" if isinstance(method, MonteCarlo) else "quadrature",
-            "seed": seed,
+            "method": table.method_name,
+            "seed": table.seed,
             "third_difference": _jsonify(third),
             "second_difference": _jsonify(second),
             "tolerance": {"kind": "flip_symmetry_abs", "value": tolerances.FLIP_SYMMETRY_TOL},
@@ -652,9 +649,12 @@ def run_selftest(seed: int) -> tuple[list[dict], dict]:
     mu0, d0 = 0.7, 1.0
     params1 = CouplingParams({1: {"z": (mu0, d0)}})
     spec = QuadratureSpec.from_model(fams1, params1, 8)
-    first = quadrature_average(spec, lambda s: s.value(1, "z", 0))
-    second = quadrature_average(spec, lambda s: (s.value(1, "z", 0) - mu0) ** 2)
-    fourth = quadrature_average(spec, lambda s: ((s.value(1, "z", 0) - mu0) / d0) ** 4)
+    probs = spec.probabilities()
+    # the z coupling is the last column in term order
+    nodes = spec.rows(0, spec.node_count)[:, -1].tolist()
+    first = float(probs @ np.array(nodes))
+    second = float(probs @ np.array([(x - mu0) ** 2 for x in nodes]))
+    fourth = float(probs @ np.array([((x - mu0) / d0) ** 4 for x in nodes]))
     record("quadrature first moment", abs(first - mu0), tolerances.ROUNDING_TOL)
     record("quadrature second moment", abs(second - d0**2), tolerances.ROUNDING_TOL)
     record("quadrature fourth moment", abs(fourth - 3.0), tolerances.ROUNDING_TOL)
@@ -833,14 +833,8 @@ def run(subcommand: str, cfg: dict, threads: int, extended: bool, out_dir: str) 
 _SELFTEST_DEFAULT = {"seed": 20240901}
 
 
-def _thread_count(flag: int | None) -> int:
-    """--threads, else XYZGLASS_THREADS, else 1; a positive integer."""
-    if flag is None:
-        raw = os.environ.get("XYZGLASS_THREADS", "1")
-        try:
-            flag = int(raw)
-        except ValueError:
-            raise ConfigError(f"XYZGLASS_THREADS must be an integer, got {raw!r}") from None
+def _thread_count(flag: int) -> int:
+    """--threads, a positive integer."""
     if flag < 1:
         raise ConfigError(f"the thread count must be at least 1, got {flag}")
     return flag
@@ -857,7 +851,7 @@ def main(argv: list[str] | None = None) -> int:
     )
     parser.add_argument("--config", help="path to the JSON run configuration")
     parser.add_argument("--seed", type=int, help="override the config seed")
-    parser.add_argument("--threads", type=int, help="worker threads for disorder loops")
+    parser.add_argument("--threads", type=int, default=1, help="worker threads for disorder loops")
     parser.add_argument("--out", default="runs", help="output root directory")
     parser.add_argument(
         "--extended-multipoint", action="store_true",

@@ -30,7 +30,6 @@ from numpy.polynomial.hermite import hermgauss
 from .classical_gibbs import BondProductTable
 from .disorder import (
     CouplingParams,
-    DisorderSample,
     NishimoriRotation,
     coupling_law,
     draw_row,
@@ -54,9 +53,6 @@ from .tolerances import EXACT_TOL, Tolerances
 
 #: Guard on the total tensor-grid size.
 _MAX_QUAD_NODES = 10**8
-
-#: Grid nodes whose coupling rows `quadrature_average` makes at once.
-_QUAD_ROWS = 4096
 
 
 @dataclass(frozen=True)
@@ -120,6 +116,14 @@ class QuadratureSpec:
     families: Mapping[int, BondFamily]
     params: CouplingParams
 
+    def __post_init__(self) -> None:
+        if self.nodes_per_dim < 2:
+            raise ValueError("need at least 2 quadrature nodes per dimension")
+        if self.node_count > _MAX_QUAD_NODES:
+            raise CapacityError(
+                f"{self.node_count} quadrature nodes exceeds the guard {_MAX_QUAD_NODES}"
+            )
+
     @classmethod
     def from_model(
         cls,
@@ -127,25 +131,18 @@ class QuadratureSpec:
         params: CouplingParams,
         nodes_per_dim: int,
     ) -> "QuadratureSpec":
-        if nodes_per_dim < 2:
-            raise ValueError("need at least 2 quadrature nodes per dimension")
         dims = []
         for p in sorted(families):
             for axis in AXES:
                 if params.delta(p, axis) > 0.0:
                     for b in range(len(families[p].bonds)):
                         dims.append((p, axis, b))
-        spec = cls(
+        return cls(
             nodes_per_dim=nodes_per_dim,
             random_dims=tuple(dims),
             families=dict(families),
             params=params,
         )
-        if spec.node_count > _MAX_QUAD_NODES:
-            raise CapacityError(
-                f"{spec.node_count} quadrature nodes exceeds the guard {_MAX_QUAD_NODES}"
-            )
-        return spec
 
     @property
     def node_count(self) -> int:
@@ -171,10 +168,6 @@ class QuadratureSpec:
     def probabilities(self) -> np.ndarray:
         """Every node's probability: the product of its per-dimension
         weights, multiplied left to right as `math.prod` does."""
-        if self.node_count > _MAX_QUAD_NODES:
-            raise CapacityError(
-                f"{self.node_count} quadrature nodes exceeds the guard {_MAX_QUAD_NODES}"
-            )
         _, node_probs = _hermite_rule(self.nodes_per_dim)
         probs = np.ones(1)
         for _ in self.random_dims:
@@ -185,23 +178,6 @@ class QuadratureSpec:
 def _hermite_rule(nodes_per_dim: int) -> tuple[np.ndarray, np.ndarray]:
     nodes, weights = hermgauss(nodes_per_dim)
     return math.sqrt(2.0) * nodes, weights / math.sqrt(math.pi)
-
-
-def quadrature_average(
-    spec: QuadratureSpec, integrand: Callable[[DisorderSample], float]
-) -> float:
-    """Deterministic expectation of a per-sample evaluator over the disorder.
-
-    Exact for polynomial integrands of degree < 2 * nodes_per_dim in each
-    random coupling. Node k is the sample of `spec.rows` row k.
-    """
-    probs = spec.probabilities()
-    values = np.empty(len(probs))
-    for start in range(0, len(probs), _QUAD_ROWS):
-        rows = spec.rows(start, min(start + _QUAD_ROWS, len(probs)))
-        for k, row in enumerate(rows, start):
-            values[k] = integrand(DisorderSample(row, spec.families))
-    return float(probs @ values)
 
 
 def _check_identity_axes(w: str, u: str | None) -> None:
@@ -220,28 +196,26 @@ def _site_tuple(sites: Iterable[int]) -> tuple[int, ...]:
 # ---------------------------------------------------------------------------
 
 
-#: Byte budget of a batch's largest stacked temporary in a plan that reads
-#: the quantum state. Such a plan evaluates its samples in batches of
-#: max(1, budget // (16 dim^2)) consecutive indices, one dim x dim complex
-#: matrix per sample: 32 samples at dim 16, 8 at dim 32, 2 at dim 64 and 1
-#: from dim 128 on. The susceptibility stacks N string matrices per sample
-#: for the whole batch, N times the budget (under 1 MiB a stack up to 6
-#: sites; from 7 sites on the batch is one sample). The a2 stencil stacks
-#: max(1, budget // (B bytes)) of its four field means, one Hamiltonian of
-#: `bytes` in the plan's sectors per sample and mean: all four on parity
-#: blocks up to 6 sites, two at 7 and one from 8 sites on or on the whole
-#: space. Past about 16 samples at dim 16 a bigger batch saves no time and
-#: costs peak memory.
-_BATCH_BYTES = 128 * 1024
-
-#: Byte budget of the one stack of a plan that reads no quantum state: its
-#: (B, 2^N) float64 Nishimori-line probabilities, so B = max(1, budget //
-#: (8 2^N)): 4 samples at 14 sites, 16 at 12 and 64 at 10. On a 2-core Xeon
-#: (2 MiB L2 a core, one BLAS thread) the 14-site a1 run took a median
-#: 0.205, 0.159, 0.132, 0.117 and 0.189 s at B = 1, 2, 4, 8 and 16 (25 runs
-#: each, in process). At B = 16 the stack alone fills a core's L2; 512 KiB
-#: keeps a margin below that, with half the peak memory of B = 8.
-_LINE_BATCH_BYTES = 512 * 1024
+#: Byte budget of a batch's largest stack: every stack of a plan holds
+#: max(1, budget // item bytes) items (`Plan.stack_size`), and an item's
+#: charge depends only on the kind of plan. A plan that reads the quantum
+#: state charges a sample 64 dim^2 bytes, four complex dim x dim matrices
+#: (the Hamiltonian, its eigenvectors and the two spectral self-check
+#: products): 32 samples at dim 16, 8 at dim 32, 2 at dim 64 and 1 from dim
+#: 128 on; past about 16 at dim 16 a bigger batch saves no time and costs
+#: peak memory. The susceptibility stacks N string matrices per sample for
+#: the whole batch (under 1 MiB up to 6 sites; from 7 sites on the batch is
+#: one sample). The a2 stencil charges each of its four field means four
+#: copies of the batch's Hamiltonians in the plan's sectors: all four means
+#: in one stack on parity blocks up to 6 sites, two at 7 and one from 8 on
+#: or on the whole space. A plan that reads only the Nishimori line charges
+#: a sample its 8 2^N bytes of float64 probabilities: 4 samples at 14 sites,
+#: 16 at 12 and 64 at 10. On a 2-core Xeon (2 MiB L2 a core, one BLAS
+#: thread) the 14-site a1 run took a median 0.205, 0.159, 0.132, 0.117 and
+#: 0.189 s at B = 1, 2, 4, 8 and 16 (25 runs each, in process). At B = 16
+#: the stack alone fills a core's L2; 512 KiB keeps a margin below that,
+#: with half the peak memory of B = 8.
+_BATCH_BYTES = 512 * 1024
 
 
 class _Batch:
@@ -363,9 +337,11 @@ class Plan:
 
     `reads_state` is decided here from the blocks, as `conserves_parity`
     is: a block reads the quantum state unless it sets `reads_state` to
-    False, as `PairMatrixBlock` does, and an empty plan reads none. A plan
-    that reads it sizes its batches by `_BATCH_BYTES`; one that does not
-    never builds a Hamiltonian, and sizes them by `_LINE_BATCH_BYTES`.
+    False, as `PairMatrixBlock` does, and an empty plan reads none. Every
+    batch size comes from `stack_size`, with a sample charged as
+    `_BATCH_BYTES` says. A plan that reads the state makes its `sectors`
+    here, so a lattice over the quantum cap fails before any draw; one that
+    does not never builds a Hamiltonian and has no sectors.
 
     `conserves_parity` is decided here from the couplings' declaration and
     the blocks, never from drawn values: an active component whose terms
@@ -393,10 +369,12 @@ class Plan:
             for axis in ("x", "y")
         )
         self.reads_state = any(getattr(block, "reads_state", True) for block in self.blocks)
+        self.sectors: Sectors | None = None
         if self.reads_state:
-            self.batch_size = max(1, _BATCH_BYTES // (16 * 4**self.n_sites))
+            self.sectors = (parity_sectors if self.conserves_parity else whole_space)(self.n_sites)
+            self.batch_size = self.stack_size(64 * 4**self.n_sites)
         else:
-            self.batch_size = max(1, _LINE_BATCH_BYTES // (8 * 2**self.n_sites))
+            self.batch_size = self.stack_size(8 * 2**self.n_sites)
         bound = [block.bind(self) for block in self.blocks]
         self.widths = tuple(width for width, _ in bound)
         self._evaluators = tuple(evaluate for _, evaluate in bound)
@@ -405,10 +383,11 @@ class Plan:
     def builder(self) -> HamiltonianBuilder:
         return HamiltonianBuilder(self.config.lattice, self.config.families)
 
-    @property
-    def sectors(self) -> Sectors:
-        """The blocks the plan's Hamiltonians are built and decomposed in."""
-        return (parity_sectors if self.conserves_parity else whole_space)(self.n_sites)
+    @staticmethod
+    def stack_size(item_bytes: int) -> int:
+        """How many items of `item_bytes` one stack holds: the budget's
+        share, at least one."""
+        return max(1, _BATCH_BYTES // item_bytes)
 
     def _check_sites(self, sites: tuple[int, ...]) -> None:
         if not set(sites) <= set(range(self.n_sites)):
@@ -511,6 +490,11 @@ class ValueTable:
     @property
     def method_name(self) -> str:
         return "mc" if self.is_mc else "quadrature"
+
+    @property
+    def seed(self) -> int | None:
+        """The Monte Carlo seed; a quadrature table has none."""
+        return self.method.seed if self.is_mc else None
 
     def values(self, block: Block) -> np.ndarray:
         try:
@@ -1006,8 +990,8 @@ class FieldStencilBlock:
     parity, and an x or y field breaks it and keeps its plan on the whole
     space. The four shifted means of a batch go through one stacked
     decomposition, thermal state and string expectation when the batch
-    byte budget holds them (`_BATCH_BYTES`), else through two or four, as
-    the plan decides when it binds the block."""
+    byte budget holds them (`Plan.stack_size`), else through two or four,
+    as the plan decides when it binds the block."""
 
     v: str
     w: str
@@ -1045,9 +1029,9 @@ class FieldStencilBlock:
         beta = plan.config.beta
         # the four nonzero field means; the zero-field point is the base state
         mus = np.array([-2 * h, -h, h, 2 * h], dtype=float)
-        # as many means per stack as keep it within the batch byte budget
-        hamiltonian_bytes = sectors.count * sectors.size**2 * np.dtype(sectors.dtype).itemsize
-        per_stack = max(1, _BATCH_BYTES // (plan.batch_size * hamiltonian_bytes))
+        # a mean costs four copies of the batch's Hamiltonians, each the
+        # size of one field
+        per_stack = plan.stack_size(4 * plan.batch_size * field.nbytes)
 
         def evaluate(s: _Batch) -> np.ndarray:
             base = s.hamiltonians.blocks
@@ -1086,7 +1070,6 @@ class SiteExpectationsBlock:
     the finite-size order parameters."""
 
     def bind(self, plan: Plan) -> tuple[int, Evaluator]:
-        plan.builder  # made now, so a lattice too large for it fails before sampling
         ops = [plan.string(s, a) for a in AXES for s in _single_sites(plan.n_sites)]
         return len(ops), lambda s: s.expectations(ops)
 

@@ -45,9 +45,7 @@ def _check_sites(n_sites: int) -> None:
     if n_sites < 1:
         raise ValueError(f"need at least one site, got {n_sites}")
     if n_sites > QUANTUM_SITE_CAP:
-        raise CapacityError(
-            f"{n_sites} sites exceeds the dense-operator cap {QUANTUM_SITE_CAP}"
-        )
+        raise CapacityError(f"{n_sites} sites exceeds the quantum cap {QUANTUM_SITE_CAP}")
 
 
 def _check_axis(axis: str) -> None:

@@ -71,9 +71,7 @@ class HamiltonianBuilder:
     def __init__(self, lattice: Lattice, families: Mapping[int, BondFamily]):
         n = lattice.n_sites
         if n > QUANTUM_SITE_CAP:
-            raise CapacityError(
-                f"{n} sites exceeds the quantum cap {QUANTUM_SITE_CAP}"
-            )
+            raise CapacityError(f"{n} sites exceeds the quantum cap {QUANTUM_SITE_CAP}")
         self.n_sites = n
         self.dim = 2**n
         self.terms = coupling_terms(families)

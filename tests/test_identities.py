@@ -34,7 +34,6 @@ from xyzglass.identities import (
     SusceptibilityBlock,
     ThreePointBlock,
     TwoPointBlock,
-    quadrature_average,
 )
 from xyzglass.lattice import (
     build_lattice,
@@ -104,14 +103,13 @@ def test_quadrature_moments():
     mu, delta = 0.7, 1.3
     params = CouplingParams({1: {"z": (mu, delta)}})
     spec = QuadratureSpec.from_model(fams, params, 8)
-    assert quadrature_average(spec, lambda s: s.value(1, "z", 0)) == pytest.approx(mu, abs=1e-12)
-    assert quadrature_average(spec, lambda s: (s.value(1, "z", 0) - mu) ** 2) == pytest.approx(
-        delta**2, abs=1e-12
-    )
+    # the z coupling is the last column in term order
+    z = spec.rows(0, spec.node_count)[:, -1]
+    assert spec.probabilities() @ z == pytest.approx(mu, abs=1e-12)
+    assert spec.probabilities() @ (z - mu) ** 2 == pytest.approx(delta**2, abs=1e-12)
     std = QuadratureSpec.from_model(fams, CouplingParams({1: {"z": (0.0, 1.0)}}), 8)
-    assert quadrature_average(std, lambda s: s.value(1, "z", 0) ** 4) == pytest.approx(
-        3.0, abs=1e-12
-    )
+    z = std.rows(0, std.node_count)[:, -1]
+    assert std.probabilities() @ z**4 == pytest.approx(3.0, abs=1e-12)
     assert cfg.params.is_active(1, "x")
 
 
@@ -133,7 +131,7 @@ def test_quadrature_zero_dims_single_node():
     params = CouplingParams({1: {"z": (0.4, 0.0)}})
     spec = QuadratureSpec.from_model(fams, params, 8)
     assert spec.node_count == 1
-    assert quadrature_average(spec, lambda s: s.value(1, "z", 0)) == pytest.approx(0.4)
+    assert spec.probabilities() @ spec.rows(0, 1)[:, -1] == pytest.approx(0.4)
 
 
 # ---------------------------------------------------------------------------
@@ -796,9 +794,9 @@ def test_the_stencil_stacks_as_many_field_means_as_the_batch_budget_holds(
 ):
     # a z field keeps the two real parity blocks, 2 (2^(L-1))^2 float64
     # entries a Hamiltonian; an x field breaks them, one complex 2^L x 2^L
-    # matrix. A stack of B Hamiltonians per mean fits max(1, budget // (B
-    # bytes)) means. From 8 sites on, and on the whole space, a stack holds
-    # one mean, one matrix per sample
+    # matrix. A mean is charged four copies of its B Hamiltonians, so a stack
+    # holds the plan's stack size of 4 B bytes means. From 8 sites on, and on
+    # the whole space, a stack holds one mean, one matrix per sample
     plan = identities.Plan(
         chain_config(L, beta=0.7, mu=0.6, with_field=False),
         [identities.FieldStencilBlock(v, "z", 0.05)],
@@ -810,7 +808,7 @@ def test_the_stencil_stacks_as_many_field_means_as_the_batch_budget_holds(
     else:
         assert plan.sectors is whole_space(L)
         hamiltonian_bytes = 4**L * 16
-    assert max(1, identities._BATCH_BYTES // (b * hamiltonian_bytes)) == per_stack
+    assert plan.stack_size(4 * b * hamiltonian_bytes) == per_stack
     calls = count_decompositions(monkeypatch)
     plan.evaluate(MonteCarlo(b, 87))
     assert calls == [per_stack * b] * (4 // per_stack) + [b]
@@ -848,6 +846,23 @@ def test_batch_size_rule():
     # the susceptibility stacks N matrices per sample but keeps the plan's batch
     chain = identities.Plan(bounds_5site_config(), [identities.SusceptibilityBlock("z", "z")], "x")
     assert chain.batch_size == 8
+
+
+def test_a_plan_over_the_quantum_cap_fails_before_any_draw(monkeypatch):
+    # the free energy reads the state and touches no string: the plan's
+    # sectors refuse the lattice when it is built
+    drawn = []
+    real = identities.draw_row
+
+    def counting(mu, delta, seed, sample_index):
+        drawn.append(sample_index)
+        return real(mu, delta, seed, sample_index)
+
+    monkeypatch.setattr(identities, "draw_row", counting)
+    with pytest.raises(CapacityError, match="15 sites exceeds the quantum cap 14"):
+        plan = identities.Plan(chain_config(15), [identities.FreeEnergyBlock()])
+        plan.evaluate(MonteCarlo(3, 1))
+    assert drawn == []
 
 
 def classical_14site_config():
@@ -919,10 +934,9 @@ def test_quadrature_rows_and_probabilities_match_the_grid_loop():
         assert np.array_equal(rows[k], grid_node_row(spec, idx, std_nodes))
     probs = np.array([math.prod(node_probs[i] for i in idx) for idx in grid])
     assert np.array_equal(spec.probabilities(), probs)
-    # quadrature_average integrates over the same rows
-    for t in range(rows.shape[1]):
-        average = identities.quadrature_average(spec, lambda s: s.row[t])
-        assert average == float(probs @ np.ascontiguousarray(rows[:, t]))
+    # one read of the whole grid, as a plan's one batch makes it, gives the
+    # same rows
+    assert np.array_equal(spec.rows(0, spec.node_count), rows)
 
 
 def stencil_values(states, h, n, order):
