@@ -27,12 +27,17 @@ import numpy as np
 
 from . import classical_gibbs, identities, phase_region, tolerances
 from .disorder import (
+    MAX_SEED,
     CouplingParams,
+    NishimoriRotation,
+    coupling_law,
+    draw_rows,
     dump_csv,
     gauge_transform_couplings,
     gaussian_log_density,
     nishimori_transform,
     sample_disorder,
+    term_slices,
 )
 from .errors import CapacityError, ConfigError, UndersampledError
 from .identities import (
@@ -78,7 +83,7 @@ CONFIG_SCHEMA: dict[str, Any] = {
     "additionalProperties": False,
     "required": ["seed"],
     "properties": {
-        "seed": {"type": "integer", "minimum": 0},
+        "seed": {"type": "integer", "minimum": 0, "maximum": MAX_SEED},
         "lattice": {
             "type": "object",
             "additionalProperties": False,
@@ -249,6 +254,9 @@ def load_config(path: str) -> dict:
 def resolve_config(raw: dict, seed_override: int | None) -> dict:
     cfg = json.loads(json.dumps(raw))  # deep copy, JSON-clean
     if seed_override is not None:
+        # the config's seed is held to the same range by the schema
+        if not 0 <= seed_override <= MAX_SEED:
+            raise ConfigError(f"--seed must be in [0, {MAX_SEED}], got {seed_override}")
         cfg["seed"] = int(seed_override)
     cfg["tolerances"] = {**dataclasses.asdict(Tolerances()), **cfg.get("tolerances", {})}
     if "lattice" in cfg:
@@ -626,14 +634,23 @@ def run_selftest(seed: int) -> tuple[list[dict], dict]:
     lat = build_lattice(1, 2)
     fams = {2: generate_bonds(lat, chain_pair_shape(), "open")}
     params = CouplingParams({2: {a: (0.4, 0.9) for a in AXES}})
+    # one stack of 10^4 draws of the next seed (wrapping at 2^64) and one
+    # rotation; K and G stay float64 scalars and the couplings Python floats,
+    # the types of the per-sample loop this replaced, so the records keep
+    # their bits
+    rows = draw_rows(*coupling_law(params, fams), (seed + 1) & MAX_SEED, 0, 10**4)
+    rotation = NishimoriRotation(params, fams, "x")
+    beta_n = rotation.betas[2]
+    columns = term_slices(fams)
     worst_cov = 0.0
     worst_rel = 0.0
-    for k in range(10**4):
-        sample = sample_disorder(params, fams, seed + 1, k)
-        nd = nishimori_transform(sample, params, "x")
-        beta_n = nd.betas[2]
-        lhs = (nd.k[2][0] - beta_n) ** 2 + nd.g[2][0] ** 2
-        jy, jz = sample.value(2, "y", 0), sample.value(2, "z", 0)
+    for k_n, g_n, jy, jz in zip(
+        rotation(rows)[2][:, 0],
+        rotation.complement(rows)[2][:, 0],
+        rows[:, columns[(2, "y")].start].tolist(),
+        rows[:, columns[(2, "z")].start].tolist(),
+    ):
+        lhs = (k_n - beta_n) ** 2 + g_n**2
         rhs = ((jy - 0.4) / 0.9) ** 2 + ((jz - 0.4) / 0.9) ** 2
         worst_cov = max(worst_cov, abs(lhs - rhs))
         tau_x = -1.0

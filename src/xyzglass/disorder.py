@@ -13,7 +13,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 # numpy.random loads with this module, not inside the first draw of a run
-from numpy.random import default_rng
+from numpy.random import PCG64, Generator
 
 from .lattice import BondFamily
 from .operators import AXES
@@ -66,7 +66,7 @@ class CouplingParams:
 @dataclass(frozen=True)
 class DisorderSample:
     """One realization of all couplings: `row` holds them in term order
-    (`coupling_terms`), as `draw_row` makes them.
+    (`coupling_terms`), as `draw_rows` makes them.
 
     `couplings[p][axis]` is a view of the row parallel to `families[p].bonds`.
     """
@@ -136,15 +136,109 @@ def coupling_law(
     )
 
 
-def draw_row(mu: np.ndarray, delta: np.ndarray, seed: int, sample_index: int) -> np.ndarray:
-    """One sample's couplings J = mu + delta z in term order, from one
-    standard-normal row of the stream keyed by (seed, sample_index).
+#: The largest seed: the disorder stream is keyed by (seed, k) with both
+#: below 2^64, where numpy's SeedSequence takes each as at most two words.
+MAX_SEED = 2**64 - 1
 
-    Distinct sample indices can be drawn concurrently in any order with
-    identical results. A zero std-dev yields the constant mean exactly.
+_MASK32 = 0xFFFFFFFF
+_MASK128 = (1 << 128) - 1
+# numpy's SeedSequence hash (seed_seq_fe with a pool of four 32-bit words).
+# Its i-th hashmix call xors a word with A_i, multiplies it by A_{i+1} and
+# xors in its top half, with A_i = INIT_A MULT_A^i mod 2^32: 4 calls fill
+# the pool and 12 mix it. generate_state hashes its i-th output word the
+# same way with B_i = INIT_B MULT_B^i, and mix(x, y) is (L x - R y) with
+# its top half xored in.
+_HASH_A = tuple(0x43B0D7E5 * pow(0x931E8875, i, 1 << 32) & _MASK32 for i in range(17))
+_HASH_B = tuple(0x8B51F9DD * pow(0x58F38DED, i, 1 << 32) & _MASK32 for i in range(9))
+_MIX_MULT_L, _MIX_MULT_R = np.uint32(0xCA01F9DD), np.uint32(0x4973F715)
+_XSHIFT = np.uint32(16)
+# PCG64's 128-bit LCG multiplier
+_PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+
+
+def _pcg_seeds(seed: int, first: int, last: int) -> np.ndarray:
+    """`SeedSequence([seed, k]).generate_state(4, np.uint64)` for k in
+    first..last-1, one row each, hashed for the whole range at once in
+    uint32 arithmetic (which wraps, as numpy's hash does).
+
+    numpy's entropy is the seed's little-endian 32-bit words (one for 0)
+    followed by k's. Here k always takes two words, [k mod 2^32, k >> 32]:
+    with a seed below 2^64 that is at most four words, the pool size, and a
+    high word of 0 hashes exactly as numpy's zero padding of the pool does.
+    The calls that hash the same pool word, or the pool's four words, with
+    consecutive constants run as one stacked operation.
     """
-    rng = default_rng([int(seed) & 0xFFFFFFFFFFFFFFFF, int(sample_index)])
-    return mu + delta * rng.standard_normal(len(mu))
+    hash_a = np.array(_HASH_A, dtype=np.uint32)[:, None]
+    hash_b = np.array(_HASH_B, dtype=np.uint32)[:, None]
+
+    def hashmix(words: np.ndarray, call: int, calls: int) -> np.ndarray:
+        """Hash calls call..call+calls-1, one a row of the result."""
+        words = (words ^ hash_a[call : call + calls]) * hash_a[call + 1 : call + 1 + calls]
+        return words ^ (words >> _XSHIFT)
+
+    k = np.arange(first, last, dtype=np.uint64)
+    pool = np.zeros((4, last - first), dtype=np.uint32)
+    seed_words = _seed_words(seed)
+    pool[: len(seed_words)] = np.array(seed_words, dtype=np.uint32)[:, None]
+    pool[len(seed_words)] = k & np.uint64(_MASK32)
+    pool[len(seed_words) + 1] = k >> np.uint64(32)
+    pool = hashmix(pool, 0, 4)
+    for src in range(4):
+        dst = [i for i in range(4) if i != src]
+        mixed = _MIX_MULT_L * pool[dst] - _MIX_MULT_R * hashmix(pool[src], 4 + 3 * src, 3)
+        pool[dst] = mixed ^ (mixed >> _XSHIFT)
+    state = (pool[[0, 1, 2, 3] * 2] ^ hash_b[:8]) * hash_b[1:]
+    state ^= state >> _XSHIFT
+    return np.ascontiguousarray(state.T).view(np.uint64)
+
+
+def _seed_words(seed: int) -> list[int]:
+    """An integer's little-endian 32-bit words, as numpy's SeedSequence
+    splits an entropy integer: one word for 0."""
+    words = [seed & _MASK32]
+    while seed > _MASK32:
+        seed >>= 32
+        words.append(seed & _MASK32)
+    return words
+
+
+def draw_rows(mu: np.ndarray, delta: np.ndarray, seed: int, first: int, last: int) -> np.ndarray:
+    """The couplings J = mu + delta z of samples first..last-1 in term order,
+    one row each. Row k's z is the standard-normal row of the stream keyed by
+    (seed, k): `default_rng([seed, k]).standard_normal(terms)`, bit for bit.
+
+    The seed hash runs once for the whole range (`_pcg_seeds`). Each row then
+    seeds PCG64 as numpy does (its 128-bit setseq: inc = 2 initseq + 1, state
+    = (inc + initstate) mult + inc) and sets the state of the one generator
+    this call owns. A row does not depend on the range it is drawn in, so
+    ranges can be drawn in any order with identical results. A zero std-dev
+    yields the constant mean exactly.
+    """
+    seed, first, last = int(seed), int(first), int(last)
+    if not 0 <= seed <= MAX_SEED:
+        raise ValueError(f"the seed must be in [0, {MAX_SEED}], got {seed}")
+    if not 0 <= first <= last <= MAX_SEED + 1:
+        raise ValueError(f"sample indices {first}..{last - 1} are not a range in [0, 2^64)")
+    generator = Generator(PCG64(0))
+    bits = generator.bit_generator
+    z = np.empty((last - first, len(mu)))
+    for row, (initstate_hi, initstate_lo, initseq_hi, initseq_lo) in zip(
+        z, _pcg_seeds(seed, first, last).tolist()
+    ):
+        inc = ((((initseq_hi << 64) | initseq_lo) << 1) | 1) & _MASK128
+        state = ((inc + ((initstate_hi << 64) | initstate_lo)) * _PCG_MULT + inc) & _MASK128
+        bits.state = {
+            "bit_generator": "PCG64",
+            "state": {"state": state, "inc": inc},
+            "has_uint32": 0,
+            "uinteger": 0,
+        }
+        generator.standard_normal(out=row)
+    # elementwise, in place: each value is delta * z + mu rounded as one
+    # row's `mu + delta * z` rounds it
+    z *= delta
+    z += mu
+    return z
 
 
 def sample_disorder(
@@ -154,8 +248,8 @@ def sample_disorder(
     sample_index: int = 0,
 ) -> DisorderSample:
     """Draw all couplings J ~ N(mu, delta^2) independently: the one-sample
-    case of `draw_row`, keyed by (seed, sample_index)."""
-    row = draw_row(*coupling_law(params, families), seed, sample_index)
+    case of `draw_rows`, keyed by (seed, sample_index)."""
+    (row,) = draw_rows(*coupling_law(params, families), seed, sample_index, sample_index + 1)
     return DisorderSample(row, dict(families))
 
 

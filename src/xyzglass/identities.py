@@ -32,7 +32,7 @@ from .disorder import (
     CouplingParams,
     NishimoriRotation,
     coupling_law,
-    draw_row,
+    draw_rows,
     term_slices,
 )
 from .errors import CapacityError, UndersampledError
@@ -423,27 +423,32 @@ class Plan:
         return [self._set_index[s] for s in site_sets]
 
     def _fill(
-        self, rows: Callable[[int, int], np.ndarray], start: int, stop: int, threads: int = 1
+        self, stacks: Iterable[tuple[int, np.ndarray]], start: int, stop: int, threads: int = 1
     ) -> list[np.ndarray]:
-        """Evaluate sample indices start..stop-1 batch by batch; `rows` gives
-        a batch's coupling rows."""
+        """Evaluate sample indices start..stop-1 batch by batch. `stacks`
+        gives the coupling rows as consecutive stacks of whole batches (the
+        last may end short), each with its first sample index; a stack is
+        made in the calling thread, and its batches are then evaluated in
+        turn or by `threads` workers."""
         columns = [np.empty((stop - start, width)) for width in self.widths]
 
-        def work(first: int) -> None:
-            last = min(first + self.batch_size, stop)
-            batch = _Batch(self, range(first, last), rows(first, last))
+        def work(batch: _Batch) -> None:
+            at = slice(batch.indices.start - start, batch.indices.stop - start)
             for column, values in zip(columns, self._evaluators):
-                column[first - start : last - start] = values(batch)
+                column[at] = values(batch)
 
-        firsts = range(start, stop, self.batch_size)
-        workers = min(threads, len(firsts))
-        if workers > 1:
-            with ThreadPoolExecutor(max_workers=workers) as pool:
-                for _ in pool.map(work, firsts):
+        size = self.batch_size
+        workers = min(threads, -(-(stop - start) // size))
+        with ThreadPoolExecutor(workers) if workers > 1 else contextlib.nullcontext() as pool:
+            for first, rows in stacks:
+                # made as they are taken, so a finished batch's state is freed
+                last = first + len(rows)
+                batches = (
+                    _Batch(self, range(b, min(b + size, last)), rows[b - first : b - first + size])
+                    for b in range(first, last, size)
+                )
+                for _ in (pool.map if pool else map)(work, batches):
                     pass
-        else:
-            for first in firsts:
-                work(first)
         return columns
 
     @functools.cached_property
@@ -451,19 +456,26 @@ class Plan:
         return coupling_law(self.config.params, self.config.families)
 
     def _mc_columns(self, method: MonteCarlo, start: int, stop: int) -> list[np.ndarray]:
+        """Sample indices start..stop-1, drawn one draw stack at a time: the
+        most whole batches whose coupling rows `stack_size` holds (a row
+        charged 8 bytes a term, at least 8), at least one batch."""
         mu, delta = self._law
-
-        def rows(first: int, last: int) -> np.ndarray:
-            return np.stack([draw_row(mu, delta, method.seed, k) for k in range(first, last)])
-
-        return self._fill(rows, start, stop, method.threads)
+        row_bytes = 8 * max(len(mu), 1)
+        span = self.batch_size * max(1, self.stack_size(row_bytes) // self.batch_size)
+        stacks = (
+            (first, draw_rows(mu, delta, method.seed, first, min(first + span, stop)))
+            for first in range(start, stop, span)
+        )
+        return self._fill(stacks, start, stop, method.threads)
 
     def evaluate(self, method: Method) -> "ValueTable":
         if isinstance(method, MonteCarlo):
             return ValueTable(self, method, self._mc_columns(method, 0, method.n_samples), None)
         spec = QuadratureSpec.from_model(self.config.families, self.config.params, method.nodes_per_dim)
         probs = spec.probabilities()
-        return ValueTable(self, method, self._fill(spec.rows, 0, len(probs)), probs)
+        n, size = len(probs), self.batch_size
+        stacks = ((first, spec.rows(first, min(first + size, n))) for first in range(0, n, size))
+        return ValueTable(self, method, self._fill(stacks, 0, n), probs)
 
 
 class ValueTable:

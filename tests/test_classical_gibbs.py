@@ -15,7 +15,14 @@ from xyzglass.classical_gibbs import (
     correlation_matrix_to_csv,
     product_expectations,
 )
-from xyzglass.disorder import CouplingParams, nishimori_transform, sample_disorder
+from xyzglass.disorder import (
+    CouplingParams,
+    DisorderSample,
+    coupling_law,
+    draw_rows,
+    nishimori_transform,
+    sample_disorder,
+)
 from xyzglass.errors import CapacityError
 from xyzglass.identities import MagnetizationBlock, ModelConfig, PairMatrixBlock, Plan
 from xyzglass.lattice import (
@@ -170,9 +177,9 @@ def test_classical_nishimori_two_site_identity_via_transform():
     n = 20000
     first = np.empty(n)
     second = np.empty(n)
+    rows = draw_rows(*coupling_law(params, fams), 13, 0, n)
     for k in range(n):
-        sample = sample_disorder(params, fams, 13, k)
-        nd = nishimori_transform(sample, params, "x")
+        nd = nishimori_transform(DisorderSample(rows[k], fams), params, "x")
         model = classical_from_nishimori(nd, fams, 2)
         val = classical_expectation(model, [0, 1])
         first[k] = val

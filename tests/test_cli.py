@@ -37,7 +37,7 @@ from xyzglass.identities import (
     TwoPointBlock,
 )
 
-from plans import evaluate_alone
+from plans import count_draws, evaluate_alone
 
 
 def write_config(tmp_path, name, payload):
@@ -359,11 +359,12 @@ def test_retry_extends_the_shared_table_once(tmp_path, monkeypatch):
     payload = identities_mc_config(n, seed, z_max=1e-9)
     cfg = write_config(tmp_path, "r.json", payload)
     out = str(tmp_path / "runs")
-    draws = count_calls(monkeypatch, identities, "draw_row")
+    draws = count_draws(monkeypatch)
     code = main(["verify-identities", "--config", cfg, "--out", out, "--extended-multipoint"])
     assert code == EXIT_CHECK_FAILED
     # every group failed, and the one shared retry drew only samples n..2n-1
     assert len(draws) == 2 * n
+    assert draws[n:] == list(range(n, 2 * n))
     report = load_report(out)
     assert all(c["retried"] for c in report["checks"])
     model = cli.build_model(resolve_config(payload, None))
@@ -389,7 +390,7 @@ def test_verify_identities_decomposes_each_sample_once(tmp_path, monkeypatch):
     n = 40
     cfg = write_config(tmp_path, "i.json", identities_mc_config(n))
     out = str(tmp_path / "runs")
-    draws = count_calls(monkeypatch, identities, "draw_row")
+    draws = count_draws(monkeypatch)
     decompositions = count_decompositions(monkeypatch)
     main(["verify-identities", "--config", cfg, "--out", out, "--extended-multipoint"])
     retried = any(c["retried"] for c in load_report(out)["checks"])
@@ -416,7 +417,7 @@ def test_verify_bounds_makes_five_decompositions_per_sample(tmp_path, monkeypatc
     n = 60
     cfg = write_config(tmp_path, "b.json", bounds_mc_config(n))
     out = str(tmp_path / "runs")
-    draws = count_calls(monkeypatch, identities, "draw_row")
+    draws = count_draws(monkeypatch)
     decompositions = count_decompositions(monkeypatch)
     main(["verify-bounds", "--config", cfg, "--out", out])
     assert len(draws) == n
@@ -436,7 +437,7 @@ def test_out_of_range_observable_site_exits_two_before_sampling(
     payload = json.loads(shipped.read_text())
     payload["observables"][field] = [7]  # the model has 4 sites
     cfg = write_config(tmp_path, "c.json", payload)
-    draws = count_calls(monkeypatch, identities, "draw_row")
+    draws = count_draws(monkeypatch)
     code = main(["verify-identities", "--config", cfg, "--out", str(tmp_path / "runs"), *extra])
     assert code == EXIT_CONFIG_ERROR
     err = json.loads(capsys.readouterr().err.strip())
@@ -462,7 +463,7 @@ def test_non_finite_config_number_exits_two_before_sampling(
         parent = parent[key]
     parent[path[-1]] = value
     cfg = write_config(tmp_path, "c.json", payload)  # json writes NaN, Infinity, -Infinity
-    draws = count_calls(monkeypatch, identities, "draw_row")
+    draws = count_draws(monkeypatch)
     code = main(["verify-bounds", "--config", cfg, "--out", str(tmp_path / "runs")])
     assert code == EXIT_CONFIG_ERROR
     err = json.loads(capsys.readouterr().err.strip())
@@ -570,6 +571,42 @@ def test_bad_thread_counts_exit_two(tmp_path, capsys, argv):
 
 
 @pytest.mark.parametrize(
+    "seed, where",
+    [(-1, "flag"), (2**64 + 1, "flag"), (2**64, "config"), (2**64 + 1, "config")],
+    ids=["flag-negative", "flag-2^64+1", "config-2^64", "config-2^64+1"],
+)
+def test_seeds_outside_the_stream_exit_two_before_sampling(
+    tmp_path, capsys, monkeypatch, seed, where
+):
+    # the stream is keyed by seeds below 2^64; a larger or negative seed
+    # must not alias another seed's numbers
+    payload = identities_mc_config(20)
+    argv = ["--seed", str(seed)] if where == "flag" else []
+    if where == "config":
+        payload["seed"] = seed
+    cfg = write_config(tmp_path, "c.json", payload)
+    draws = count_draws(monkeypatch)
+    code = main(["verify-identities", "--config", cfg, "--out", str(tmp_path / "runs"), *argv])
+    assert code == EXIT_CONFIG_ERROR
+    (line,) = capsys.readouterr().err.strip().splitlines()
+    record = json.loads(line)["error"]
+    assert record["kind"] == "config"
+    assert record["exit_code"] == EXIT_CONFIG_ERROR
+    assert "seed" in record["message"]
+    assert draws == []
+    assert not (tmp_path / "runs").exists()
+
+
+def test_the_largest_seed_runs_and_is_recorded(tmp_path):
+    cfg = write_config(tmp_path, "c.json", identities_mc_config(20))
+    out = str(tmp_path / "runs")
+    code = main(["verify-identities", "--config", cfg, "--out", out, "--seed", str(2**64 - 1)])
+    assert code in (EXIT_OK, EXIT_CHECK_FAILED)
+    report = load_report(out)
+    assert report["seed"] == report["config"]["seed"] == 2**64 - 1
+
+
+@pytest.mark.parametrize(
     "field, value", [("mu", 1e200), ("delta", 1e-300)], ids=["mu-1e200", "delta-1e-300"]
 )
 def test_overflowing_nishimori_ratio_exits_two_before_sampling(
@@ -579,7 +616,7 @@ def test_overflowing_nishimori_ratio_exits_two_before_sampling(
     payload = json.loads(shipped.read_text())
     payload["couplings"]["2"]["y"][field] = value  # transformed for gauge axis x
     cfg = write_config(tmp_path, "c.json", payload)
-    draws = count_calls(monkeypatch, identities, "draw_row")
+    draws = count_draws(monkeypatch)
     code = main(["verify-identities", "--config", cfg, "--out", str(tmp_path / "runs")])
     assert code == EXIT_CONFIG_ERROR
     err = json.loads(capsys.readouterr().err.strip())
@@ -623,7 +660,7 @@ def test_a2_step_without_normal_powers_exits_two_before_sampling(
     payload = bounds_mc_config(20)
     payload["bounds"]["a2_step"] = step
     cfg = write_config(tmp_path, "c.json", payload)
-    draws = count_calls(monkeypatch, identities, "draw_row")
+    draws = count_draws(monkeypatch)
     code = main(["verify-bounds", "--config", cfg, "--out", str(tmp_path / "runs")])
     assert code == EXIT_CONFIG_ERROR
     err = json.loads(capsys.readouterr().err.strip())
@@ -652,7 +689,7 @@ def test_extreme_coupling_laws_end_in_one_typed_error_record(
     payload["method"]["n_samples"] = 20
     payload["couplings"][p][axis] = law
     cfg = write_config(tmp_path, "c.json", payload)
-    draws = count_calls(monkeypatch, identities, "draw_row")
+    draws = count_draws(monkeypatch)
     assert main(["verify-identities", "--config", cfg, "--out", str(tmp_path / "runs")]) == code
     err = capsys.readouterr().err
     assert "Traceback" not in err

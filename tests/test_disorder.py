@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from xyzglass.disorder import (
     CouplingParams,
@@ -10,13 +12,14 @@ from xyzglass.disorder import (
     bond_sign,
     coupling_law,
     coupling_terms,
-    draw_row,
+    draw_rows,
     dump_csv,
     gauge_transform_couplings,
     gaussian_log_density,
     nishimori_beta,
     nishimori_transform,
     sample_disorder,
+    term_slices,
 )
 from xyzglass.lattice import (
     build_lattice,
@@ -89,8 +92,8 @@ def test_row_draw_equals_the_per_axis_sampling_loop():
         3: {"y": (0.5, 0.6)},
     })
     mu, delta = coupling_law(params, fams)
-    for k in range(50):
-        row = draw_row(mu, delta, 11, k)
+    rows = draw_rows(mu, delta, 11, 0, 50)
+    for k, row in enumerate(rows):
         reference = per_axis_reference_draw(params, fams, 11, k)
         sample = sample_disorder(params, fams, 11, k)
         for t, (p, axis, b, _) in enumerate(coupling_terms(fams)):
@@ -99,6 +102,58 @@ def test_row_draw_equals_the_per_axis_sampling_loop():
             for axis in "xyz":
                 assert np.array_equal(sample.couplings[p][axis], reference[p][axis])
         assert np.array_equal(sample.row, row)
+
+
+def seeded_rows(mu, delta, seed, first, last):
+    """The disorder stream's definition: row k is mu + delta z, with z the
+    standard normals of numpy's `default_rng([seed, k])`, one generator a
+    row. `draw_rows` redoes numpy's seeding, so this is its spec."""
+    return np.stack([
+        mu + delta * np.random.default_rng([seed, k]).standard_normal(len(mu))
+        for k in range(first, last)
+    ])
+
+
+def stream_law(terms):
+    # delta 0 in the first column: the constant mean, exactly
+    return np.linspace(-1.5, 2.5, terms), np.linspace(0.0, 1.7, terms)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    seed=st.integers(0, 2**64 - 1),
+    # a first index in [0, 2^33) whose high 32-bit word is 0 or 1 about
+    # equally often, so that a stack often holds two-word indices
+    first=st.builds(lambda high, low: high << 32 | low, st.integers(0, 1), st.integers(0, 2**32 - 1)),
+    count=st.integers(1, 600),
+    terms=st.integers(1, 30),
+)
+def test_draw_rows_are_the_seeded_generator_rows_bit_for_bit(seed, first, count, terms):
+    mu, delta = stream_law(terms)
+    rows = draw_rows(mu, delta, seed, first, first + count)
+    assert rows.shape == (count, terms)
+    assert rows.tobytes() == seeded_rows(mu, delta, seed, first, first + count).tobytes()
+
+
+@pytest.mark.parametrize("first", [0, 2**32 - 3, 2**33 + 1, 2**63, 2**64 - 4])
+@pytest.mark.parametrize("seed", [0, 1, 2**32 - 1, 2**32 + 5, 2**63 + 11, 2**64 - 1])
+def test_draw_rows_keep_the_stream_at_word_boundaries(seed, first):
+    # seeds of one and two 32-bit words, and index ranges that cross from
+    # one word to two and end at the last index
+    mu, delta = stream_law(7)
+    rows = draw_rows(mu, delta, seed, first, first + 4)
+    assert rows.tobytes() == seeded_rows(mu, delta, seed, first, first + 4).tobytes()
+
+
+@pytest.mark.parametrize(
+    "seed, first, last",
+    [(-1, 0, 1), (2**64, 0, 1), (1, -1, 1), (1, 3, 2), (1, 2**64 - 1, 2**64 + 1)],
+    ids=["negative-seed", "seed-2^64", "negative-index", "reversed", "index-2^64"],
+)
+def test_draw_rows_refuse_keys_outside_the_stream(seed, first, last):
+    mu, delta = stream_law(3)
+    with pytest.raises(ValueError):
+        draw_rows(mu, delta, seed, first, last)
 
 
 @pytest.mark.parametrize("u", ["x", "y", "z"])
@@ -112,7 +167,7 @@ def test_stacked_nishimori_rows_equal_per_sample_transforms(u):
         3: {"y": (0.5, 0.6)},
     })
     mu, delta = coupling_law(params, fams)
-    rows = np.stack([draw_row(mu, delta, 12, k) for k in range(40)])
+    rows = draw_rows(mu, delta, 12, 0, 40)
     rotation = NishimoriRotation(params, fams, u)
     betas = rotation.betas
     ks, gs = rotation(rows), rotation.complement(rows)
@@ -132,9 +187,7 @@ def test_sampling_law_of_large_numbers():
     mu, delta = 0.4, 1.3
     params = CouplingParams({1: {"y": (mu, delta)}})
     n = 10**5
-    vals = np.array(
-        [sample_disorder(params, fams, 9, k).value(1, "y", 0) for k in range(n)]
-    )
+    vals = draw_rows(*coupling_law(params, fams), 9, 0, n)[:, term_slices(fams)[(1, "y")]]
     assert abs(vals.mean() - mu) < 4 * delta / math.sqrt(n)
 
 
@@ -206,12 +259,9 @@ def test_transform_moments_and_covariance():
     fams = {1: generate_bonds(lat, single_site_shape(), "open")}
     params = CouplingParams({1: {"x": (0.5, 0.8), "y": (1.1, 0.6), "z": (0.2, 1.9)}})
     n = 10**5
-    ks = np.empty(n)
-    gs = np.empty(n)
-    for k in range(n):
-        nd = nishimori_transform(sample_disorder(params, fams, 77, k), params, "x")
-        ks[k] = nd.k[1][0]
-        gs[k] = nd.g[1][0]
+    rows = draw_rows(*coupling_law(params, fams), 77, 0, n)
+    rotation = NishimoriRotation(params, fams, "x")
+    ks, gs = rotation(rows)[1][:, 0], rotation.complement(rows)[1][:, 0]
     tol = 4 / math.sqrt(n)
     beta = nishimori_beta(params, 1, "x")
     assert abs(ks.mean() - beta) < tol

@@ -14,7 +14,7 @@ from xyzglass.disorder import (
     CouplingParams,
     NishimoriRotation,
     coupling_law,
-    draw_row,
+    draw_rows,
     nishimori_transform,
     sample_disorder,
 )
@@ -54,7 +54,7 @@ from xyzglass.quantum_gibbs import (
 )
 from xyzglass.tolerances import EXACT_TOL, Tolerances, flip_symmetric
 
-from plans import evaluate_alone
+from plans import count_draws, evaluate_alone
 
 
 def single_site_config(beta=0.5, jx=0.6):
@@ -549,20 +549,37 @@ def test_extended_table_equals_fresh_table(threads):
 
 
 def test_extend_draws_only_the_new_samples(monkeypatch):
-    drawn = []
-    real = identities.draw_row
-
-    def counting(mu, delta, seed, sample_index):
-        drawn.append(sample_index)
-        return real(mu, delta, seed, sample_index)
-
-    monkeypatch.setattr(identities, "draw_row", counting)
+    drawn = count_draws(monkeypatch)
     plan = identities.Plan(chain_config(2), identity_blocks(2), "x")
     table = plan.evaluate(MonteCarlo(25, 73))
     assert sorted(drawn) == list(range(25))
     drawn.clear()
     table.extend(50)
     assert sorted(drawn) == list(range(25, 50))
+
+
+def test_threads_fill_draw_stacks_shorter_than_the_run(monkeypatch):
+    # a byte budget of two batches' coupling rows: the run is drawn in three
+    # stacks, the last one short, and two workers fill each stack's batches
+    cfg = chain_config(3)
+    plan = identities.Plan(cfg, identity_blocks(3), "x")
+    size = plan.batch_size
+    n = 5 * size + 3
+    row_bytes = coupling_law(cfg.params, cfg.families)[0].nbytes
+    whole = plan.evaluate(MonteCarlo(n, 79))
+    stacks = []
+    real = identities.draw_rows
+
+    def recording(mu, delta, seed, first, last):
+        stacks.append((first, last))
+        return real(mu, delta, seed, first, last)
+
+    monkeypatch.setattr(identities, "draw_rows", recording)
+    monkeypatch.setattr(identities, "_BATCH_BYTES", 2 * size * row_bytes)
+    split = plan.evaluate(MonteCarlo(n, 79, threads=2))
+    assert stacks == [(0, 2 * size), (2 * size, 4 * size), (4 * size, n)]
+    for block in plan.blocks:
+        assert np.array_equal(split.values(block), whole.values(block))
 
 
 def count_decompositions(monkeypatch) -> list[int]:
@@ -675,7 +692,7 @@ def test_shared_products_equal_table_expectations():
     tau = 1.0 - 2.0 * ((np.arange(1 << n)[:, None] >> (n - 1 - np.arange(n))) & 1)
     mu, delta = coupling_law(cfg.params, cfg.families)
     batch = identities._Batch(
-        plan, range(20), np.stack([draw_row(mu, delta, 1, k) for k in range(20)])
+        plan, range(20), draw_rows(mu, delta, 1, 0, 20)
     )
     for k in range(20):
         sample = sample_disorder(cfg.params, cfg.families, 1, k)
@@ -851,14 +868,7 @@ def test_batch_size_rule():
 def test_a_plan_over_the_quantum_cap_fails_before_any_draw(monkeypatch):
     # the free energy reads the state and touches no string: the plan's
     # sectors refuse the lattice when it is built
-    drawn = []
-    real = identities.draw_row
-
-    def counting(mu, delta, seed, sample_index):
-        drawn.append(sample_index)
-        return real(mu, delta, seed, sample_index)
-
-    monkeypatch.setattr(identities, "draw_row", counting)
+    drawn = count_draws(monkeypatch)
     with pytest.raises(CapacityError, match="15 sites exceeds the quantum cap 14"):
         plan = identities.Plan(chain_config(15), [identities.FreeEnergyBlock()])
         plan.evaluate(MonteCarlo(3, 1))

@@ -8,10 +8,10 @@ import json
 import pathlib
 import sys
 
+from record_golden import RUNS
 from xyzglass import cli
 
 PACKAGE = pathlib.Path(cli.__file__).parent
-CONFIGS = pathlib.Path(__file__).parents[1] / "configs"
 
 #: Functions that no CLI run calls, each with why it stays. A reason names
 #: one of the kinds below; a wrapper kept only for tests is no reason.
@@ -56,35 +56,9 @@ def package_functions():
     return found
 
 
-def shrunk(name, **changes):
-    """A shipped config cut to at most 4 sites, 20 samples, 4 quadrature
-    nodes per dimension and 4 phase-grid points per axis."""
-    cfg = json.loads((CONFIGS / f"{name}.json").read_text())
-    if "lattice" in cfg:
-        cfg["lattice"]["L"] = min(cfg["lattice"]["L"], 4)
-    method = cfg.get("method", {})
-    if "n_samples" in method:
-        method["n_samples"] = min(method["n_samples"], 20)
-    if "nodes_per_dim" in method:
-        method["nodes_per_dim"] = min(method["nodes_per_dim"], 4)
-    for axis in cfg.get("phase_grid", {}).values():
-        axis[2] = min(axis[2], 4)
-    return {**cfg, **changes}
-
-
 def test_every_src_function_is_reached_or_retained(tmp_path):
     runs = [
-        ("verify-identities", shrunk("identities_mc"), []),
-        # a z_max no residual meets: the doubled-n retry, and the disorder dump
-        ("verify-identities", shrunk(
-            "identities_mc", tolerances={"z_max": 1e-9}, dump_disorder_sample=True
-        ), []),
-        ("verify-identities", shrunk("identities_quadrature"), ["--extended-multipoint"]),
-        # seed 1: 20 samples clip no square root, so every chain reaches its report
-        ("verify-bounds", shrunk("bounds_mc"), ["--seed", "1"]),
-        ("order-params", shrunk("order_params"), []),
-        ("phase-region", shrunk("phase_region"), []),
-        ("selftest", None, []),
+        *((subcommand, cfg, extra) for _, subcommand, cfg, extra in RUNS),
         ("verify-identities", None, []),  # no config: the error record
     ]
     # a CLI process starts with empty memo caches; calls of earlier tests
