@@ -175,6 +175,7 @@ CONFIG_SCHEMA: dict[str, Any] = {
                 "a2_step": {"type": "number", "exclusiveMinimum": 0},
                 "checks": {
                     "type": "array",
+                    "minItems": 1,
                     "items": {"enum": ["magnetization", "susceptibility", "a1", "a2"]},
                 },
             },
@@ -291,6 +292,9 @@ def build_model(cfg: dict) -> ModelConfig:
         int(p): {axis: (spec["mu"], spec["delta"]) for axis, spec in per_axis.items()}
         for p, per_axis in cfg["couplings"].items()
     }
+    unshaped = sorted(set(entries) - set(families))
+    if unshaped:
+        raise ConfigError(f"couplings of orders {unshaped} have no shapes")
     params = CouplingParams(entries)
     return ModelConfig(lattice=lattice, families=families, params=params, beta=cfg["beta"])
 
@@ -496,6 +500,8 @@ def run_order_params(cfg: dict, threads: int) -> tuple[list[dict], dict]:
     sweep = cfg.get("sweep", {"kind": "beta", "values": [cfg["beta"]]})
     if sweep["kind"] == "mu1" and "axis" not in sweep:
         raise ConfigError("a mu1 sweep needs sweep.axis")
+    if sweep["kind"] == "mu1" and 1 not in model.families:
+        raise ConfigError("a mu1 sweep needs a p=1 shape for its field")
     sites = identities.SiteExpectationsBlock()
     free_energy = identities.FreeEnergyBlock()
     checks = []
@@ -509,8 +515,7 @@ def run_order_params(cfg: dict, threads: int) -> tuple[list[dict], dict]:
                 p: {a: (model.params.mu(p, a), model.params.delta(p, a)) for a in AXES}
                 for p in set(model.params.p_values) | {1}
             }
-            mu1, delta1 = entries.get(1, {}).get(axis, (0.0, 0.0))
-            entries.setdefault(1, {a: (0.0, 0.0) for a in AXES})[axis] = (float(value), delta1)
+            entries[1][axis] = (float(value), entries[1][axis][1])
             point = dataclasses.replace(model, params=CouplingParams(entries))
             label = {"mu1": value, "axis": axis}
         table = identities.Plan(point, [sites, free_energy]).evaluate(method)

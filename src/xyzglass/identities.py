@@ -33,7 +33,6 @@ from .disorder import (
     NishimoriRotation,
     coupling_law,
     draw_rows,
-    term_slices,
 )
 from .errors import CapacityError, UndersampledError
 from .lattice import BondFamily, Lattice, generate_bonds, single_site_shape
@@ -102,19 +101,18 @@ class EstimatorResult:
     clip_fraction: float = 0.0
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class QuadratureSpec:
-    """Tensor-grid layout: which couplings are integrated and which are fixed.
-
-    Components with positive std-dev contribute one grid dimension per bond,
-    mapped as J = mu + delta * x over standardized Gaussian nodes x; zero
-    std-dev components stay at their means.
+    """Tensor-grid layout over a coupling law (`coupling_law`: the mean and
+    std-dev of every coupling, in term order). Each term column with a
+    positive std-dev is one grid dimension, in term order, mapped as J = mu
+    + delta * x over standardized Gaussian nodes x; the other columns stay
+    at their means.
     """
 
+    mu: np.ndarray
+    delta: np.ndarray
     nodes_per_dim: int
-    random_dims: tuple[tuple[int, str, int], ...]
-    families: Mapping[int, BondFamily]
-    params: CouplingParams
 
     def __post_init__(self) -> None:
         if self.nodes_per_dim < 2:
@@ -126,43 +124,31 @@ class QuadratureSpec:
 
     @classmethod
     def from_model(
-        cls,
-        families: Mapping[int, BondFamily],
-        params: CouplingParams,
-        nodes_per_dim: int,
+        cls, families: Mapping[int, BondFamily], params: CouplingParams, nodes_per_dim: int
     ) -> "QuadratureSpec":
-        dims = []
-        for p in sorted(families):
-            for axis in AXES:
-                if params.delta(p, axis) > 0.0:
-                    for b in range(len(families[p].bonds)):
-                        dims.append((p, axis, b))
-        return cls(
-            nodes_per_dim=nodes_per_dim,
-            random_dims=tuple(dims),
-            families=dict(families),
-            params=params,
-        )
+        return cls(*coupling_law(params, families), nodes_per_dim)
+
+    @property
+    def random_terms(self) -> np.ndarray:
+        """The term columns integrated over, one grid dimension each."""
+        return np.flatnonzero(self.delta > 0.0)
 
     @property
     def node_count(self) -> int:
-        return self.nodes_per_dim ** len(self.random_dims)
+        return self.nodes_per_dim ** len(self.random_terms)
 
     def rows(self, start: int, stop: int) -> np.ndarray:
         """Coupling rows (term order) of grid nodes start..stop-1. Node k's
         grid index is k in base `nodes_per_dim`, the last random dimension
-        fastest, as `itertools.product` orders it; random coupling (p, axis,
-        b) sits at mu + delta * (its standardized node)."""
+        fastest, as `itertools.product` orders it; random term t sits at
+        mu[t] + delta[t] * (its standardized node)."""
         std_nodes, _ = _hermite_rule(self.nodes_per_dim)
-        mu, delta = coupling_law(self.params, self.families)
-        slices = term_slices(self.families)
         nodes = np.arange(start, stop)
-        rows = np.repeat(mu[None, :], len(nodes), axis=0)
-        n_dims = len(self.random_dims)
-        for d, (p, axis, b) in enumerate(self.random_dims):
+        rows = np.repeat(self.mu[None, :], len(nodes), axis=0)
+        n_dims = len(self.random_terms)
+        for d, t in enumerate(self.random_terms):
             digit = nodes // self.nodes_per_dim ** (n_dims - 1 - d) % self.nodes_per_dim
-            t = slices[(p, axis)].start + b
-            rows[:, t] += delta[t] * std_nodes[digit]
+            rows[:, t] += self.delta[t] * std_nodes[digit]
         return rows
 
     def probabilities(self) -> np.ndarray:
@@ -170,7 +156,7 @@ class QuadratureSpec:
         weights, multiplied left to right as `math.prod` does."""
         _, node_probs = _hermite_rule(self.nodes_per_dim)
         probs = np.ones(1)
-        for _ in self.random_dims:
+        for _ in self.random_terms:
             probs = np.multiply.outer(probs, node_probs).ravel()
         return probs
 
@@ -291,7 +277,7 @@ class _Batch:
         plan = self.plan
         k = plan.nishimori(self.rows)
         with self.guard("Nishimori-line softmax"):
-            prob = plan.classical_table.probabilities(k, plan.betas)
+            prob = plan.classical_table.probabilities(k, plan.nishimori.betas)
         # a model without couplings has one uniform row for every sample
         return np.broadcast_to(prob, (len(self.rows), prob.shape[1]))
 
@@ -356,7 +342,6 @@ class Plan:
         self.n_sites = config.lattice.n_sites
         self.classical_table: BondProductTable | None = None
         self.nishimori: NishimoriRotation | None = None
-        self.betas: dict[int, float] = {}
         self.site_sets: list[tuple[int, ...]] = []
         self._set_index: dict[tuple[int, ...], int] = {}
         self._strings: dict[tuple[tuple[int, ...], str], PauliString] = {}
@@ -409,7 +394,6 @@ class Plan:
             if self.u is None:
                 raise ValueError("a block with a classical side needs a gauge axis")
             self.nishimori = NishimoriRotation(self.config.params, self.config.families, self.u)
-            self.betas = self.nishimori.betas
             self.classical_table = BondProductTable(self.n_sites, self.config.families)
 
     def products(self, site_sets: Sequence[tuple[int, ...]]) -> list[int]:
@@ -422,14 +406,21 @@ class Plan:
                 self.site_sets.append(s)
         return [self._set_index[s] for s in site_sets]
 
-    def _fill(
-        self, stacks: Iterable[tuple[int, np.ndarray]], start: int, stop: int, threads: int = 1
+    @functools.cached_property
+    def law(self) -> tuple[np.ndarray, np.ndarray]:
+        """The coupling law both row sources read: `coupling_law`."""
+        return coupling_law(self.config.params, self.config.families)
+
+    def _columns(
+        self, rows: Callable[[int, int], np.ndarray], start: int, stop: int, threads: int = 1
     ) -> list[np.ndarray]:
-        """Evaluate sample indices start..stop-1 batch by batch. `stacks`
-        gives the coupling rows as consecutive stacks of whole batches (the
-        last may end short), each with its first sample index; a stack is
-        made in the calling thread, and its batches are then evaluated in
-        turn or by `threads` workers."""
+        """Evaluate sample indices start..stop-1 batch by batch, where
+        `rows(first, last)` gives the coupling rows of samples first..last-1:
+        a Monte Carlo draw or a quadrature grid. The rows are read in the
+        calling thread one stack at a time, the most whole batches whose rows
+        `stack_size` holds (a row charged 8 bytes a term, at least 8), at
+        least one batch; a stack's batches are then evaluated in turn or by
+        `threads` workers."""
         columns = [np.empty((stop - start, width)) for width in self.widths]
 
         def work(batch: _Batch) -> None:
@@ -438,44 +429,29 @@ class Plan:
                 column[at] = values(batch)
 
         size = self.batch_size
+        span = size * max(1, self.stack_size(8 * max(len(self.law[0]), 1)) // size)
         workers = min(threads, -(-(stop - start) // size))
         with ThreadPoolExecutor(workers) if workers > 1 else contextlib.nullcontext() as pool:
-            for first, rows in stacks:
+            for first in range(start, stop, span):
+                last = min(first + span, stop)
+                stack = rows(first, last)
                 # made as they are taken, so a finished batch's state is freed
-                last = first + len(rows)
                 batches = (
-                    _Batch(self, range(b, min(b + size, last)), rows[b - first : b - first + size])
+                    _Batch(self, range(b, min(b + size, last)), stack[b - first : b - first + size])
                     for b in range(first, last, size)
                 )
                 for _ in (pool.map if pool else map)(work, batches):
                     pass
         return columns
 
-    @functools.cached_property
-    def _law(self) -> tuple[np.ndarray, np.ndarray]:
-        return coupling_law(self.config.params, self.config.families)
-
-    def _mc_columns(self, method: MonteCarlo, start: int, stop: int) -> list[np.ndarray]:
-        """Sample indices start..stop-1, drawn one draw stack at a time: the
-        most whole batches whose coupling rows `stack_size` holds (a row
-        charged 8 bytes a term, at least 8), at least one batch."""
-        mu, delta = self._law
-        row_bytes = 8 * max(len(mu), 1)
-        span = self.batch_size * max(1, self.stack_size(row_bytes) // self.batch_size)
-        stacks = (
-            (first, draw_rows(mu, delta, method.seed, first, min(first + span, stop)))
-            for first in range(start, stop, span)
-        )
-        return self._fill(stacks, start, stop, method.threads)
-
     def evaluate(self, method: Method) -> "ValueTable":
         if isinstance(method, MonteCarlo):
-            return ValueTable(self, method, self._mc_columns(method, 0, method.n_samples), None)
-        spec = QuadratureSpec.from_model(self.config.families, self.config.params, method.nodes_per_dim)
+            rows = functools.partial(draw_rows, *self.law, method.seed)
+            columns = self._columns(rows, 0, method.n_samples, method.threads)
+            return ValueTable(self, method, columns, None)
+        spec = QuadratureSpec(*self.law, method.nodes_per_dim)
         probs = spec.probabilities()
-        n, size = len(probs), self.batch_size
-        stacks = ((first, spec.rows(first, min(first + size, n))) for first in range(0, n, size))
-        return ValueTable(self, method, self._fill(stacks, 0, n), probs)
+        return ValueTable(self, method, self._columns(spec.rows, 0, len(probs)), probs)
 
 
 class ValueTable:
@@ -568,10 +544,11 @@ class ValueTable:
             raise ValueError("only Monte Carlo tables can be extended")
         if n_samples < self.n_samples:
             raise ValueError(f"cannot shrink {self.n_samples} rows to {n_samples}")
-        new = self.plan._mc_columns(self.method, self.n_samples, n_samples)
+        rows = functools.partial(draw_rows, *self.plan.law, self.method.seed)
+        new = self.plan._columns(rows, self.n_samples, n_samples, self.method.threads)
         columns = [
-            np.concatenate([self._columns[block], rows])
-            for block, rows in zip(self.plan.blocks, new)
+            np.concatenate([self._columns[block], added])
+            for block, added in zip(self.plan.blocks, new)
         ]
         method = dataclasses.replace(self.method, n_samples=n_samples)
         return ValueTable(self.plan, method, columns, None)

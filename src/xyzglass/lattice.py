@@ -54,18 +54,18 @@ class BondFamily:
     boundary: Boundary
 
 
-def build_lattice(d: int, L: int, max_sites: int = CLASSICAL_SITE_CAP) -> Lattice:
+def build_lattice(d: int, L: int) -> Lattice:
     """Construct the cubic lattice with L^d sites in lexicographic order.
 
-    Raises CapacityError when L^d exceeds `max_sites` (quantum contexts
-    enforce their own, tighter cap downstream).
+    Raises CapacityError when L^d exceeds `CLASSICAL_SITE_CAP` (quantum
+    contexts enforce their own, tighter cap downstream).
     """
     if d < 1 or L < 1:
         raise ValueError(f"need d >= 1 and L >= 1, got d={d}, L={L}")
     volume = L**d
-    if volume > max_sites:
+    if volume > CLASSICAL_SITE_CAP:
         raise CapacityError(
-            f"lattice volume {L}^{d} = {volume} exceeds the site cap {max_sites}"
+            f"lattice volume {L}^{d} = {volume} exceeds the site cap {CLASSICAL_SITE_CAP}"
         )
     sites = tuple(itertools.product(range(L), repeat=d))
     return Lattice(d=d, L=L, sites=sites)

@@ -131,6 +131,13 @@ def test_schema_violation_exits_two(tmp_path, capsys):
     err = json.loads(capsys.readouterr().err.strip())
     assert err["error"]["exit_code"] == EXIT_CONFIG_ERROR
     assert "['tolerances', 'clip_fraction_max']" in err["error"]["message"]
+    # an empty check list would certify nothing and pass
+    payload = bounds_mc_config(20)
+    payload["bounds"]["checks"] = []
+    cfg = write_config(tmp_path, "checks.json", payload)
+    assert main(["verify-bounds", "--config", cfg]) == EXIT_CONFIG_ERROR
+    err = json.loads(capsys.readouterr().err.strip())
+    assert "['bounds', 'checks']" in err["error"]["message"]
 
 
 def test_unknown_key_rejected(tmp_path):
@@ -446,6 +453,42 @@ def test_out_of_range_observable_site_exits_two_before_sampling(
     assert "out of range" in err["error"]["message"]
     assert draws == []
     assert not (tmp_path / "runs").exists()
+
+
+def run_to_config_error(tmp_path, capsys, monkeypatch, subcommand, payload):
+    """Run `subcommand` on `payload`, which must exit 2 before any draw and
+    write no run directory; the error record's message."""
+    cfg = write_config(tmp_path, "c.json", payload)
+    draws = count_draws(monkeypatch)
+    code = main([subcommand, "--config", cfg, "--out", str(tmp_path / "runs")])
+    assert code == EXIT_CONFIG_ERROR
+    err = json.loads(capsys.readouterr().err.strip())["error"]
+    assert err["kind"] == "config" and err["exit_code"] == EXIT_CONFIG_ERROR
+    assert draws == []
+    assert not (tmp_path / "runs").exists()
+    return err["message"]
+
+
+def test_couplings_of_an_order_without_shapes_exit_two_before_sampling(
+    tmp_path, capsys, monkeypatch
+):
+    # a field with no p=1 shape would never enter the Hamiltonian, yet the
+    # report would embed it
+    payload = bounds_mc_config(20)
+    payload["observables"] = {"axis": "z", "x_sites": [0], "y_sites": [2]}
+    payload["couplings"]["1"] = {"z": {"mu": 3.0, "delta": 0.75}}
+    message = run_to_config_error(tmp_path, capsys, monkeypatch, "verify-identities", payload)
+    assert message == "couplings of orders [1] have no shapes"
+
+
+def test_a_mu1_sweep_without_a_field_shape_exits_two_before_sampling(
+    tmp_path, capsys, monkeypatch
+):
+    # without a p=1 shape every swept field would leave m_z where it is
+    payload = bounds_mc_config(20)
+    payload["sweep"] = {"kind": "mu1", "values": [0.0, 5.0], "axis": "z"}
+    message = run_to_config_error(tmp_path, capsys, monkeypatch, "order-params", payload)
+    assert message == "a mu1 sweep needs a p=1 shape for its field"
 
 
 @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf], ids=["NaN", "Infinity", "-Infinity"])

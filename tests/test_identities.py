@@ -559,27 +559,50 @@ def test_extend_draws_only_the_new_samples(monkeypatch):
 
 
 def test_threads_fill_draw_stacks_shorter_than_the_run(monkeypatch):
-    # a byte budget of two batches' coupling rows: the run is drawn in three
-    # stacks, the last one short, and two workers fill each stack's batches
-    cfg = chain_config(3)
-    plan = identities.Plan(cfg, identity_blocks(3), "x")
-    size = plan.batch_size
-    n = 5 * size + 3
-    row_bytes = coupling_law(cfg.params, cfg.families)[0].nbytes
-    whole = plan.evaluate(MonteCarlo(n, 79))
+    # a byte budget of two batches' coupling rows: the run is read in three
+    # stacks, the last one short. A Monte Carlo run is drawn so, and two
+    # workers fill each stack's batches; a quadrature grid of 5^4 nodes (the
+    # y and z couplings of a 3-site chain's two bonds) is read so on the
+    # calling thread
+    lat = build_lattice(1, 3)
+    grid = ModelConfig(
+        lattice=lat,
+        families={2: generate_bonds(lat, chain_pair_shape(), "open")},
+        params=CouplingParams({2: {"x": (0.4, 0.0), "y": (0.3, 0.85), "z": (0.35, 0.9)}}),
+        beta=0.5,
+    )
     stacks = []
-    real = identities.draw_rows
+    real_draw, real_grid = identities.draw_rows, QuadratureSpec.rows
 
-    def recording(mu, delta, seed, first, last):
+    def drawing(mu, delta, seed, first, last):
         stacks.append((first, last))
-        return real(mu, delta, seed, first, last)
+        return real_draw(mu, delta, seed, first, last)
 
-    monkeypatch.setattr(identities, "draw_rows", recording)
-    monkeypatch.setattr(identities, "_BATCH_BYTES", 2 * size * row_bytes)
-    split = plan.evaluate(MonteCarlo(n, 79, threads=2))
-    assert stacks == [(0, 2 * size), (2 * size, 4 * size), (4 * size, n)]
-    for block in plan.blocks:
-        assert np.array_equal(split.values(block), whole.values(block))
+    def reading(spec, first, last):
+        stacks.append((first, last))
+        return real_grid(spec, first, last)
+
+    monkeypatch.setattr(identities, "draw_rows", drawing)
+    monkeypatch.setattr(QuadratureSpec, "rows", reading)
+    mc_n = 5 * 128 + 3  # five batches of a 3-site plan and three samples
+    for cfg, n, one_stack, split_method in [
+        (chain_config(3), mc_n, MonteCarlo(mc_n, 79), MonteCarlo(mc_n, 79, threads=2)),
+        (grid, 5**4, Quadrature(5), Quadrature(5)),
+    ]:
+        plan = identities.Plan(cfg, identity_blocks(3), "x")
+        size = plan.batch_size
+        assert 4 * size < n < 6 * size
+        stacks.clear()
+        whole = plan.evaluate(one_stack)
+        assert stacks == [(0, n)]
+        row_bytes = coupling_law(cfg.params, cfg.families)[0].nbytes
+        stacks.clear()
+        with monkeypatch.context() as budget:
+            budget.setattr(identities, "_BATCH_BYTES", 2 * size * row_bytes)
+            split = plan.evaluate(split_method)
+        assert stacks == [(0, 2 * size), (2 * size, 4 * size), (4 * size, n)]
+        for block in plan.blocks:
+            assert np.array_equal(split.values(block), whole.values(block))
 
 
 def count_decompositions(monkeypatch) -> list[int]:
@@ -697,12 +720,13 @@ def test_shared_products_equal_table_expectations():
     for k in range(20):
         sample = sample_disorder(cfg.params, cfg.families, 1, k)
         k_by_p = nishimori_transform(sample, cfg.params, "x").k
-        prob = table.probabilities({p: k[None] for p, k in k_by_p.items()}, plan.betas)[0]
+        betas = plan.nishimori.betas
+        prob = table.probabilities({p: k[None] for p, k in k_by_p.items()}, betas)[0]
         reference = [np.dot(np.prod(tau[:, c], axis=1), prob) for c in plan.site_sets]
-        expected = table.expectations(k_by_p, plan.betas, plan.site_sets)
+        expected = table.expectations(k_by_p, betas, plan.site_sets)
         assert np.array_equal(batch.products[k], expected)
         assert np.array_equal(batch.products[k], reference)
-        assert np.array_equal(batch.pair_matrix[k], table.pair_matrix(k_by_p, plan.betas))
+        assert np.array_equal(batch.pair_matrix[k], table.pair_matrix(k_by_p, betas))
 
 
 def plan_tables_at_batch_sizes(plan, method, sizes):
@@ -919,15 +943,27 @@ def test_a_classical_only_plan_gives_the_same_columns_at_any_batch():
         assert np.array_equal(table.values(pairs), single.values(pairs))
 
 
-def grid_node_row(spec, idx, std_nodes):
+def grid_dims(cfg):
+    """The (p, axis, bond) grid dimensions of a model, one per bond of each
+    component with a positive std-dev: p ascending, then axis, then bond."""
+    return [
+        (p, axis, b)
+        for p in sorted(cfg.families)
+        for axis in "xyz"
+        if cfg.params.delta(p, axis) > 0.0
+        for b in range(len(cfg.families[p].bonds))
+    ]
+
+
+def grid_node_row(cfg, idx, std_nodes):
     """Reference couplings at grid index idx: every component at its mean,
     then each random dimension moved to its node, one at a time."""
     couplings = {
-        p: {axis: np.full(len(family.bonds), spec.params.mu(p, axis)) for axis in "xyz"}
-        for p, family in spec.families.items()
+        p: {axis: np.full(len(family.bonds), cfg.params.mu(p, axis)) for axis in "xyz"}
+        for p, family in cfg.families.items()
     }
-    for d, (p, axis, b) in enumerate(spec.random_dims):
-        couplings[p][axis][b] += spec.params.delta(p, axis) * std_nodes[idx[d]]
+    for d, (p, axis, b) in enumerate(grid_dims(cfg)):
+        couplings[p][axis][b] += cfg.params.delta(p, axis) * std_nodes[idx[d]]
     return np.concatenate([couplings[p][axis] for p in sorted(couplings) for axis in "xyz"])
 
 
@@ -935,13 +971,13 @@ def test_quadrature_rows_and_probabilities_match_the_grid_loop():
     cfg = quad_chain_config()
     spec = QuadratureSpec.from_model(cfg.families, cfg.params, 5)
     std_nodes, node_probs = identities._hermite_rule(5)
-    grid = list(itertools.product(range(5), repeat=len(spec.random_dims)))
+    grid = list(itertools.product(range(5), repeat=len(grid_dims(cfg))))
     assert len(grid) == spec.node_count == 5**4
     # batches of 97 nodes, so the digit arithmetic runs from odd offsets
     starts = range(0, len(grid), 97)
     rows = np.concatenate([spec.rows(start, min(start + 97, len(grid))) for start in starts])
     for k, idx in enumerate(grid):
-        assert np.array_equal(rows[k], grid_node_row(spec, idx, std_nodes))
+        assert np.array_equal(rows[k], grid_node_row(cfg, idx, std_nodes))
     probs = np.array([math.prod(node_probs[i] for i in idx) for idx in grid])
     assert np.array_equal(spec.probabilities(), probs)
     # one read of the whole grid, as a plan's one batch makes it, gives the

@@ -83,7 +83,7 @@ def test_zero_couplings_zero_hamiltonian():
 
 
 def test_capacity_cap():
-    lat = build_lattice(1, 15, max_sites=24)
+    lat = build_lattice(1, 15)
     fams = {1: generate_bonds(lat, single_site_shape(), "open")}
     with pytest.raises(CapacityError):
         HamiltonianBuilder(lat, fams)
