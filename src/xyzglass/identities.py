@@ -186,8 +186,9 @@ def _site_tuple(sites: Iterable[int]) -> tuple[int, ...]:
 #: max(1, budget // item bytes) items (`Plan.stack_size`), and an item's
 #: charge depends only on the kind of plan. A plan that reads the quantum
 #: state charges a sample 64 dim^2 bytes, four complex dim x dim matrices
-#: (the Hamiltonian, its eigenvectors and the two spectral self-check
-#: products): 32 samples at dim 16, 8 at dim 32, 2 at dim 64 and 1 from dim
+#: (the Hamiltonian, its eigenvectors, their conjugate transpose that both
+#: spectral self-checks share, and the one self-check residual held at a
+#: time): 32 samples at dim 16, 8 at dim 32, 2 at dim 64 and 1 from dim
 #: 128 on; past about 16 at dim 16 a bigger batch saves no time and costs
 #: peak memory. The susceptibility stacks N string matrices per sample for
 #: the whole batch (under 1 MiB up to 6 sites; from 7 sites on the batch is

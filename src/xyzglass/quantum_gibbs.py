@@ -175,14 +175,20 @@ def spectral_decompose(
         np.max(np.abs(evals), axis=-1), largest, labels,
         ArithmeticError, "eigenvalues are not finite",
     )
-    recon = (evecs * evals[..., None, :]) @ evecs.conj().swapaxes(-1, -2)
+    # both residuals are formed in place, each product freed before the next
+    vh = evecs.conj().swapaxes(-1, -2)
+    residual = (evecs * evals[..., None, :]) @ vh
+    residual -= blocks
     _check_stack(
-        _matrix_max(recon - blocks), SPECTRUM_TOL * scale, labels,
+        _matrix_max(residual), SPECTRUM_TOL * scale, labels,
         ArithmeticError, "eigendecomposition reconstruction residual too large",
     )
-    gram = evecs.conj().swapaxes(-1, -2) @ evecs
+    del residual
+    residual = vh @ evecs
+    diagonal = np.arange(blocks.shape[-1])
+    residual[..., diagonal, diagonal] -= 1
     _check_stack(
-        _matrix_max(gram - np.eye(blocks.shape[-1])), SPECTRUM_TOL, labels,
+        _matrix_max(residual), SPECTRUM_TOL, labels,
         ArithmeticError, "eigenvectors are not orthonormal within tolerance",
     )
     return Spectrum(eigenvalues=evals, eigenvectors=evecs, sectors=h.sectors)

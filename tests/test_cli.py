@@ -1,5 +1,6 @@
 import ast
 import contextlib
+import ctypes
 import dataclasses
 import importlib.util
 import io
@@ -7,6 +8,7 @@ import json
 import math
 import os
 import pathlib
+import platform
 import subprocess
 import sys
 import tempfile
@@ -560,6 +562,58 @@ def test_cli_runs_load_no_scipy(tmp_path):
     assert json.loads(result.read_text()) == {
         "import xyzglass.cli": [], "verify-identities": [], "verify-bounds": [],
     }
+
+
+_FAULT_SCRIPT = """
+import resource, sys
+from xyzglass import cli
+
+config, out, result = sys.argv[1:]
+before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+code = cli.main(["verify-identities", "--config", config, "--out", out, "--threads", "1"])
+with open(result, "w") as fh:
+    fh.write(f"{resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before} {code}")
+"""
+
+
+@pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="the allocator setting is glibc's")
+def test_added_samples_fault_in_no_freed_pages(tmp_path):
+    # an 8-site sample (whole space, dim 256, one sample a batch) frees about
+    # 8 MiB of temporaries, numpy's eigh work arrays among them; when malloc
+    # hands them back to the OS the next sample faults them in again, about
+    # 2,000 minor faults a sample. The fixed cost of a run cancels between
+    # n=2 and n=6, each in a fresh process with one BLAS thread.
+    src = str(pathlib.Path(cli.__file__).parents[1])
+    env = {
+        **os.environ, "OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1",
+        "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]),
+    }
+    runs = {}
+    for n in (2, 6):
+        payload = identities_mc_config(n, seed=7)
+        payload["lattice"]["L"] = 8
+        payload["observables"]["y_sites"] = [7]
+        argv = [write_config(tmp_path, f"{n}.json", payload), str(tmp_path / f"runs{n}"),
+                str(tmp_path / f"faults{n}")]
+        runs[n] = subprocess.Popen(
+            [sys.executable, "-c", _FAULT_SCRIPT, *argv], env=env, stdout=subprocess.DEVNULL
+        )
+    faults = {}
+    for n, proc in runs.items():
+        assert proc.wait(timeout=120) == 0
+        faults[n], code = map(int, (tmp_path / f"faults{n}").read_text().split())
+        assert code in (EXIT_OK, EXIT_CHECK_FAILED)
+    assert (faults[6] - faults[2]) / 4 < 400, faults
+
+
+def test_allocator_setting_is_a_no_op_off_glibc(monkeypatch):
+    def unreachable(*args):
+        raise AssertionError("libc was loaded")
+
+    monkeypatch.setattr(platform, "libc_ver", lambda: ("", ""))
+    monkeypatch.setattr(ctypes, "CDLL", unreachable)
+    with cli._freed_pages_kept():
+        pass
 
 
 def private_names_read_across_modules(package):

@@ -229,6 +229,24 @@ def test_stack_with_one_bad_decomposition_raises_arithmetic_error(monkeypatch, c
         spectral_decompose(stack)
 
 
+def test_bad_eigenvectors_of_a_zero_block_fail_only_the_orthonormality_check(monkeypatch):
+    # a zero block reconstructs to exactly 0 from any eigenvectors, so
+    # eigenvectors scaled by 1.001 can fail the Gram residual alone
+    stack = random_hamiltonian_stack(4)
+    stack[2] = 0
+    real_eigh = np.linalg.eigh
+
+    def scaled(h):
+        evals, evecs = real_eigh(h)
+        evecs = evecs.copy()
+        evecs[2] *= 1.001
+        return evals, evecs
+
+    monkeypatch.setattr(np.linalg, "eigh", scaled)
+    with pytest.raises(ArithmeticError, match=r"not orthonormal within tolerance \(sample 2\)"):
+        spectral_decompose(stack)
+
+
 def test_gibbs_beta_zero_traceless():
     lat, fams, sample = random_instance(np.random.default_rng(1), 2)
     state = thermal_state(spectral_decompose(build_hamiltonian(lat, fams, sample)), 0.0)
