@@ -356,30 +356,31 @@ def _residual_check(
 
 
 def _with_retry(
-    groups: list[tuple[list[str], Any, dict]],
+    groups: list[tuple[Any, dict]],
     table: identities.ValueTable,
     tol: Tolerances,
 ) -> list[dict]:
     """Statistical acceptance with one doubled-n retry for Monte Carlo runs.
 
-    Each group is (check names, identity block, inputs). A group with a
-    failing check is reported again from the table extended to 2n rows,
-    marked retried. The extension is made at most once and shared by every
-    failing group; it reuses rows 0..n-1 and evaluates only the new samples.
+    Each group is (identity block, inputs); a block's residuals are reported
+    under its `names`. A group with a failing check is reported again from
+    the table extended to 2n rows, marked retried. The extension is made at
+    most once and shared by every failing group; it reuses rows 0..n-1 and
+    evaluates only the new samples.
     """
     bigger = None
     checks = []
-    for names, block, inputs in groups:
+    for block, inputs in groups:
         group = [
             _residual_check(name, result, tol, inputs, table.seed)
-            for name, result in zip(names, block.result(table))
+            for name, result in zip(block.names, block.result(table), strict=True)
         ]
         if table.is_mc and not all(c["passed"] for c in group):
             if bigger is None:
                 bigger = table.extend(2 * table.n_samples)
             group = [
                 _residual_check(name, result, tol, inputs, table.seed, retried=True)
-                for name, result in zip(names, block.result(bigger))
+                for name, result in zip(block.names, block.result(bigger), strict=True)
             ]
         checks += group
     return checks
@@ -406,25 +407,16 @@ def run_verify_identities(
     one_in = {"x_sites": xs, "axis": w, "gauge_axis": u}
     two_in = {"x_sites": xs, "y_sites": ys, "axis": w, "gauge_axis": u}
     groups = [
-        (["one-point identity"], identities.OnePointBlock(xs, w), one_in),
-        (
-            ["two-point identity (product form)", "two-point identity (joint form)"],
-            identities.TwoPointBlock(xs, ys, w), two_in,
-        ),
-        (
-            ["Duhamel identity", "truncated Duhamel identity"],
-            identities.DuhamelBlock(xs, ys, w), two_in,
-        ),
+        (identities.OnePointBlock(xs, w), one_in),
+        (identities.TwoPointBlock(xs, ys, w), two_in),
+        (identities.DuhamelBlock(xs, ys, w), two_in),
     ]
     if extended:
         zs = obs.get("z_sites")
         if zs is None:
             raise ConfigError("extended multipoint check needs observables.z_sites")
-        groups.append((
-            ["three-point identity (extension)"],
-            identities.ThreePointBlock(xs, ys, zs, w), {**two_in, "z_sites": zs},
-        ))
-    plan = identities.Plan(model, [block for _, block, _ in groups], u)
+        groups.append((identities.ThreePointBlock(xs, ys, zs, w), {**two_in, "z_sites": zs}))
+    plan = identities.Plan(model, [block for block, _ in groups], u)
     checks = _with_retry(groups, plan.evaluate(method), tol)
     artifacts = {}
     if cfg.get("dump_disorder_sample") and artifacts_dir:
@@ -458,7 +450,7 @@ def run_verify_bounds(
     wanted = [blocks[name] for name in blocks if name in which]
     if export:
         wanted.append(pairs)
-    table = identities.Plan(model, wanted, u).evaluate(method) if wanted else None
+    table = identities.Plan(model, wanted, u).evaluate(method)
     checks: list[dict] = []
     chains = {
         "magnetization": {"w": w, "gauge_axis": u},
@@ -940,7 +932,8 @@ def main(argv: list[str] | None = None) -> int:
     except ConfigError as exc:
         _emit_error("config", exc, EXIT_CONFIG_ERROR)
         return EXIT_CONFIG_ERROR
-    except CapacityError as exc:
+    # an allocation past the machine's memory is a size cap the config hit
+    except (CapacityError, MemoryError) as exc:
         _emit_error("capacity", exc, EXIT_CAPACITY_ERROR)
         return EXIT_CAPACITY_ERROR
     # before ValueError, which LinAlgError subclasses: arithmetic that fails

@@ -22,7 +22,7 @@ import math
 import sys
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import Callable, Iterable, Iterator, Mapping, Protocol, Sequence
+from typing import Callable, ClassVar, Iterator, Mapping, Protocol, Sequence
 
 import numpy as np
 from numpy.polynomial.hermite import hermgauss
@@ -52,6 +52,13 @@ from .tolerances import EXACT_TOL, Tolerances
 
 #: Guard on the total tensor-grid size.
 _MAX_QUAD_NODES = 10**8
+
+#: Guard on the nodes of one grid dimension, checked before the rule is
+#: built: numpy's `hermgauss` makes a dense n x n companion matrix, and its
+#: rule breaks down past 370 nodes (numpy 2.4: at 371 every weight
+#: underflows to 0, from 372 on they are NaN). An n-node rule is exact to
+#: polynomial degree 2n - 1; the shipped quadrature config uses 16.
+_MAX_NODES_PER_DIM = 256
 
 
 @dataclass(frozen=True)
@@ -117,6 +124,11 @@ class QuadratureSpec:
     def __post_init__(self) -> None:
         if self.nodes_per_dim < 2:
             raise ValueError("need at least 2 quadrature nodes per dimension")
+        if self.nodes_per_dim > _MAX_NODES_PER_DIM:
+            raise CapacityError(
+                f"{self.nodes_per_dim} quadrature nodes per dimension exceeds the guard "
+                f"{_MAX_NODES_PER_DIM}"
+            )
         if self.node_count > _MAX_QUAD_NODES:
             raise CapacityError(
                 f"{self.node_count} quadrature nodes exceeds the guard {_MAX_QUAD_NODES}"
@@ -171,10 +183,6 @@ def _check_identity_axes(w: str, u: str | None) -> None:
         raise ValueError(f"axes must be among {AXES}, got w={w!r}, u={u!r}")
     if w == u:
         raise ValueError("the observable axis must differ from the gauge axis")
-
-
-def _site_tuple(sites: Iterable[int]) -> tuple[int, ...]:
-    return tuple(sorted(set(int(i) for i in sites)))
 
 
 # ---------------------------------------------------------------------------
@@ -561,7 +569,36 @@ class ValueTable:
 
 
 class _IdentityBlock:
-    """Identity residual columns; `result` gives one EstimatorResult each."""
+    """Gauge-identity residual columns, one per report name in `names`.
+
+    Every identity pairs a product Q of quantum expectations of w strings
+    with the Nishimori-line product over D, the symmetric difference of the
+    block's site sets (its `*_sites` fields, in field order):
+    E[Q] = E[Q <tau_D>_N]. Binding checks the axes and registers the product
+    over D and the strings of the site sets and of D, in that order; a
+    block's `factors(batch, strings)` gives its Q columns, and each residual
+    is Q (1 - <tau_D>_N). `result` gives one EstimatorResult a residual."""
+
+    names: ClassVar[tuple[str, ...]]
+
+    def __post_init__(self) -> None:
+        for name in self._site_fields():
+            object.__setattr__(self, name, tuple(sorted({int(i) for i in getattr(self, name)})))
+
+    def _site_fields(self) -> list[str]:
+        return [f.name for f in dataclasses.fields(self) if f.name.endswith("_sites")]
+
+    def bind(self, plan: Plan) -> tuple[int, Evaluator]:
+        _check_identity_axes(self.w, plan.u)
+        sets = [getattr(self, name) for name in self._site_fields()]
+        diff = tuple(sorted(functools.reduce(set.symmetric_difference, map(set, sets))))
+        (c,) = plan.products([diff])
+        ops = [plan.string(s, self.w) for s in (*sets, diff)]
+
+        def evaluate(s: _Batch) -> np.ndarray:
+            return self.factors(s, ops) * (1.0 - s.products[:, c])[:, None]
+
+        return len(self.names), evaluate
 
     def result(self, table: ValueTable) -> tuple[EstimatorResult, ...]:
         """A Monte Carlo residual with no spread has z 0 when its mean is 0
@@ -573,85 +610,48 @@ class _IdentityBlock:
         )
 
 
-def _normalize_sites(block: object, *fields: str) -> None:
-    for name in fields:
-        object.__setattr__(block, name, _site_tuple(getattr(block, name)))
-
-
 @dataclass(frozen=True)
 class OnePointBlock(_IdentityBlock):
     """Residual of E<sigma_X^w> = E[<sigma_X^w> <tau_X>_N], paired per sample."""
 
     x_sites: tuple[int, ...]
     w: str
+    names = ("one-point identity",)
 
-    def __post_init__(self) -> None:
-        _normalize_sites(self, "x_sites")
-
-    def bind(self, plan: Plan) -> tuple[int, Evaluator]:
-        _check_identity_axes(self.w, plan.u)
-        (c,) = plan.products([self.x_sites])
-        op = plan.string(self.x_sites, self.w)
-
-        def evaluate(s: _Batch) -> np.ndarray:
-            (q,) = s.expectations([op]).T
-            return (q * (1.0 - s.products[:, c]))[:, None]
-
-        return 1, evaluate
+    def factors(self, s: _Batch, ops: list[PauliString]) -> np.ndarray:
+        return s.expectations(ops[:1])
 
 
 @dataclass(frozen=True)
 class TwoPointBlock(_IdentityBlock):
     """Residuals of the product-of-expectations and joint-expectation
-    two-point identities, in that order."""
+    two-point identities. sigma_X^w sigma_Y^w is exactly the string on the
+    symmetric difference, so the joint form reads that string."""
 
     x_sites: tuple[int, ...]
     y_sites: tuple[int, ...]
     w: str
+    names = ("two-point identity (product form)", "two-point identity (joint form)")
 
-    def __post_init__(self) -> None:
-        _normalize_sites(self, "x_sites", "y_sites")
-
-    def bind(self, plan: Plan) -> tuple[int, Evaluator]:
-        _check_identity_axes(self.w, plan.u)
-        diff = tuple(sorted(set(self.x_sites) ^ set(self.y_sites)))
-        (c,) = plan.products([diff])
-        # sigma_X^w sigma_Y^w is exactly the string on the symmetric difference
-        ops = [plan.string(s, self.w) for s in (self.x_sites, self.y_sites, diff)]
-
-        def evaluate(s: _Batch) -> np.ndarray:
-            qx, qy, qxy = s.expectations(ops).T
-            cv = s.products[:, c]
-            return np.stack([qx * qy * (1.0 - cv), qxy * (1.0 - cv)], axis=1)
-
-        return 2, evaluate
+    def factors(self, s: _Batch, ops: list[PauliString]) -> np.ndarray:
+        qx, qy, qxy = s.expectations(ops).T
+        return np.stack([qx * qy, qxy], axis=1)
 
 
 @dataclass(frozen=True)
 class DuhamelBlock(_IdentityBlock):
-    """Residuals of the Duhamel and truncated-Duhamel identities, in order."""
+    """Residuals of the Duhamel and truncated-Duhamel identities."""
 
     x_sites: tuple[int, ...]
     y_sites: tuple[int, ...]
     w: str
+    names = ("Duhamel identity", "truncated Duhamel identity")
 
-    def __post_init__(self) -> None:
-        _normalize_sites(self, "x_sites", "y_sites")
-
-    def bind(self, plan: Plan) -> tuple[int, Evaluator]:
-        _check_identity_axes(self.w, plan.u)
-        diff = tuple(sorted(set(self.x_sites) ^ set(self.y_sites)))
-        (c,) = plan.products([diff])
-        op_x, op_y = plan.string(self.x_sites, self.w), plan.string(self.y_sites, self.w)
-
-        def evaluate(s: _Batch) -> np.ndarray:
-            dval = duhamel_matrix(s.state, s.duhamel_kernel, [op_x], [op_y])[:, 0, 0]
-            qx, qy = s.expectations([op_x, op_y]).T
-            tval = dval - qx * qy
-            cv = s.products[:, c]
-            return np.stack([dval * (1.0 - cv), tval * (1.0 - cv)], axis=1)
-
-        return 2, evaluate
+    def factors(self, s: _Batch, ops: list[PauliString]) -> np.ndarray:
+        op_x, op_y, _ = ops
+        dval = duhamel_matrix(s.state, s.duhamel_kernel, [op_x], [op_y])[:, 0, 0]
+        qx, qy = s.expectations([op_x, op_y]).T
+        return np.stack([dval, dval - qx * qy], axis=1)
 
 
 @dataclass(frozen=True)
@@ -665,22 +665,11 @@ class ThreePointBlock(_IdentityBlock):
     y_sites: tuple[int, ...]
     z_sites: tuple[int, ...]
     w: str
+    names = ("three-point identity (extension)",)
 
-    def __post_init__(self) -> None:
-        _normalize_sites(self, "x_sites", "y_sites", "z_sites")
-
-    def bind(self, plan: Plan) -> tuple[int, Evaluator]:
-        _check_identity_axes(self.w, plan.u)
-        sets = (self.x_sites, self.y_sites, self.z_sites)
-        diff = tuple(sorted(set(sets[0]) ^ set(sets[1]) ^ set(sets[2])))
-        (c,) = plan.products([diff])
-        ops = [plan.string(s, self.w) for s in sets]
-
-        def evaluate(s: _Batch) -> np.ndarray:
-            q1, q2, q3 = s.expectations(ops).T
-            return (q1 * q2 * q3 * (1.0 - s.products[:, c]))[:, None]
-
-        return 1, evaluate
+    def factors(self, s: _Batch, ops: list[PauliString]) -> np.ndarray:
+        q1, q2, q3 = s.expectations(ops[:3]).T
+        return (q1 * q2 * q3)[:, None]
 
 
 # ---------------------------------------------------------------------------

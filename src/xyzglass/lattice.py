@@ -58,10 +58,17 @@ def build_lattice(d: int, L: int) -> Lattice:
     """Construct the cubic lattice with L^d sites in lexicographic order.
 
     Raises CapacityError when L^d exceeds `CLASSICAL_SITE_CAP` (quantum
-    contexts enforce their own, tighter cap downstream).
+    contexts enforce their own, tighter cap downstream), or when d or L
+    does, before L^d is formed: a lattice within the cap has L <= cap, and
+    past log2(cap) dimensions only L = 1 fits, whose extra axes add no site
+    but lengthen every coordinate. The cap on d keeps L^d a small integer.
     """
     if d < 1 or L < 1:
         raise ValueError(f"need d >= 1 and L >= 1, got d={d}, L={L}")
+    if max(d, L) > CLASSICAL_SITE_CAP:
+        raise CapacityError(
+            f"lattice d={d}, L={L}: d and L may not exceed the site cap {CLASSICAL_SITE_CAP}"
+        )
     volume = L**d
     if volume > CLASSICAL_SITE_CAP:
         raise CapacityError(

@@ -85,7 +85,8 @@ class RatioGrid:
                 raise ValueError(f"grid count for {name} must be >= 1")
         if self.n_points > _MAX_GRID_POINTS:
             raise CapacityError(
-                f"{self.n_points} grid points exceeds the guard {_MAX_GRID_POINTS}"
+                f"a grid of {self.x[2]} x {self.y[2]} x {self.z[2]} points exceeds the guard "
+                f"{_MAX_GRID_POINTS}"
             )
 
     @property

@@ -12,6 +12,8 @@ import platform
 import subprocess
 import sys
 import tempfile
+import time
+import tracemalloc
 
 import jsonschema
 import pytest
@@ -1000,7 +1002,7 @@ def config_paths(node, path=()):
 def sets_a_size(path):
     """Whether the entry sizes an allocation: the lattice, the sample count,
     the quadrature grid or a phase grid's point count. The fuzz test leaves
-    them alone."""
+    them alone; `test_an_absurd_size_exits_three_at_once` sets them."""
     sizes = {("lattice", "L"), ("lattice", "d"), ("method", "n_samples"), ("method", "nodes_per_dim")}
     return path in sizes or (path[0] == "phase_grid" and path[2:] == (2,))
 
@@ -1057,3 +1059,80 @@ def test_a_fuzzed_config_ends_in_a_typed_exit(case):
             (line,) = err.getvalue().strip().splitlines()
             assert json.loads(line)["error"]["exit_code"] == code
             assert not out.exists()
+
+
+def one_component_quadrature_config(nodes):
+    """A one-site quadrature run with one random coupling, so the grid has
+    one dimension."""
+    payload = single_site_identity_config(nodes=nodes)
+    del payload["couplings"]["1"]["y"]
+    return payload
+
+
+def sized(name, section, **entries):
+    """A shrunk shipped config with entries of one section replaced."""
+    payload = shrunk_config(name)
+    payload[section].update(entries)
+    return payload
+
+
+#: The config entries the fuzz test leaves alone, each at an absurd value:
+#: (subcommand, config, the error type its record names; numpy names its
+#: own MemoryError `_ArrayMemoryError`).
+_ABSURD_SIZES = {
+    "d past the cap": (
+        "verify-identities", lambda: sized("identities_mc", "lattice", d=100000, L=10),
+        "CapacityError",
+    ),
+    "d past the cap at L = 1": (
+        "verify-identities", lambda: sized("identities_mc", "lattice", d=10**9, L=1),
+        "CapacityError",
+    ),
+    "L past the cap": (
+        "verify-identities", lambda: sized("identities_mc", "lattice", L=10**9), "CapacityError"
+    ),
+    "nodes_per_dim past the cap": (
+        "verify-identities", lambda: one_component_quadrature_config(10**7), "CapacityError"
+    ),
+    # 8 PB of residual columns: over any address space, so the allocation
+    # fails at once
+    "n_samples past memory": (
+        "verify-identities", lambda: sized("identities_mc", "method", n_samples=10**15),
+        "MemoryError",
+    ),
+    # a grid count of 2001 digits, whose cube has more digits than Python prints
+    "phase grid past the guard": (
+        "phase-region",
+        lambda: sized("phase_region", "phase_grid", **{a: [0.0, 2.0, 10**2000] for a in "xyz"}),
+        "CapacityError",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_ABSURD_SIZES))
+def test_an_absurd_size_exits_three_at_once(tmp_path, case):
+    # in process: one capacity record, no traceback, within a second and
+    # without a large allocation
+    subcommand, make, error_type = _ABSURD_SIZES[case]
+    cfg = write_config(tmp_path, "c.json", make())
+    out = tmp_path / "runs"
+    err = io.StringIO()
+    tracemalloc.start()
+    start = time.perf_counter()
+    try:
+        with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+            code = main([subcommand, "--config", cfg, "--out", str(out)])
+        elapsed = time.perf_counter() - start
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == EXIT_CAPACITY_ERROR
+    (line,) = err.getvalue().strip().splitlines()
+    record = json.loads(line)["error"]
+    assert record["kind"] == "capacity" and record["type"].endswith(error_type)
+    assert record["exit_code"] == EXIT_CAPACITY_ERROR
+    assert elapsed < 1.0
+    # numpy traces the one allocation that fails at its requested size, so
+    # only the cases a cap stops bound the traced peak
+    assert peak < 16 * 2**20 or error_type == "MemoryError"
+    assert not out.exists()
