@@ -16,16 +16,18 @@ import argparse
 import contextlib
 import ctypes
 import dataclasses
+import functools
 import hashlib
 import json
 import math
+import operator
 import os
 import platform
+import re
 import sys
 from datetime import datetime, timezone
-from typing import Any, Iterator
+from typing import Any, Callable, Iterable, Iterator
 
-import jsonschema
 import numpy as np
 
 from . import classical_gibbs, identities, phase_region, tolerances
@@ -214,9 +216,151 @@ CONFIG_SCHEMA: dict[str, Any] = {
     },
 }
 
-#: One validator for the constant schema; the schema itself is checked
-#: against its metaschema by the test suite, not on every run.
-_CONFIG_VALIDATOR = jsonschema.validators.validator_for(CONFIG_SCHEMA)(CONFIG_SCHEMA)
+# ---------------------------------------------------------------------------
+# Config check: a walker over CONFIG_SCHEMA with jsonschema 4.26's rules and
+# messages, for the keywords the schema uses. The test suite holds it to
+# jsonschema's `best_match`; importing jsonschema cost every run about
+# 2.5 MiB of peak memory and 60 ms.
+# ---------------------------------------------------------------------------
+
+
+def _is_number(x: Any) -> bool:
+    return isinstance(x, (int, float)) and not isinstance(x, bool)
+
+
+#: Draft 2020-12 types: a bool is no number, and a float with no fraction
+#: is an integer.
+_TYPES: dict[str, Callable[[Any], bool]] = {
+    "object": lambda x: isinstance(x, dict),
+    "array": lambda x: isinstance(x, list),
+    "boolean": lambda x: isinstance(x, bool),
+    "number": _is_number,
+    "integer": lambda x: _is_number(x) and (isinstance(x, int) or x.is_integer()),
+}
+
+
+def _bound(fails: Callable[[Any, Any], bool], relation: str, x: Any, bound: Any, *_: Any) -> tuple:
+    return (f"{x!r} is {relation} of {bound!r}",) if _is_number(x) and fails(x, bound) else ()
+
+
+def _properties(x: Any, subs: dict, schema: dict, path: tuple) -> Iterator:
+    for key, sub in subs.items() if isinstance(x, dict) else ():
+        if key in x:
+            yield from _schema_errors(x[key], sub, (*path, key))
+
+
+def _pattern_properties(x: Any, subs: dict, schema: dict, path: tuple) -> Iterator:
+    for pattern, sub in subs.items() if isinstance(x, dict) else ():
+        for key, item in x.items():
+            if re.search(pattern, key):
+                yield from _schema_errors(item, sub, (*path, key))
+
+
+def _additional_properties(x: Any, allowed: bool, schema: dict, path: tuple) -> Iterator:
+    patterns = schema.get("patternProperties", {})
+    extras = sorted(
+        key for key in (x if isinstance(x, dict) else ())
+        if key not in schema.get("properties", {}) and not any(re.search(p, key) for p in patterns)
+    )
+    names = ", ".join(map(repr, extras))
+    if extras and "patternProperties" in schema:
+        verb = "does" if len(extras) == 1 else "do"
+        regexes = ", ".join(map(repr, sorted(patterns)))
+        yield f"{names} {verb} not match any of the regexes: {regexes}"
+    elif extras:
+        verb = "was" if len(extras) == 1 else "were"
+        yield f"Additional properties are not allowed ({names} {verb} unexpected)"
+
+
+def _items(x: Any, sub: Any, schema: dict, path: tuple) -> Iterator:
+    for i in range(len(schema.get("prefixItems", ())), len(x)) if isinstance(x, list) else ():
+        yield from _schema_errors(x[i], sub, (*path, i))
+
+
+def _prefix_items(x: Any, subs: list, schema: dict, path: tuple) -> Iterator:
+    for i, (item, sub) in enumerate(zip(x, subs) if isinstance(x, list) else ()):
+        yield from _schema_errors(item, sub, (*path, i))
+
+
+def _if(x: Any, sub: Any, schema: dict, path: tuple) -> Iterator:
+    branch = "then" if next(_schema_errors(x, sub, path), None) is None else "else"
+    yield from _schema_errors(x, schema.get(branch, True), path)
+
+
+#: keyword -> (x, keyword value, schema, path) -> its messages about x and
+#: the errors of the subschemas it applies. `enum` and `const` name strings,
+#: which equal only strings, as in jsonschema.
+_KEYWORDS: dict[str, Callable[..., Iterable]] = {
+    "type": lambda x, t, schema, path: () if _TYPES[t](x) else (f"{x!r} is not of type {t!r}",),
+    "enum": lambda x, names, schema, path: (
+        () if x in names else (f"{x!r} is not one of {names!r}",)
+    ),
+    "const": lambda x, name, schema, path: () if x == name else (f"{name!r} was expected",),
+    "minimum": functools.partial(_bound, operator.lt, "less than the minimum"),
+    "exclusiveMinimum": functools.partial(_bound, operator.le, "less than or equal to the minimum"),
+    "maximum": functools.partial(_bound, operator.gt, "greater than the maximum"),
+    "exclusiveMaximum": functools.partial(_bound, operator.ge, "greater than or equal to the maximum"),
+    "required": lambda x, keys, schema, path: [
+        f"{key!r} is a required property" for key in keys if isinstance(x, dict) and key not in x
+    ],
+    "minItems": lambda x, n, schema, path: (
+        (f"{x!r} {'should be non-empty' if n == 1 else 'is too short'}",)
+        if isinstance(x, list) and len(x) < n else ()
+    ),
+    "maxItems": lambda x, n, schema, path: (
+        (f"{x!r} {'is expected to be empty' if n == 0 else 'is too long'}",)
+        if isinstance(x, list) and len(x) > n else ()
+    ),
+    "properties": _properties,
+    "patternProperties": _pattern_properties,
+    "additionalProperties": _additional_properties,
+    "items": _items,
+    "prefixItems": _prefix_items,
+    "if": _if,
+    "then": lambda *_: (),  # both read by `if`
+    "else": lambda *_: (),
+}
+
+#: The value forms the walker reads, where it reads only some.
+_FORMS: dict[str, Callable[[Any], bool]] = {
+    "type": lambda t: isinstance(t, str) and t in _TYPES,
+    "enum": lambda names: all(isinstance(name, str) for name in names),
+    "const": lambda name: isinstance(name, str),
+    "additionalProperties": lambda allowed: allowed is False,
+}
+
+
+def _schema_errors(x: Any, schema: Any, path: tuple) -> Iterator[tuple[tuple, str, bool]]:
+    """Every violation of `schema` by the instance `x` at `path`, in the
+    order jsonschema finds them: (path, message, whether x misses the type
+    of the schema whose keyword failed, or that schema has none)."""
+    if schema is True:
+        return
+    off_type = "type" not in schema or not _TYPES[schema["type"]](x)
+    for keyword, value in schema.items():
+        for error in _KEYWORDS[keyword](x, value, schema, path):
+            yield (path, error, off_type) if isinstance(error, str) else error
+
+
+# Fail at import on a keyword or value form the walker does not read, so a
+# schema edit cannot go unchecked.
+_unread: list = [CONFIG_SCHEMA]
+while _unread:
+    _schema = _unread.pop()
+    if _schema is True:
+        continue
+    if not isinstance(_schema, dict) or not _schema.keys() <= _KEYWORDS.keys() or not all(
+        form(_schema[keyword]) for keyword, form in _FORMS.items() if keyword in _schema
+    ):
+        raise NotImplementedError(f"the config check cannot read the schema {_schema!r}")
+    _unread += [
+        *_schema.get("properties", {}).values(),
+        *_schema.get("patternProperties", {}).values(),
+        *_schema.get("prefixItems", ()),
+        *(_schema[keyword] for keyword in ("items", "if", "then", "else") if keyword in _schema),
+    ]
+del _unread, _schema
+
 
 def _non_finite_path(value: Any, path: list) -> list | None:
     """The key path of the first NaN or infinite number in a loaded config,
@@ -247,11 +391,12 @@ def load_config(path: str) -> dict:
     bad = _non_finite_path(raw, [])
     if bad is not None:
         raise ConfigError(f"config value at {bad} is not a finite number")
-    exc = jsonschema.exceptions.best_match(_CONFIG_VALIDATOR.iter_errors(raw))
-    if exc is not None:
-        raise ConfigError(
-            f"config schema violation at {list(exc.absolute_path)}: {exc.message}"
-        ) from exc
+    # the error jsonschema's `best_match` reports: the shortest path, then
+    # the greatest, then one off its schema's type; the first found of equals
+    errors = _schema_errors(raw, CONFIG_SCHEMA, ())
+    best = max(errors, key=lambda e: (-len(e[0]), e[0], e[2]), default=None)
+    if best is not None:
+        raise ConfigError(f"config schema violation at {list(best[0])}: {best[1]}")
     return raw
 
 
@@ -949,9 +1094,11 @@ def main(argv: list[str] | None = None) -> int:
 
 
 def _emit_error(kind: str, exc: Exception, code: int) -> None:
+    # the first public class: numpy raises MemoryError as its private
+    # `_ArrayMemoryError`
+    name = next(c.__name__ for c in type(exc).__mro__ if not c.__name__.startswith("_"))
     sys.stderr.write(
-        json.dumps({"error": {"kind": kind, "type": type(exc).__name__,
-                              "message": str(exc), "exit_code": code}})
+        json.dumps({"error": {"kind": kind, "type": name, "message": str(exc), "exit_code": code}})
         + "\n"
     )
 

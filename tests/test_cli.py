@@ -311,11 +311,11 @@ def test_load_config_rejects_garbage(tmp_path):
 
 
 def test_config_schema_is_valid_under_its_metaschema():
-    # load_config validates with one prebuilt validator and never re-checks
-    # the constant schema, so a malformed schema must fail here
+    # load_config never checks the constant schema itself, so a malformed
+    # schema must fail here; the `test_load_config_agrees_with_jsonschema_*`
+    # tests hold its walker to jsonschema's verdicts
     validator = jsonschema.validators.validator_for(cli.CONFIG_SCHEMA)
     validator.check_schema(cli.CONFIG_SCHEMA)
-    assert isinstance(cli._CONFIG_VALIDATOR, validator)
 
 
 def test_resolve_config_applies_defaults():
@@ -531,14 +531,17 @@ _IMPORT_SURFACE_SCRIPT = """
 import json, sys
 from xyzglass import cli
 
-def scipy_modules():
-    return sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
+UNUSED = ("scipy", "jsonschema", "concurrent.futures", "numpy.polynomial")
+
+def unused_modules():
+    return sorted(m for m in sys.modules
+                  if m in UNUSED or m.startswith(tuple(u + "." for u in UNUSED)))
 
 identities_cfg, bounds_cfg, out, result = sys.argv[1:]
-loaded = {"import xyzglass.cli": scipy_modules()}
+loaded = {"import xyzglass.cli": unused_modules()}
 for subcommand, cfg in [("verify-identities", identities_cfg), ("verify-bounds", bounds_cfg)]:
     code = cli.main([subcommand, "--config", cfg, "--out", out, "--threads", "1"])
-    loaded[subcommand] = scipy_modules() if code in (0, 1) else f"exit code {code}"
+    loaded[subcommand] = unused_modules() if code in (0, 1) else f"exit code {code}"
 with open(result, "w") as fh:
     json.dump(loaded, fh)
 """
@@ -546,7 +549,10 @@ with open(result, "w") as fh:
 
 def test_cli_runs_load_no_scipy(tmp_path):
     # scipy serves only the expm and Simpson oracles, which import it on
-    # their first call; the production paths must not load it
+    # their first call; the production paths must not load it. Nor do they
+    # load jsonschema (the tests' oracle for the config check), the thread
+    # pool (only runs on more than one thread) or numpy.polynomial (only
+    # quadrature runs build a Hermite rule)
     shipped = pathlib.Path(__file__).parents[1] / "configs" / "identities_mc.json"
     identities_payload = json.loads(shipped.read_text())
     identities_payload["method"]["n_samples"] = 20
@@ -1022,6 +1028,13 @@ _FUZZ_CHANGES = {
 }
 
 
+def set_entry(payload, path, change):
+    """Replace the entry of payload at a key path by change(its value)."""
+    for key in path[:-1]:
+        payload = payload[key]
+    payload[path[-1]] = change(payload[path[-1]])
+
+
 @st.composite
 def fuzzed_configs(draw):
     """(subcommand, config, threads): a shrunk shipped config with one entry
@@ -1030,10 +1043,7 @@ def fuzzed_configs(draw):
     payload = shrunk_config(name)
     path = draw(st.sampled_from([p for p in config_paths(payload) if not sets_a_size(p)]))
     change = draw(st.sampled_from(sorted(_FUZZ_CHANGES)))
-    target = payload
-    for key in path[:-1]:
-        target = target[key]
-    target[path[-1]] = _FUZZ_CHANGES[change](target[path[-1]])
+    set_entry(payload, path, _FUZZ_CHANGES[change])
     return _SUBCOMMANDS[name], payload, draw(st.integers(1, 2))
 
 
@@ -1061,6 +1071,160 @@ def test_a_fuzzed_config_ends_in_a_typed_exit(case):
             assert not out.exists()
 
 
+def jsonschema_verdict(payload):
+    """None if jsonschema accepts the config, else load_config's message
+    for the error its `best_match` picks."""
+    validator = jsonschema.validators.validator_for(cli.CONFIG_SCHEMA)(cli.CONFIG_SCHEMA)
+    exc = jsonschema.exceptions.best_match(validator.iter_errors(payload))
+    if exc is None:
+        return None
+    return f"config schema violation at {list(exc.absolute_path)}: {exc.message}"
+
+
+def load_verdict(path, payload):
+    """None if load_config accepts the config written to path, else its
+    ConfigError's message."""
+    path.write_text(json.dumps(payload))
+    try:
+        load_config(str(path))
+    except ConfigError as exc:
+        return str(exc)
+    return None
+
+
+def single_entry_changes():
+    """Every config the fuzz test can draw, size entries included: each
+    shrunk shipped config with one entry changed."""
+    for name in sorted(_SUBCOMMANDS):
+        for path in config_paths(shrunk_config(name)):
+            for change in sorted(_FUZZ_CHANGES):
+                payload = shrunk_config(name)
+                set_entry(payload, path, _FUZZ_CHANGES[change])
+                yield payload
+
+
+def walker_errors(schema, instance):
+    """(path, message) of every error load_config's walker finds, in order."""
+    return [(list(path), message) for path, message, _ in cli._schema_errors(instance, schema, ())]
+
+
+def oracle_errors(schema, instance):
+    """(path, message) of every error jsonschema finds, in order."""
+    validator = jsonschema.validators.validator_for(schema)(schema)
+    return [(list(e.absolute_path), e.message) for e in validator.iter_errors(instance)]
+
+
+def test_load_config_agrees_with_jsonschema_on_every_single_entry_change(tmp_path):
+    # the shipped configs and every single-entry change: accepted exactly
+    # when jsonschema accepts, with best_match's message when rejected
+    payloads = [json.loads((_SHIPPED / f"{n}.json").read_text()) for n in sorted(_SUBCOMMANDS)]
+    payloads += single_entry_changes()
+    assert len(payloads) > 1000
+    verdicts = [(load_verdict(tmp_path / "c.json", p), jsonschema_verdict(p)) for p in payloads]
+    assert [ours for ours, oracle in verdicts if ours != oracle] == []
+    assert {ours is None for ours, _ in verdicts} == {True, False}
+    # the walker finds every error jsonschema finds, in the same order
+    schema = cli.CONFIG_SCHEMA
+    assert [p for p in payloads if walker_errors(schema, p) != oracle_errors(schema, p)] == []
+
+
+def test_items_after_prefix_items_follow_jsonschema():
+    # the config schema has no `items` beside `prefixItems`; the walker
+    # applies `items` only past the prefix, as jsonschema does
+    schema = {"prefixItems": [{"type": "number"}], "items": {"type": "integer", "minimum": 1}}
+    for instance in ([0.5, 1, "a", 0], ["a", 1.5], []):
+        assert walker_errors(schema, instance) == oracle_errors(schema, instance)
+    assert len(walker_errors(schema, [0.5, 1, "a", 0])) == 2
+
+
+#: One config per schema keyword and per rule of best_match's choice:
+#: (shrunk shipped config, key path, the value set there). Each id names
+#: what its case reaches.
+_KEYWORD_CASES = {
+    "type": ("identities_mc", ("seed",), "1"),
+    "type: a bool is no number": ("identities_mc", ("beta",), True),
+    "type: 2.0 is an integer": ("identities_mc", ("seed",), 2.0),
+    "type: boolean": ("bounds_mc", ("export_correlations",), 1),
+    "type: object": ("identities_mc", ("lattice",), []),
+    "type: array": ("bounds_mc", ("bounds", "checks"), "a1"),
+    "enum": ("identities_mc", ("gauge_axis",), "w"),
+    "const, if and else": ("identities_mc", ("method",), {"kind": "quadrature", "n_samples": 20}),
+    "if and then": ("identities_mc", ("method",), {"kind": "mc"}),
+    "true subschema": ("identities_mc", ("method", "kind"), 5),
+    "minimum": ("identities_mc", ("seed",), -1),
+    "maximum": ("identities_mc", ("seed",), 2**64),
+    "exclusiveMinimum": ("phase_region", ("beta_t",), 0),
+    "exclusiveMaximum": ("identities_mc", ("tolerances",), {"clip_fraction_max": 1}),
+    "required": ("identities_mc", ("lattice",), {"d": 1}),
+    "properties and additionalProperties": (
+        "identities_mc", ("lattice",), {"d": 1, "L": 4, "torus": True, "loop": 1}
+    ),
+    "patternProperties and additionalProperties": ("identities_mc", ("shapes", "0"), [[[0]]]),
+    "patternProperties, two extras": (
+        "identities_mc", ("shapes",), {"0": [], "x": [], "1": [[[0]]]}
+    ),
+    "patternProperties and minItems": ("identities_mc", ("shapes", "1"), []),
+    "items": ("identities_mc", ("observables", "x_sites"), [0, "a"]),
+    "prefixItems": ("phase_region", ("phase_grid", "x"), [0.0, 2.0, 0]),
+    "minItems, too short": ("phase_region", ("phase_grid", "x"), [0.0]),
+    "maxItems": ("phase_region", ("phase_queries",), [[0.0] * 7]),
+    "greatest path of the shortest": ("identities_mc", ("observables", "x_sites"), [-1, -2]),
+    "shortest path": ("identities_mc", ("lattice",), {"d": "1", "L": 1.5}),
+    "first found": ("identities_mc", ("seed",), None),
+    # best_match prefers the `then` branch's error, whose schema has no type,
+    # over the method's own missing-kind error at the same path
+    "off its schema's type": ("identities_mc", ("method",), {"n_samples": 20, "x": 1}),
+    "accepted": ("identities_mc", ("tolerances",), {"z_max": 3.5, "quadrature_abs": 1e-9}),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_KEYWORD_CASES))
+def test_load_config_agrees_with_jsonschema_on_each_keyword(tmp_path, case):
+    name, path, value = _KEYWORD_CASES[case]
+    payload = shrunk_config(name)
+    parent = payload
+    for key in path[:-1]:
+        parent = parent[key]
+    parent[path[-1]] = value  # some cases add the entry
+    if case == "first found":
+        # a missing required key and an unexpected one, both at the root
+        payload = {k: v for k, v in payload.items() if k != "seed"} | {"unknown": 1}
+    ours = load_verdict(tmp_path / "c.json", payload)
+    assert ours == jsonschema_verdict(payload)
+    assert (ours is None) == (case in ("accepted", "type: 2.0 is an integer"))
+
+
+@pytest.mark.parametrize(
+    "edit",
+    [('"minItems": 6,', '"minItems": 6, "uniqueItems": True,'),
+     ('"export_correlations": {"type": "boolean"}',
+      '"export_correlations": {"type": ["boolean", "integer"]}'),
+     ('{"enum": ["x", "y", "z"]}', '{"enum": ["x", "y", 0]}'),
+     ('"required": ["x", "y", "z"],', '"required": ["x", "y", "z"], "additionalProperties": {},')],
+    ids=["keyword", "type list", "enum of a number", "additionalProperties schema"],
+)
+def test_a_schema_the_walker_cannot_read_fails_at_import(edit):
+    # the module's source with one schema edit, run as a module of the
+    # package: it stops before any run could check a config with it
+    source = pathlib.Path(cli.__file__).read_text()
+    assert source.count(edit[0]) == 1
+    code = compile(source.replace(*edit), cli.__file__, "exec")
+    with pytest.raises(NotImplementedError, match="the config check cannot read the schema"):
+        exec(code, {"__name__": "xyzglass.edited_cli", "__package__": "xyzglass"})
+
+
+class _ArrayMemoryError(MemoryError):
+    """Named as numpy names the MemoryError of a failed array allocation."""
+
+
+def test_an_error_record_names_the_first_public_type(capsys):
+    cli._emit_error("capacity", _ArrayMemoryError("Unable to allocate 8 PiB"), EXIT_CAPACITY_ERROR)
+    record = json.loads(capsys.readouterr().err)["error"]
+    assert record["type"] == "MemoryError"
+    cli._emit_error("config", ConfigError("bad"), EXIT_CONFIG_ERROR)
+    assert json.loads(capsys.readouterr().err)["error"]["type"] == "ConfigError"
+
+
 def one_component_quadrature_config(nodes):
     """A one-site quadrature run with one random coupling, so the grid has
     one dimension."""
@@ -1077,8 +1241,8 @@ def sized(name, section, **entries):
 
 
 #: The config entries the fuzz test leaves alone, each at an absurd value:
-#: (subcommand, config, the error type its record names; numpy names its
-#: own MemoryError `_ArrayMemoryError`).
+#: (subcommand, config, the error type its record names; a record names
+#: numpy's private `_ArrayMemoryError` by its public base).
 _ABSURD_SIZES = {
     "d past the cap": (
         "verify-identities", lambda: sized("identities_mc", "lattice", d=100000, L=10),
@@ -1129,7 +1293,7 @@ def test_an_absurd_size_exits_three_at_once(tmp_path, case):
     assert code == EXIT_CAPACITY_ERROR
     (line,) = err.getvalue().strip().splitlines()
     record = json.loads(line)["error"]
-    assert record["kind"] == "capacity" and record["type"].endswith(error_type)
+    assert record["kind"] == "capacity" and record["type"] == error_type
     assert record["exit_code"] == EXIT_CAPACITY_ERROR
     assert elapsed < 1.0
     # numpy traces the one allocation that fails at its requested size, so

@@ -1,7 +1,9 @@
+import concurrent.futures
 import itertools
 import math
 
 import numpy as np
+import numpy.polynomial.hermite
 import pytest
 
 import xyzglass
@@ -111,6 +113,25 @@ def test_quadrature_moments():
     z = std.rows(0, std.node_count)[:, -1]
     assert std.probabilities() @ z**4 == pytest.approx(3.0, abs=1e-12)
     assert cfg.params.is_active(1, "x")
+
+
+def test_a_quadrature_spec_builds_its_hermite_rule_once(monkeypatch):
+    # a small budget splits the 5^4-node grid into several row stacks; they
+    # and the probabilities read the spec's one rule
+    calls, stacks = [], []
+    real_rule, real_rows = numpy.polynomial.hermite.hermgauss, QuadratureSpec.rows
+    monkeypatch.setattr(
+        numpy.polynomial.hermite, "hermgauss", lambda n: calls.append(n) or real_rule(n)
+    )
+    monkeypatch.setattr(
+        QuadratureSpec, "rows", lambda spec, *span: stacks.append(span) or real_rows(spec, *span)
+    )
+    monkeypatch.setattr(identities, "_BATCH_BYTES", 16 * 1024)
+    plan = identities.Plan(quad_chain_config(), identity_blocks(2), "x")
+    plan.evaluate(Quadrature(5))
+    assert len(stacks) > 1 and calls == [5]
+    plan.evaluate(Quadrature(5))  # a new spec, a new rule
+    assert calls == [5, 5]
 
 
 def test_quadrature_node_guard():
@@ -930,6 +951,29 @@ def test_a_plan_that_reads_no_state_sizes_its_batch_by_its_probabilities():
     assert mixed.reads_state and mixed.batch_size == 32
 
 
+def test_a_plan_that_reads_no_state_runs_on_the_calling_thread(monkeypatch):
+    # the a1 plan's pair matrix reads only the Nishimori line: at two
+    # threads it starts no pool and gives the one-thread columns, while a
+    # plan that reads the state starts its one pool
+    pools = []
+    real_init = concurrent.futures.ThreadPoolExecutor.__init__
+
+    def recording(pool, workers, *args, **kwargs):
+        pools.append(workers)
+        real_init(pool, workers, *args, **kwargs)
+
+    monkeypatch.setattr(concurrent.futures.ThreadPoolExecutor, "__init__", recording)
+    pairs = identities.PairMatrixBlock()
+    plan = identities.Plan(classical_14site_config(), [pairs], "x")
+    n = 2 * plan.batch_size + 3
+    threaded = plan.evaluate(MonteCarlo(n, 19, threads=2))
+    assert pools == []
+    assert np.array_equal(threaded.values(pairs), plan.evaluate(MonteCarlo(n, 19)).values(pairs))
+    state_plan = identities.Plan(chain_config(3), [OnePointBlock([0], "z")], "x")
+    state_plan.evaluate(MonteCarlo(2 * state_plan.batch_size, 19, threads=2))
+    assert pools == [2]
+
+
 def test_a_classical_only_plan_gives_the_same_columns_at_any_batch():
     pairs = identities.PairMatrixBlock()
     plan = identities.Plan(classical_14site_config(), [pairs], "x")
@@ -970,7 +1014,7 @@ def grid_node_row(cfg, idx, std_nodes):
 def test_quadrature_rows_and_probabilities_match_the_grid_loop():
     cfg = quad_chain_config()
     spec = QuadratureSpec.from_model(cfg.families, cfg.params, 5)
-    std_nodes, node_probs = identities._hermite_rule(5)
+    std_nodes, node_probs = spec.rule
     grid = list(itertools.product(range(5), repeat=len(grid_dims(cfg))))
     assert len(grid) == spec.node_count == 5**4
     # batches of 97 nodes, so the digit arithmetic runs from odd offsets

@@ -1,6 +1,8 @@
 """The P_z parity sector path against the dense complex oracle, and the
 plan's bind-time choice between them."""
 
+import concurrent.futures
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -295,7 +297,7 @@ def test_threads_start_at_most_one_worker_per_batch(monkeypatch):
         def map(self, fn, items):
             return map(fn, items)
 
-    monkeypatch.setattr(identities, "ThreadPoolExecutor", Recorder)
+    monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", Recorder)
     plan = identities.Plan(bounds_config(), [identities.MagnetizationBlock("z")], "x")
     serial = plan.evaluate(MonteCarlo(3 * plan.batch_size, 5))
     assert started == []
