@@ -287,12 +287,16 @@ class BondProductTable:
         return self.pair_matrix_from(self._probabilities_of_one(k_by_p, betas))
 
     def pair_matrix_from(self, prob: np.ndarray) -> np.ndarray:
-        """All <tau_i tau_j> under `probabilities`, as a bilinear form: with
-        M the probabilities reshaped to (high bits, low bits),
-        C_AB = tau_A^T M tau_B, C_AA = tau_A^T diag(M 1) tau_A = P_A^T M 1
-        and C_BB = tau_B^T diag(M^T 1) tau_B = P_B^T M^T 1. The first two
-        come from one product [tau_A | P_A]^T M [tau_B | 1]."""
-        m = prob.reshape(len(self._ones_high), -1)
+        """All <tau_i tau_j> under `probabilities`, (..., N, N) for a stack
+        of rows (..., 2^N), as a bilinear form: with M the probabilities
+        reshaped to (high bits, low bits), C_AB = tau_A^T M tau_B,
+        C_AA = tau_A^T diag(M 1) tau_A = P_A^T M 1 and
+        C_BB = tau_B^T diag(M^T 1) tau_B = P_B^T M^T 1. The first two come
+        from one product [tau_A | P_A]^T M [tau_B | 1]. Every row of a stack
+        goes through the BLAS calls of a single row, so its bits do not
+        depend on the stack."""
+        m = prob.reshape(prob.shape[:-1] + (len(self._ones_high), -1))
         cross = self._high @ (m @ self._low)
-        low = (self._ones_high @ m) @ self._pairs_low
-        return np.concatenate((cross.ravel(), low))[self._pair_index]
+        low = ((self._ones_high @ m)[..., None, :] @ self._pairs_low)[..., 0, :]
+        flat = np.concatenate((cross.reshape(prob.shape[:-1] + (-1,)), low), axis=-1)
+        return flat[..., self._pair_index]

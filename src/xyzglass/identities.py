@@ -196,23 +196,23 @@ def _check_identity_axes(w: str, u: str | None) -> None:
 #: Byte budget of a batch's largest stack: every stack of a plan holds
 #: max(1, budget // item bytes) items (`Plan.stack_size`), and an item's
 #: charge depends only on the kind of plan. A plan that reads the quantum
-#: state charges a sample 64 dim^2 bytes, four complex dim x dim matrices
-#: (the Hamiltonian, its eigenvectors, their conjugate transpose that both
-#: spectral self-checks share, and the one self-check residual held at a
-#: time): 32 samples at dim 16, 8 at dim 32, 2 at dim 64 and 1 from dim
-#: 128 on; past about 16 at dim 16 a bigger batch saves no time and costs
-#: peak memory. The susceptibility stacks N string matrices per sample for
-#: the whole batch (under 1 MiB up to 6 sites; from 7 sites on the batch is
-#: one sample). The a2 stencil charges each of its four field means four
-#: copies of the batch's Hamiltonians in the plan's sectors: all four means
-#: in one stack on parity blocks up to 6 sites, two at 7 and one from 8 on
-#: or on the whole space. A plan that reads only the Nishimori line charges
-#: a sample its 8 2^N bytes of float64 probabilities: 4 samples at 14 sites,
-#: 16 at 12 and 64 at 10. On a 2-core Xeon (2 MiB L2 a core, one BLAS
-#: thread) the 14-site a1 run took a median 0.205, 0.159, 0.132, 0.117 and
-#: 0.189 s at B = 1, 2, 4, 8 and 16 (25 runs each, in process). At B = 16
-#: the stack alone fills a core's L2; 512 KiB keeps a margin below that,
-#: with half the peak memory of B = 8.
+#: state charges a sample 64 dim^2 bytes, four complex dim x dim matrices,
+#: though the reconstruction self-check holds five (the Hamiltonian, its
+#: eigenvectors, their conjugate transpose, V Lambda and the residual) and
+#: every later stage fewer: 32 samples at dim 16, 8 at dim 32, 2 at dim 64
+#: and 1 from dim 128 on; past about 16 at dim 16 a bigger batch saves no
+#: time and costs peak memory. The susceptibility stacks N string matrices
+#: per sample for the whole batch (under 1 MiB up to 6 sites; from 7 sites
+#: on the batch is one sample). The a2 stencil charges each of its four
+#: field means four copies of the batch's Hamiltonians in the plan's
+#: sectors: all four means in one stack on parity blocks up to 6 sites, two
+#: at 7 and one from 8 on or on the whole space. A plan that reads only the
+#: Nishimori line charges a sample its 8 2^N bytes of float64
+#: probabilities: 4 samples at 14 sites, 16 at 12 and 64 at 10. On a 2-core
+#: Xeon (2 MiB L2 a core, one BLAS thread) the 14-site a1 run took a median
+#: 0.205, 0.159, 0.132, 0.117 and 0.189 s at B = 1, 2, 4, 8 and 16 (25 runs
+#: each, in process). At B = 16 the stack alone fills a core's L2; 512 KiB
+#: keeps a margin below that, with half the peak memory of B = 8.
 _BATCH_BYTES = 512 * 1024
 
 
@@ -228,8 +228,10 @@ class _Batch:
 
     Every stacked operation treats the rows independently, so a sample's
     values do not depend on the batch it falls in. The classical side makes
-    one stacked softmax per batch; its spin products and pair matrices are
-    reduced sample by sample, since their stacked forms change last bits."""
+    one stacked softmax and one stacked pair matrix per batch; only its spin
+    products are reduced sample by sample, since their stacked form changes
+    last bits. The Hamiltonians are freed once decomposed, unless the plan
+    keeps them for a block that reads them (`Plan.keeps_hamiltonians`)."""
 
     def __init__(self, plan: "Plan", indices: range, rows: np.ndarray):
         self.plan = plan
@@ -262,8 +264,11 @@ class _Batch:
     @functools.cached_property
     def state(self) -> ThermalState:
         hamiltonians = self.hamiltonians
+        if not self.plan.keeps_hamiltonians:
+            del self.hamiltonians
         with self.guard("thermal state"):
             spectrum = spectral_decompose(hamiltonians, self.indices)
+            del hamiltonians
             return thermal_state(spectrum, self.plan.config.beta)
 
     @functools.cached_property
@@ -301,8 +306,7 @@ class _Batch:
 
     @functools.cached_property
     def pair_matrix(self) -> np.ndarray:
-        table = self.plan.classical_table
-        return np.array([table.pair_matrix_from(prob) for prob in self.probabilities])
+        return self.plan.classical_table.pair_matrix_from(self.probabilities)
 
 
 Evaluator = Callable[[_Batch], np.ndarray]
@@ -317,7 +321,9 @@ class Block(Protocol):
     columns) array. Blocks are frozen dataclasses, so equal blocks share one
     set of columns. A block whose operators break the P_z parity sets
     `keeps_parity` to False, and its plan then runs on the whole space. A
-    block that reads only the Nishimori line sets `reads_state` to False.
+    block that reads only the Nishimori line sets `reads_state` to False,
+    and one that reads the batch's Hamiltonians after their decomposition
+    sets `reads_hamiltonians` to True.
     """
 
     def bind(self, plan: "Plan") -> tuple[int, Evaluator]: ...
@@ -335,7 +341,10 @@ class Plan:
 
     `reads_state` is decided here from the blocks, as `conserves_parity`
     is: a block reads the quantum state unless it sets `reads_state` to
-    False, as `PairMatrixBlock` does, and an empty plan reads none. Every
+    False, as `PairMatrixBlock` does, and an empty plan reads none. A batch
+    frees its Hamiltonians once decomposed; `keeps_hamiltonians` holds them
+    for the batch's lifetime when a block sets `reads_hamiltonians`, as the
+    a2 stencil does, which shifts them by its field means. Every
     batch size comes from `stack_size`, with a sample charged as
     `_BATCH_BYTES` says. A plan that reads the state makes its `sectors`
     here, so a lattice over the quantum cap fails before any draw; one that
@@ -366,6 +375,9 @@ class Plan:
             for axis in ("x", "y")
         )
         self.reads_state = any(getattr(block, "reads_state", True) for block in self.blocks)
+        self.keeps_hamiltonians = any(
+            getattr(block, "reads_hamiltonians", False) for block in self.blocks
+        )
         self.sectors: Sectors | None = None
         if self.reads_state:
             self.sectors = (parity_sectors if self.conserves_parity else whole_space)(self.n_sites)
@@ -985,6 +997,8 @@ class FieldStencilBlock:
     v: str
     w: str
     h: float
+
+    reads_hamiltonians = True
 
     @property
     def keeps_parity(self) -> bool:

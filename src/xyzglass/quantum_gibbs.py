@@ -258,17 +258,6 @@ def string_expectations(state: ThermalState, strings: Sequence[PauliString]) -> 
     return weighted / _partition_sum(state)[..., None]
 
 
-def _in_eigenbasis(
-    state: ThermalState, op: PauliString
-) -> tuple[slice | np.ndarray, np.ndarray]:
-    """(image, blocks): block s of V^dagger op V, (..., S, d, d), maps sector
-    s onto the sector that `image` (an index on the sector axis) picks at
-    position s; a string that keeps every sector has the view slice(None)."""
-    v, sectors = state.spectrum.eigenvectors, state.spectrum.sectors
-    image = slice(None) if sectors.keeps(op.flip) else op.sector_map(sectors)[0]
-    return image, v[..., image, :, :].conj().swapaxes(-1, -2) @ op.apply(v, sectors)
-
-
 def duhamel_kernel(state: ThermalState) -> np.ndarray:
     """Matrix phi_mn such that the Duhamel bracket is sum A_mn B_nm phi_mn / Z,
     with the state's stack axes in front, as one block per sector pair
@@ -302,7 +291,7 @@ def _kernel_blocks(
     state: ThermalState, kernel: np.ndarray, image: slice | np.ndarray
 ) -> np.ndarray:
     """The kernel blocks [image[s], s], (..., S, d, d), that pair each sector
-    with its image under a string (`_in_eigenbasis`)."""
+    with its image under a string (`_string_stack`)."""
     if isinstance(image, slice):
         return np.moveaxis(np.diagonal(kernel, axis1=-4, axis2=-3), -1, -3)
     return kernel[..., image, np.arange(len(image)), :, :]
@@ -311,13 +300,37 @@ def _kernel_blocks(
 def _string_stack(
     state: ThermalState, ops: Sequence[PauliString]
 ) -> tuple[slice | np.ndarray, np.ndarray]:
-    """(image, eigenbasis blocks (b, len(ops), S, d, d)) of strings that share
-    one sector map."""
-    sectors = state.spectrum.sectors
+    """(image, blocks (..., len(ops), S, d, d)) of strings that share one
+    sector map: block s of string k is V^dagger op_k V from sector s onto
+    the sector that `image` (an index on the sector axis) picks at position
+    s; strings that keep every sector have the view slice(None).
+
+    The stack is written in place, with one conjugate copy of V a call. A
+    string without a flip has real +-1 phases: it scales the rows of that
+    copy, which are the columns of V^dagger, multiplies by V and scales
+    them back, so it makes no copy of op V. The products are those of
+    V^dagger @ (op V), bit for bit."""
+    v, sectors = state.spectrum.eigenvectors, state.spectrum.sectors
     if not all(sectors.keeps(op.flip ^ ops[0].flip) for op in ops):
         raise ValueError("the strings of one stack must share their sector map")
-    pairs = [_in_eigenbasis(state, op) for op in ops]
-    return pairs[0][0], np.stack([m for _, m in pairs], axis=1)
+    image = slice(None) if sectors.keeps(ops[0].flip) else ops[0].sector_map(sectors)[0]
+    # the ufunc allocates, where on real sectors v.conj() is v itself
+    v_conj = np.conjugate(v[..., image, :, :])
+    vh = v_conj.swapaxes(-1, -2)
+    phases = [op.sector_map(sectors)[2] for op in ops]
+    shape = v.shape[:-3] + (len(ops),) + v.shape[-3:]
+    stack = np.empty(shape, dtype=np.result_type(v, *phases))
+    # the float view: a row scale by +-1 flips signs exactly, and twice restores them
+    rows = v_conj.view(float)
+    for k, (op, phase) in enumerate(zip(ops, phases)):
+        if op.flip:
+            np.matmul(vh, op.apply(v, sectors), out=stack[..., k, :, :, :])
+        else:
+            signs = phase.real.reshape(sectors.count, sectors.size, 1)
+            rows *= signs
+            np.matmul(vh, v, out=stack[..., k, :, :, :])
+            rows *= signs
+    return image, stack
 
 
 def duhamel_matrix(
@@ -331,18 +344,23 @@ def duhamel_matrix(
     of a stack of states (b, ...) as (b, len(ops_a), len(ops_b)): one matmul
     per matrix over its sector pairs. The strings of each list must share one
     sector map, as single-site strings on one axis do; lists whose maps
-    differ give exactly 0. `ops_b` may be `ops_a`."""
-    image, at = _string_stack(state, ops_a)
-    bt = at if ops_b is ops_a else _string_stack(state, ops_b)[1]
-    b, n_a, n_b = len(at), len(ops_a), len(ops_b)
+    differ give exactly 0, with no eigenbasis block formed. `ops_b` may be
+    `ops_a`."""
+    b, n_a, n_b = len(state.weights), len(ops_a), len(ops_b)
     if not state.spectrum.sectors.keeps(ops_a[0].flip ^ ops_b[0].flip):
         return np.zeros((b, n_a, n_b))
-    phi = _kernel_blocks(state, kernel, image)
-    z = _partition_sum(state)[:, None, None]
+    image, at = _string_stack(state, ops_a)
+    bt = at if ops_b is ops_a else _string_stack(state, ops_b)[1]
     # duh[:, i, j] = sum_smn at[:, i, s, m, n] bt[:, j, t, n, m] phi[:, t, s, m, n] with
-    # t = image[s], one matmul a matrix
-    bt_t = bt[:, :, image].swapaxes(-1, -2).reshape(b, n_b, -1).swapaxes(-1, -2)
-    return np.real((at * phi[:, None]).reshape(b, n_a, -1) @ bt_t) / z
+    # t = image[s], one matmul a matrix; bt is read only through its copy
+    # `rows`, so at is weighted in place even when it is bt
+    rows = bt[:, :, image].swapaxes(-1, -2).reshape(b, n_b, -1)
+    # the reshape copies unless the blocks are 1 x 1
+    rows = rows.copy() if np.may_share_memory(rows, at) else rows
+    del bt
+    at *= _kernel_blocks(state, kernel, image)[:, None]
+    z = _partition_sum(state)[:, None, None]
+    return np.real(at.reshape(b, n_a, -1) @ rows.swapaxes(-1, -2)) / z
 
 
 def duhamel(state: ThermalState, a: np.ndarray, b: np.ndarray) -> float:

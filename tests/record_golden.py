@@ -9,15 +9,14 @@ every changed path:
     PYTHONPATH=src python tests/record_golden.py
 """
 
-import contextlib
-import io
 import json
+import os
 import pathlib
+import subprocess
 import sys
 import tempfile
 
-from xyzglass import cli
-
+SRC = pathlib.Path(__file__).parents[1] / "src"
 CONFIGS = pathlib.Path(__file__).parents[1] / "configs"
 GOLDEN = pathlib.Path(__file__).parent / "golden"
 
@@ -42,6 +41,11 @@ def shrunk(name, **changes):
 #: report; the disorder dump's CSV pins the disorder stream itself.
 RUNS = [
     ("identities_mc", "verify-identities", shrunk("identities_mc"), []),
+    # 8 sites with a single-site x field: the dense whole-space path at dim 256
+    ("identities_mc_8site", "verify-identities", shrunk(
+        "identities_mc", lattice={"d": 1, "L": 8, "boundary": "open"},
+        method={"kind": "mc", "n_samples": 2},
+    ), []),
     # a z_max no residual meets: the doubled-n retry, and the disorder dump
     ("identities_mc_retry", "verify-identities", shrunk(
         "identities_mc", tolerances={"z_max": 1e-9}, dump_disorder_sample=True
@@ -68,11 +72,18 @@ def argv(subcommand, cfg, extra, directory):
 
 
 def outputs(subcommand, cfg, extra, directory):
-    """(exit code, {file name: text}) of one run: its report without the
-    timestamp and every CSV it wrote."""
+    """(exit code, {file name: text}) of one run in a fresh interpreter with
+    one BLAS thread, since the bits of a dense product at dim 256 depend on
+    the thread count: its report without the timestamp and every CSV it
+    wrote."""
     directory = pathlib.Path(directory)
-    with contextlib.redirect_stdout(io.StringIO()):
-        code = cli.main(argv(subcommand, cfg, extra, directory))
+    env = {
+        **os.environ, "OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1",
+        "MKL_NUM_THREADS": "1",
+        "PYTHONPATH": os.pathsep.join([str(SRC), os.environ.get("PYTHONPATH", "")]),
+    }
+    command = [sys.executable, "-m", "xyzglass.cli", *argv(subcommand, cfg, extra, directory)]
+    code = subprocess.run(command, env=env, stdout=subprocess.DEVNULL, check=False).returncode
     (run_dir,) = (directory / "runs").iterdir()
     files = {}
     for path in sorted(run_dir.iterdir()):

@@ -1,6 +1,7 @@
 import concurrent.futures
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import numpy.polynomial.hermite
@@ -1114,3 +1115,57 @@ def test_value_table_owns_the_standard_errors_and_the_tolerance_rule():
     assert grid.jackknife_se(grid_values, lambda m: float(m[0])) == 0.0
     assert np.array_equal(grid.tolerance(np.ones(3), tol, 1e-3), [1e-3] * 3)
     assert math.isnan(grid.estimate(1.0, 0.0, 0.0).z_score)
+
+
+@pytest.mark.parametrize("config", [bounds_5site_config, classical_14site_config])
+def test_a_stacked_pair_matrix_equals_one_row_at_a_time(config):
+    # each row of a stack goes through the BLAS calls of one row, so the
+    # batch's one stacked call keeps every bit of the per-sample loop
+    cfg = config()
+    plan = identities.Plan(cfg, [identities.PairMatrixBlock()], "x")
+    rows = draw_rows(*plan.law, 7, 0, 8)
+    batch = identities._Batch(plan, range(8), rows)
+    table = plan.classical_table
+    for size in (1, 4, 8):
+        prob = batch.probabilities[:size]
+        stacked = table.pair_matrix_from(prob)
+        assert stacked.shape == (size, cfg.lattice.n_sites, cfg.lattice.n_sites)
+        for k in range(size):
+            assert np.array_equal(stacked[k], table.pair_matrix_from(prob[k]))
+    assert np.array_equal(batch.pair_matrix, table.pair_matrix_from(batch.probabilities))
+
+
+def test_a_batch_frees_its_hamiltonians_once_decomposed_unless_a_block_reads_them():
+    cfg = bounds_5site_config()
+    rows = draw_rows(*coupling_law(cfg.params, cfg.families), 1, 0, 2)
+    stencil = identities.FieldStencilBlock("z", "z", 0.05)
+    for blocks, keeps in (
+        ([identities.MagnetizationBlock("z"), identities.SusceptibilityBlock("z", "z")], False),
+        ([identities.MagnetizationBlock("z"), stencil], True),
+    ):
+        plan = identities.Plan(cfg, blocks, "x")
+        assert plan.keeps_hamiltonians is keeps
+        batch = identities._Batch(plan, range(2), rows)
+        batch.state
+        assert ("hamiltonians" in vars(batch)) is keeps
+
+
+def test_an_8site_whole_space_sample_holds_at_most_five_dense_matrices():
+    # the traced peak of one identities sample at dim 256, from before its
+    # Hamiltonian is built: the spectral self-check's H, V, V^dagger, V Lambda
+    # and one residual (eigh's own work arrays are not traced). Holding H
+    # through the sample, or a copy of op V or of a weighted string stack,
+    # adds a matrix
+    cfg = chain_config(8)
+    blocks = [OnePointBlock([0], "z"), TwoPointBlock([0], [7], "z"), DuhamelBlock([0], [7], "z")]
+    plan = identities.Plan(cfg, blocks, "x")
+    assert plan.sectors is whole_space(8) and plan.batch_size == 1
+    # the first sample builds the builder's tables and the strings' maps
+    plan.evaluate(MonteCarlo(1, 5))
+    tracemalloc.start()
+    try:
+        plan.evaluate(MonteCarlo(1, 6))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 5.25 * 16 * 256**2

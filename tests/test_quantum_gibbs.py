@@ -19,14 +19,23 @@ from xyzglass.lattice import (
     merge_bond_families,
     single_site_shape,
 )
-from xyzglass.operators import PauliString, gauge_unitary, pauli_product, pauli_site, whole_space
+from xyzglass.operators import (
+    PauliString,
+    gauge_unitary,
+    parity_sectors,
+    pauli_product,
+    pauli_site,
+    whole_space,
+)
 from xyzglass.quantum_gibbs import (
     HamiltonianBuilder,
     Spectrum,
+    ThermalState,
     build_hamiltonian,
     derivative_identity_residual,
     duhamel,
     duhamel_kernel,
+    duhamel_matrix,
     duhamel_time_integral,
     free_energy_density,
     gibbs_expectation,
@@ -42,7 +51,7 @@ from xyzglass.quantum_gibbs import (
 def eigenbasis_matrix(state, op):
     """V^dagger op V of a dense state or stack: the one block of the
     eigenbasis gather that `duhamel_matrix` contracts."""
-    return quantum_gibbs._in_eigenbasis(state, op)[1][..., 0, :, :]
+    return quantum_gibbs._string_stack(state, [op])[1][..., 0, 0, :, :]
 
 
 def order_expectation(state, axis):
@@ -699,3 +708,100 @@ def test_degenerate_spectra_match_expm_and_simpson_oracles(model, beta, observab
     a, b = pauli_site(n, i % n, v), pauli_site(n, j % n, w)
     assert abs(gibbs_expectation(state, a) - gibbs_expectation_expm(h, beta, a)) < 1e-8
     assert abs(duhamel(state, a, b) - duhamel_time_integral(h, beta, a, b)) < 1e-7
+
+
+def sector_states(parity, count=2, L=4, beta=0.7, seed=11):
+    """A stack of thermal states of an L-site chain: pair couplings on the
+    P_z parity sectors, or pair and single-site couplings on the whole
+    space."""
+    lat, fams = chain_setup(L)
+    if parity:
+        del fams[1]
+    params = CouplingParams({p: {a: (0.2, 0.8) for a in "xyz"} for p in fams})
+    rows = np.stack([sample_disorder(params, fams, seed, k).row for k in range(count)])
+    sectors = (parity_sectors if parity else whole_space)(L)
+    blocks = HamiltonianBuilder(lat, fams).build_rows(rows, sectors)
+    return thermal_state(spectral_decompose(blocks), beta)
+
+
+def read_only(state):
+    """A copy of a thermal state whose arrays refuse writes."""
+    arrays = [
+        a.copy() for a in (state.spectrum.eigenvalues, state.spectrum.eigenvectors, state.weights)
+    ]
+    for a in arrays:
+        a.flags.writeable = False
+    spectrum = Spectrum(arrays[0], arrays[1], state.spectrum.sectors)
+    return ThermalState(spectrum, state.beta, state.log_z, arrays[2])
+
+
+@pytest.mark.parametrize("parity", [False, True], ids=["whole space", "parity"])
+def test_eigenbasis_paths_never_write_the_state(parity):
+    # the string stacks work on a conjugate copy of V; on real sectors
+    # v.conj() is V itself, so an in-place write through it would corrupt
+    # the state, and on read-only arrays it raises instead
+    state = sector_states(parity)
+    lists = {axis: [PauliString(4, (i,), axis) for i in range(4)] for axis in "xyz"}
+    lists["yy"] = [PauliString(4, (i, i + 1), "y") for i in range(3)]
+
+    def results(state):
+        kernel = duhamel_kernel(state)
+        kernel.flags.writeable = False
+        ops = [op for strings in lists.values() for op in strings]
+        out = [string_expectations(state, ops)]
+        out += [quantum_gibbs._string_stack(state, strings)[1] for strings in lists.values()]
+        for a, b in (("z", "z"), ("x", "x"), ("yy", "yy"), ("z", "yy"), ("x", "y"), ("z", "x")):
+            out.append(duhamel_matrix(state, kernel, lists[a], lists[a] if a == b else lists[b]))
+        return out
+
+    frozen = read_only(state)
+    v = frozen.spectrum.eigenvectors.copy()
+    for got, expected in zip(results(frozen), results(state), strict=True):
+        assert got.dtype == expected.dtype and np.array_equal(got, expected)
+    assert np.array_equal(frozen.spectrum.eigenvectors, v)
+
+
+class _CountingArray(np.ndarray):
+    """An array that counts the matmuls it enters, and whose ufunc results
+    count theirs too."""
+
+    matmuls = 0
+
+    def __array_ufunc__(self, ufunc, method, *inputs, **kwargs):
+        if ufunc is np.matmul:
+            _CountingArray.matmuls += 1
+        inputs = tuple(np.asarray(x) for x in inputs)
+        if "out" in kwargs:
+            kwargs["out"] = tuple(np.asarray(o) for o in kwargs["out"])
+        result = getattr(ufunc, method)(*inputs, **kwargs)
+        return result.view(_CountingArray) if isinstance(result, np.ndarray) else result
+
+
+def test_duhamel_matrix_of_lists_with_different_sector_maps_forms_no_eigenbasis_block(
+    monkeypatch,
+):
+    # a susceptibility with a parity-flipping v on a parity plan: the brackets
+    # are exactly 0, known from the sector maps before any string is applied
+    # or any eigenbasis block multiplied
+    state = sector_states(parity=True)
+    spectrum = state.spectrum
+    counted = ThermalState(
+        Spectrum(spectrum.eigenvalues, spectrum.eigenvectors.view(_CountingArray), spectrum.sectors),
+        state.beta, state.log_z, state.weights,
+    )
+    kernel = duhamel_kernel(state)
+    applied = []
+    apply = PauliString.apply
+    monkeypatch.setattr(
+        PauliString, "apply", lambda op, v, sectors: applied.append(op) or apply(op, v, sectors)
+    )
+    ops_z = [PauliString(4, (i,), "z") for i in range(4)]
+    ops_x = [PauliString(4, (i,), "x") for i in range(4)]
+    # the counters see a bracket whose lists share their map
+    duhamel_matrix(counted, kernel, ops_x, ops_x)
+    assert len(applied) == 4 and _CountingArray.matmuls > 0
+    applied.clear()
+    _CountingArray.matmuls = 0
+    duh = duhamel_matrix(counted, kernel, ops_z, ops_x)
+    assert np.array_equal(duh, np.zeros((2, 4, 4)))
+    assert applied == [] and _CountingArray.matmuls == 0
