@@ -12,6 +12,7 @@ import numpy as np
 from .disorder import NishimoriData
 from .errors import CapacityError
 from .lattice import BondFamily
+from .operators import product_signs, site_mask
 
 #: Largest lattice whose 2^N configurations are enumerated: the tables of
 #: 2^16 rows hold a few MiB per column.
@@ -49,34 +50,18 @@ def classical_from_nishimori(
     )
 
 
-def _tau_block(start: int, count: int, n_sites: int) -> np.ndarray:
-    """Spin values (+-1) for configuration indices [start, start+count).
+def _tau_block(n_sites: int) -> np.ndarray:
+    """Spin values (+-1) for every configuration index, (2^N, N).
 
     Site i reads bit (n_sites-1-i) of the index, bit 0 meaning spin +1; this
-    matches the tensor-slot convention of the quantum operators.
+    matches the tensor-slot convention of the quantum operators. It shifts
+    its own bits, so the reference enumeration shares no code with
+    `BondProductTable`.
     """
-    idx = np.arange(start, start + count, dtype=np.int64)
+    idx = np.arange(1 << n_sites, dtype=np.int64)
     shifts = n_sites - 1 - np.arange(n_sites)
     bits = (idx[:, None] >> shifts[None, :]) & 1
     return 1.0 - 2.0 * bits
-
-
-def _index_mask(n_sites: int, sites: Sequence[int]) -> int:
-    """The configuration-index bits of a site set, in `_tau_block`'s
-    convention. A repeated site cancels, as tau_i^2 = 1 does in a product."""
-    mask = 0
-    for i in sites:
-        mask ^= 1 << (n_sites - 1 - i)
-    return mask
-
-
-def _product_signs(count: int, masks: Sequence[int]) -> np.ndarray:
-    """(count, len(masks)) spin products over configurations 0..count-1: the
-    product over a site set is -1 exactly when an odd number of its index
-    bits are set."""
-    idx = np.arange(count, dtype=np.uint32)[:, None]
-    odd = np.bitwise_count(idx & np.array(masks, dtype=np.uint32)) & 1
-    return np.where(odd, -1.0, 1.0)
 
 
 def _pair_columns(tau: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -119,7 +104,7 @@ def _weighted_configurations(model: ClassicalModel) -> tuple[np.ndarray, np.ndar
     Boltzmann weights shifted by the largest log weight, and their sum."""
     _check_cap(model.n_sites)
     coeffs, bonds = _term_arrays(model)
-    tau = _tau_block(0, 1 << model.n_sites, model.n_sites)
+    tau = _tau_block(model.n_sites)
     logw = _log_weights(tau, coeffs, bonds)
     w = np.exp(logw - float(np.max(logw)))
     return tau, w, float(np.sum(w))
@@ -178,9 +163,9 @@ class BondProductTable:
     Caches the per-bond sign columns for one family structure and the sign
     column of every site set it has evaluated, so that per-sample
     Nishimori expectations reduce to a matrix product plus a softmax. Every
-    sign column is read off the configuration index's bits, so no spin
-    table of 2^N rows is held. Limited to `ENUMERATION_SITE_CAP` sites, as
-    the enumeration above is.
+    sign column is read off the configuration index's bits by
+    `operators.product_signs`, so no spin table of 2^N rows is held.
+    Limited to `ENUMERATION_SITE_CAP` sites, as the enumeration above is.
 
     `flip_invariant` is decided from the bonds' index masks, never from
     coupling values: when every mask holds an even number of bits (every
@@ -190,8 +175,9 @@ class BondProductTable:
 
     The pair matrix splits the configuration index into its high bits
     (sites 0..k-1, k = N // 2) and low bits (sites k..N-1), with one spin
-    half-table for each: tau_A (2^k x k) and tau_B (2^(N-k) x (N-k)), and
-    the products P_A, P_B of their column pairs i <= j.
+    half-table for each, of single-site signs: tau_A (2^k x k) and
+    tau_B (2^(N-k) x (N-k)), and the products P_A, P_B of their column
+    pairs i <= j.
     """
 
     def __init__(self, n_sites: int, families: Mapping[int, BondFamily]):
@@ -199,7 +185,9 @@ class BondProductTable:
         self.n_sites = n_sites
         self.families = dict(families)
         k, nb = n_sites // 2, n_sites - n_sites // 2
-        tau_a, tau_b = _tau_block(0, 1 << k, k), _tau_block(0, 1 << nb, nb)
+        tau_a, tau_b = (
+            product_signs(1 << m, [site_mask(m, [i]) for i in range(m)]) for m in (k, nb)
+        )
         pairs_a, col_a = _pair_columns(tau_a)
         pairs_b, col_b = _pair_columns(tau_b)
         self._high = np.ascontiguousarray(np.hstack([tau_a, pairs_a]).T)
@@ -218,12 +206,12 @@ class BondProductTable:
         for p in sorted(families):
             bonds = families[p].bonds
             self._slices[p] = slice(len(masks), len(masks) + len(bonds))
-            masks += [_index_mask(n_sites, bond) for bond in bonds]
+            masks += [site_mask(n_sites, bond) for bond in bonds]
         # the global flip sets every index bit, so it turns a sign column
         # into its mirror times (-1)^(bits of its mask)
         self.flip_invariant = all(mask.bit_count() % 2 == 0 for mask in masks)
         rows = 1 << (n_sites - self.flip_invariant)
-        self.term_signs = _product_signs(rows, masks)
+        self.term_signs = product_signs(rows, masks)
         self._sign_columns: dict[tuple[int, ...], np.ndarray] = {}
 
     def probabilities(
@@ -276,8 +264,8 @@ class BondProductTable:
         """prod_{i in sites} tau_i over every configuration, made once per
         site set."""
         if sites not in self._sign_columns:
-            mask = _index_mask(self.n_sites, sites)
-            self._sign_columns[sites] = _product_signs(1 << self.n_sites, [mask])[:, 0]
+            mask = site_mask(self.n_sites, sites)
+            self._sign_columns[sites] = product_signs(1 << self.n_sites, [mask])[:, 0]
         return self._sign_columns[sites]
 
     def pair_matrix(

@@ -490,10 +490,10 @@ def _residual_check(
     passed, tol_desc = tol.residual(name, result.method, result.mean, result.z_score)
     return {
         "name": name,
-        "inputs": _jsonify(inputs),
+        "inputs": inputs,
         "method": result.method,
         "seed": seed,
-        "result": _jsonify(result),
+        "result": result,
         "tolerance": tol_desc,
         "retried": retried,
         "passed": bool(passed),
@@ -605,14 +605,14 @@ def run_verify_bounds(
         if name in which:
             rep = blocks[name].result(table, tol)
             checks.append({"name": rep.name, "inputs": inputs,
-                           "method": rep.method, "seed": table.seed, "report": _jsonify(rep),
+                           "method": rep.method, "seed": table.seed, "report": rep,
                            "tolerance": {"kind": "chain", "z_max": tol.z_max},
                            "passed": rep.passed})
     if "a1" in which:
         res = pairs.correlation_sum(table, tol)
         checks.append({"name": "correlation sum (reported, not asserted)",
                        "inputs": {"gauge_axis": u},
-                       "method": res.method, "seed": table.seed, "result": _jsonify(res),
+                       "method": res.method, "seed": table.seed, "result": res,
                        "tolerance": {"kind": "none"}, "passed": True})
     if "a2" in which:
         third, second = stencil.result(table)
@@ -621,8 +621,8 @@ def run_verify_bounds(
             "inputs": {"v": v, "w": w, "step": step},
             "method": table.method_name,
             "seed": table.seed,
-            "third_difference": _jsonify(third),
-            "second_difference": _jsonify(second),
+            "third_difference": third,
+            "second_difference": second,
             "tolerance": {"kind": "flip_symmetry_abs", "value": tolerances.FLIP_SYMMETRY_TOL},
             "passed": tolerances.flip_symmetric(second),
         })
@@ -668,7 +668,7 @@ def run_order_params(cfg: dict, threads: int) -> tuple[list[dict], dict]:
             "name": f"order parameters at {label}",
             "method": order["x"]["m"].method,
             "point": label,
-            "order_parameters": _jsonify(order),
+            "order_parameters": order,
             "free_energy_density": {
                 "mean": psi.mean, "std_error": psi.std_error, "n_samples": psi.n_samples,
             },
@@ -689,7 +689,7 @@ def run_phase_region(cfg: dict, artifacts_dir: str | None) -> tuple[list[dict], 
         checks.append({
             "name": f"membership of {coords}",
             "method": "exact",
-            "membership": _jsonify(member),
+            "membership": member,
             "in_union": member.in_union,
             "tolerance": {"kind": "none"},
             "passed": True,

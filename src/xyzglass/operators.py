@@ -3,6 +3,9 @@
 Tensor slots follow the lexicographic lattice site order: site 0 is the
 leftmost Kronecker factor, so basis index b assigns site i the bit
 (b >> (N-1-i)) & 1, with bit value 0 meaning sigma^z eigenvalue +1.
+`site_mask` writes that map once, and `product_signs` the sign
+(-1)^popcount(b & mask) that a sigma^z product, or the classical spin
+product over the same sites (`classical_gibbs`), takes on index b.
 
 `PauliString` is the working representation: a same-axis product of Paulis
 is a monomial matrix given by a bit-flip mask and a per-basis phase (the
@@ -51,6 +54,24 @@ def _check_sites(n_sites: int) -> None:
 def _check_axis(axis: str) -> None:
     if axis not in AXES:
         raise ValueError(f"axis must be one of {AXES}, got {axis!r}")
+
+
+def site_mask(n_sites: int, sites: Sequence[int]) -> int:
+    """The basis-index bits of a site set: site i is bit N-1-i. A repeated
+    site cancels, as sigma^z_i^2 = 1 and tau_i^2 = 1 do in a product."""
+    mask = 0
+    for i in sites:
+        mask ^= 1 << (n_sites - 1 - i)
+    return mask
+
+
+def product_signs(count: int, masks: Sequence[int]) -> np.ndarray:
+    """(count, len(masks)) signs (-1)^popcount(b & mask) for basis indices
+    b = 0..count-1: the sigma^z product over each mask's site set, and the
+    classical spin product tau over it."""
+    idx = np.arange(count, dtype=np.uint32)[:, None]
+    odd = np.bitwise_count(idx & np.array(masks, dtype=np.uint32)) & 1
+    return np.where(odd, -1.0, 1.0)
 
 
 def _site_set(n_sites: int, sites: Sequence[int], axis: str) -> set[int]:
@@ -116,10 +137,8 @@ def parity_sectors(n_sites: int) -> Sectors:
     them."""
     _check_sites(n_sites)
     basis = np.arange(2**n_sites)
-    parity = np.zeros_like(basis)
-    for i in range(n_sites):
-        parity ^= (basis >> i) & 1
-    return Sectors(n_sites, np.stack([basis[parity == 0], basis[parity == 1]]), float)
+    odd = product_signs(len(basis), [len(basis) - 1])[:, 0] < 0
+    return Sectors(n_sites, np.stack([basis[~odd], basis[odd]]), float)
 
 
 class PauliString:
@@ -133,21 +152,12 @@ class PauliString:
 
     def __init__(self, n_sites: int, sites: Sequence[int], axis: str):
         site_set = _site_set(n_sites, sites, axis)
-        mask = 0
-        for i in site_set:
-            mask |= 1 << (n_sites - 1 - i)
+        mask = site_mask(n_sites, site_set)
         self.dim = 2**n_sites
         self.flip = 0 if axis == "z" else mask
-        basis = np.arange(self.dim)
-        self.rows = basis ^ self.flip
-        if axis == "x":
-            self.phase = np.ones(self.dim, dtype=complex)
-        else:
-            parity = np.zeros(self.dim, dtype=basis.dtype)
-            for i in site_set:
-                parity ^= (basis >> (n_sites - 1 - i)) & 1
-            unit = _I_POWERS[len(site_set) % 4] if axis == "y" else 1.0 + 0.0j
-            self.phase = unit * (1.0 - 2.0 * parity)
+        self.rows = np.arange(self.dim) ^ self.flip
+        unit = _I_POWERS[len(site_set) % 4] if axis == "y" else 1.0 + 0.0j
+        self.phase = unit * product_signs(self.dim, [0 if axis == "x" else mask])[:, 0]
         # phase of output row r, which comes from column r ^ flip
         self._row_phase = self.phase[self.rows]
         self._sector_maps: dict[Sectors, tuple[np.ndarray, np.ndarray, np.ndarray]] = {}

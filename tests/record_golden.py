@@ -1,7 +1,8 @@
-"""The golden runs: the shipped configs shrunk to a few samples, the
-`--extended-multipoint` run and `selftest`, each with the report and CSV
-files it writes. `tests/test_golden.py` compares a fresh run of each with
-the copy under `tests/golden/`, the report's timestamp removed.
+"""The golden runs: the shipped configs shrunk to a few samples, a 6-site
+bound run on the parity sectors, the `--extended-multipoint` run and
+`selftest`, each with the report and CSV files it writes.
+`tests/test_golden.py` compares a fresh run of each with the copy under
+`tests/golden/`, the report's timestamp removed.
 
 Re-record them only when a change is meant to move report numbers, and list
 every changed path:
@@ -54,6 +55,15 @@ RUNS = [
      ["--extended-multipoint"]),
     # seed 1: 20 samples clip no square root, so every chain reaches its report
     ("bounds_mc", "verify-bounds", shrunk("bounds_mc"), ["--seed", "1"]),
+    # the benchmark's bound-chain model on 6 sites: parity blocks of dim 32.
+    # Seed 1 at n=40: every chain reaches its report and passes
+    ("bounds_mc_6site_parity", "verify-bounds", shrunk(
+        "bounds_mc", lattice={"d": 1, "L": 6, "boundary": "open"},
+        couplings={"2": {a: {"mu": 0.6, "delta": 0.8} for a in ("x", "y", "z")}},
+        bounds={"w": "z", "v": "z", "u": "x", "a2_step": 0.05,
+                "checks": ["magnetization", "susceptibility", "a1", "a2"]},
+        method={"kind": "mc", "n_samples": 40},
+    ), ["--seed", "1"]),
     ("order_params", "order-params", shrunk("order_params"), []),
     ("phase_region", "phase-region", shrunk("phase_region"), []),
     ("selftest", "selftest", None, []),

@@ -1,5 +1,6 @@
 """Each golden run writes exactly the reports and CSV files recorded under
-tests/golden/, the report's timestamp aside (tests/record_golden.py)."""
+tests/golden/, the report's timestamp aside (tests/record_golden.py), and
+every file there belongs to a run."""
 
 import json
 
@@ -68,3 +69,17 @@ def test_reports_match_the_golden_copies(tmp_path, name, subcommand, cfg, extra)
         golden = (GOLDEN / golden_name(name, file_name)).read_text()
         if text != golden:
             pytest.fail(first_difference(file_name, golden, text), pytrace=False)
+
+
+def stale_goldens(directory=GOLDEN):
+    """Files under `directory` that no run in RUNS writes, and so that no
+    test reads."""
+    names = {run[0] for run in RUNS}
+    return sorted(p.name for p in directory.iterdir() if p.name.split(".", 1)[0] not in names)
+
+
+def test_every_golden_file_belongs_to_a_run(tmp_path):
+    assert stale_goldens() == []
+    (tmp_path / "bounds_mc.report.json").touch()
+    (tmp_path / "bounds_mc_retired.report.json").touch()
+    assert stale_goldens(tmp_path) == ["bounds_mc_retired.report.json"]

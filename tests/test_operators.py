@@ -13,6 +13,8 @@ from xyzglass.operators import (
     parity_sectors,
     pauli_product,
     pauli_site,
+    product_signs,
+    site_mask,
     whole_space,
 )
 
@@ -208,3 +210,22 @@ def test_string_validation_errors():
         PauliString(2, [0], "q")
     with pytest.raises(CapacityError):
         PauliString(15, [0], "x")
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_index_convention_matches_the_kron_oracle_exactly(n):
+    # every site set: its sign column is the diagonal of the dense z product
+    subsets = [[i for i in range(n) if (r >> i) & 1] for r in range(2**n)]
+    signs = product_signs(2**n, [site_mask(n, s) for s in subsets])
+    for k, s in enumerate(subsets):
+        assert np.array_equal(signs[:, k], np.diag(pauli_product(n, s, "z")).real)
+    popcount = np.array([bin(b).count("1") for b in range(2**n)])
+    basis = np.arange(2**n)
+    expected = np.stack([basis[popcount % 2 == 0], basis[popcount % 2 == 1]])
+    assert np.array_equal(parity_sectors(n).bases, expected)
+
+
+def test_site_mask_cancels_a_repeated_site():
+    assert site_mask(3, [0]) == 0b100 and site_mask(3, [2]) == 0b001
+    assert site_mask(3, [0, 2, 0]) == site_mask(3, [2])
+    assert site_mask(3, [1, 1]) == 0

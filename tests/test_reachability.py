@@ -87,7 +87,7 @@ def test_every_src_function_is_reached_or_retained(tmp_path):
                 codes.append(cli.main(argv))
         finally:
             sys.setprofile(previous)
-    assert codes == [0, 0, 1, 1, 0, 0, 0, 0, 2]
+    assert codes == [0, 0, 1, 1, 0, 0, 0, 0, 0, 2]
 
     reached = {(c.co_filename, c.co_firstlineno, c.co_qualname) for c in called}
     never = {name for key, name in package_functions().items() if key not in reached}
