@@ -16,7 +16,7 @@ import numpy as np
 from numpy.random import PCG64, Generator
 
 from .lattice import BondFamily
-from .operators import AXES
+from .operators import AXES, transformed_axes
 
 Entry = tuple[float, float]  # (mean, std-dev)
 
@@ -268,12 +268,8 @@ def nishimori_beta(params: CouplingParams, p: int, u: str) -> float:
     mu != 0) on a transformed axis is rejected because the gauge flip would
     change its distribution, and so is a sum that overflows a float.
     """
-    if u not in AXES:
-        raise ValueError(f"axis must be one of {AXES}, got {u!r}")
     total = 0.0
-    for axis in AXES:
-        if axis == u:
-            continue
+    for axis in transformed_axes(u):
         mu, delta = params.mu(p, axis), params.delta(p, axis)
         if delta == 0.0:
             if mu != 0.0:
@@ -311,13 +307,14 @@ class NishimoriRotation:
     """
 
     def __init__(self, params: CouplingParams, families: Mapping[int, BondFamily], u: str):
-        if u not in AXES:
-            raise ValueError(f"axis must be one of {AXES}, got {u!r}")
+        axes = transformed_axes(u)
         slices = term_slices(families)
         self.betas = {p: nishimori_beta(params, p, u) for p in sorted(families)}
+        self._components = {}
         for p in sorted(families):
-            for a in AXES:
-                if a == u or not params.is_active(p, a):
+            active = []
+            for a in axes:
+                if not params.is_active(p, a):
                     continue
                 mu, delta = params.mu(p, a), params.delta(p, a)
                 # the rotation divides by delta**2 and scales by mu/delta**2;
@@ -332,17 +329,8 @@ class NishimoriRotation:
                         f"component (p={p}, axis={a}) needs delta**2 a normal float and "
                         f"mu/delta**2 finite (mu = {mu}, delta = {delta})"
                     )
-        self._components = {
-            p: (
-                len(families[p].bonds),
-                [
-                    (slices[(p, a)], params.mu(p, a), params.delta(p, a))
-                    for a in AXES
-                    if a != u and params.is_active(p, a)
-                ],
-            )
-            for p in sorted(families)
-        }
+                active.append((slices[(p, a)], mu, delta))
+            self._components[p] = (len(families[p].bonds), active)
 
     def __call__(self, rows: np.ndarray) -> dict[int, np.ndarray]:
         rows = np.asarray(rows)
@@ -351,17 +339,16 @@ class NishimoriRotation:
             beta = self.betas[p]
             if not active:
                 k[p] = np.zeros((rows.shape[0], n_bonds))
-            elif len(active) == 1:
-                ((sl, mu, delta),) = active
-                j = rows[:, sl]
-                k[p] = (mu / delta**2) * j / beta if beta > 0.0 else j / delta
-            else:
-                (sv, mv, dv), (sw, mw, dw) = active
-                jv, jw = rows[:, sv], rows[:, sw]
-                if beta > 0.0:
-                    k[p] = ((mv / dv**2) * jv + (mw / dw**2) * jw) / beta
-                else:
-                    k[p] = jv / dv
+                continue
+            # sum_a (mu_a/delta_a^2) J_a / beta in axis order, started from the
+            # first component; at beta = 0 the first component standardized
+            (sl, mu, delta), *rest = active
+            j = rows[:, sl]
+            k[p] = (
+                sum(((m / d**2) * rows[:, s] for s, m, d in rest), (mu / delta**2) * j) / beta
+                if beta > 0.0
+                else j / delta
+            )
         return k
 
     def complement(self, rows: np.ndarray) -> dict[int, np.ndarray | None]:
@@ -405,13 +392,12 @@ def gauge_transform_couplings(sample: DisorderSample, tau: Sequence[int], u: str
     the original sample. Each coupling is multiplied by exactly +-1.0, so it
     keeps its bits up to sign.
     """
-    if u not in AXES:
-        raise ValueError(f"axis must be one of {AXES}, got {u!r}")
+    flipped = transformed_axes(u)
     tau = np.asarray(tau)
     if not np.all(np.abs(tau) == 1):
         raise ValueError("tau entries must be +1 or -1")
     signs = np.array([
-        1.0 if axis == u else bond_sign(tau, bond)
+        bond_sign(tau, bond) if axis in flipped else 1.0
         for _, axis, _, bond in coupling_terms(sample.families)
     ])
     return replace(sample, row=sample.row * signs)

@@ -1005,6 +1005,8 @@ class FieldStencilBlock:
         return self.v == "z"
 
     def bind(self, plan: Plan) -> tuple[int, Evaluator]:
+        if self.v not in AXES:
+            raise ValueError(f"field axis v must be one of {AXES}, got {self.v!r}")
         h = self.h
         # the stencil divides by h**3 and h**2; a subnormal or overflowing
         # power would turn the differences into inf or NaN

@@ -56,6 +56,15 @@ def _check_axis(axis: str) -> None:
         raise ValueError(f"axis must be one of {AXES}, got {axis!r}")
 
 
+def transformed_axes(u: str) -> tuple[str, str]:
+    """The two axes, in `AXES` order, whose Paulis anticommute with sigma^u:
+    a gauge flip about u changes the sign of their couplings, and the
+    Nishimori temperature for u sums over them."""
+    _check_axis(u)
+    a, b = (axis for axis in AXES if axis != u)
+    return a, b
+
+
 def site_mask(n_sites: int, sites: Sequence[int]) -> int:
     """The basis-index bits of a site set: site i is bit N-1-i. A repeated
     site cancels, as sigma^z_i^2 = 1 and tau_i^2 = 1 do in a product."""

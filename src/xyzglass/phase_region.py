@@ -17,12 +17,10 @@ from typing import Iterator
 import numpy as np
 
 from .errors import CapacityError
-from .operators import AXES
+from .operators import AXES, transformed_axes
 
 #: Guard on exported grid sizes.
 _MAX_GRID_POINTS = 10**7
-
-_OTHER = {"x": ("y", "z"), "y": ("z", "x"), "z": ("x", "y")}
 
 
 @dataclass(frozen=True)
@@ -104,18 +102,17 @@ def beta2_from_ratios(rx, ry, rz, u: str):
     Accepts scalars or arrays; combines the two ratios other than u.
     """
     r = {"x": rx, "y": ry, "z": rz}
-    a, b = _OTHER[u]
+    a, b = transformed_axes(u)
     return np.hypot(r[a], r[b])
 
 
 def membership_from_ratios(rx, ry, rz, beta_t: float):
     """Per-axis membership booleans (strict inequalities), vectorized."""
+    below = {a: beta2_from_ratios(rx, ry, rz, a) < beta_t for a in AXES}
     out = {}
     for u in AXES:
-        a, b = _OTHER[u]
-        ba = beta2_from_ratios(rx, ry, rz, a)
-        bb = beta2_from_ratios(rx, ry, rz, b)
-        out[u] = (ba < beta_t) & (bb < beta_t)
+        a, b = transformed_axes(u)
+        out[u] = below[a] & below[b]
     return out
 
 

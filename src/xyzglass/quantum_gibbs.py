@@ -287,9 +287,7 @@ def duhamel_kernel(state: ThermalState) -> np.ndarray:
     return phi
 
 
-def _kernel_blocks(
-    state: ThermalState, kernel: np.ndarray, image: slice | np.ndarray
-) -> np.ndarray:
+def _kernel_blocks(kernel: np.ndarray, image: slice | np.ndarray) -> np.ndarray:
     """The kernel blocks [image[s], s], (..., S, d, d), that pair each sector
     with its image under a string (`_string_stack`)."""
     if isinstance(image, slice):
@@ -358,7 +356,7 @@ def duhamel_matrix(
     # the reshape copies unless the blocks are 1 x 1
     rows = rows.copy() if np.may_share_memory(rows, at) else rows
     del bt
-    at *= _kernel_blocks(state, kernel, image)[:, None]
+    at *= _kernel_blocks(kernel, image)[:, None]
     z = _partition_sum(state)[:, None, None]
     return np.real(at.reshape(b, n_a, -1) @ rows.swapaxes(-1, -2)) / z
 

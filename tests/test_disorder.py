@@ -156,6 +156,59 @@ def test_draw_rows_refuse_keys_outside_the_stream(seed, first, last):
         draw_rows(mu, delta, seed, first, last)
 
 
+@pytest.mark.parametrize("u, v, w", [("x", "y", "z"), ("y", "x", "z"), ("z", "x", "y")])
+def test_nishimori_rotation_matches_its_closed_forms(u, v, w):
+    # (v, w) are the transformed axes of u in axis order. Per p: beta = 0
+    # with both active (p=1), both active (p=2), only w active (p=3) and
+    # none active (p=4)
+    lat = build_lattice(1, 5)
+    fams = {
+        **mixed_families(),
+        4: generate_bonds(lat, interaction_shape([(0,), (1,), (2,), (3,)]), "open"),
+    }
+    params = CouplingParams({
+        1: {u: (0.4, 0.3), v: (0.0, 0.8), w: (0.0, 0.6)},
+        2: {u: (0.1, 0.2), v: (0.3, 0.7), w: (-0.5, 1.3)},
+        3: {u: (0.2, 0.5), w: (0.9, 0.4)},
+        4: {u: (0.6, 0.9)},
+    })
+    rows = draw_rows(*coupling_law(params, fams), 4, 0, 30)
+    slices = term_slices(fams)
+
+    def j(p, a):
+        return rows[:, slices[(p, a)]]
+
+    rotation = NishimoriRotation(params, fams, u)
+    beta = rotation.betas
+    assert beta == {
+        1: 0.0, 2: math.sqrt((0.3 / 0.7) ** 2 + (-0.5 / 1.3) ** 2),
+        3: math.sqrt((0.9 / 0.4) ** 2), 4: 0.0,
+    }
+    k, g = rotation(rows), rotation.complement(rows)
+    assert np.array_equal(k[1], j(1, v) / 0.8)
+    assert np.array_equal(g[1], j(1, w) / 0.6)
+    mv, dv, mw, dw = 0.3, 0.7, -0.5, 1.3
+    assert np.array_equal(k[2], ((mv / dv**2) * j(2, v) + (mw / dw**2) * j(2, w)) / beta[2])
+    assert np.array_equal(g[2], (mw * j(2, v) - mv * j(2, w)) / (beta[2] * dv * dw))
+    assert np.array_equal(k[3], (0.9 / 0.4**2) * j(3, w) / beta[3])
+    assert g[3] is None
+    assert np.array_equal(k[4], np.zeros((30, len(fams[4].bonds))))
+    assert g[4] is None
+
+
+@pytest.mark.parametrize("u", ["q", "X", ""])
+def test_gauge_maps_refuse_an_unknown_axis(u):
+    _, fams = chain_families(L=2)
+    params = full_params()
+    sample = sample_disorder(params, fams, seed=1)
+    with pytest.raises(ValueError, match="axis must be one of"):
+        nishimori_beta(params, 2, u)
+    with pytest.raises(ValueError, match="axis must be one of"):
+        NishimoriRotation(params, fams, u)
+    with pytest.raises(ValueError, match="axis must be one of"):
+        gauge_transform_couplings(sample, [1, -1], u)
+
+
 @pytest.mark.parametrize("u", ["x", "y", "z"])
 def test_stacked_nishimori_rows_equal_per_sample_transforms(u):
     # two active transformed axes (p=2), one (p=3 for u != y), none (p=3

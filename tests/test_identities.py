@@ -482,6 +482,16 @@ def test_a2_rejects_field_configs():
         evaluate_alone(cfg, FieldStencilBlock("z", "z", 0.05), None, MonteCarlo(10, 1))
 
 
+def test_a2_refuses_an_unknown_field_axis_before_any_draw(monkeypatch):
+    # an axis outside AXES used to build an all-zero field, whose differences
+    # read (0, 0) and passed the symmetry check
+    drawn = count_draws(monkeypatch)
+    cfg = chain_config(3, with_field=False)
+    with pytest.raises(ValueError, match="field axis v"):
+        evaluate_alone(cfg, FieldStencilBlock("q", "z", 0.05), None, MonteCarlo(10, 1))
+    assert drawn == []
+
+
 def test_order_parameters_symmetric_model_vanish_exactly():
     cfg = chain_config(3, with_field=False, beta=0.9)
     sites = SiteExpectationsBlock()

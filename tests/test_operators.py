@@ -15,6 +15,7 @@ from xyzglass.operators import (
     pauli_site,
     product_signs,
     site_mask,
+    transformed_axes,
     whole_space,
 )
 
@@ -201,6 +202,21 @@ def test_string_product_is_symmetric_difference(case):
     for axis in AXES:
         product = PauliString(n, s, axis).dense() @ PauliString(n, t, axis).dense()
         assert np.array_equal(product, PauliString(n, set(s) ^ set(t), axis).dense())
+
+
+@pytest.mark.parametrize("u", AXES)
+def test_transformed_axes_are_the_paulis_that_anticommute_with_sigma_u(u):
+    anticommuting = tuple(
+        a for a in AXES if np.array_equal(PAULI[a] @ PAULI[u], -PAULI[u] @ PAULI[a])
+    )
+    assert len(anticommuting) == 2
+    assert transformed_axes(u) == anticommuting
+
+
+@pytest.mark.parametrize("u", ["q", "X", "", None])
+def test_transformed_axes_refuse_an_unknown_axis(u):
+    with pytest.raises(ValueError, match="axis must be one of"):
+        transformed_axes(u)
 
 
 def test_string_validation_errors():

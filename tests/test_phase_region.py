@@ -43,6 +43,32 @@ def test_beta2_values():
         assert beta2(q, u) == pytest.approx(c * math.sqrt(2.0))
 
 
+@pytest.mark.parametrize("u, a, b", [("x", "y", "z"), ("y", "x", "z"), ("z", "x", "y")])
+def test_beta2_is_the_hypot_of_the_transformed_ratios_in_either_order(u, a, b):
+    # numpy's hypot, not math.hypot, which differs from it in the last bit
+    rng = np.random.default_rng(17)
+    values = np.concatenate([rng.normal(size=8), rng.uniform(-1e300, 1e300, 3), [5e-324, 0.0]])
+    rx, ry, rz = np.meshgrid(values, values, values, indexing="ij")
+    ratios = {"x": rx, "y": ry, "z": rz}
+    expected = np.hypot(ratios[a], ratios[b])
+    assert np.array_equal(np.hypot(ratios[b], ratios[a]), expected)
+    assert np.array_equal(beta2_from_ratios(rx, ry, rz, u), expected)
+
+
+def test_membership_is_strict_at_the_three_four_five_point():
+    # ratios (0, 3, 4): beta2 for y is hypot(0, 4) = 4 and for z hypot(0, 3)
+    # = 3, both below 5, but beta2 for x is hypot(3, 4) = 5 = beta_t
+    flags = membership_from_ratios(0.0, 3.0, 4.0, 5.0)
+    assert float(beta2_from_ratios(0.0, 3.0, 4.0, "x")) == 5.0
+    assert bool(flags["x"])
+    assert not flags["y"] and not flags["z"]
+
+
+def test_beta2_refuses_an_unknown_axis():
+    with pytest.raises(ValueError, match="axis must be one of"):
+        beta2_from_ratios(0.0, 3.0, 4.0, "q")
+
+
 def test_validation():
     with pytest.raises(ValueError, match="delta"):
         RegionQuery(0.0, 1.0, 1.0, 0.0, 0.0, 0.0, beta_t=1.0)
