@@ -26,7 +26,7 @@ import platform
 import re
 import sys
 from datetime import datetime, timezone
-from typing import Any, Callable, Iterable, Iterator
+from typing import Any, Callable, Iterator
 
 import numpy as np
 
@@ -217,10 +217,10 @@ CONFIG_SCHEMA: dict[str, Any] = {
 }
 
 # ---------------------------------------------------------------------------
-# Config check: a walker over CONFIG_SCHEMA with jsonschema 4.26's rules and
-# messages, for the keywords the schema uses. The test suite holds it to
-# jsonschema's `best_match`; importing jsonschema cost every run about
-# 2.5 MiB of peak memory and 60 ms.
+# Config check: a walker over CONFIG_SCHEMA that decides, with jsonschema
+# 4.26's rules for the keywords the schema uses, whether a config is valid.
+# Only a rejected config imports jsonschema, for `best_match`'s message;
+# importing it cost every run about 2.5 MiB of peak memory and 60 ms.
 # ---------------------------------------------------------------------------
 
 
@@ -239,86 +239,47 @@ _TYPES: dict[str, Callable[[Any], bool]] = {
 }
 
 
-def _bound(fails: Callable[[Any, Any], bool], relation: str, x: Any, bound: Any, *_: Any) -> tuple:
-    return (f"{x!r} is {relation} of {bound!r}",) if _is_number(x) and fails(x, bound) else ()
+def _within(fails: Callable[[Any, Any], bool], x: Any, bound: Any, schema: dict) -> bool:
+    return not (_is_number(x) and fails(x, bound))
 
 
-def _properties(x: Any, subs: dict, schema: dict, path: tuple) -> Iterator:
-    for key, sub in subs.items() if isinstance(x, dict) else ():
-        if key in x:
-            yield from _schema_errors(x[key], sub, (*path, key))
-
-
-def _pattern_properties(x: Any, subs: dict, schema: dict, path: tuple) -> Iterator:
-    for pattern, sub in subs.items() if isinstance(x, dict) else ():
-        for key, item in x.items():
-            if re.search(pattern, key):
-                yield from _schema_errors(item, sub, (*path, key))
-
-
-def _additional_properties(x: Any, allowed: bool, schema: dict, path: tuple) -> Iterator:
-    patterns = schema.get("patternProperties", {})
-    extras = sorted(
-        key for key in (x if isinstance(x, dict) else ())
-        if key not in schema.get("properties", {}) and not any(re.search(p, key) for p in patterns)
-    )
-    names = ", ".join(map(repr, extras))
-    if extras and "patternProperties" in schema:
-        verb = "does" if len(extras) == 1 else "do"
-        regexes = ", ".join(map(repr, sorted(patterns)))
-        yield f"{names} {verb} not match any of the regexes: {regexes}"
-    elif extras:
-        verb = "was" if len(extras) == 1 else "were"
-        yield f"Additional properties are not allowed ({names} {verb} unexpected)"
-
-
-def _items(x: Any, sub: Any, schema: dict, path: tuple) -> Iterator:
-    for i in range(len(schema.get("prefixItems", ())), len(x)) if isinstance(x, list) else ():
-        yield from _schema_errors(x[i], sub, (*path, i))
-
-
-def _prefix_items(x: Any, subs: list, schema: dict, path: tuple) -> Iterator:
-    for i, (item, sub) in enumerate(zip(x, subs) if isinstance(x, list) else ()):
-        yield from _schema_errors(item, sub, (*path, i))
-
-
-def _if(x: Any, sub: Any, schema: dict, path: tuple) -> Iterator:
-    branch = "then" if next(_schema_errors(x, sub, path), None) is None else "else"
-    yield from _schema_errors(x, schema.get(branch, True), path)
-
-
-#: keyword -> (x, keyword value, schema, path) -> its messages about x and
-#: the errors of the subschemas it applies. `enum` and `const` name strings,
-#: which equal only strings, as in jsonschema.
-_KEYWORDS: dict[str, Callable[..., Iterable]] = {
-    "type": lambda x, t, schema, path: () if _TYPES[t](x) else (f"{x!r} is not of type {t!r}",),
-    "enum": lambda x, names, schema, path: (
-        () if x in names else (f"{x!r} is not one of {names!r}",)
+#: keyword -> (x, keyword value, schema) -> whether x meets it. A keyword
+#: about objects or arrays holds for any other value. `enum` and `const`
+#: name strings, which equal only strings, as in jsonschema.
+_KEYWORDS: dict[str, Callable[[Any, Any, dict], bool]] = {
+    "type": lambda x, t, schema: _TYPES[t](x),
+    "enum": lambda x, names, schema: x in names,
+    "const": lambda x, name, schema: x == name,
+    "minimum": functools.partial(_within, operator.lt),
+    "exclusiveMinimum": functools.partial(_within, operator.le),
+    "maximum": functools.partial(_within, operator.gt),
+    "exclusiveMaximum": functools.partial(_within, operator.ge),
+    "required": lambda x, keys, schema: not isinstance(x, dict) or all(k in x for k in keys),
+    "minItems": lambda x, n, schema: not isinstance(x, list) or len(x) >= n,
+    "maxItems": lambda x, n, schema: not isinstance(x, list) or len(x) <= n,
+    "properties": lambda x, subs, schema: not isinstance(x, dict) or all(
+        _valid(x[key], sub) for key, sub in subs.items() if key in x
     ),
-    "const": lambda x, name, schema, path: () if x == name else (f"{name!r} was expected",),
-    "minimum": functools.partial(_bound, operator.lt, "less than the minimum"),
-    "exclusiveMinimum": functools.partial(_bound, operator.le, "less than or equal to the minimum"),
-    "maximum": functools.partial(_bound, operator.gt, "greater than the maximum"),
-    "exclusiveMaximum": functools.partial(_bound, operator.ge, "greater than or equal to the maximum"),
-    "required": lambda x, keys, schema, path: [
-        f"{key!r} is a required property" for key in keys if isinstance(x, dict) and key not in x
-    ],
-    "minItems": lambda x, n, schema, path: (
-        (f"{x!r} {'should be non-empty' if n == 1 else 'is too short'}",)
-        if isinstance(x, list) and len(x) < n else ()
+    "patternProperties": lambda x, subs, schema: not isinstance(x, dict) or all(
+        _valid(item, sub) for pattern, sub in subs.items()
+        for key, item in x.items() if re.search(pattern, key)
     ),
-    "maxItems": lambda x, n, schema, path: (
-        (f"{x!r} {'is expected to be empty' if n == 0 else 'is too long'}",)
-        if isinstance(x, list) and len(x) > n else ()
+    # every key is named by `properties` or `patternProperties`
+    "additionalProperties": lambda x, allowed, schema: not isinstance(x, dict) or all(
+        key in schema.get("properties", {})
+        or any(re.search(pattern, key) for pattern in schema.get("patternProperties", {}))
+        for key in x
     ),
-    "properties": _properties,
-    "patternProperties": _pattern_properties,
-    "additionalProperties": _additional_properties,
-    "items": _items,
-    "prefixItems": _prefix_items,
-    "if": _if,
-    "then": lambda *_: (),  # both read by `if`
-    "else": lambda *_: (),
+    # `items` applies past the `prefixItems`
+    "items": lambda x, sub, schema: not isinstance(x, list) or all(
+        _valid(item, sub) for item in x[len(schema.get("prefixItems", ())):]
+    ),
+    "prefixItems": lambda x, subs, schema: not isinstance(x, list) or all(
+        _valid(item, sub) for item, sub in zip(x, subs)
+    ),
+    "if": lambda x, sub, schema: _valid(x, schema.get("then" if _valid(x, sub) else "else", True)),
+    "then": lambda *_: True,  # both read by `if`
+    "else": lambda *_: True,
 }
 
 #: The value forms the walker reads, where it reads only some.
@@ -330,16 +291,11 @@ _FORMS: dict[str, Callable[[Any], bool]] = {
 }
 
 
-def _schema_errors(x: Any, schema: Any, path: tuple) -> Iterator[tuple[tuple, str, bool]]:
-    """Every violation of `schema` by the instance `x` at `path`, in the
-    order jsonschema finds them: (path, message, whether x misses the type
-    of the schema whose keyword failed, or that schema has none)."""
-    if schema is True:
-        return
-    off_type = "type" not in schema or not _TYPES[schema["type"]](x)
-    for keyword, value in schema.items():
-        for error in _KEYWORDS[keyword](x, value, schema, path):
-            yield (path, error, off_type) if isinstance(error, str) else error
+def _valid(x: Any, schema: Any) -> bool:
+    """Whether the instance `x` meets `schema`, as jsonschema decides."""
+    return schema is True or all(
+        _KEYWORDS[keyword](x, value, schema) for keyword, value in schema.items()
+    )
 
 
 # Fail at import on a keyword or value form the walker does not read, so a
@@ -391,12 +347,12 @@ def load_config(path: str) -> dict:
     bad = _non_finite_path(raw, [])
     if bad is not None:
         raise ConfigError(f"config value at {bad} is not a finite number")
-    # the error jsonschema's `best_match` reports: the shortest path, then
-    # the greatest, then one off its schema's type; the first found of equals
-    errors = _schema_errors(raw, CONFIG_SCHEMA, ())
-    best = max(errors, key=lambda e: (-len(e[0]), e[0], e[2]), default=None)
-    if best is not None:
-        raise ConfigError(f"config schema violation at {list(best[0])}: {best[1]}")
+    if not _valid(raw, CONFIG_SCHEMA):
+        import jsonschema
+
+        validator = jsonschema.Draft202012Validator(CONFIG_SCHEMA)
+        best = jsonschema.exceptions.best_match(validator.iter_errors(raw))
+        raise ConfigError(f"config schema violation at {list(best.absolute_path)}: {best.message}")
     return raw
 
 

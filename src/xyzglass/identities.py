@@ -539,14 +539,18 @@ class ValueTable:
         except FloatingPointError as exc:
             raise ArithmeticError(f"the standard error of a disorder mean overflows: {exc}") from exc
 
-    def jackknife_se(self, values: np.ndarray, statistic: Callable[[np.ndarray], float]) -> float:
+    def jackknife_se(
+        self, values: np.ndarray, statistic: Callable[[np.ndarray], np.ndarray]
+    ) -> float:
         """The leave-one-out standard error of a statistic of the column
-        means; 0 for quadrature."""
+        means; 0 for quadrature. `statistic` maps the (n, columns) array of
+        leave-one-out means, which it may overwrite, to its n values."""
         n = values.shape[0]
         if not self.is_mc or n < 2:
             return 0.0
-        loo = (values.sum(axis=0)[None, :] - values) / (n - 1)
-        vals = np.array([statistic(loo[k]) for k in range(n)])
+        loo = values.sum(axis=0) - values
+        loo /= n - 1
+        vals = statistic(loo)
         return float(math.sqrt((n - 1) / n * np.sum((vals - vals.mean()) ** 2)))
 
     def tolerance(self, se: float | np.ndarray, tol: Tolerances, quadrature: float) -> np.ndarray:
@@ -892,7 +896,8 @@ class PairMatrixBlock:
         values = table.values(self)
         ec_pos, clipped, fraction = _clipped(table.mean(values), tol, "correlation sum")
         total = float(np.sqrt(ec_pos).sum()) / n
-        se = table.jackknife_se(values, lambda m: float(np.sqrt(np.maximum(m, 0.0)).sum()) / n)
+        stat = lambda m: np.sqrt(np.maximum(m, 0.0, out=m), out=m).sum(axis=-1) / n
+        se = table.jackknife_se(values, stat)
         return table.estimate(total, se, clip_count=clipped, clip_fraction=fraction)
 
 
@@ -952,7 +957,7 @@ class SusceptibilityBlock:
         chi = scale * abs(float(et.sum()))
         bound = 2.0 * scale * float(np.sqrt(ec_pos).sum())
         se_chi = scale * float(table.se(ts.sum(axis=1, keepdims=True))[0])
-        bound_stat = lambda m: 2.0 * scale * float(np.sqrt(np.maximum(m, 0.0)).sum())
+        bound_stat = lambda m: 2.0 * scale * np.sqrt(np.maximum(m, 0.0, out=m), out=m).sum(axis=-1)
         se_bound = table.jackknife_se(cs, bound_stat)
         bound_tol = table.tolerance(math.hypot(se_chi, se_bound), tol, tol.quadrature_abs)
         steps = [

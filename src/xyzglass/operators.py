@@ -70,6 +70,8 @@ def site_mask(n_sites: int, sites: Sequence[int]) -> int:
     site cancels, as sigma^z_i^2 = 1 and tau_i^2 = 1 do in a product."""
     mask = 0
     for i in sites:
+        if not 0 <= i < n_sites:
+            raise ValueError(f"site {i} is outside [0, {n_sites})")
         mask ^= 1 << (n_sites - 1 - i)
     return mask
 

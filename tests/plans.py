@@ -1,6 +1,6 @@
 """Running one block in the tests, the way every subcommand runs its blocks:
 a plan built over them, evaluated once into a value table; and counting
-the disorder rows a plan draws."""
+the disorder rows a plan draws and the matrices it decomposes."""
 
 from xyzglass import identities
 from xyzglass.identities import Plan
@@ -24,3 +24,18 @@ def count_draws(monkeypatch):
 
     monkeypatch.setattr(identities, "draw_rows", counting)
     return drawn
+
+
+def count_decompositions(monkeypatch):
+    """Patch the plans' `spectral_decompose` to record how many matrices each
+    (stacked) call decomposes: a plan decomposes `SectorStack`s, one stacked
+    operator per sample."""
+    calls = []
+    real = identities.spectral_decompose
+
+    def counting(h, *args, **kwargs):
+        calls.append(len(h.blocks))
+        return real(h, *args, **kwargs)
+
+    monkeypatch.setattr(identities, "spectral_decompose", counting)
+    return calls

@@ -81,16 +81,16 @@ def argv(subcommand, cfg, extra, directory):
     return args
 
 
-def outputs(subcommand, cfg, extra, directory):
-    """(exit code, {file name: text}) of one run in a fresh interpreter with
-    one BLAS thread, since the bits of a dense product at dim 256 depend on
-    the thread count: its report without the timestamp and every CSV it
-    wrote."""
+def outputs(subcommand, cfg, extra, directory, src):
+    """(exit code, {file name: text}) of one run of the package under the
+    `src` directory, in a fresh interpreter with one BLAS thread, since the
+    bits of a dense product at dim 256 depend on the thread count: its
+    report without the timestamp and every CSV it wrote."""
     directory = pathlib.Path(directory)
     env = {
         **os.environ, "OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1",
         "MKL_NUM_THREADS": "1",
-        "PYTHONPATH": os.pathsep.join([str(SRC), os.environ.get("PYTHONPATH", "")]),
+        "PYTHONPATH": os.pathsep.join([str(src), os.environ.get("PYTHONPATH", "")]),
     }
     command = [sys.executable, "-m", "xyzglass.cli", *argv(subcommand, cfg, extra, directory)]
     code = subprocess.run(command, env=env, stdout=subprocess.DEVNULL, check=False).returncode
@@ -116,7 +116,7 @@ def main() -> int:
         old.unlink()
     for name, subcommand, cfg, extra in RUNS:
         with tempfile.TemporaryDirectory() as tmp:
-            code, files = outputs(subcommand, cfg, extra, tmp)
+            code, files = outputs(subcommand, cfg, extra, tmp, SRC)
         for file_name, text in files.items():
             (GOLDEN / golden_name(name, file_name)).write_text(text)
         print(f"{name}: exit {code}, {sorted(files)}")

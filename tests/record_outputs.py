@@ -3,14 +3,15 @@ for byte: the five shipped configs at full size, `verify-identities
 --extended-multipoint` on `identities_quadrature`, `selftest`, and the four
 benchmark workloads at seed 1 (`bench/workloads.make_config`). Each run
 goes through `record_golden.outputs`, a fresh interpreter with one BLAS
-thread; its timestamp-free report, its CSVs and its exit code are written
-under OUT/<run>/.
+thread, on the package under SRC (this tree's `src/` by default); its
+timestamp-free report, its CSVs and its exit code are written under
+OUT/<run>/.
 
-    PYTHONPATH=src python tests/record_outputs.py OUT
+    python tests/record_outputs.py OUT [SRC]
 
-To compare a change with its parent, export the parent (`git archive`),
-copy this file into the export's `tests/`, run it in both trees and
-`diff -r` the two outputs. The runs take about 15 s.
+To compare a change with its parent, export the parent's `src/` (`git
+archive`), run this script once with each tree's `src/` and `diff -r` the
+two outputs. The runs take about 15 s each.
 """
 
 import json
@@ -18,7 +19,7 @@ import pathlib
 import sys
 import tempfile
 
-from record_golden import CONFIGS, outputs
+from record_golden import CONFIGS, SRC, outputs
 
 sys.path.insert(0, str(pathlib.Path(__file__).parents[1] / "bench"))
 import workloads  # noqa: E402
@@ -44,11 +45,11 @@ def runs():
         yield (f"bench_{name}", *workloads.make_config(name, 1), [])
 
 
-def main(out: str) -> int:
+def main(out: str, src: str) -> int:
     root = pathlib.Path(out)
     for name, subcommand, cfg, extra in runs():
         with tempfile.TemporaryDirectory() as tmp:
-            code, files = outputs(subcommand, cfg, extra, tmp)
+            code, files = outputs(subcommand, cfg, extra, tmp, pathlib.Path(src).resolve())
         directory = root / name
         directory.mkdir(parents=True, exist_ok=True)
         (directory / "exit_code").write_text(f"{code}\n")
@@ -59,6 +60,6 @@ def main(out: str) -> int:
 
 
 if __name__ == "__main__":
-    if len(sys.argv) != 2:
-        sys.exit(f"usage: {sys.argv[0]} OUT")
-    sys.exit(main(sys.argv[1]))
+    if len(sys.argv) not in (2, 3):
+        sys.exit(f"usage: {sys.argv[0]} OUT [SRC]")
+    sys.exit(main(sys.argv[1], sys.argv[2] if len(sys.argv) == 3 else SRC))

@@ -301,6 +301,9 @@ def test_a_repeated_bond_site_cancels_in_its_signs():
         expected = [np.dot(np.prod(spin_table(3)[:, s], axis=1), prob) for s in sets]
         assert np.array_equal(table.expectations(k, betas, sets), expected)
         assert np.count_nonzero(expected) == 2
+        # a site off the lattice has no sign column
+        with pytest.raises(ValueError, match=r"site -1 is outside \[0, 3\)"):
+            table.expectations_from(prob, [(-1,)])
 
 
 @settings(max_examples=60, deadline=None)

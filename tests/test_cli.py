@@ -41,7 +41,7 @@ from xyzglass.identities import (
     TwoPointBlock,
 )
 
-from plans import count_draws, evaluate_alone
+from plans import count_decompositions, count_draws, evaluate_alone
 
 
 def write_config(tmp_path, name, payload):
@@ -346,25 +346,6 @@ def identities_mc_config(n, seed=13, z_max=None):
     return payload
 
 
-def count_calls(monkeypatch, module, name, weight=lambda *args: 1):
-    """Patch module.name to record weight(*args) per call."""
-    calls = []
-    real = getattr(module, name)
-
-    def counting(*args, **kwargs):
-        calls.append(weight(*args))
-        return real(*args, **kwargs)
-
-    monkeypatch.setattr(module, name, counting)
-    return calls
-
-
-def count_decompositions(monkeypatch):
-    """The number of matrices each (stacked) decomposition call handles; a
-    plan decomposes `SectorStack`s, one stacked operator per sample."""
-    return count_calls(monkeypatch, identities, "spectral_decompose", lambda h, *rest: len(h.blocks))
-
-
 def test_retry_extends_the_shared_table_once(tmp_path, monkeypatch):
     n, seed = 30, 13
     payload = identities_mc_config(n, seed, z_max=1e-9)
@@ -537,8 +518,11 @@ def unused_modules():
     return sorted(m for m in sys.modules
                   if m in UNUSED or m.startswith(tuple(u + "." for u in UNUSED)))
 
-identities_cfg, bounds_cfg, out, result = sys.argv[1:]
+identities_cfg, bounds_cfg, out, result, *checked = sys.argv[1:]
 loaded = {"import xyzglass.cli": unused_modules()}
+for cfg in checked:
+    cli.load_config(cfg)
+loaded["load_config"] = unused_modules()
 for subcommand, cfg in [("verify-identities", identities_cfg), ("verify-bounds", bounds_cfg)]:
     code = cli.main([subcommand, "--config", cfg, "--out", out, "--threads", "1"])
     loaded[subcommand] = unused_modules() if code in (0, 1) else f"exit code {code}"
@@ -550,9 +534,10 @@ with open(result, "w") as fh:
 def test_cli_runs_load_no_scipy(tmp_path):
     # scipy serves only the expm and Simpson oracles, which import it on
     # their first call; the production paths must not load it. Nor do they
-    # load jsonschema (the tests' oracle for the config check), the thread
-    # pool (only runs on more than one thread) or numpy.polynomial (only
-    # quadrature runs build a Hermite rule)
+    # load jsonschema (only a rejected config reads its message from it, and
+    # no shipped or benchmark config is rejected), the thread pool (only
+    # runs on more than one thread) or numpy.polynomial (only quadrature runs
+    # build a Hermite rule)
     shipped = pathlib.Path(__file__).parents[1] / "configs" / "identities_mc.json"
     identities_payload = json.loads(shipped.read_text())
     identities_payload["method"]["n_samples"] = 20
@@ -560,15 +545,20 @@ def test_cli_runs_load_no_scipy(tmp_path):
     src = str(pathlib.Path(cli.__file__).parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
     result = tmp_path / "loaded.json"
+    workloads = bench_workloads()
     argv = [
         write_config(tmp_path, "i.json", identities_payload),
         write_config(tmp_path, "b.json", bounds_mc_config(20, sites=4)),
         str(tmp_path / "runs"),
         str(result),
+        *map(str, sorted(_SHIPPED.glob("*.json"))),
+        *(write_config(tmp_path, f"{name}.json", workloads.make_config(name, 1)[1])
+          for name in workloads.WORKLOADS),
     ]
+    assert len(argv) == 4 + 5 + 4
     subprocess.run([sys.executable, "-c", _IMPORT_SURFACE_SCRIPT, *argv], env=env, check=True)
     assert json.loads(result.read_text()) == {
-        "import xyzglass.cli": [], "verify-identities": [], "verify-bounds": [],
+        "import xyzglass.cli": [], "load_config": [], "verify-identities": [], "verify-bounds": [],
     }
 
 
@@ -732,13 +722,19 @@ def test_overflowing_nishimori_ratio_exits_two_before_sampling(
     assert not (tmp_path / "runs").exists()
 
 
-def test_workload_plans_keep_or_gain_their_batch_sizes(tmp_path, monkeypatch):
-    # the plans that read the quantum state keep the quantum byte budget; the
-    # a1-only plan reads only the Nishimori line and batches by its rows
+def bench_workloads():
+    """The benchmark's `bench/workloads.py` module."""
     bench = pathlib.Path(__file__).parents[1] / "bench" / "workloads.py"
     spec = importlib.util.spec_from_file_location("workloads", bench)
     workloads = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(workloads)
+    return workloads
+
+
+def test_workload_plans_keep_or_gain_their_batch_sizes(tmp_path, monkeypatch):
+    # the plans that read the quantum state keep the quantum byte budget; the
+    # a1-only plan reads only the Nishimori line and batches by its rows
+    workloads = bench_workloads()
     sizes = {}
     real = identities.Plan.evaluate
 
@@ -1103,15 +1099,10 @@ def single_entry_changes():
                 yield payload
 
 
-def walker_errors(schema, instance):
-    """(path, message) of every error load_config's walker finds, in order."""
-    return [(list(path), message) for path, message, _ in cli._schema_errors(instance, schema, ())]
-
-
-def oracle_errors(schema, instance):
-    """(path, message) of every error jsonschema finds, in order."""
-    validator = jsonschema.validators.validator_for(schema)(schema)
-    return [(list(e.absolute_path), e.message) for e in validator.iter_errors(instance)]
+def walker_disagrees(schema, instance):
+    """Whether load_config's walker and jsonschema differ on the instance's
+    validity."""
+    return cli._valid(instance, schema) != jsonschema.Draft202012Validator(schema).is_valid(instance)
 
 
 def test_load_config_agrees_with_jsonschema_on_every_single_entry_change(tmp_path):
@@ -1123,18 +1114,17 @@ def test_load_config_agrees_with_jsonschema_on_every_single_entry_change(tmp_pat
     verdicts = [(load_verdict(tmp_path / "c.json", p), jsonschema_verdict(p)) for p in payloads]
     assert [ours for ours, oracle in verdicts if ours != oracle] == []
     assert {ours is None for ours, _ in verdicts} == {True, False}
-    # the walker finds every error jsonschema finds, in the same order
-    schema = cli.CONFIG_SCHEMA
-    assert [p for p in payloads if walker_errors(schema, p) != oracle_errors(schema, p)] == []
+    # the walker alone decides each config as jsonschema does
+    assert [p for p in payloads if walker_disagrees(cli.CONFIG_SCHEMA, p)] == []
 
 
 def test_items_after_prefix_items_follow_jsonschema():
     # the config schema has no `items` beside `prefixItems`; the walker
     # applies `items` only past the prefix, as jsonschema does
     schema = {"prefixItems": [{"type": "number"}], "items": {"type": "integer", "minimum": 1}}
-    for instance in ([0.5, 1, "a", 0], ["a", 1.5], []):
-        assert walker_errors(schema, instance) == oracle_errors(schema, instance)
-    assert len(walker_errors(schema, [0.5, 1, "a", 0])) == 2
+    instances = ([0.5, 1, "a", 0], [0.5, 1, 2], ["a", 1.5], [0.5, 0], [0.5], [])
+    assert [i for i in instances if walker_disagrees(schema, i)] == []
+    assert [cli._valid(i, schema) for i in instances] == [False, True, False, False, True, True]
 
 
 #: One config per schema keyword and per rule of best_match's choice:
@@ -1191,6 +1181,7 @@ def test_load_config_agrees_with_jsonschema_on_each_keyword(tmp_path, case):
         payload = {k: v for k, v in payload.items() if k != "seed"} | {"unknown": 1}
     ours = load_verdict(tmp_path / "c.json", payload)
     assert ours == jsonschema_verdict(payload)
+    assert not walker_disagrees(cli.CONFIG_SCHEMA, payload)
     assert (ours is None) == (case in ("accepted", "type: 2.0 is an integer"))
 
 

@@ -6,7 +6,7 @@ import json
 
 import pytest
 
-from record_golden import GOLDEN, RUNS, golden_name, outputs
+from record_golden import GOLDEN, RUNS, SRC, golden_name, outputs
 
 
 def _first_json_difference(old, new, path="$"):
@@ -62,7 +62,7 @@ def test_first_difference_names_the_json_path_or_the_line():
 
 @pytest.mark.parametrize("name, subcommand, cfg, extra", RUNS, ids=[run[0] for run in RUNS])
 def test_reports_match_the_golden_copies(tmp_path, name, subcommand, cfg, extra):
-    _, files = outputs(subcommand, cfg, extra, tmp_path)
+    _, files = outputs(subcommand, cfg, extra, tmp_path, SRC)
     recorded = sorted(path.name for path in GOLDEN.glob(f"{name}.*"))
     assert sorted(golden_name(name, file_name) for file_name in files) == recorded
     for file_name, text in files.items():

@@ -57,7 +57,7 @@ from xyzglass.quantum_gibbs import (
 )
 from xyzglass.tolerances import EXACT_TOL, Tolerances, flip_symmetric
 
-from plans import count_draws, evaluate_alone
+from plans import count_decompositions, count_draws, evaluate_alone
 
 
 def single_site_config(beta=0.5, jx=0.6):
@@ -637,21 +637,6 @@ def test_threads_fill_draw_stacks_shorter_than_the_run(monkeypatch):
             assert np.array_equal(split.values(block), whole.values(block))
 
 
-def count_decompositions(monkeypatch) -> list[int]:
-    """Patch the plan's spectral_decompose to record how many matrices each
-    (stacked) call decomposes: a plan decomposes `SectorStack`s, one stacked
-    operator per sample."""
-    calls = []
-    real = identities.spectral_decompose
-
-    def counting(h, labels=None):
-        calls.append(len(h.blocks))
-        return real(h, labels)
-
-    monkeypatch.setattr(identities, "spectral_decompose", counting)
-    return calls
-
-
 def test_plan_shares_one_decomposition_per_sample(monkeypatch):
     calls = count_decompositions(monkeypatch)
     cfg = chain_config(3)
@@ -1105,7 +1090,7 @@ def test_value_table_owns_the_standard_errors_and_the_tolerance_rule():
     se = math.sqrt(sum((v - mean) ** 2 for v in x) / 4 / 5)
     assert mc.se(values)[0] == pytest.approx(se, rel=1e-12)
     # the leave-one-out error of the mean is the standard error
-    assert mc.jackknife_se(values, lambda m: float(m[0])) == pytest.approx(se, rel=1e-12)
+    assert mc.jackknife_se(values, lambda m: m[:, 0]) == pytest.approx(se, rel=1e-12)
     tol = Tolerances(z_max=2.5, quadrature_abs=1e-3)
     assert mc.tolerance(se, tol, 1.0) == 2.5 * se
     assert mc.tolerance(0.0, tol, 1.0) == EXACT_TOL
@@ -1122,7 +1107,7 @@ def test_value_table_owns_the_standard_errors_and_the_tolerance_rule():
     grid = plan.evaluate(Quadrature(2))
     grid_values = grid.values(block)
     assert np.array_equal(grid.se(grid_values), [0.0])
-    assert grid.jackknife_se(grid_values, lambda m: float(m[0])) == 0.0
+    assert grid.jackknife_se(grid_values, lambda m: m[:, 0]) == 0.0
     assert np.array_equal(grid.tolerance(np.ones(3), tol, 1e-3), [1e-3] * 3)
     assert math.isnan(grid.estimate(1.0, 0.0, 0.0).z_score)
 

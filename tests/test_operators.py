@@ -245,3 +245,10 @@ def test_site_mask_cancels_a_repeated_site():
     assert site_mask(3, [0]) == 0b100 and site_mask(3, [2]) == 0b001
     assert site_mask(3, [0, 2, 0]) == site_mask(3, [2])
     assert site_mask(3, [1, 1]) == 0
+
+
+@pytest.mark.parametrize("site", [-1, 3, 64])
+def test_site_mask_refuses_a_site_outside_the_lattice(site):
+    # no 3-site index has bit 3, and a shift by a negative count is no site
+    with pytest.raises(ValueError, match=rf"site {site} is outside \[0, 3\)"):
+        site_mask(3, [0, site])

@@ -4,11 +4,10 @@ below with the reason it is kept."""
 import contextlib
 import inspect
 import io
-import json
 import pathlib
 import sys
 
-from record_golden import RUNS
+from record_golden import RUNS, argv
 from xyzglass import cli
 
 PACKAGE = pathlib.Path(cli.__file__).parent
@@ -75,16 +74,14 @@ def test_every_src_function_is_reached_or_retained(tmp_path):
 
     codes = []
     for k, (subcommand, cfg, extra) in enumerate(runs):
-        argv = [subcommand, "--out", str(tmp_path / "runs"), "--threads", "1", *extra]
-        if cfg is not None:
-            path = tmp_path / f"config_{k}.json"
-            path.write_text(json.dumps(cfg))
-            argv += ["--config", str(path)]
+        directory = tmp_path / str(k)
+        directory.mkdir()
+        args = argv(subcommand, cfg, extra, directory)
         previous = sys.getprofile()
         sys.setprofile(hook)
         try:
             with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
-                codes.append(cli.main(argv))
+                codes.append(cli.main(args))
         finally:
             sys.setprofile(previous)
     assert codes == [0, 0, 1, 1, 0, 0, 0, 0, 0, 2]
