@@ -9,7 +9,6 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .disorder import NishimoriData
 from .errors import CapacityError
 from .lattice import BondFamily
 from .operators import product_signs, site_mask
@@ -39,15 +38,6 @@ class ClassicalModel:
                 raise ValueError(f"coupling count mismatch for p={p}")
             if self.betas[p] < 0:
                 raise ValueError(f"beta must be >= 0, got {self.betas[p]} for p={p}")
-
-
-def classical_from_nishimori(
-    nd: NishimoriData, families: Mapping[int, BondFamily], n_sites: int
-) -> ClassicalModel:
-    """The Nishimori-line classical model for a transformed disorder sample."""
-    return ClassicalModel(
-        n_sites=n_sites, families=dict(families), couplings=dict(nd.k), betas=dict(nd.betas)
-    )
 
 
 def _tau_block(n_sites: int) -> np.ndarray:
@@ -117,8 +107,7 @@ def product_expectations(
     bond by bond: the reference that `BondProductTable` is tested against."""
     sets = [tuple(int(i) for i in s) for s in site_sets]
     for s in sets:
-        if s and not set(s) <= set(range(model.n_sites)):
-            raise ValueError(f"site set {s} out of range")
+        site_mask(model.n_sites, s)
     tau, w, z = _weighted_configurations(model)
     nums = np.array([float(np.dot(np.prod(tau[:, s], axis=1), w)) if s else z for s in sets])
     return nums / z
@@ -134,11 +123,6 @@ def classical_energy(model: ClassicalModel, tau: Sequence[int]) -> float:
         for b, bond in enumerate(model.families[p].bonds):
             energy -= float(model.couplings[p][b]) * float(np.prod(tau[list(bond)]))
     return energy
-
-
-def classical_expectation(model: ClassicalModel, sites: Sequence[int]) -> float:
-    """Exact expectation of the spin product over `sites`."""
-    return float(product_expectations(model, [tuple(sites)])[0])
 
 
 def classical_correlation_matrix(model: ClassicalModel) -> np.ndarray:

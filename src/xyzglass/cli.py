@@ -40,7 +40,6 @@ from .disorder import (
     dump_csv,
     gauge_transform_couplings,
     gaussian_log_density,
-    nishimori_transform,
     sample_disorder,
     term_slices,
 )
@@ -493,7 +492,7 @@ def _with_retry(
 
 
 def run_verify_identities(
-    cfg: dict, tol: Tolerances, threads: int, extended: bool, artifacts_dir: str | None
+    cfg: dict, tol: Tolerances, threads: int, extended: bool, artifacts_dir: str
 ) -> tuple[list[dict], dict]:
     _require(cfg, ["gauge_axis", "observables"], "verify-identities")
     model = build_model(cfg)
@@ -520,7 +519,7 @@ def run_verify_identities(
     plan = identities.Plan(model, [block for block, _ in groups], u)
     checks = _with_retry(groups, plan.evaluate(method), tol)
     artifacts = {}
-    if cfg.get("dump_disorder_sample") and artifacts_dir:
+    if cfg.get("dump_disorder_sample"):
         path = _fresh_path(artifacts_dir, "disorder_sample", "csv")
         dump_csv(sample_disorder(model.params, model.families, cfg["seed"], 0), path)
         artifacts["disorder_sample_csv"] = os.path.basename(path)
@@ -528,7 +527,7 @@ def run_verify_identities(
 
 
 def run_verify_bounds(
-    cfg: dict, tol: Tolerances, threads: int, artifacts_dir: str | None
+    cfg: dict, tol: Tolerances, threads: int, artifacts_dir: str
 ) -> tuple[list[dict], dict]:
     _require(cfg, ["gauge_axis", "bounds"], "verify-bounds")
     model = build_model(cfg)
@@ -537,7 +536,7 @@ def run_verify_bounds(
     w = cfg["bounds"].get("w", "z")
     v = cfg["bounds"].get("v", w)
     which = cfg["bounds"].get("checks", ["magnetization", "susceptibility", "a1", "a2"])
-    export = bool(cfg.get("export_correlations") and artifacts_dir)
+    export = bool(cfg.get("export_correlations"))
     magnetization = identities.MagnetizationBlock(w)
     susceptibility = identities.SusceptibilityBlock(v, w)
     pairs = identities.PairMatrixBlock()
@@ -634,7 +633,7 @@ def run_order_params(cfg: dict, threads: int) -> tuple[list[dict], dict]:
     return checks, {}
 
 
-def run_phase_region(cfg: dict, artifacts_dir: str | None) -> tuple[list[dict], dict]:
+def run_phase_region(cfg: dict, artifacts_dir: str) -> tuple[list[dict], dict]:
     _require(cfg, ["beta_t"], "phase-region")
     beta_t = cfg["beta_t"]
     checks = []
@@ -653,8 +652,6 @@ def run_phase_region(cfg: dict, artifacts_dir: str | None) -> tuple[list[dict], 
     if "phase_grid" in cfg:
         g = cfg["phase_grid"]
         grid = phase_region.RatioGrid(x=tuple(g["x"]), y=tuple(g["y"]), z=tuple(g["z"]))
-        if artifacts_dir is None:
-            raise ConfigError("phase-region grid export needs an output directory")
         path = _fresh_path(artifacts_dir, "region", "csv")
         rows = phase_region.write_region_csv(grid, beta_t, path)
         artifacts["region_csv"] = os.path.basename(path)
@@ -825,8 +822,8 @@ def run_selftest(seed: int) -> tuple[list[dict], dict]:
         "one-point identity (single-site quadrature)", abs(res.mean), Tolerances().quadrature_abs
     )
 
-    # the per-sample pair kernel versus the per-bond enumerator, on Nishimori
-    # transforms of random chains
+    # the plans' pair kernel versus the per-bond enumerator, on Nishimori
+    # rotations of random chains
     worst_pairs = 0.0
     for _ in range(5):
         length = int(rng.integers(1, 7))
@@ -840,14 +837,15 @@ def run_selftest(seed: int) -> tuple[list[dict], dict]:
              for p in fams4}
         )
         sample = sample_disorder(params4, fams4, seed=int(rng.integers(2**31)))
-        nd = nishimori_transform(sample, params4, AXES[int(rng.integers(0, 3))])
+        rotation = NishimoriRotation(params4, fams4, AXES[int(rng.integers(0, 3))])
+        k = rotation(sample.row[None])
         table = classical_gibbs.BondProductTable(length, fams4)
-        enumerated = classical_gibbs.classical_correlation_matrix(
-            classical_gibbs.classical_from_nishimori(nd, fams4, length)
+        (kernel,) = table.pair_matrix_from(table.probabilities(k, rotation.betas))
+        reference = classical_gibbs.ClassicalModel(
+            length, fams4, {p: row for p, (row,) in k.items()}, rotation.betas
         )
-        worst_pairs = max(
-            worst_pairs, float(np.max(np.abs(table.pair_matrix(nd.k, nd.betas) - enumerated)))
-        )
+        enumerated = classical_gibbs.classical_correlation_matrix(reference)
+        worst_pairs = max(worst_pairs, float(np.max(np.abs(kernel - enumerated))))
     record(
         "Nishimori-line pair matrix versus per-bond enumeration", worst_pairs,
         tolerances.ROUNDING_TOL,
@@ -1030,9 +1028,6 @@ def main(argv: list[str] | None = None) -> int:
         cfg = resolve_config(raw, args.seed)
         with _freed_pages_kept():
             code, path = run(args.subcommand, cfg, threads, args.extended_multipoint, args.out)
-    except ConfigError as exc:
-        _emit_error("config", exc, EXIT_CONFIG_ERROR)
-        return EXIT_CONFIG_ERROR
     # an allocation past the machine's memory is a size cap the config hit
     except (CapacityError, MemoryError) as exc:
         _emit_error("capacity", exc, EXIT_CAPACITY_ERROR)

@@ -56,11 +56,18 @@ class CouplingParams:
         """A component exists iff its mean or std-dev is nonzero."""
         return self.mu(p, axis) != 0.0 or self.delta(p, axis) != 0.0
 
-    def require_even_mixed(self) -> None:
-        """Validate the mixed even p-spin declaration: all p > 1 must be even."""
+    def require_even_mixed(self, check: str) -> None:
+        """Refuse a model outside the field-free mixed even p-spin class that
+        `check`, named in the message, holds for: an odd p > 1 or an active
+        single-site coupling."""
         odd = [p for p in self.p_values if p > 1 and p % 2 == 1]
         if odd:
-            raise ValueError(f"mixed even p-spin model requires even p > 1, got {odd}")
+            raise ValueError(f"{check} requires a mixed even p-spin model, got odd p {odd}")
+        fields = [a for a in AXES if self.is_active(1, a)]
+        if fields:
+            raise ValueError(
+                f"{check} requires zero single-site couplings (no base field), got axes {fields}"
+            )
 
 
 @dataclass(frozen=True)

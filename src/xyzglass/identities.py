@@ -19,6 +19,7 @@ import contextlib
 import dataclasses
 import functools
 import math
+import os
 import sys
 from dataclasses import dataclass
 from typing import Callable, ClassVar, Iterator, Mapping, Protocol, Sequence
@@ -34,7 +35,9 @@ from .disorder import (
 )
 from .errors import CapacityError, UndersampledError
 from .lattice import BondFamily, Lattice, generate_bonds, single_site_shape
-from .operators import AXES, PauliString, Sectors, parity_sectors, whole_space
+from .operators import (
+    AXES, PauliString, Sectors, parity_sectors, site_mask, transformed_axes, whole_space
+)
 from .quantum_gibbs import (
     HamiltonianBuilder,
     SectorStack,
@@ -179,13 +182,6 @@ class QuadratureSpec:
         for _ in self.random_terms:
             probs = np.multiply.outer(probs, node_probs).ravel()
         return probs
-
-
-def _check_identity_axes(w: str, u: str | None) -> None:
-    if w not in AXES or u not in AXES:
-        raise ValueError(f"axes must be among {AXES}, got w={w!r}, u={u!r}")
-    if w == u:
-        raise ValueError("the observable axis must differ from the gauge axis")
 
 
 # ---------------------------------------------------------------------------
@@ -398,17 +394,24 @@ class Plan:
         share, at least one."""
         return max(1, _BATCH_BYTES // item_bytes)
 
-    def _check_sites(self, sites: tuple[int, ...]) -> None:
-        if not set(sites) <= set(range(self.n_sites)):
-            raise ValueError(f"sites {list(sites)} out of range for {self.n_sites} sites")
-
     def string(self, sites: tuple[int, ...], axis: str) -> PauliString:
         """The plan's one PauliString for (sites, axis)."""
         key = (sites, axis)
         if key not in self._strings:
-            self._check_sites(sites)
             self._strings[key] = PauliString(self.n_sites, sites, axis)
         return self._strings[key]
+
+    def require_transformed(self, *axes: str) -> None:
+        """Refuse an observable axis outside `transformed_axes(u)`, which also
+        checks u: only for those does a quantum expectation pair with a
+        Nishimori-line product."""
+        transformed = transformed_axes(self.u)
+        for axis in axes:
+            if axis not in transformed:
+                raise ValueError(
+                    f"observable axis {axis!r} must be one of {transformed}, the axes that "
+                    f"the gauge flip about {self.u} transforms"
+                )
 
     def require_classical(self) -> None:
         """Validate the gauge axis and make the Nishimori rotation, whose
@@ -425,7 +428,7 @@ class Plan:
         self.require_classical()
         for s in site_sets:
             if s not in self._set_index:
-                self._check_sites(s)
+                site_mask(self.n_sites, s)
                 self._set_index[s] = len(self.site_sets)
                 self.site_sets.append(s)
         return [self._set_index[s] for s in site_sets]
@@ -444,8 +447,9 @@ class Plan:
         calling thread one stack at a time, the most whole batches whose rows
         `stack_size` holds (a row charged 8 bytes a term, at least 8), at
         least one batch; a stack's batches are then evaluated in turn or by
-        `threads` workers. A plan that reads no quantum state runs on the
-        calling thread: two workers slowed the 14-site a1 run to 0.73x."""
+        `threads` workers, at most one a batch and one a CPU the process may
+        run on. A plan that reads no quantum state runs on the calling
+        thread: two workers slowed the 14-site a1 run to 0.73x."""
         columns = [np.empty((stop - start, width)) for width in self.widths]
 
         def work(batch: _Batch) -> None:
@@ -455,7 +459,9 @@ class Plan:
 
         size = self.batch_size
         span = size * max(1, self.stack_size(8 * max(len(self.law[0]), 1)) // size)
-        workers = min(threads if self.reads_state else 1, -(-(stop - start) // size))
+        # the CPUs the process may run on: its affinity set where the OS has one
+        cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+        workers = min(threads if self.reads_state else 1, -(-(stop - start) // size), cpus or 1)
         pool = None
         if workers > 1:
             # imported here, so that a run on one thread loads no thread pool
@@ -615,7 +621,7 @@ class _IdentityBlock:
         return [f.name for f in dataclasses.fields(self) if f.name.endswith("_sites")]
 
     def bind(self, plan: Plan) -> tuple[int, Evaluator]:
-        _check_identity_axes(self.w, plan.u)
+        plan.require_transformed(self.w)
         sets = [getattr(self, name) for name in self._site_fields()]
         diff = tuple(sorted(functools.reduce(set.symmetric_difference, map(set, sets))))
         (c,) = plan.products([diff])
@@ -805,7 +811,7 @@ class MagnetizationBlock:
     w: str
 
     def bind(self, plan: Plan) -> tuple[int, Evaluator]:
-        _check_identity_axes(self.w, plan.u)
+        plan.require_transformed(self.w)
         singles = _single_sites(plan.n_sites)
         cols = plan.products(singles)
         ops = [plan.string(s, self.w) for s in singles]
@@ -912,12 +918,8 @@ class SusceptibilityBlock:
 
     def bind(self, plan: Plan) -> tuple[int, Evaluator]:
         v, w = self.v, self.w
-        for axis in (v, w):
-            _check_identity_axes(axis, plan.u)
-        params = plan.config.params
-        params.require_even_mixed()
-        if any(params.is_active(1, a) for a in AXES):
-            raise ValueError("susceptibility bound requires zero single-site couplings")
+        plan.require_transformed(v, w)
+        plan.config.params.require_even_mixed("susceptibility bound")
         plan.require_classical()
         n = plan.n_sites
         ops_w = [plan.string(s, w) for s in _single_sites(n)]
@@ -940,7 +942,7 @@ class SusceptibilityBlock:
 
         including the deterministic per-pair |(sigma;sigma)| <= 2 step. The
         block binds only to a mixed even p-spin configuration (no single-site
-        couplings) and a gauge axis distinct from both observable axes.
+        couplings) and observable axes that the gauge flip about u transforms.
         """
         n = table.plan.n_sites
         beta = table.plan.config.beta
@@ -1021,10 +1023,7 @@ class FieldStencilBlock:
             normal = False
         if not normal:
             raise ValueError(f"a2_step h must be > 0 with h**2 and h**3 normal floats, got {h}")
-        params = plan.config.params
-        params.require_even_mixed()
-        if any(params.is_active(1, a) for a in AXES):
-            raise ValueError("nonlinear susceptibility probe requires zero base field")
+        plan.config.params.require_even_mixed("nonlinear susceptibility probe")
         n = plan.n_sites
         sectors = plan.sectors
         # the field F = -sum_i sigma_i^v in the plan's sectors; its entries

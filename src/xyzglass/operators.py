@@ -85,13 +85,12 @@ def product_signs(count: int, masks: Sequence[int]) -> np.ndarray:
     return np.where(odd, -1.0, 1.0)
 
 
-def _site_set(n_sites: int, sites: Sequence[int], axis: str) -> set[int]:
+def _site_set(n_sites: int, sites: Sequence[int], axis: str) -> tuple[set[int], int]:
+    """The distinct sites and their `site_mask`, which checks their range."""
     _check_sites(n_sites)
     _check_axis(axis)
     site_set = set(int(i) for i in sites)
-    if site_set and not site_set <= set(range(n_sites)):
-        raise IndexError(f"sites {sorted(site_set)} out of range for {n_sites} sites")
-    return site_set
+    return site_set, site_mask(n_sites, site_set)
 
 
 class Sectors:
@@ -162,8 +161,7 @@ class PauliString:
     """
 
     def __init__(self, n_sites: int, sites: Sequence[int], axis: str):
-        site_set = _site_set(n_sites, sites, axis)
-        mask = site_mask(n_sites, site_set)
+        site_set, mask = _site_set(n_sites, sites, axis)
         self.dim = 2**n_sites
         self.flip = 0 if axis == "z" else mask
         self.rows = np.arange(self.dim) ^ self.flip
@@ -212,16 +210,12 @@ class PauliString:
 
 def pauli_site(n_sites: int, i: int, axis: str) -> np.ndarray:
     """Pauli operator on site i, identity elsewhere."""
-    _check_sites(n_sites)
-    _check_axis(axis)
-    if not 0 <= i < n_sites:
-        raise IndexError(f"site {i} out of range for {n_sites} sites")
     return pauli_product(n_sites, (i,), axis)
 
 
 def pauli_product(n_sites: int, sites: Sequence[int], axis: str) -> np.ndarray:
     """Product of same-axis Pauli operators over a site set; empty set is identity."""
-    site_set = _site_set(n_sites, sites, axis)
+    site_set, _ = _site_set(n_sites, sites, axis)
     op = np.ones((1, 1), dtype=complex)
     for j in range(n_sites):
         op = np.kron(op, PAULI[axis] if j in site_set else _ID2)

@@ -14,7 +14,7 @@ import time
 import numpy as np
 import pytest
 
-from xyzglass.classical_gibbs import ClassicalModel, classical_expectation
+from xyzglass.classical_gibbs import ClassicalModel, product_expectations
 from xyzglass.cli import _with_retry, main as cli_main
 from xyzglass.disorder import (
     CouplingParams,
@@ -321,7 +321,7 @@ def test_criterion_08_quantum_classical_reduction():
             size = int(rng.integers(1, min(n, 3) + 1))
             sites = tuple(sorted(int(s) for s in rng.choice(n, size=size, replace=False)))
             quantum = gibbs_expectation(state, pauli_product(n, sites, axis))
-            classical = classical_expectation(model, sites)
+            classical = product_expectations(model, [sites])[0]
             worst = max(worst, abs(quantum - classical))
         elapsed = time.perf_counter() - start
         assert worst < 1e-10, f"max disagreement {worst}"

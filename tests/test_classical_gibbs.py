@@ -10,8 +10,6 @@ from xyzglass.classical_gibbs import (
     ClassicalModel,
     classical_correlation_matrix,
     classical_energy,
-    classical_expectation,
-    classical_from_nishimori,
     correlation_matrix_to_csv,
     product_expectations,
 )
@@ -68,28 +66,28 @@ def test_energy_examples():
 def test_single_site_tanh():
     k, beta = 0.7, 1.3
     model = chain_model(1, k1=[k], beta1=beta)
-    assert classical_expectation(model, [0]) == pytest.approx(math.tanh(beta * k), abs=1e-12)
+    assert product_expectations(model, [[0]])[0] == pytest.approx(math.tanh(beta * k), abs=1e-12)
 
 
 def test_two_site_bond_tanh():
     k, beta = 0.45, 0.9
     model = chain_model(2, k2=[k], beta2=beta)
-    assert classical_expectation(model, [0, 1]) == pytest.approx(math.tanh(beta * k), abs=1e-12)
+    assert product_expectations(model, [[0, 1]])[0] == pytest.approx(math.tanh(beta * k), abs=1e-12)
 
 
 def test_beta_zero_uniform_measure():
     model = chain_model(3, k1=[1.0, 2.0, 3.0], k2=[1.0, 1.0], beta1=0.0, beta2=0.0)
-    assert classical_expectation(model, [0]) == pytest.approx(0.0, abs=1e-12)
-    assert classical_expectation(model, [0, 2]) == pytest.approx(0.0, abs=1e-12)
-    assert classical_expectation(model, []) == pytest.approx(1.0)
+    assert product_expectations(model, [[0]])[0] == pytest.approx(0.0, abs=1e-12)
+    assert product_expectations(model, [[0, 2]])[0] == pytest.approx(0.0, abs=1e-12)
+    assert product_expectations(model, [[]])[0] == pytest.approx(1.0)
 
 
 def test_pair_expectation_symmetric_difference():
     # tau_X tau_Y is the product over the symmetric difference of X and Y
     model = chain_model(3, k2=[0.4, 0.6], beta2=1.1)
-    direct = classical_expectation(model, [0, 2])
-    assert classical_expectation(model, [0, 1, 1, 2]) == pytest.approx(direct, abs=1e-14)
-    assert classical_expectation(model, []) == 1.0
+    direct = product_expectations(model, [[0, 2]])[0]
+    assert product_expectations(model, [[0, 1, 1, 2]])[0] == pytest.approx(direct, abs=1e-14)
+    assert product_expectations(model, [[]])[0] == 1.0
 
 
 def test_correlation_matrix_properties():
@@ -100,7 +98,7 @@ def test_correlation_matrix_properties():
     for i in range(4):
         for j in range(4):
             assert corr[i, j] == pytest.approx(
-                classical_expectation(model, [i, j] if i != j else []), abs=1e-12
+                product_expectations(model, [[i, j] if i != j else []])[0], abs=1e-12
             )
     # beta = 0 gives the identity matrix
     model0 = chain_model(4, k2=[0.5, -0.2, 0.7], beta2=0.0)
@@ -123,7 +121,7 @@ def test_capacity_cap():
         betas={1: 1.0},
     )
     with pytest.raises(CapacityError):
-        classical_expectation(model, [0])
+        product_expectations(model, [[0]])[0]
 
 
 def test_quantum_classical_reduction():
@@ -148,7 +146,7 @@ def test_quantum_classical_reduction():
         )
         for sites in [(0,), (1, 2), (0, 3)]:
             quantum = gibbs_expectation(state, pauli_product(L, sites, axis))
-            assert quantum == pytest.approx(classical_expectation(model, sites), abs=1e-10)
+            assert quantum == pytest.approx(product_expectations(model, [sites])[0], abs=1e-10)
 
 
 def test_classical_nishimori_one_point_identity():
@@ -180,8 +178,8 @@ def test_classical_nishimori_two_site_identity_via_transform():
     rows = draw_rows(*coupling_law(params, fams), 13, 0, n)
     for k in range(n):
         nd = nishimori_transform(DisorderSample(rows[k], fams), params, "x")
-        model = classical_from_nishimori(nd, fams, 2)
-        val = classical_expectation(model, [0, 1])
+        model = ClassicalModel(2, fams, nd.k, nd.betas)
+        val = product_expectations(model, [[0, 1]])[0]
         first[k] = val
         second[k] = val * val
     diff = first - second

@@ -435,7 +435,7 @@ def test_out_of_range_observable_site_exits_two_before_sampling(
     err = json.loads(capsys.readouterr().err.strip())
     assert err["error"]["kind"] == "config"
     assert err["error"]["exit_code"] == EXIT_CONFIG_ERROR
-    assert "out of range" in err["error"]["message"]
+    assert err["error"]["message"] == "site 7 is outside [0, 4)"
     assert draws == []
     assert not (tmp_path / "runs").exists()
 

@@ -394,9 +394,12 @@ def test_gauge_covariance_of_density():
 
 
 def test_even_mixed_validation():
-    CouplingParams({1: {"z": (1, 1)}, 2: {"z": (1, 1)}, 4: {"z": (1, 1)}}).require_even_mixed()
-    with pytest.raises(ValueError):
-        CouplingParams({1: {"z": (1, 1)}, 3: {"z": (1, 1)}}).require_even_mixed()
+    # an absent single-site component is no field
+    CouplingParams({1: {"z": (0, 0)}, 2: {"z": (1, 1)}, 4: {"z": (1, 1)}}).require_even_mixed("c")
+    with pytest.raises(ValueError, match=r"^c requires a mixed even p-spin model, got odd p"):
+        CouplingParams({2: {"z": (1, 1)}, 3: {"z": (1, 1)}}).require_even_mixed("c")
+    with pytest.raises(ValueError, match=r"^c requires zero single-site couplings .*\['y'\]"):
+        CouplingParams({1: {"y": (0, 1)}, 2: {"z": (1, 1)}}).require_even_mixed("c")
 
 
 def test_negative_delta_rejected():

@@ -8,11 +8,7 @@ import numpy.polynomial.hermite
 import pytest
 
 import xyzglass
-from xyzglass.classical_gibbs import (
-    BondProductTable,
-    classical_expectation,
-    classical_from_nishimori,
-)
+from xyzglass.classical_gibbs import BondProductTable, ClassicalModel, product_expectations
 from xyzglass.disorder import (
     CouplingParams,
     NishimoriRotation,
@@ -45,7 +41,9 @@ from xyzglass.lattice import (
     interaction_shape,
     single_site_shape,
 )
-from xyzglass.operators import PauliString, parity_sectors, pauli_product, pauli_site, whole_space
+from xyzglass.operators import (
+    PauliString, parity_sectors, pauli_product, pauli_site, site_mask, whole_space
+)
 from xyzglass.quantum_gibbs import (
     HamiltonianBuilder,
     SectorStack,
@@ -259,8 +257,8 @@ def test_one_point_engine_matches_public_building_blocks():
         )
         q = gibbs_expectation(state, op)
         nd = nishimori_transform(sample, cfg.params, "x")
-        model = classical_from_nishimori(nd, cfg.families, 2)
-        residuals[k] = q * (1.0 - classical_expectation(model, [0]))
+        model = ClassicalModel(2, cfg.families, nd.k, nd.betas)
+        residuals[k] = q * (1.0 - product_expectations(model, [[0]])[0])
     block = OnePointBlock([0], "z")
     (res,) = block.result(evaluate_alone(cfg, block, "x", MonteCarlo(n_samples=n, seed=seed)))
     assert res.mean == pytest.approx(residuals.mean(), abs=1e-12)
@@ -279,9 +277,9 @@ def test_paired_estimator_variance_beats_unpaired():
         )
         q = gibbs_expectation(state, op)
         nd = nishimori_transform(sample, cfg.params, "x")
-        model = classical_from_nishimori(nd, cfg.families, 2)
+        model = ClassicalModel(2, cfg.families, nd.k, nd.betas)
         a_vals[k] = q
-        ab_vals[k] = q * classical_expectation(model, [0])
+        ab_vals[k] = q * product_expectations(model, [[0]])[0]
     paired_var = np.var(a_vals - ab_vals, ddof=1)
     unpaired_var = np.var(a_vals, ddof=1) + np.var(ab_vals, ddof=1)
     assert paired_var / unpaired_var < 1.0
@@ -489,6 +487,88 @@ def test_a2_refuses_an_unknown_field_axis_before_any_draw(monkeypatch):
     cfg = chain_config(3, with_field=False)
     with pytest.raises(ValueError, match="field axis v"):
         evaluate_alone(cfg, FieldStencilBlock("q", "z", 0.05), None, MonteCarlo(10, 1))
+    assert drawn == []
+
+
+@pytest.mark.parametrize("site", [-1, 4])
+@pytest.mark.parametrize(
+    "entry",
+    [
+        lambda plan, i: PauliString(4, [0, i], "z"),
+        lambda plan, i: pauli_product(4, [i], "z"),
+        lambda plan, i: pauli_site(4, i, "z"),
+        lambda plan, i: site_mask(4, [i]),
+        lambda plan, i: plan.string((i,), "z"),
+        lambda plan, i: plan.products([(0, i)]),
+        # a plan's identity block registers its site sets' product first
+        lambda plan, i: identities.Plan(plan.config, [OnePointBlock([i], "z")], "x"),
+        # and its strings alone when that product is over no site
+        lambda plan, i: identities.Plan(plan.config, [TwoPointBlock([i], [i], "z")], "x"),
+    ],
+    ids=[
+        "PauliString", "pauli_product", "pauli_site", "site_mask", "plan-string",
+        "plan-products", "one-point-block", "two-point-block",
+    ],
+)
+def test_a_bad_site_is_one_value_error_from_every_entry_point(monkeypatch, entry, site):
+    drawn = count_draws(monkeypatch)
+    plan = identities.Plan(chain_config(4, with_field=False), [], "x")
+    with pytest.raises(ValueError, match=rf"^site {site} is outside \[0, 4\)$"):
+        entry(plan, site)
+    assert drawn == []
+
+
+def odd_p_config():
+    lat = build_lattice(1, 3)
+    fams = {3: generate_bonds(lat, interaction_shape([[0], [1], [2]]), "open")}
+    params = CouplingParams({3: {a: (0.1, 0.5) for a in "xyz"}})
+    return ModelConfig(lattice=lat, families=fams, params=params, beta=0.5)
+
+
+@pytest.mark.parametrize(
+    "block, check",
+    [
+        (SusceptibilityBlock("z", "z"), "susceptibility bound"),
+        (FieldStencilBlock("z", "z", 0.05), "nonlinear susceptibility probe"),
+    ],
+)
+@pytest.mark.parametrize(
+    "config, rule",
+    [
+        (lambda: chain_config(2), "zero single-site couplings"),
+        (odd_p_config, "a mixed even p-spin model"),
+    ],
+    ids=["single-site", "odd-p"],
+)
+def test_field_free_blocks_refuse_a_field_or_an_odd_p_before_any_draw(
+    monkeypatch, block, check, config, rule
+):
+    drawn = count_draws(monkeypatch)
+    with pytest.raises(ValueError, match=f"^{check} requires {rule}"):
+        evaluate_alone(config(), block, "x", MonteCarlo(10, 1))
+    assert drawn == []
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda w: OnePointBlock([0], w),
+        lambda w: MagnetizationBlock(w),
+        lambda w: SusceptibilityBlock(w, "z"),
+        lambda w: SusceptibilityBlock("z", w),
+    ],
+    ids=["identity", "magnetization", "susceptibility-v", "susceptibility-w"],
+)
+@pytest.mark.parametrize("w", ["x", "q"])  # the gauge axis, and no axis
+def test_observable_axis_blocks_take_only_the_transformed_axes(monkeypatch, make, w):
+    drawn = count_draws(monkeypatch)
+    cfg = chain_config(2, with_field=False)
+    transformed = r"\('y', 'z'\), the axes that the gauge flip about x transforms$"
+    with pytest.raises(ValueError, match=rf"^observable axis '{w}' must be one of {transformed}"):
+        evaluate_alone(cfg, make(w), "x", MonteCarlo(10, 1))
+    # a gauge axis outside AXES is refused by `transformed_axes` itself
+    with pytest.raises(ValueError, match="axis must be one of"):
+        evaluate_alone(cfg, make("z"), "q", MonteCarlo(10, 1))
     assert drawn == []
 
 

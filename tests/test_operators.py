@@ -125,7 +125,7 @@ def test_global_flip_properties():
 
 
 def test_validation_errors():
-    with pytest.raises(IndexError):
+    with pytest.raises(ValueError, match=r"site 2 is outside \[0, 2\)"):
         pauli_site(2, 2, "x")
     with pytest.raises(ValueError):
         pauli_site(2, 0, "q")
@@ -220,7 +220,7 @@ def test_transformed_axes_refuse_an_unknown_axis(u):
 
 
 def test_string_validation_errors():
-    with pytest.raises(IndexError):
+    with pytest.raises(ValueError, match=r"site 2 is outside \[0, 2\)"):
         PauliString(2, [2], "x")
     with pytest.raises(ValueError):
         PauliString(2, [0], "q")

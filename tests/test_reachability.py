@@ -17,11 +17,17 @@ PACKAGE = pathlib.Path(cli.__file__).parent
 RETAINED_KINDS = ("oracle:", "protocol stub:", "bench:")
 _TRACED = "bench: bench/spans.py traces it; no run or test calls it"
 RETAINED = {
+    "classical_gibbs.BondProductTable._probabilities_of_one":
+        "bench: bench/ladder.py reaches it through BondProductTable.expectations",
     "classical_gibbs.BondProductTable.expectations":
         "bench: bench/ladder.py times one sample's softmax and products with it",
+    "classical_gibbs.BondProductTable.pair_matrix":
+        "bench: bench/spans.py traces it as a classical evaluation span",
     "classical_gibbs.classical_energy": "oracle: the energy the enumerators' weights come from",
-    "classical_gibbs.classical_expectation": "oracle: one product of the per-bond enumerator",
     "classical_gibbs.product_expectations": "oracle: the per-bond enumerator's product pass",
+    "disorder.nishimori_transform":
+        "bench: bench/ladder.py times one sample's Nishimori transform with it, and "
+        "bench/spans.py traces it",
     "identities.Block.bind": "protocol stub: every block implements it",
     "identities._a2_differences": _TRACED,
     "identities.a1_sum": _TRACED,

@@ -2,6 +2,7 @@
 plan's bind-time choice between them."""
 
 import concurrent.futures
+import os
 
 import numpy as np
 import pytest
@@ -279,9 +280,11 @@ def test_a_failed_sector_self_check_names_the_disorder_sample(monkeypatch):
     assert calls[0] == (plan.batch_size, 2, 16, 16)
 
 
-def test_threads_start_at_most_one_worker_per_batch(monkeypatch):
-    # the pool is replaced by a recorder that runs serially, so no thread
-    # is started at any requested count
+def record_pools(monkeypatch, cpus, affinity=True):
+    """Replace the thread pool by a recorder that runs serially, so no thread
+    is started at any requested count, and give the process `cpus` CPUs: as
+    its affinity set, or with `affinity` False as the machine's count on an
+    OS without one. The worker count of every pool made, in order."""
     started = []
 
     class Recorder:
@@ -298,6 +301,16 @@ def test_threads_start_at_most_one_worker_per_batch(monkeypatch):
             return map(fn, items)
 
     monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", Recorder)
+    if affinity:
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False)
+    else:
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+    return started
+
+
+def test_threads_start_at_most_one_worker_per_batch(monkeypatch):
+    started = record_pools(monkeypatch, 64)
     plan = identities.Plan(bounds_config(), [identities.MagnetizationBlock("z")], "x")
     serial = plan.evaluate(MonteCarlo(3 * plan.batch_size, 5))
     assert started == []
@@ -307,3 +320,18 @@ def test_threads_start_at_most_one_worker_per_batch(monkeypatch):
     assert started == [3]  # one batch runs on the calling thread
     block = plan.blocks[0]
     assert np.array_equal(serial.values(block), threaded.values(block))
+
+
+@pytest.mark.parametrize("affinity", [True, False], ids=["affinity", "cpu-count"])
+def test_threads_start_at_most_one_worker_per_usable_cpu(monkeypatch, affinity):
+    started = record_pools(monkeypatch, 2, affinity)
+    plan = identities.Plan(bounds_config(), [identities.MagnetizationBlock("z")], "x")
+    serial = plan.evaluate(MonteCarlo(3 * plan.batch_size, 5))
+    threaded = plan.evaluate(MonteCarlo(3 * plan.batch_size, 5, threads=5000))
+    assert started == [2]
+    block = plan.blocks[0]
+    assert np.array_equal(serial.values(block), threaded.values(block))
+    # one usable CPU runs every batch on the calling thread
+    started = record_pools(monkeypatch, 1, affinity)
+    plan.evaluate(MonteCarlo(3 * plan.batch_size, 5, threads=5000))
+    assert started == []
